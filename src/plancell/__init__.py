@@ -21,7 +21,7 @@ from .dataset import (AttributeSpec, Instance, TrainingSet,
                       save_csv, subset)
 from .discretize import (DiscretizationMap, apply_map, boundary_candidates,
                          discretize_supervised, discretize_unsupervised,
-                         fit_map)
+                         entropy, fit_map)
 from .errors import (DataError, InapplicableActionError, LimitError,
                      ModelError, ModelIntegrityError, PlancellError,
                      UnknownValueError)
@@ -34,7 +34,7 @@ from .project import (ProjectGraph, ProjectParseError, Task, parse_project,
                       serialize_project, validate)
 from .sample_data import sample_project, sample_runs
 from .tree import (ClassificationRule, InductionGraph, TreeNode,
-                   classify_tree, entropy, extract_rules, gain_ratio, grow,
+                   classify_tree, extract_rules, gain_ratio, grow,
                    induce, information_gain, model_from_json, model_to_json,
                    rep_prune)
 

@@ -21,7 +21,7 @@ from .casi import (classify_casi, compile_tree, format_fact_table,
                    kb_to_json)
 from .dataset import NUMERIC, load_csv, save_csv
 from .discretize import apply_map, fit_map
-from .errors import DataError, LimitError, ModelError
+from .errors import DataError, LimitError, ModelError, UnknownValueError
 from .evaluation import cross_validate, evaluate_grid, report, report_csv
 from .plans import DEFAULT_MAX_PLANS, enumerate_plans, first_plan
 from .project import parse_project
@@ -190,7 +190,7 @@ def _cmd_classify(args) -> int:
             else:
                 predicted = classify_tree(model, values,
                                           fallback=args.fallback_majority)[0]
-        except ModelError:
+        except UnknownValueError:
             predicted = "?"
         if predicted == inst.label:
             hits += 1

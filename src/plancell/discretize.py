@@ -9,9 +9,10 @@ numeric columns of a training set into nominal bin codes b0, b1, ...
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
-from collections import Counter
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .dataset import NOMINAL, NUMERIC, AttributeSpec, Instance, TrainingSet
 from .errors import DataError
@@ -78,9 +79,15 @@ def discretize_supervised(ts: TrainingSet) -> DiscretizationMap:
     return DiscretizationMap(cuts)
 
 
-def _entropy(counts: Counter) -> float:
-    n = sum(counts.values())
-    return -sum(c / n * math.log2(c / n) for c in counts.values() if c)
+def entropy(dist) -> float:
+    """Shannon entropy in bits of a class-count distribution."""
+    counts = list(dist.values()) if hasattr(dist, "values") else list(dist)
+    if any(n < 0 for n in counts):
+        raise DataError("negative class count")
+    total = sum(counts)
+    if total == 0:
+        raise DataError("entropy of an all-zero distribution")
+    return -sum((n / total) * math.log2(n / total) for n in counts if n)
 
 
 def boundary_candidates(pairs: list[tuple[float, str]]) -> list[float]:
@@ -103,33 +110,83 @@ def boundary_candidates(pairs: list[tuple[float, str]]) -> list[float]:
 
 
 def _mdl_split(pairs: list[tuple[float, str]], found: list[float]) -> None:
+    """Fayyad-Irani recursion over value-sorted (value, label) pairs.
+
+    A candidate cut sends the values ``<= cut`` left. Every candidate is
+    scored in one sorted pass (``_screen``); only the near-best ones are
+    re-scored exactly, so the chosen cut is the first one with the least
+    weighted entropy, as if every candidate were scored exactly.
+    """
     candidates = boundary_candidates(pairs)
     if not candidates:
         return
 
-    total = Counter(label for _, label in pairs)
     n = len(pairs)
-    parent = _entropy(total)
+    values = [value for value, _ in pairs]
+    sizes = [bisect_right(values, cut) for cut in candidates]
+    # row positions per label, labels in order of first appearance
+    rows: dict[str, list[int]] = {}
+    for i, (_, label) in enumerate(pairs):
+        rows.setdefault(label, []).append(i)
+    positions = list(rows.values())
+    total = [len(p) for p in positions]
+    parent = entropy(total)
 
+    screened = _screen(positions, n, sizes)
     best = None
-    for cut in candidates:
-        left = Counter(label for value, label in pairs if value <= cut)
-        right = total - left
-        nl = sum(left.values())
-        weighted = nl / n * _entropy(left) + (n - nl) / n * _entropy(right)
+    for i in np.flatnonzero(screened <= screened.min() + _tolerance(n)):
+        nl = sizes[i]
+        left = [bisect_left(p, nl) for p in positions]
+        right = [t - c for t, c in zip(total, left)]
+        h_left = entropy(left)
+        # a midpoint can round onto the largest value and leave nothing right
+        h_right = entropy(right) if nl < n else 0.0
+        weighted = nl / n * h_left + (n - nl) / n * h_right
         if best is None or weighted < best[0]:
-            best = (weighted, cut, left, right)
+            best = (weighted, candidates[i], nl, left, right, h_left, h_right)
 
-    weighted, cut, left, right = best
+    weighted, cut, nl, left, right, h_left, h_right = best
     gain = parent - weighted
-    k, k1, k2 = len(total), len(left), len(right)
-    delta = math.log2(3**k - 2) - (k * parent - k1 * _entropy(left) - k2 * _entropy(right))
+    k, k1, k2 = len(total), sum(map(bool, left)), sum(map(bool, right))
+    delta = math.log2(3**k - 2) - (k * parent - k1 * h_left - k2 * h_right)
     if gain <= (math.log2(n - 1) + delta) / n:
         return
 
     found.append(cut)
-    _mdl_split([p for p in pairs if p[0] <= cut], found)
-    _mdl_split([p for p in pairs if p[0] > cut], found)
+    _mdl_split(pairs[:nl], found)
+    _mdl_split(pairs[nl:], found)
+
+
+def _xlog2x(x: np.ndarray) -> np.ndarray:
+    return x * np.log2(np.maximum(x, 1))
+
+
+def _screen(positions: list[list[int]], n: int, sizes: list[int]) -> np.ndarray:
+    """Weighted entropy of every split, to within ``_tolerance(n)``.
+
+    With F(x) = x log2 x, a split with m rows on the left scores
+    (F(m) - S_L(m) + F(n - m) - S_R(m)) / n, where S_L and S_R sum F over
+    the class counts on each side. Moving row i to the left raises its
+    label's left count by one and lowers its right count by one, so S_L
+    and S_R are running sums of per-row deltas: O(n) time and memory.
+    """
+    seen = np.empty(n)     # rows of the same label before row i
+    label_n = np.empty(n)  # rows of row i's label
+    for p in positions:
+        seen[p] = np.arange(len(p))
+        label_n[p] = len(p)
+    after = label_n - seen
+    s_left = np.cumsum(_xlog2x(seen + 1) - _xlog2x(seen))
+    s_right = _xlog2x(np.array([len(p) for p in positions], float)).sum() \
+        + np.cumsum(_xlog2x(after - 1) - _xlog2x(after))
+    m = np.asarray(sizes)
+    nl, nr = m.astype(float), (n - m).astype(float)
+    return (_xlog2x(nl) - s_left[m - 1] + _xlog2x(nr) - s_right[m - 1]) / n
+
+
+def _tolerance(n: int) -> float:
+    """Bound on the screening error: running sums of n terms below n log2 n."""
+    return 64 * np.finfo(float).eps * (1.0 + n * math.log2(max(n, 2)))
 
 
 def apply_map(dmap: DiscretizationMap, ts: TrainingSet) -> TrainingSet:

@@ -18,7 +18,7 @@ from .dataset import NUMERIC, TrainingSet, subset
 from .discretize import DiscretizationMap, apply_map, fit_map
 from .errors import DataError, PlancellError, UnknownValueError
 from .knn import classify_knn, fit_knn
-from .tree import classify_tree, induce
+from .tree import classify_tree, induce, majority_label
 
 METHODS = ("j48", "reptree", "knn", "majority")
 MODES = ("supervised", "unsupervised", "none")
@@ -82,12 +82,6 @@ class EvalReport:
         return 100.0 * self.correct / self.total
 
 
-def _majority_label(labels) -> str:
-    counts = Counter(labels)
-    best = max(counts.values())
-    return min(label for label, n in counts.items() if n == best)
-
-
 def _bin_values(dmap: DiscretizationMap | None, ts: TrainingSet,
                 values: tuple) -> tuple:
     if dmap is None:
@@ -102,7 +96,7 @@ def _fit_predictor(method: str, fitted: TrainingSet,
                    seed: int, k: int, min_leaf: int):
     """Train one fold's classifier; returns a values -> label callable."""
     if method == "majority":
-        label = _majority_label(inst.label for inst in fitted.instances)
+        label = majority_label(Counter(i.label for i in fitted.instances))
         return lambda values: label
     if method == "knn":
         model = fit_knn(fitted, k)

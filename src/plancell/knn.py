@@ -2,16 +2,19 @@
 
 Distances are Euclidean over per-attribute differences: numeric values are
 range-normalized against the training data, nominal values contribute 0 or
-1. All tie-breaking is pinned down so results are reproducible: equal
-distances keep training order, vote ties go to the label with the nearest
-member and then lexicographically.
+1. A query is compared with every training row at once, one attribute
+column at a time. All tie-breaking is pinned down so results are
+reproducible: equal distances keep training order, vote ties go to the
+label with the nearest member and then lexicographically.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from .dataset import Instance, NUMERIC, TrainingSet
 from .errors import DataError
@@ -19,23 +22,45 @@ from .errors import DataError
 
 @dataclass(frozen=True)
 class KnnModel:
-    """The stored training data plus normalization ranges."""
+    """The stored training data, column by column.
+
+    Per attribute, ``columns`` holds the raw values of a numeric column as
+    floats, or the integer codes of a nominal one; ``spans`` holds the
+    numeric normalization range (hi - lo of the domain), None for a nominal
+    attribute, and ``codes`` the nominal value-to-code map, None for a
+    numeric attribute.
+    """
 
     training: TrainingSet
     k: int
-    ranges: dict[str, tuple[float, float]]
+    columns: tuple[np.ndarray, ...] = field(repr=False, compare=False)
+    spans: tuple[float | None, ...] = field(repr=False, compare=False)
+    codes: tuple[dict | None, ...] = field(repr=False, compare=False)
 
 
 def fit_knn(ts: TrainingSet, k: int = 1) -> KnnModel:
-    """Memorize the training set; k must fit within it."""
+    """Memorize the training set column by column; k must fit within it."""
     if k < 1:
         raise DataError(f"k must be >= 1, got {k}")
     if k > len(ts.instances):
         raise DataError(
             f"k={k} exceeds the {len(ts.instances)} training instances")
-    ranges = {s.name: (float(s.domain[0]), float(s.domain[1]))
-              for s in ts.attributes if s.kind == NUMERIC}
-    return KnnModel(ts, k, ranges)
+    if any(len(inst.values) != len(ts.attributes) for inst in ts.instances):
+        raise DataError("instance width does not match the model schema")
+    columns, spans, codes = [], [], []
+    for spec in ts.attributes:
+        raw = ts.column(spec.name)
+        if spec.kind == NUMERIC:
+            columns.append(np.array(raw, dtype=float))
+            spans.append(float(spec.domain[1]) - float(spec.domain[0]))
+            codes.append(None)
+        else:
+            index: dict = {}
+            coded = [index.setdefault(v, len(index)) for v in raw]
+            columns.append(np.array(coded, dtype=np.intp))
+            spans.append(None)
+            codes.append(index)
+    return KnnModel(ts, k, tuple(columns), tuple(spans), tuple(codes))
 
 
 def _values(x) -> tuple:
@@ -43,16 +68,18 @@ def _values(x) -> tuple:
 
 
 def distance(a, b, model: KnnModel) -> float:
-    """Range-normalized Euclidean distance between two instances."""
+    """Range-normalized Euclidean distance between two instances.
+
+    The scalar reference for ``classify_knn``, which computes the same sums
+    for every training row at once.
+    """
     va, vb = _values(a), _values(b)
     specs = model.training.attributes
     if len(va) != len(specs) or len(vb) != len(specs):
         raise DataError("instance width does not match the model schema")
     total = 0.0
-    for spec, x, y in zip(specs, va, vb):
+    for spec, span, x, y in zip(specs, model.spans, va, vb):
         if spec.kind == NUMERIC:
-            lo, hi = model.ranges[spec.name]
-            span = hi - lo
             d = 0.0 if span == 0 else abs(float(x) - float(y)) / span
         else:
             d = 0.0 if x == y else 1.0
@@ -60,13 +87,36 @@ def distance(a, b, model: KnnModel) -> float:
     return math.sqrt(total)
 
 
+def _distances(model: KnnModel, query) -> np.ndarray:
+    """``distance`` from the query to every training row, in training order.
+
+    Squares are added one attribute at a time in attribute order, the same
+    IEEE operations as ``distance``, so equal distances stay equal. A zero
+    span adds nothing and an unseen nominal value mismatches every row.
+    """
+    values = _values(query)
+    if len(values) != len(model.columns):
+        raise DataError("instance width does not match the model schema")
+    total = np.zeros(len(model.training.instances))
+    for column, span, codes, x in zip(model.columns, model.spans,
+                                      model.codes, values):
+        if codes is not None:
+            # a mismatch adds 1.0, its own square
+            total += column != codes.get(x, -1)
+        elif span:
+            d = np.abs(column - float(x)) / span
+            total += d * d
+    return np.sqrt(total)
+
+
 def classify_knn(model: KnnModel, query) -> str:
     """Majority label among the k nearest training instances."""
+    dists = _distances(model, query)
     instances = model.training.instances
-    dists = [distance(query, inst, model) for inst in instances]
+    if model.k == 1:
+        return instances[int(np.argmin(dists))].label
     # stable sort: equal distances keep training order
-    order = sorted(range(len(instances)), key=lambda i: dists[i])
-    neighbors = order[:model.k]
+    neighbors = np.argsort(dists, kind="stable")[:model.k].tolist()
     votes = Counter(instances[i].label for i in neighbors)
     top = max(votes.values())
     tied = [label for label, n in votes.items() if n == top]

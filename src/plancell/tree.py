@@ -10,13 +10,12 @@ for the cellular engine.
 
 from __future__ import annotations
 
-import math
 import random
 from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 
 from .dataset import NOMINAL, AttributeSpec, Instance, TrainingSet
-from .discretize import DiscretizationMap
+from .discretize import DiscretizationMap, entropy
 from .errors import DataError, ModelIntegrityError, UnknownValueError
 
 GAIN_RATIO = "gain_ratio"
@@ -25,7 +24,7 @@ INFO_GAIN = "info_gain"
 CLASS_ATTRIBUTE = "class"
 
 
-def _majority(counts: dict[str, int]) -> str:
+def majority_label(counts: dict[str, int]) -> str:
     """Most frequent label; ties go to the lexicographically smallest."""
     best = max(counts.values())
     return min(label for label, n in counts.items() if n == best)
@@ -46,7 +45,7 @@ class TreeNode:
 
     @property
     def majority(self) -> str:
-        return _majority(self.counts)
+        return majority_label(self.counts)
 
 
 @dataclass(frozen=True)
@@ -102,17 +101,6 @@ class ClassificationRule:
 
     def __str__(self):
         return f"{' & '.join(self.premises)} -> {self.conclusion}"
-
-
-def entropy(dist) -> float:
-    """Shannon entropy in bits of a class-count distribution."""
-    counts = list(dist.values()) if hasattr(dist, "values") else list(dist)
-    if any(n < 0 for n in counts):
-        raise DataError("negative class count")
-    total = sum(counts)
-    if total == 0:
-        raise DataError("entropy of an all-zero distribution")
-    return -sum((n / total) * math.log2(n / total) for n in counts if n)
 
 
 def _entropy_of(labels: list[str]) -> float:
@@ -423,7 +411,8 @@ def model_from_json(data: dict) -> InductionGraph:
             raise ModelIntegrityError(f"duplicate node id {nid!r}")
         counts = {str(k): int(v) for k, v in entry["counts"].items()}
         nodes[nid] = TreeNode(nid, counts, entry.get("split"))
-        if "leaf_class" in entry and entry["leaf_class"] != _majority(counts):
+        if "leaf_class" in entry \
+                and entry["leaf_class"] != majority_label(counts):
             raise ModelIntegrityError(
                 f"leaf {nid} class {entry['leaf_class']!r} "
                 f"disagrees with its counts")

@@ -4,6 +4,8 @@ Everything here is deliberately brute-force and written without reusing the
 package's own search/ordering code, so agreement is meaningful.
 """
 
+import math
+from collections import Counter
 from itertools import combinations, product
 
 
@@ -99,3 +101,89 @@ def bfs_blocks(initial, goal, apply_fn, successors_fn, satisfies_fn):
                 nxt.append(succ)
         frontier = nxt
     return None
+
+
+def _entropy(counts):
+    n = sum(counts.values())
+    return -sum(c / n * math.log2(c / n) for c in counts.values() if c)
+
+
+def _boundary_candidates(pairs):
+    groups = []
+    for value, label in pairs:
+        if groups and groups[-1][0] == value:
+            groups[-1][1].add(label)
+        else:
+            groups.append((value, {label}))
+    return [(v1 + v2) / 2.0 for (v1, c1), (v2, c2) in zip(groups, groups[1:])
+            if c1 != c2]
+
+
+def _mdl_split(pairs, found):
+    candidates = _boundary_candidates(pairs)
+    if not candidates:
+        return
+    total = Counter(label for _, label in pairs)
+    n = len(pairs)
+    parent = _entropy(total)
+    best = None
+    for cut in candidates:
+        left = Counter(label for value, label in pairs if value <= cut)
+        right = total - left
+        nl = sum(left.values())
+        weighted = nl / n * _entropy(left) + (n - nl) / n * _entropy(right)
+        if best is None or weighted < best[0]:
+            best = (weighted, cut, left, right)
+    weighted, cut, left, right = best
+    gain = parent - weighted
+    k, k1, k2 = len(total), len(left), len(right)
+    delta = math.log2(3**k - 2) - (k * parent - k1 * _entropy(left)
+                                   - k2 * _entropy(right))
+    if gain <= (math.log2(n - 1) + delta) / n:
+        return
+    found.append(cut)
+    _mdl_split([p for p in pairs if p[0] <= cut], found)
+    _mdl_split([p for p in pairs if p[0] > cut], found)
+
+
+def mdl_cuts(values, labels):
+    """Fayyad-Irani cuts by scoring every boundary with fresh class counts.
+
+    The quadratic reference for ``discretize_supervised``: one attribute's
+    sorted cut points.
+    """
+    found = []
+    _mdl_split(sorted(zip(values, labels)), found)
+    return tuple(sorted(found))
+
+
+def knn_label(ts, k, query):
+    """k-NN vote by one scalar distance per training row.
+
+    Numeric differences are divided by the training range (a zero range
+    contributes nothing), nominal ones count 0 or 1; equal distances keep
+    training order, vote ties go to the label with the nearest member and
+    then lexicographically.
+    """
+    if len(query) != len(ts.attributes):
+        raise ValueError("query width does not match the schema")
+
+    def dist(values):
+        total = 0.0
+        for spec, x, y in zip(ts.attributes, query, values):
+            if spec.kind == "numeric":
+                span = float(spec.domain[1]) - float(spec.domain[0])
+                d = 0.0 if span == 0 else abs(float(x) - float(y)) / span
+            else:
+                d = 0.0 if x == y else 1.0
+            total += d * d
+        return math.sqrt(total)
+
+    dists = [dist(inst.values) for inst in ts.instances]
+    order = sorted(range(len(dists)), key=lambda i: dists[i])[:k]
+    votes = Counter(ts.instances[i].label for i in order)
+    top = max(votes.values())
+    tied = [label for label, n in votes.items() if n == top]
+    nearest = {label: min(dists[i] for i in order
+                          if ts.instances[i].label == label) for label in tied}
+    return min(tied, key=lambda label: (nearest[label], label))

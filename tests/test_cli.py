@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+from plancell import cli
 from plancell.casi import kb_from_json
 from plancell.cli import run
 from plancell.dataset import load_csv
+from plancell.errors import ModelIntegrityError
 from plancell.sample_data import sample_project_text, sample_runs_text
 from plancell.tree import model_from_json
 
@@ -147,6 +149,30 @@ def test_classify_rejects_schema_mismatch(model_file, tmp_path, capsys):
     other.write_text("foo:nominal,class:nominal\na,P1\n")
     assert run(["classify", "--model", model_file, "--in", str(other)]) == 3
     assert "do not match" in capsys.readouterr().err
+
+
+def test_classify_prints_unknown_values_as_question_marks(model_file,
+                                                          tmp_path, capsys):
+    cases = tmp_path / "unseen.csv"
+    cases.write_text("problem:nominal,time:numeric,steps:numeric,class:nominal\n"
+                     "blocks-9,0.1,6.0,P1\n")
+    assert run(["classify", "--model", model_file, "--in", str(cases)]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "0,P1,?"
+
+
+@pytest.mark.parametrize("engine", ["classify_tree", "classify_casi"])
+def test_classify_integrity_fault_exits_4(model_file, runs_file, capsys,
+                                          monkeypatch, engine):
+    def corrupt(*args, **kwargs):
+        raise ModelIntegrityError("multiple class facts established")
+
+    monkeypatch.setattr(cli, engine, corrupt)
+    extra = ["--casi"] if engine == "classify_casi" else []
+    assert run(["classify", "--model", model_file,
+                "--in", runs_file] + extra) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "multiple class facts" in captured.err
 
 
 def test_corrupt_model_json(tmp_path, runs_file, capsys):

@@ -3,9 +3,12 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import mdl_cuts
 from plancell.dataset import build_training_set
-from plancell.discretize import (DiscretizationMap, apply_map,
+from plancell.discretize import (DiscretizationMap, _mdl_split, apply_map,
                                  boundary_candidates, discretize_supervised,
                                  discretize_unsupervised, fit_map)
 from plancell.errors import DataError
@@ -160,3 +163,84 @@ def test_fit_map_dispatch(runs11):
         discretize_unsupervised(runs11, 5).cuts
     with pytest.raises(DataError, match="mode"):
         fit_map(runs11, "semi")
+
+
+# --- the one-pass MDL search against the quadratic oracle -------------------
+
+LABELS = "ABCDEFGHIJKL"
+
+
+@st.composite
+def labelled_columns(draw):
+    """A numeric column with labels: duplicates, near-equal floats, few or
+    many classes, labels that follow the value (so cuts get accepted) or not.
+    """
+    n = draw(st.integers(2, 60))
+    k = draw(st.integers(1, len(LABELS)))
+    kind = draw(st.sampled_from(["few", "many", "ulps", "wide"]))
+    if kind == "few":
+        values = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    elif kind == "many":
+        values = draw(st.lists(st.integers(0, 10_000), min_size=n, max_size=n))
+    elif kind == "ulps":
+        # adjacent floats: a midpoint can round onto either neighbour
+        base = draw(st.floats(-1e6, 1e6, allow_nan=False))
+        values = []
+        for steps in draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)):
+            v = base
+            for _ in range(steps):
+                v = math.nextafter(v, math.inf)
+            values.append(v)
+    else:
+        values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                               min_size=n, max_size=n))
+    values = [float(v) for v in values]
+    if draw(st.booleans()):
+        labels = draw(st.lists(st.sampled_from(LABELS[:k]), min_size=n, max_size=n))
+    else:
+        # class follows the value's rank, with a few labels redrawn
+        order = sorted(range(n), key=lambda i: values[i])
+        labels = [""] * n
+        for rank, i in enumerate(order):
+            labels[i] = LABELS[rank * k // n]
+        for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+            labels[i] = draw(st.sampled_from(LABELS[:k]))
+    return values, labels
+
+
+@settings(max_examples=300, deadline=None)
+@given(labelled_columns())
+def test_mdl_cuts_equal_the_quadratic_oracle(column):
+    values, labels = column
+    got = discretize_supervised(numeric_set(values, labels)).cuts["x"]
+    assert got == mdl_cuts(values, labels)
+    assert set(got) <= set(boundary_candidates(sorted(zip(values, labels))))
+
+
+@pytest.mark.parametrize("values, labels", [
+    ([0, 1], ["A", "B"]),                       # two rows
+    ([3, 3], ["A", "B"]),                       # two rows, one value
+    ([0, 1, 2, 3], ["A", "A", "A", "A"]),       # one class
+    ([0, 1, 2, 3, 4, 5], list("ABCDEF")),       # a class per row
+    ([0, 0, 1, 1, 2, 2, 3, 3], list("AABBBBAA")),   # mirror-image cuts tie
+    ([1, 1, 2, 2, 2, 9, 9, 9, 10, 10], list("AABABBBABB")),
+    # the last midpoint rounds onto the largest value: nothing goes right
+    ([1.0, 1.0000000000000002, 1.0000000000000004] * 4, list("ABBABBAABBBA")),
+])
+def test_mdl_cuts_equal_the_oracle_on_edge_cases(values, labels):
+    values = [float(v) for v in values]
+    got = discretize_supervised(numeric_set(values, labels)).cuts["x"]
+    assert got == mdl_cuts(values, labels)
+
+
+def test_tied_splits_keep_the_first_cut():
+    # mirror-image cuts at 19.5 and 39.5 score the same; the first is
+    # taken first, then the second splits the right-hand side
+    values = [float(v) for v in range(60)]
+    labels = ["A"] * 20 + ["B"] * 20 + ["A"] * 20
+    pairs = sorted(zip(values, labels))
+    assert split_score(pairs, 19.5) == split_score(pairs, 39.5)
+    found = []
+    _mdl_split(pairs, found)
+    assert found == [19.5, 39.5]
+    assert tuple(found) == mdl_cuts(values, labels)

@@ -1,8 +1,13 @@
-import pytest
+from dataclasses import replace
 
-from plancell.dataset import build_training_set
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import knn_label
+from plancell.dataset import Instance, build_training_set
 from plancell.errors import DataError
-from plancell.knn import classify_knn, distance, fit_knn
+from plancell.knn import _distances, classify_knn, distance, fit_knn
 
 
 @pytest.fixture
@@ -105,3 +110,71 @@ def test_vote_ties_at_equal_distance_break_lexicographically():
     model = fit_knn(ts, k=2)
     # query 1.0 sees B at 0.1 and A at 0.1: fully tied, A sorts first
     assert classify_knn(model, (1.0,)) == "A"
+
+
+# --- column-wise classification against the scalar reference ----------------
+
+@st.composite
+def knn_problems(draw):
+    """A mixed training set, k, and queries with seen and unseen values.
+
+    Few distinct values make equal distances and vote ties common; a
+    constant numeric column has a zero span.
+    """
+    n = draw(st.integers(1, 25))
+    kinds = draw(st.lists(st.sampled_from(["numeric", "constant", "nominal"]),
+                          min_size=1, max_size=4))
+    columns, cells = [], []
+    for j, kind in enumerate(kinds):
+        if kind == "nominal":
+            pool = st.sampled_from("abc")
+        elif kind == "constant":
+            pool = st.just(2.5)
+        else:
+            pool = st.sampled_from([0.0, 0.1, 0.3, 1.0, 7.5])
+        columns.append((f"a{j}", "nominal" if kind == "nominal" else "numeric"))
+        cells.append(draw(st.lists(pool, min_size=n, max_size=n)))
+    labels = draw(st.lists(st.sampled_from("PQR"), min_size=n, max_size=n))
+    ts = build_training_set(columns, [row + (y,) for row, y in
+                                      zip(zip(*cells), labels)])
+    k = draw(st.integers(1, n))
+    query_pools = [st.sampled_from(["a", "b", "c", "unseen"])
+                   if kind == "nominal" else
+                   st.sampled_from([-3.0, 0.0, 0.2, 1.0, 2.5, 9.0])
+                   for kind in kinds]
+    queries = draw(st.lists(st.tuples(*query_pools), min_size=1, max_size=5))
+    return ts, k, queries
+
+
+@settings(max_examples=300, deadline=None)
+@given(knn_problems())
+def test_classify_knn_equals_the_scalar_oracle(problem):
+    ts, k, queries = problem
+    model = fit_knn(ts, k)
+    for query in queries:
+        assert classify_knn(model, query) == knn_label(ts, k, query)
+        assert _distances(model, query).tolist() == \
+            [distance(query, inst, model) for inst in ts.instances]
+        with pytest.raises(DataError, match="width"):
+            classify_knn(model, query + query[:1])
+
+
+def test_unseen_nominal_value_is_distance_one_to_every_row(runs11, runs_knn):
+    query = ("blocks-9", 0.1, 6.0)
+    for got, inst in zip(_distances(runs_knn, query), runs11.instances):
+        assert got == distance(query, inst, runs_knn)
+        assert got >= 1.0
+
+
+def test_classify_knn_checks_query_width(runs_knn):
+    with pytest.raises(DataError, match="width"):
+        classify_knn(runs_knn, ("blocks-4", 0.1))
+    with pytest.raises(DataError, match="width"):
+        classify_knn(runs_knn, ("blocks-4", 0.1, 6.0, 1.0))
+
+
+def test_fit_knn_checks_training_width(runs11):
+    ragged = replace(runs11, instances=runs11.instances[:-1] + (
+        Instance(runs11.instances[-1].values[:2], "P1"),))
+    with pytest.raises(DataError, match="width"):
+        fit_knn(ragged)
