@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import AttributeSpec, Instance, NUMERIC
-from .discretize import DiscretizationMap
+from .dataset import AttributeSpec, Instance
+from .discretize import DiscretizationMap, encode, schema_to_json, schema_from_json
 from .errors import DataError, ModelIntegrityError, UnknownValueError
 from .tree import CLASS_ATTRIBUTE, ClassificationRule, InductionGraph, extract_rules
 
@@ -147,28 +147,18 @@ def compile_tree(tree: InductionGraph) -> CellularKnowledgeBase:
     )
 
 
-def eligible_rules(kb: CellularKnowledgeBase, ef: np.ndarray,
-                   disjunctive: bool = False) -> np.ndarray:
-    """Rules whose premises are satisfied by the established facts.
-
-    The default requires every premise fact (column-subset test). The
-    disjunctive variant is the raw matrix product, firing on any single
-    premise fact; it exists for diagnostics only and is unsound for
-    classification (a parent node fact alone would reach every leaf).
-    """
-    if disjunctive:
-        return kb.premise_matrix.T @ ef
+def eligible_rules(kb: CellularKnowledgeBase, ef: np.ndarray) -> np.ndarray:
+    """Rules whose premise facts are all established (column-subset test)."""
     missing = kb.premise_matrix & ~ef[:, np.newaxis]
     return ~missing.any(axis=0)
 
 
-def delta_fact(kb: CellularKnowledgeBase, config: Configuration,
-               disjunctive: bool = False) -> Configuration:
+def delta_fact(kb: CellularKnowledgeBase, config: Configuration) -> Configuration:
     """Assessment pass: copy EF into SF, extend ER with newly eligible rules."""
     return replace(
         config,
         SF=config.EF.copy(),
-        ER=config.ER | eligible_rules(kb, config.EF, disjunctive),
+        ER=config.ER | eligible_rules(kb, config.EF),
     )
 
 
@@ -181,15 +171,13 @@ def delta_rule(kb: CellularKnowledgeBase, config: Configuration) -> Configuratio
     )
 
 
-def step(kb: CellularKnowledgeBase, config: Configuration,
-         disjunctive: bool = False) -> Configuration:
+def step(kb: CellularKnowledgeBase, config: Configuration) -> Configuration:
     """One full generation: assessment then execution."""
-    after = delta_rule(kb, delta_fact(kb, config, disjunctive))
+    after = delta_rule(kb, delta_fact(kb, config))
     return replace(after, generation=config.generation + 1)
 
 
-def infer(kb: CellularKnowledgeBase, initial_facts,
-          disjunctive: bool = False) -> list[Configuration]:
+def infer(kb: CellularKnowledgeBase, initial_facts) -> list[Configuration]:
     """Run to the first fixed point; return every configuration on the way.
 
     The trace starts at generation 0 and ends at the first configuration
@@ -198,7 +186,7 @@ def infer(kb: CellularKnowledgeBase, initial_facts,
     """
     trace = [kb.initial_configuration(initial_facts)]
     for _ in range(kb.rule_count + 2):
-        succ = step(kb, trace[-1], disjunctive)
+        succ = step(kb, trace[-1])
         if succ == trace[-1]:
             return trace
         trace.append(succ)
@@ -211,33 +199,24 @@ def established_facts(kb: CellularKnowledgeBase,
     return tuple(f for f, on in zip(kb.facts, config.EF) if on)
 
 
-def instance_facts(kb: CellularKnowledgeBase, instance,
-                   dmap: DiscretizationMap | None = None) -> list[str]:
+def instance_facts(kb: CellularKnowledgeBase, instance) -> list[str]:
     """The attribute=value descriptors an instance contributes.
 
-    Numeric values are binned through the supplied map (or the base's own);
-    descriptors naming values the rule base never tests are dropped, which
-    at worst starves the inference and surfaces as an unknown-value error.
+    Raw values are encoded with the base's own discretization; descriptors
+    naming values the rule base never tests are dropped, which at worst
+    starves the inference and surfaces as an unknown-value error.
     """
     values = instance.values if isinstance(instance, Instance) else tuple(instance)
     if len(values) != len(kb.attributes):
         raise DataError(
             f"instance has {len(values)} values, schema has {len(kb.attributes)}")
-    dmap = dmap or kb.discretization
     known = set(kb.facts)
-    out = []
-    for spec, value in zip(kb.attributes, values):
-        if dmap is not None and spec.name in dmap.cuts \
-                and isinstance(value, (int, float)) and not isinstance(value, bool):
-            value = dmap.bin_label(spec.name, value)
-        descriptor = f"{spec.name}={value}"
-        if descriptor in known:
-            out.append(descriptor)
-    return out
+    descriptors = (f"{spec.name}={value}" for spec, value in zip(
+        kb.attributes, encode(kb.discretization, kb.attributes, values)))
+    return [d for d in descriptors if d in known]
 
 
-def classify_casi(kb: CellularKnowledgeBase, instance,
-                  dmap: DiscretizationMap | None = None) -> str:
+def classify_casi(kb: CellularKnowledgeBase, instance) -> str:
     """Seed the root plus the instance's facts; read off the class fact.
 
     Exactly one established class fact is a classification; zero means the
@@ -245,7 +224,7 @@ def classify_casi(kb: CellularKnowledgeBase, instance,
     the rule base is inconsistent.
     """
     root = kb.facts[0]
-    seeds = [root] + instance_facts(kb, instance, dmap)
+    seeds = [root] + instance_facts(kb, instance)
     final = infer(kb, seeds)[-1]
     hits = [kb.facts[i] for i in kb.class_fact_indices() if final.EF[i]]
     if not hits:
@@ -263,9 +242,6 @@ def _bitrows(matrix: np.ndarray) -> list[str]:
 
 def kb_to_json(kb: CellularKnowledgeBase) -> dict:
     """JSON-ready form: fact/rule tables plus row-major matrix bitstrings."""
-    cuts = None
-    if kb.discretization is not None:
-        cuts = {a: list(c) for a, c in kb.discretization.cuts.items()}
     return {
         "format": "cellular-kb",
         "facts": [
@@ -278,64 +254,49 @@ def kb_to_json(kb: CellularKnowledgeBase) -> dict:
         ],
         "R_E": _bitrows(kb.premise_matrix),
         "R_S": _bitrows(kb.conclusion_matrix),
-        "attributes": [
-            {"name": s.name, "kind": s.kind, "domain": list(s.domain)}
-            for s in kb.attributes
-        ],
-        "classes": list(kb.classes),
-        "discretization": cuts,
+        **schema_to_json(kb.attributes, kb.classes, kb.discretization),
     }
 
 
 def kb_from_json(data: dict) -> CellularKnowledgeBase:
     """Rebuild a compiled base, cross-checking matrices against the rules."""
+    if not isinstance(data, dict) or data.get("format") != "cellular-kb":
+        raise ModelIntegrityError("not a cellular-kb file")
+    attributes, classes, dmap = schema_from_json(data)
     try:
-        if data.get("format") != "cellular-kb":
-            raise ModelIntegrityError("not a cellular-kb file")
         facts = tuple(entry["descriptor"] for entry in data["facts"])
         flags = np.array([bool(entry["input"]) for entry in data["facts"]],
                          dtype=bool)
         rules = tuple(
             ClassificationRule(tuple(r["premises"]), r["conclusion"])
             for r in data["rules"])
-        attributes = tuple(
-            AttributeSpec(a["name"], a["kind"], tuple(a["domain"]))
-            for a in data["attributes"])
-        classes = tuple(data["classes"])
-        cuts = data.get("discretization")
-        re_rows, rs_rows = data["R_E"], data["R_S"]
-    except (KeyError, TypeError) as exc:
+        if not facts:
+            raise ModelIntegrityError("rule base has no facts")
+        if len(set(facts)) != len(facts):
+            raise ModelIntegrityError("duplicate fact descriptors")
+        index = {f: i for i, f in enumerate(facts)}
+        l, r = len(facts), len(rules)
+        premise = np.zeros((l, r), dtype=bool)
+        conclusion = np.zeros((l, r), dtype=bool)
+        for j, rule in enumerate(rules):
+            for p in rule.premises:
+                if p not in index:
+                    raise ModelIntegrityError(f"rule premise {p!r} is not a fact")
+                premise[index[p], j] = True
+            if rule.conclusion not in index:
+                raise ModelIntegrityError(
+                    f"rule conclusion {rule.conclusion!r} is not a fact")
+            conclusion[index[rule.conclusion], j] = True
+
+        for name, rows, wired in (("R_E", data["R_E"], premise),
+                                  ("R_S", data["R_S"], conclusion)):
+            if len(rows) != l or any(len(row) != r for row in rows):
+                raise ModelIntegrityError(f"{name} shape is not facts x rules")
+            if [[c == "1" for c in row] for row in rows] != wired.tolist():
+                raise ModelIntegrityError(
+                    f"{name} matrix disagrees with the rule table")
+    except (KeyError, TypeError, DataError) as exc:
         raise ModelIntegrityError(f"malformed rule-base file: {exc}") from exc
-
-    if len(set(facts)) != len(facts):
-        raise ModelIntegrityError("duplicate fact descriptors")
-    index = {f: i for i, f in enumerate(facts)}
-    l, r = len(facts), len(rules)
-    premise = np.zeros((l, r), dtype=bool)
-    conclusion = np.zeros((l, r), dtype=bool)
-    for j, rule in enumerate(rules):
-        for p in rule.premises:
-            if p not in index:
-                raise ModelIntegrityError(f"rule premise {p!r} is not a fact")
-            premise[index[p], j] = True
-        if rule.conclusion not in index:
-            raise ModelIntegrityError(
-                f"rule conclusion {rule.conclusion!r} is not a fact")
-        conclusion[index[rule.conclusion], j] = True
-
-    def parse_matrix(rows, name):
-        if len(rows) != l or any(len(row) != r for row in rows):
-            raise ModelIntegrityError(f"{name} shape is not facts x rules")
-        return np.array([[c == "1" for c in row] for row in rows], dtype=bool)
-
-    if not np.array_equal(parse_matrix(re_rows, "R_E"), premise):
-        raise ModelIntegrityError("premise matrix disagrees with the rule table")
-    if not np.array_equal(parse_matrix(rs_rows, "R_S"), conclusion):
-        raise ModelIntegrityError("conclusion matrix disagrees with the rule table")
-
-    dmap = None
-    if cuts is not None:
-        dmap = DiscretizationMap({a: tuple(c) for a, c in cuts.items()})
     return CellularKnowledgeBase(facts, flags, rules, premise, conclusion,
                                  attributes, classes, dmap)
 

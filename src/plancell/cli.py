@@ -20,7 +20,7 @@ from .casi import (classify_casi, compile_tree, format_fact_table,
                    format_incidence, format_rule_table, kb_from_json,
                    kb_to_json)
 from .dataset import NUMERIC, load_csv, save_csv
-from .discretize import apply_map, fit_map
+from .discretize import apply_map, encode, fit_map
 from .errors import DataError, LimitError, ModelError, UnknownValueError
 from .evaluation import cross_validate, evaluate_grid, report, report_csv
 from .plans import DEFAULT_MAX_PLANS, enumerate_plans, first_plan
@@ -152,18 +152,6 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _prepare_case(model, values):
-    """Bin a raw case's numeric values with the model's discretization."""
-    dmap = model.discretization
-    out = []
-    for spec, value in zip(model.attributes, values):
-        if dmap is not None and spec.name in dmap.cuts \
-                and isinstance(value, (int, float)) and not isinstance(value, bool):
-            value = dmap.bin_label(spec.name, value)
-        out.append(value)
-    return tuple(out)
-
-
 def _cmd_classify(args) -> int:
     model = model_from_json(_load_model_json(args.model))
     cases = load_csv(_read_text(args.input))
@@ -183,7 +171,7 @@ def _cmd_classify(args) -> int:
     lines = ["index,actual,predicted"]
     hits = misses = 0
     for i, inst in enumerate(cases.instances):
-        values = _prepare_case(model, inst.values)
+        values = encode(model.discretization, model.attributes, inst.values)
         try:
             if kb is not None:
                 predicted = classify_casi(kb, values)
@@ -209,7 +197,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_casi_dump(args) -> int:
     data = _load_model_json(args.model)
-    if data.get("format") == "cellular-kb":
+    if isinstance(data, dict) and data.get("format") == "cellular-kb":
         kb = kb_from_json(data)
     else:
         kb = compile_tree(model_from_json(data))

@@ -170,6 +170,14 @@ def class_distribution(ts: TrainingSet) -> dict[str, int]:
     return dict(Counter(inst.label for inst in ts.instances))
 
 
+def class_members(ts: TrainingSet) -> dict[str, list[int]]:
+    """Instance indices per class, in ``ts.classes`` and index order (one pass)."""
+    members: dict[str, list[int]] = {label: [] for label in ts.classes}
+    for i, inst in enumerate(ts.instances):
+        members.get(inst.label, []).append(i)
+    return members
+
+
 def subset(ts: TrainingSet, indices: list[int]) -> TrainingSet:
     """A new TrainingSet over the given instance indices.
 

@@ -2,8 +2,11 @@
 
 Both fitters produce a DiscretizationMap, a per-attribute list of strictly
 increasing cut points. A value v falls into bin ``count of cuts < v``, so a
-value equal to a cut maps to the bin on its left. ``apply_map`` rewrites the
-numeric columns of a training set into nominal bin codes b0, b1, ...
+value equal to a cut maps to the bin on its left. ``encode`` is the one path
+from a raw case to model values; ``apply_map`` rewrites the numeric columns
+of a training set through it into nominal bin codes b0, b1, ...
+``schema_to_json``/``schema_from_json`` are the one JSON form of a model's
+schema and cut points, shared by tree models and cellular rule bases.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import NOMINAL, NUMERIC, AttributeSpec, Instance, TrainingSet
-from .errors import DataError
+from .errors import DataError, ModelIntegrityError
 
 
 @dataclass(frozen=True)
@@ -37,6 +40,62 @@ class DiscretizationMap:
 
     def bin_count(self, attribute: str) -> int:
         return len(self.cuts[attribute]) + 1
+
+    def encode(self, attributes, values) -> tuple:
+        """A raw case as model values, one per attribute spec.
+
+        A value is binned only when this map has cuts for its attribute and
+        it is an int or float (not a bool); every other value, bin labels
+        included, passes through, so encoding twice changes nothing.
+        """
+        return tuple(
+            self.bin_label(spec.name, v)
+            if spec.name in self.cuts and _is_number(v) else v
+            for spec, v in zip(attributes, values))
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def encode(dmap: DiscretizationMap | None, attributes, values) -> tuple:
+    """``dmap.encode``, where a model without a map encodes nothing."""
+    return tuple(values) if dmap is None else dmap.encode(attributes, values)
+
+
+def schema_to_json(attributes, classes, dmap: DiscretizationMap | None) -> dict:
+    """The attributes, classes and cut points of a model, JSON-ready."""
+    return {
+        "attributes": [{"name": s.name, "kind": s.kind, "domain": list(s.domain)}
+                       for s in attributes],
+        "classes": list(classes),
+        "discretization": None if dmap is None
+        else {a: list(c) for a, c in dmap.cuts.items()},
+    }
+
+
+def schema_from_json(data: dict):
+    """Inverse of ``schema_to_json``: (attributes, classes, map or None).
+
+    Raises ModelIntegrityError on any malformed part, repeated attribute
+    names and unsorted or non-numeric cut lists included.
+    """
+    try:
+        attributes = tuple(AttributeSpec(a["name"], a["kind"], tuple(a["domain"]))
+                           for a in data["attributes"])
+        if len({a.name for a in attributes}) != len(attributes):
+            raise ModelIntegrityError("attribute names repeat")
+        classes = tuple(data["classes"])
+        cuts = data.get("discretization")
+        if cuts is None:
+            return attributes, classes, None
+        for name, cs in cuts.items():
+            if not all(map(_is_number, cs)):
+                raise ModelIntegrityError(f"cuts for {name!r} are not numbers")
+        return attributes, classes, DiscretizationMap(
+            {a: tuple(c) for a, c in cuts.items()})
+    except (KeyError, TypeError, AttributeError, DataError) as exc:
+        raise ModelIntegrityError(f"malformed schema: {exc}") from exc
 
 
 def discretize_unsupervised(ts: TrainingSet, bins: int = 10) -> DiscretizationMap:
@@ -199,22 +258,15 @@ def apply_map(dmap: DiscretizationMap, ts: TrainingSet) -> TrainingSet:
         if spec.kind == NUMERIC and spec.name not in dmap.cuts:
             raise DataError(f"attribute {spec.name!r} missing from discretization map")
 
-    new_specs = []
-    transforms = []
-    for spec in ts.attributes:
-        if spec.kind == NUMERIC:
-            domain = tuple(f"b{i}" for i in range(dmap.bin_count(spec.name)))
-            new_specs.append(AttributeSpec(spec.name, NOMINAL, domain))
-            transforms.append(lambda v, name=spec.name: dmap.bin_label(name, v))
-        else:
-            new_specs.append(spec)
-            transforms.append(lambda v: v)
-
+    new_specs = tuple(
+        AttributeSpec(spec.name, NOMINAL,
+                      tuple(f"b{i}" for i in range(dmap.bin_count(spec.name))))
+        if spec.kind == NUMERIC else spec
+        for spec in ts.attributes)
     new_instances = tuple(
-        Instance(tuple(t(v) for t, v in zip(transforms, inst.values)), inst.label)
-        for inst in ts.instances
-    )
-    return TrainingSet(tuple(new_specs), ts.classes, new_instances)
+        Instance(dmap.encode(ts.attributes, inst.values), inst.label)
+        for inst in ts.instances)
+    return TrainingSet(new_specs, ts.classes, new_instances)
 
 
 def fit_map(ts: TrainingSet, mode: str, bins: int = 10) -> DiscretizationMap:

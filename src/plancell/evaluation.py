@@ -14,8 +14,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .casi import classify_casi, compile_tree
-from .dataset import NUMERIC, TrainingSet, subset
-from .discretize import DiscretizationMap, apply_map, fit_map
+from .dataset import NUMERIC, TrainingSet, class_members, subset
+from .discretize import DiscretizationMap, apply_map, encode, fit_map
 from .errors import DataError, PlancellError, UnknownValueError
 from .knn import classify_knn, fit_knn
 from .tree import classify_tree, induce, majority_label
@@ -52,9 +52,7 @@ def make_folds(ts: TrainingSet, folds: int = 10, seed: int = 0) -> FoldPlan:
     rng = random.Random(seed)
     assignment = [0] * len(ts.instances)
     pointer = 0
-    for label in ts.classes:
-        members = [i for i, inst in enumerate(ts.instances)
-                   if inst.label == label]
+    for members in class_members(ts).values():
         rng.shuffle(members)
         for m in members:
             assignment[m] = pointer % folds
@@ -80,15 +78,6 @@ class EvalReport:
     @property
     def rate(self) -> float:
         return 100.0 * self.correct / self.total
-
-
-def _bin_values(dmap: DiscretizationMap | None, ts: TrainingSet,
-                values: tuple) -> tuple:
-    if dmap is None:
-        return values
-    return tuple(
-        dmap.bin_label(spec.name, v) if spec.name in dmap.cuts else v
-        for spec, v in zip(ts.attributes, values))
 
 
 def _fit_predictor(method: str, fitted: TrainingSet,
@@ -156,7 +145,7 @@ def cross_validate(ts: TrainingSet, method: str, mode: str = "supervised",
         fold_correct = fold_total = 0
         for i in plan.test_indices(fold):
             inst = ts.instances[i]
-            values = _bin_values(dmap, ts, inst.values)
+            values = encode(dmap, ts.attributes, inst.values)
             fold_total += 1
             try:
                 predicted = predict(values)

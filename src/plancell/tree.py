@@ -14,8 +14,10 @@ import random
 from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 
-from .dataset import NOMINAL, AttributeSpec, Instance, TrainingSet
-from .discretize import DiscretizationMap, entropy
+from .dataset import (NOMINAL, AttributeSpec, Instance, TrainingSet,
+                      class_members)
+from .discretize import (DiscretizationMap, entropy, schema_from_json,
+                         schema_to_json)
 from .errors import DataError, ModelIntegrityError, UnknownValueError
 
 GAIN_RATIO = "gain_ratio"
@@ -322,8 +324,7 @@ def _stratified_thirds(ts: TrainingSet, seed: int) -> tuple[list[int], list[int]
     rng = random.Random(seed)
     grow_idx: list[int] = []
     prune_idx: list[int] = []
-    for label in ts.classes:
-        members = [i for i, inst in enumerate(ts.instances) if inst.label == label]
+    for members in class_members(ts).values():
         rng.shuffle(members)
         take = len(members) // 3
         prune_idx.extend(members[:take])
@@ -367,70 +368,68 @@ def model_to_json(tree: InductionGraph) -> dict:
             entry["split"] = node.attribute
             entry["children"] = {v: c.node_id for v, c in node.children.items()}
         nodes.append(entry)
-    cuts = None
-    if tree.discretization is not None:
-        cuts = {a: list(c) for a, c in tree.discretization.cuts.items()}
-    return {
-        "format": "induction-graph",
-        "mode": tree.mode,
-        "attributes": [
-            {"name": s.name, "kind": s.kind, "domain": list(s.domain)}
-            for s in tree.attributes
-        ],
-        "classes": list(tree.classes),
-        "discretization": cuts,
-        "nodes": nodes,
-    }
+    return {"format": "induction-graph", "mode": tree.mode,
+            **schema_to_json(tree.attributes, tree.classes, tree.discretization),
+            "nodes": nodes}
+
+
+def _read_node(entry: dict, classes: tuple) -> TreeNode:
+    """One node-table entry without its children: id, counts and split."""
+    nid, counts, split = entry["id"], entry["counts"], entry.get("split")
+    if not isinstance(nid, str):
+        raise ModelIntegrityError(f"node id {nid!r} is not a string")
+    if not counts or not all(type(n) is int and n >= 0 for n in counts.values()):
+        raise ModelIntegrityError(f"node {nid} counts are not non-negative integers")
+    if not set(counts) <= set(classes):
+        raise ModelIntegrityError(f"node {nid} counts a class the model lacks")
+    if "leaf_class" in entry and entry["leaf_class"] != majority_label(counts):
+        raise ModelIntegrityError(
+            f"leaf {nid} class {entry['leaf_class']!r} disagrees with its counts")
+    return TreeNode(nid, dict(counts), split)
 
 
 def model_from_json(data: dict) -> InductionGraph:
-    """Rebuild a tree from its JSON form, checking structural integrity."""
+    """Rebuild a tree from its JSON form, checking structural integrity.
+
+    Every branch must carry a value of its split attribute's domain, so the
+    tree walk and the compiled rule base see the same edges.
+    """
+    if not isinstance(data, dict) or data.get("format") != "induction-graph":
+        raise ModelIntegrityError("not an induction-graph model file")
+    attributes, classes, dmap = schema_from_json(data)
+    domains = {s.name: s.domain for s in attributes}
     try:
-        if data.get("format") != "induction-graph":
-            raise ModelIntegrityError("not an induction-graph model file")
-        attributes = tuple(
-            AttributeSpec(a["name"], a["kind"], tuple(a["domain"]))
-            for a in data["attributes"])
-        classes = tuple(data["classes"])
-        mode = data["mode"]
-        cuts = data.get("discretization")
-        raw_nodes = data["nodes"]
-    except (KeyError, TypeError) as exc:
+        mode, raw_nodes = data["mode"], data["nodes"]
+        if not raw_nodes:
+            raise ModelIntegrityError("model has no nodes")
+        nodes: dict[str, TreeNode] = {}
+        for entry in raw_nodes:
+            node = _read_node(entry, classes)
+            if node.node_id in nodes:
+                raise ModelIntegrityError(f"duplicate node id {node.node_id!r}")
+            nodes[node.node_id] = node
+        linked: set[str] = set()
+        for entry in raw_nodes:
+            node = nodes[entry["id"]]
+            if node.attribute is None:
+                continue
+            for value, child_id in entry["children"].items():
+                if value not in domains[node.attribute]:
+                    raise ModelIntegrityError(
+                        f"node {node.node_id} branch {value!r} is not in the "
+                        f"domain of {node.attribute!r}")
+                if child_id not in nodes:
+                    raise ModelIntegrityError(f"unknown child node {child_id!r}")
+                if child_id in linked:
+                    raise ModelIntegrityError(f"node {child_id!r} has two parents")
+                linked.add(child_id)
+                node.children[value] = nodes[child_id]
+            if not node.children:
+                raise ModelIntegrityError(
+                    f"split node {node.node_id} has no children")
+        root_id = raw_nodes[0]["id"]
+    except (KeyError, TypeError, AttributeError) as exc:
         raise ModelIntegrityError(f"malformed model file: {exc}") from exc
-    if not raw_nodes:
-        raise ModelIntegrityError("model has no nodes")
-
-    dmap = None
-    if cuts is not None:
-        dmap = DiscretizationMap({a: tuple(c) for a, c in cuts.items()})
-
-    nodes: dict[str, TreeNode] = {}
-    for entry in raw_nodes:
-        nid = entry["id"]
-        if nid in nodes:
-            raise ModelIntegrityError(f"duplicate node id {nid!r}")
-        counts = {str(k): int(v) for k, v in entry["counts"].items()}
-        nodes[nid] = TreeNode(nid, counts, entry.get("split"))
-        if "leaf_class" in entry \
-                and entry["leaf_class"] != majority_label(counts):
-            raise ModelIntegrityError(
-                f"leaf {nid} class {entry['leaf_class']!r} "
-                f"disagrees with its counts")
-    linked: set[str] = set()
-    for entry in raw_nodes:
-        node = nodes[entry["id"]]
-        if node.attribute is None:
-            continue
-        for value, child_id in entry["children"].items():
-            if child_id not in nodes:
-                raise ModelIntegrityError(f"unknown child node {child_id!r}")
-            if child_id in linked:
-                raise ModelIntegrityError(f"node {child_id!r} has two parents")
-            linked.add(child_id)
-            node.children[value] = nodes[child_id]
-        if not node.children:
-            raise ModelIntegrityError(f"split node {node.node_id} has no children")
-    root_id = raw_nodes[0]["id"]
     if root_id in linked:
         raise ModelIntegrityError("first node is not the root")
     graph = InductionGraph(nodes[root_id], attributes, classes, mode, dmap)

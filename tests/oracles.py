@@ -5,6 +5,7 @@ package's own search/ordering code, so agreement is meaningful.
 """
 
 import math
+import random
 from collections import Counter
 from itertools import combinations, product
 
@@ -187,3 +188,32 @@ def knn_label(ts, k, query):
     nearest = {label: min(dists[i] for i in order
                           if ts.instances[i].label == label) for label in tied}
     return min(tied, key=lambda label: (nearest[label], label))
+
+
+def _shuffled_classes(ts, rng):
+    """Each class's members, found by one scan per class, then shuffled."""
+    for label in ts.classes:
+        members = [i for i, inst in enumerate(ts.instances) if inst.label == label]
+        rng.shuffle(members)
+        yield members
+
+
+def fold_assignment(ts, folds, seed):
+    """Stratified shuffle-then-deal fold of every instance, per-class scans."""
+    assignment = [0] * len(ts.instances)
+    pointer = 0
+    for members in _shuffled_classes(ts, random.Random(seed)):
+        for m in members:
+            assignment[m] = pointer % folds
+            pointer += 1
+    return tuple(assignment)
+
+
+def stratified_thirds(ts, seed):
+    """Grow and prune indices: the first third of each shuffled class prunes."""
+    grow, prune = [], []
+    for members in _shuffled_classes(ts, random.Random(seed)):
+        take = len(members) // 3
+        prune += members[:take]
+        grow += members[take:]
+    return sorted(grow), sorted(prune)

@@ -116,13 +116,6 @@ def test_assessment_needs_every_premise(stump_kb):
     assert not empty.ER.any()
 
 
-def test_disjunctive_assessment_fires_on_any_premise(stump_kb):
-    kb = stump_kb
-    ef = kb.initial_configuration(["s0"]).EF
-    fired = eligible_rules(kb, ef, disjunctive=True)
-    assert [kb.rules[j].conclusion for j in np.flatnonzero(fired)] == ["s1", "s2"]
-
-
 def test_execution_pass_establishes_conclusions(stump_kb):
     kb = stump_kb
     config = delta_fact(kb, kb.initial_configuration(["s0", "x=a"]))
@@ -246,7 +239,7 @@ def test_multiple_class_facts_flag_inconsistency():
 
 
 def test_runaway_inference_is_capped(stump_kb, monkeypatch):
-    def churn(kb, config, disjunctive=False):
+    def churn(kb, config):
         return replace(config, SR=~config.SR,
                        generation=config.generation + 1)
 
@@ -279,9 +272,6 @@ def test_vectorized_passes_match_scalar_loops():
         conjunctive = [all(ef[i] for i in range(l) if premise[i][j])
                        for j in range(r)]
         assert list(eligible_rules(kb, ef)) == conjunctive
-        disjunctive = [any(ef[i] and premise[i][j] for i in range(l))
-                       for j in range(r)]
-        assert list(eligible_rules(kb, ef, disjunctive=True)) == disjunctive
         executed = [ef[i] or any(conclusion[i][j] and er[j] for j in range(r))
                     for i in range(l)]
         config = replace(kb.initial_configuration(), EF=ef, ER=er)

@@ -188,6 +188,77 @@ def test_wrong_format_model(tmp_path, runs_file, capsys):
     assert run(["classify", "--model", str(path), "--in", runs_file]) == 4
 
 
+def _put(*path, value=None, drop=False):
+    """A fault that sets, or with ``drop`` deletes, the entry at ``path``."""
+    def fault(doc):
+        *parents, key = path
+        for k in parents:
+            doc = doc[k]
+        if drop:
+            del doc[key]
+        else:
+            doc[key] = value
+    return fault
+
+
+def _branch_outside_domain(doc):
+    children = doc["nodes"][0]["children"]
+    children["b9"] = children.pop("b2")
+
+
+MODEL_FAULTS = {
+    "node without id": _put("nodes", 1, "id", drop=True),
+    "node without counts": _put("nodes", 1, "counts", drop=True),
+    "non-integer count": _put("nodes", 0, "counts", "P1", value="many"),
+    "split without children": _put("nodes", 0, "children", drop=True),
+    "list discretization": _put("discretization", value=[[8.0, 11.0]]),
+    "scalar cut list": _put("discretization", "steps", value=8.0),
+    "unsorted cuts": _put("discretization", "steps", value=[11.0, 8.0]),
+    "non-numeric cuts": _put("discretization", "steps", value=["a", "b"]),
+    "top-level array": lambda doc: [doc],
+    "repeated attribute name": lambda doc: doc["attributes"].append(
+        dict(doc["attributes"][0])),
+    "split outside the schema": _put("nodes", 0, "split", value="colour"),
+    "leaf class outside the classes": _put("classes", value=["P1"]),
+    "branch outside the domain": _branch_outside_domain,
+}
+
+KB_FAULTS = {
+    "unsorted cuts": _put("discretization", "steps", value=[11.0, 8.0]),
+    "list discretization": _put("discretization", value=[[8.0, 11.0]]),
+    "rule with empty premises": _put("rules", 0, "premises", value=[]),
+}
+
+
+def _assert_model_error(argv, capsys):
+    assert run(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("plancell: model error: ")
+
+
+@pytest.mark.parametrize("fault", MODEL_FAULTS)
+def test_malformed_model_exits_4(fault, model_file, runs_file, tmp_path, capsys):
+    doc = json.loads(open(model_file).read())
+    doc = MODEL_FAULTS[fault](doc) or doc
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    for argv in (["classify", "--in", runs_file], ["classify", "--casi", "--in",
+                 runs_file], ["casi-dump"]):
+        _assert_model_error(argv + ["--model", str(bad)], capsys)
+
+
+@pytest.mark.parametrize("fault", KB_FAULTS)
+def test_malformed_rule_base_exits_4(fault, model_file, tmp_path, capsys):
+    kb_path = tmp_path / "kb.json"
+    assert run(["casi-dump", "--model", model_file, "--out", str(kb_path)]) == 0
+    capsys.readouterr()
+    doc = json.loads(kb_path.read_text())
+    KB_FAULTS[fault](doc)
+    kb_path.write_text(json.dumps(doc))
+    _assert_model_error(["casi-dump", "--model", str(kb_path)], capsys)
+
+
 def test_casi_dump_prints_layers(model_file, capsys):
     assert run(["casi-dump", "--model", model_file]) == 0
     out = capsys.readouterr().out

@@ -1,0 +1,145 @@
+"""One encoding path: ``DiscretizationMap.encode`` and the JSON round trips.
+
+Property tests: encoding a case equals the row ``apply_map`` writes and is
+idempotent; the cellular engine on raw cases answers as the tree walk on
+encoded ones, out-of-range and unseen values included; models, rule bases
+and CSV files survive their round trips unchanged.
+"""
+
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from plancell.casi import classify_casi, compile_tree, kb_from_json, kb_to_json
+from plancell.dataset import (NOMINAL, NUMERIC, build_training_set, load_csv,
+                              save_csv)
+from plancell.discretize import DiscretizationMap, apply_map, encode, fit_map
+from plancell.errors import UnknownValueError
+from plancell.tree import classify_tree, induce, model_from_json, model_to_json
+
+NOMINAL_VALUES = ["a", "b", "c"]
+PROPERTY = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def training_sets(draw):
+    """Mixed numeric/nominal rows; numeric values on a quarter grid in [-5, 5]."""
+    kinds = draw(st.lists(st.sampled_from([NUMERIC, NOMINAL]),
+                          min_size=1, max_size=4))
+    cell = {NUMERIC: st.integers(-20, 20).map(lambda k: k / 4),
+            NOMINAL: st.sampled_from(NOMINAL_VALUES)}
+    labels = st.sampled_from(["K0", "K1", "K2", "K3"][:draw(st.integers(1, 4))])
+    rows = draw(st.lists(st.tuples(*[cell[k] for k in kinds], labels),
+                         min_size=2, max_size=40))
+    return build_training_set([(f"x{i}", k) for i, k in enumerate(kinds)], rows)
+
+
+@st.composite
+def fitted(draw):
+    """A training set, a fitted map, and raw cases around the training range.
+
+    Numeric case values run on an eighth grid over [-8, 8], so they fall
+    below, inside and above the training range and can land on cuts;
+    nominal ones include a value no training row has.
+    """
+    ts = draw(training_sets())
+    dmap = fit_map(ts, draw(st.sampled_from(["supervised", "unsupervised"])),
+                   draw(st.integers(1, 6)))
+    cell = {NUMERIC: st.integers(-64, 64).map(lambda k: k / 8),
+            NOMINAL: st.sampled_from(NOMINAL_VALUES + ["unseen"])}
+    cases = draw(st.lists(st.tuples(*[cell[s.kind] for s in ts.attributes]),
+                          min_size=1, max_size=10))
+    return ts, dmap, cases
+
+
+def outcome(classify, values):
+    try:
+        return classify(values)
+    except UnknownValueError:
+        return "?"
+
+
+def trained(ts, dmap, method, seed):
+    tree = induce(apply_map(dmap, ts), method, min_leaf=1, seed=seed,
+                  discretization=dmap)
+    return tree, compile_tree(tree)
+
+
+@PROPERTY
+@given(fitted())
+def test_encode_equals_apply_map_and_is_idempotent(case):
+    ts, dmap, cases = case
+    binned = apply_map(dmap, ts)
+    for raw, row in zip(ts.instances, binned.instances):
+        assert dmap.encode(ts.attributes, raw.values) == row.values
+        assert dmap.encode(ts.attributes, row.values) == row.values
+    for raw in cases:
+        once = dmap.encode(ts.attributes, raw)
+        assert dmap.encode(ts.attributes, once) == once
+        assert encode(dmap, ts.attributes, raw) == once
+        assert encode(None, ts.attributes, raw) == raw
+
+
+def test_encode_bins_only_numbers_with_cuts(runs11):
+    dmap = DiscretizationMap({"steps": (8.0, 11.0)})
+    assert dmap.encode(runs11.attributes, ("blocks-4", 0.5, 11.0)) == \
+        ("blocks-4", 0.5, "b1")
+    assert dmap.encode(runs11.attributes, ("blocks-4", 0.5, 12)) == \
+        ("blocks-4", 0.5, "b2")
+    # bools, strings and bin labels pass through unchanged
+    assert dmap.encode(runs11.attributes, ("x", 0.5, True)) == ("x", 0.5, True)
+    assert dmap.encode(runs11.attributes, ("x", 0.5, "b0")) == ("x", 0.5, "b0")
+
+
+@PROPERTY
+@given(fitted(), st.sampled_from(["j48", "reptree"]), st.integers(0, 3))
+def test_cellular_engine_on_raw_cases_equals_tree_on_encoded(case, method, seed):
+    ts, dmap, cases = case
+    tree, kb = trained(ts, dmap, method, seed)
+    for raw in cases + [inst.values for inst in ts.instances]:
+        encoded = dmap.encode(ts.attributes, raw)
+        expected = outcome(lambda v: classify_tree(tree, v)[0], encoded)
+        assert outcome(lambda v: classify_casi(kb, v), raw) == expected
+
+
+@PROPERTY
+@given(fitted(), st.sampled_from(["j48", "reptree"]))
+def test_model_and_rule_base_json_round_trips(case, method):
+    ts, dmap, cases = case
+    tree, kb = trained(ts, dmap, method, 0)
+
+    doc = model_to_json(tree)
+    rebuilt = model_from_json(json.loads(json.dumps(doc)))
+    assert json.dumps(model_to_json(rebuilt)) == json.dumps(doc)
+    assert rebuilt.discretization == dmap
+    kb_doc = kb_to_json(kb)
+    rebuilt_kb = kb_from_json(json.loads(json.dumps(kb_doc)))
+    assert json.dumps(kb_to_json(rebuilt_kb)) == json.dumps(kb_doc)
+    assert json.dumps(kb_to_json(compile_tree(rebuilt))) == json.dumps(kb_doc)
+
+    for raw in cases + [inst.values for inst in ts.instances]:
+        encoded = dmap.encode(ts.attributes, raw)
+        assert outcome(lambda v: classify_tree(rebuilt, v), encoded) == \
+            outcome(lambda v: classify_tree(tree, v), encoded)
+        assert outcome(lambda v: classify_casi(rebuilt_kb, v), raw) == \
+            outcome(lambda v: classify_casi(kb, v), raw)
+
+
+# nominal cells survive the CSV round trip unless they are empty or padded
+CSV_TEXT = st.text(alphabet=list("ab ,\"'x:"), min_size=1) \
+    .filter(lambda s: s == s.strip())
+
+
+@PROPERTY
+@given(st.lists(st.sampled_from([NUMERIC, NOMINAL]), min_size=1, max_size=4)
+       .flatmap(lambda kinds: st.tuples(st.just(kinds), st.lists(
+           st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)
+                       if k == NUMERIC else CSV_TEXT for k in kinds],
+                     CSV_TEXT), min_size=1, max_size=20))))
+def test_csv_round_trip(drawn):
+    kinds, rows = drawn
+    ts = build_training_set([(f"x{i}", k) for i, k in enumerate(kinds)], rows)
+    text = save_csv(ts)
+    assert load_csv(text) == ts
+    assert save_csv(load_csv(text)) == text

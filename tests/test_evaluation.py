@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -8,6 +9,27 @@ from plancell.dataset import build_training_set
 from plancell.errors import DataError
 from plancell.evaluation import (EvalReport, cross_validate, evaluate_grid,
                                  make_folds, report, report_csv)
+from plancell.tree import _stratified_thirds
+
+from oracles import fold_assignment, stratified_thirds
+
+
+def many_classes(seed, n=1_000, classes=100):
+    """Seeded instances over about 100 classes, labels in no order."""
+    rng = random.Random(seed)
+    rows = [(f"v{rng.randrange(5)}", f"c{rng.randrange(classes)}")
+            for _ in range(n)]
+    return build_training_set([("x", "nominal")], rows)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_class_grouping_matches_per_class_scans(seed):
+    ts = many_classes(seed)
+    assert len(ts.classes) >= 95
+    for folds in (2, 10):
+        assert make_folds(ts, folds, seed).assignment == \
+            fold_assignment(ts, folds, seed)
+    assert _stratified_thirds(ts, seed) == stratified_thirds(ts, seed)
 
 
 def test_fold_sizes_eleven_over_ten(runs11):
