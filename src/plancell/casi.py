@@ -11,7 +11,8 @@ the configuration stops changing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,13 +28,26 @@ def _bool_vector(n: int) -> np.ndarray:
     return np.zeros(n, dtype=bool)
 
 
+def _freeze(*arrays: np.ndarray) -> None:
+    for array in arrays:
+        array.setflags(write=False)
+
+
+def _same(a: np.ndarray, b: np.ndarray) -> bool:
+    """One register against another: the same array, or the same cells."""
+    return a is b or (a.shape == b.shape and a.dtype == b.dtype
+                      and a.tobytes() == b.tobytes())
+
+
 @dataclass(frozen=True, eq=False)
 class Configuration:
     """One automaton state: three fact registers and three rule registers.
 
     EF marks established facts, IF is the fixed input-fact marker, SF echoes
     the previous EF. ER marks eligible rules, IR the (constant) active-rule
-    mask, SR the complement of ER after each execution pass.
+    mask, SR the complement of ER after each execution pass. The engine
+    never writes a register in place, so a configuration shares every
+    unchanged register with its predecessor.
     """
 
     EF: np.ndarray
@@ -47,17 +61,19 @@ class Configuration:
     def __eq__(self, other):
         if not isinstance(other, Configuration):
             return NotImplemented
-        return (np.array_equal(self.EF, other.EF)
-                and np.array_equal(self.IF, other.IF)
-                and np.array_equal(self.SF, other.SF)
-                and np.array_equal(self.ER, other.ER)
-                and np.array_equal(self.IR, other.IR)
-                and np.array_equal(self.SR, other.SR))
+        return (_same(self.EF, other.EF) and _same(self.SF, other.SF)
+                and _same(self.ER, other.ER) and _same(self.SR, other.SR)
+                and _same(self.IF, other.IF) and _same(self.IR, other.IR))
 
 
 @dataclass(frozen=True)
 class CellularKnowledgeBase:
-    """Immutable compiled rule base: fact layer, rule layer, wiring."""
+    """Immutable compiled rule base: fact layer, rule layer, wiring.
+
+    The engine reads the wiring as sparse (fact, rule) cell lists, built on
+    the first classification and cached; the matrices are read-only so the
+    cache cannot go stale.
+    """
 
     facts: tuple[str, ...]
     input_flags: np.ndarray            # the fixed IF vector
@@ -76,14 +92,31 @@ class CellularKnowledgeBase:
     def rule_count(self) -> int:
         return len(self.rules)
 
+    @cached_property
+    def _fact_indices(self) -> dict[str, int]:
+        return {f: i for i, f in enumerate(self.facts)}
+
+    @cached_property
+    def _class_facts(self) -> np.ndarray:
+        return np.array([i for i, f in enumerate(self.facts)
+                         if f.startswith(CLASS_PREFIX)], dtype=np.intp)
+
+    @cached_property
+    def _premise_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Fact and rule of every premise cell, and each rule's premise count."""
+        fact, rule = np.nonzero(self.premise_matrix)
+        width = self.premise_matrix.shape[1]
+        return fact, rule, np.bincount(rule, minlength=width)
+
+    @cached_property
+    def _conclusion_cells(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.nonzero(self.conclusion_matrix)
+
     def fact_index(self, descriptor: str) -> int:
         try:
-            return self.facts.index(descriptor)
-        except ValueError:
+            return self._fact_indices[descriptor]
+        except KeyError:
             raise UnknownValueError(f"unknown fact {descriptor!r}") from None
-
-    def class_fact_indices(self) -> list[int]:
-        return [i for i, f in enumerate(self.facts) if f.startswith(CLASS_PREFIX)]
 
     def initial_configuration(self, initial_facts=()) -> Configuration:
         """All registers clear except IF, IR, and the seeded EF cells."""
@@ -135,6 +168,7 @@ def compile_tree(tree: InductionGraph) -> CellularKnowledgeBase:
         conclusion[index[rule.conclusion], j] = True
 
     input_flags = np.array(["=" in f for f in facts], dtype=bool)
+    _freeze(input_flags, premise, conclusion)
     return CellularKnowledgeBase(
         facts=tuple(facts),
         input_flags=input_flags,
@@ -148,33 +182,43 @@ def compile_tree(tree: InductionGraph) -> CellularKnowledgeBase:
 
 
 def eligible_rules(kb: CellularKnowledgeBase, ef: np.ndarray) -> np.ndarray:
-    """Rules whose premise facts are all established (column-subset test)."""
-    missing = kb.premise_matrix & ~ef[:, np.newaxis]
-    return ~missing.any(axis=0)
+    """Rules whose premise facts are all established.
+
+    Counts the established premise cells of each rule, so the cost follows
+    the number of premise cells, not facts x rules.
+    """
+    fact, rule, count = kb._premise_cells
+    return np.bincount(rule[ef[fact]], minlength=count.size) == count
+
+
+def _execute(kb: CellularKnowledgeBase, ef: np.ndarray,
+             er: np.ndarray) -> np.ndarray:
+    """EF plus the conclusion facts of the eligible rules ER."""
+    fact, rule = kb._conclusion_cells
+    out = ef.copy()
+    out[fact[er[rule]]] = True
+    return out
 
 
 def delta_fact(kb: CellularKnowledgeBase, config: Configuration) -> Configuration:
     """Assessment pass: copy EF into SF, extend ER with newly eligible rules."""
-    return replace(
-        config,
-        SF=config.EF.copy(),
-        ER=config.ER | eligible_rules(kb, config.EF),
-    )
+    return Configuration(config.EF, config.IF, config.EF,
+                         config.ER | eligible_rules(kb, config.EF),
+                         config.IR, config.SR, config.generation)
 
 
 def delta_rule(kb: CellularKnowledgeBase, config: Configuration) -> Configuration:
     """Execution pass: eligible rules establish conclusions; SR = not ER."""
-    return replace(
-        config,
-        EF=config.EF | (kb.conclusion_matrix @ config.ER),
-        SR=~config.ER,
-    )
+    return Configuration(_execute(kb, config.EF, config.ER), config.IF,
+                         config.SF, config.ER, config.IR, ~config.ER,
+                         config.generation)
 
 
 def step(kb: CellularKnowledgeBase, config: Configuration) -> Configuration:
-    """One full generation: assessment then execution."""
-    after = delta_rule(kb, delta_fact(kb, config))
-    return replace(after, generation=config.generation + 1)
+    """One full generation: assessment then execution, as one configuration."""
+    er = config.ER | eligible_rules(kb, config.EF)
+    return Configuration(_execute(kb, config.EF, er), config.IF, config.EF,
+                         er, config.IR, ~er, config.generation + 1)
 
 
 def infer(kb: CellularKnowledgeBase, initial_facts) -> list[Configuration]:
@@ -196,7 +240,7 @@ def infer(kb: CellularKnowledgeBase, initial_facts) -> list[Configuration]:
 
 def established_facts(kb: CellularKnowledgeBase,
                       config: Configuration) -> tuple[str, ...]:
-    return tuple(f for f, on in zip(kb.facts, config.EF) if on)
+    return tuple(kb.facts[i] for i in np.flatnonzero(config.EF))
 
 
 def instance_facts(kb: CellularKnowledgeBase, instance) -> list[str]:
@@ -210,7 +254,7 @@ def instance_facts(kb: CellularKnowledgeBase, instance) -> list[str]:
     if len(values) != len(kb.attributes):
         raise DataError(
             f"instance has {len(values)} values, schema has {len(kb.attributes)}")
-    known = set(kb.facts)
+    known = kb._fact_indices
     descriptors = (f"{spec.name}={value}" for spec, value in zip(
         kb.attributes, encode(kb.discretization, kb.attributes, values)))
     return [d for d in descriptors if d in known]
@@ -226,7 +270,8 @@ def classify_casi(kb: CellularKnowledgeBase, instance) -> str:
     root = kb.facts[0]
     seeds = [root] + instance_facts(kb, instance)
     final = infer(kb, seeds)[-1]
-    hits = [kb.facts[i] for i in kb.class_fact_indices() if final.EF[i]]
+    classes = kb._class_facts
+    hits = [kb.facts[i] for i in classes[final.EF[classes]]]
     if not hits:
         raise UnknownValueError(
             "no class fact established; instance values leave the known paths")
@@ -297,6 +342,7 @@ def kb_from_json(data: dict) -> CellularKnowledgeBase:
                     f"{name} matrix disagrees with the rule table")
     except (KeyError, TypeError, DataError) as exc:
         raise ModelIntegrityError(f"malformed rule-base file: {exc}") from exc
+    _freeze(flags, premise, conclusion)
     return CellularKnowledgeBase(facts, flags, rules, premise, conclusion,
                                  attributes, classes, dmap)
 

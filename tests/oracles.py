@@ -7,7 +7,15 @@ package's own search/ordering code, so agreement is meaningful.
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 from itertools import combinations, product
+
+import numpy as np
+
+from plancell.casi import Configuration
+from plancell.dataset import Instance
+from plancell.discretize import encode
+from plancell.errors import DataError, ModelIntegrityError, UnknownValueError
 
 
 def _closure(chosen, exit_id):
@@ -217,3 +225,86 @@ def stratified_thirds(ts, seed):
         prune += members[:take]
         grow += members[take:]
     return sorted(grow), sorted(prune)
+
+
+# The cellular engine as first written: dense facts x rules passes, a fresh
+# configuration per pass, every register compared at each generation.
+
+REGISTERS = ("EF", "IF", "SF", "ER", "IR", "SR")
+
+
+def casi_eligible(kb, ef):
+    """Rules none of whose premise cells is unestablished (column-subset test)."""
+    missing = kb.premise_matrix & ~ef[:, np.newaxis]
+    return ~missing.any(axis=0)
+
+
+def casi_initial(kb, initial_facts=()):
+    ef = np.zeros(kb.fact_count, dtype=bool)
+    for descriptor in initial_facts:
+        try:
+            ef[kb.facts.index(descriptor)] = True
+        except ValueError:
+            raise UnknownValueError(f"unknown fact {descriptor!r}") from None
+    return Configuration(
+        EF=ef,
+        IF=kb.input_flags.copy(),
+        SF=np.zeros(kb.fact_count, dtype=bool),
+        ER=np.zeros(kb.rule_count, dtype=bool),
+        IR=np.ones(kb.rule_count, dtype=bool),
+        SR=np.zeros(kb.rule_count, dtype=bool),
+    )
+
+
+def casi_delta_fact(kb, config):
+    return replace(config, SF=config.EF.copy(),
+                   ER=config.ER | casi_eligible(kb, config.EF))
+
+
+def casi_delta_rule(kb, config):
+    return replace(config, EF=config.EF | (kb.conclusion_matrix @ config.ER),
+                   SR=~config.ER)
+
+
+def casi_step(kb, config):
+    after = casi_delta_rule(kb, casi_delta_fact(kb, config))
+    return replace(after, generation=config.generation + 1)
+
+
+def same_registers(a, b):
+    return all(np.array_equal(getattr(a, name), getattr(b, name))
+               for name in REGISTERS)
+
+
+def casi_infer(kb, initial_facts):
+    """Every configuration up to the first that reproduces itself."""
+    trace = [casi_initial(kb, initial_facts)]
+    for _ in range(kb.rule_count + 2):
+        succ = casi_step(kb, trace[-1])
+        if same_registers(succ, trace[-1]):
+            return trace
+        trace.append(succ)
+    raise ModelIntegrityError(
+        f"inference did not stabilize within {kb.rule_count + 2} generations")
+
+
+def casi_label(kb, instance):
+    """Seed the root and the case's known descriptors, read the class fact."""
+    values = instance.values if isinstance(instance, Instance) else tuple(instance)
+    if len(values) != len(kb.attributes):
+        raise DataError(
+            f"instance has {len(values)} values, schema has {len(kb.attributes)}")
+    known = set(kb.facts)
+    descriptors = [f"{spec.name}={value}" for spec, value in zip(
+        kb.attributes, encode(kb.discretization, kb.attributes, values))]
+    seeds = [kb.facts[0]] + [d for d in descriptors if d in known]
+    final = casi_infer(kb, seeds)[-1]
+    hits = [f for i, f in enumerate(kb.facts)
+            if f.startswith("class=") and final.EF[i]]
+    if not hits:
+        raise UnknownValueError(
+            "no class fact established; instance values leave the known paths")
+    if len(hits) > 1:
+        raise ModelIntegrityError(
+            f"multiple class facts established: {', '.join(hits)}")
+    return hits[0].removeprefix("class=")

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from plancell import casi
 from plancell.casi import (CellularKnowledgeBase, classify_casi, compile_tree,
                            delta_fact, delta_rule, eligible_rules,
                            established_facts, format_fact_table,
@@ -99,6 +100,14 @@ def test_configuration_equality_ignores_generation(stump_kb):
     config = stump_kb.initial_configuration(["s0"])
     assert replace(config, generation=99) == config
     assert replace(config, EF=~config.EF) != config
+
+
+@pytest.mark.parametrize("register", ["EF", "IF", "SF", "ER", "IR", "SR"])
+def test_configuration_equality_reads_every_register(stump_kb, register):
+    config = stump_kb.initial_configuration(["s0"])
+    cells = getattr(config, register)
+    assert replace(config, **{register: ~cells}) != config
+    assert replace(config, **{register: cells.copy()}) == config
 
 
 def test_assessment_pass_marks_satisfied_rules(stump_kb):
@@ -236,6 +245,37 @@ def test_multiple_class_facts_flag_inconsistency():
     kb = kb_from_json(doc)
     with pytest.raises(ModelIntegrityError, match="multiple class facts"):
         classify_casi(kb, ())
+
+
+def test_classification_runs_module_infer_once_per_case(runs_model,
+                                                        monkeypatch):
+    # a traced run reads generations from the calls of the module-level name
+    _, kb, cooked = runs_model
+    cases = [inst.values for inst in cooked.instances]
+    cases += [("blocks-9", 0.5, 6.0), ("blocks-4", 0.032237, 99.0)]
+    seeds = []
+    real = casi.infer
+
+    def counting(kb, initial_facts):
+        seeds.append(list(initial_facts))
+        return real(kb, initial_facts)
+
+    monkeypatch.setattr(casi, "infer", counting)
+    for values in cases:
+        try:
+            classify_casi(kb, values)
+        except UnknownValueError:
+            pass
+    assert seeds == [[kb.facts[0]] + instance_facts(kb, v) for v in cases]
+
+
+@pytest.mark.parametrize("field", ["input_flags", "premise_matrix",
+                                   "conclusion_matrix"])
+def test_wiring_is_read_only(runs_model, field):
+    _, kb, _ = runs_model
+    for base in (kb, kb_from_json(kb_to_json(kb))):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(base, field)[0] = True
 
 
 def test_runaway_inference_is_capped(stump_kb, monkeypatch):

@@ -1,0 +1,161 @@
+"""The cellular engine against the dense, copy-per-pass engine in ``oracles``.
+
+Property tests: ``infer`` gives the oracle's trace configuration by
+configuration (all six registers, every generation number, the trace
+length) on random wiring and on compiled trees; the sparse passes equal
+the dense formulas; ``classify_casi`` answers or fails as the oracle does.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from plancell.casi import (CellularKnowledgeBase, classify_casi, delta_fact,
+                           delta_rule, eligible_rules, infer, instance_facts,
+                           kb_from_json, step)
+from plancell.errors import ModelIntegrityError, PlancellError
+from test_encoding import fitted, trained
+
+PROPERTY = settings(max_examples=60, deadline=None)
+
+
+def outcome(fn, *args):
+    """A result, or the type and message of the error raised instead."""
+    try:
+        return fn(*args)
+    except PlancellError as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_trace(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.generation == w.generation
+        for name in oracles.REGISTERS:
+            a, b = getattr(g, name), getattr(w, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def wired_kb(premise, conclusion, flags):
+    """A base from bare wiring; its rules only size the rule layer.
+
+    Rules without premises cannot be written as ``ClassificationRule``s,
+    and the engine reads nothing of a rule but its matrix columns.
+    """
+    l, r = premise.shape
+    return CellularKnowledgeBase(
+        facts=tuple(f"f{i}" for i in range(l)), input_flags=flags,
+        rules=(None,) * r, premise_matrix=premise,
+        conclusion_matrix=conclusion, attributes=(), classes=())
+
+
+def bool_matrix(draw, rows, cols):
+    """A Boolean matrix with about a quarter of its cells set."""
+    cell = st.integers(0, 3).map(lambda k: k == 0)
+    return np.array(draw(st.lists(st.lists(cell, min_size=cols, max_size=cols),
+                                  min_size=rows, max_size=rows)), dtype=bool)
+
+
+@st.composite
+def wirings(draw):
+    """Random wiring, seeds and register values over 3-10 facts, 2-10 rules.
+
+    Every draw has a rule without premises, a fact that several rules
+    conclude and a fact that no rule reads; rules may conclude several
+    facts or none.
+    """
+    l, r = draw(st.integers(3, 10)), draw(st.integers(2, 10))
+    premise = bool_matrix(draw, l, r)
+    conclusion = bool_matrix(draw, l, r)
+    premise[:, draw(st.integers(0, r - 1))] = False
+    shared = draw(st.integers(0, l - 1))
+    concluders = draw(st.sets(st.integers(0, r - 1), min_size=2))
+    conclusion[shared, sorted(concluders)] = True
+    premise[draw(st.integers(0, l - 1).filter(lambda i: i != shared)), :] = False
+    kb = wired_kb(premise, conclusion, bool_matrix(draw, 1, l)[0])
+    seeds = [f for f, on in zip(kb.facts, bool_matrix(draw, 1, l)[0]) if on]
+    ef, er = bool_matrix(draw, 1, l)[0], bool_matrix(draw, 1, r)[0]
+    return kb, seeds, ef, er
+
+
+@given(wirings())
+@PROPERTY
+def test_trace_equals_oracle_on_random_wiring(drawn):
+    kb, seeds, _, _ = drawn
+    assert_same_trace(infer(kb, seeds), oracles.casi_infer(kb, seeds))
+
+
+@given(wirings())
+@PROPERTY
+def test_sparse_passes_equal_dense_formulas(drawn):
+    kb, seeds, ef, er = drawn
+    assert np.array_equal(eligible_rules(kb, ef), oracles.casi_eligible(kb, ef))
+    config = oracles.casi_initial(kb, seeds)
+    config = type(config)(ef, config.IF, config.SF, er, config.IR, config.SR, 4)
+    for new, old in ((delta_fact, oracles.casi_delta_fact),
+                     (delta_rule, oracles.casi_delta_rule),
+                     (step, oracles.casi_step)):
+        assert_same_trace([new(kb, config)], [old(kb, config)])
+
+
+@st.composite
+def tree_bases(draw):
+    """A compiled j48 or reptree base, its training rows and raw cases."""
+    ts, dmap, cases = draw(fitted())
+    _, kb = trained(ts, dmap, draw(st.sampled_from(["j48", "reptree"])),
+                    draw(st.integers(0, 3)))
+    return kb, cases + [inst.values for inst in ts.instances]
+
+
+@given(tree_bases())
+@PROPERTY
+def test_trace_equals_oracle_on_compiled_trees(drawn):
+    kb, cases = drawn
+    for values in cases:
+        seeds = [kb.facts[0]] + instance_facts(kb, values)
+        assert_same_trace(infer(kb, seeds), oracles.casi_infer(kb, seeds))
+
+
+@given(tree_bases())
+@PROPERTY
+def test_classification_equals_oracle_on_compiled_trees(drawn):
+    kb, cases = drawn
+    for values in cases:
+        assert (outcome(classify_casi, kb, values)
+                == outcome(oracles.casi_label, kb, values))
+
+
+def hand_built(facts, rules, attributes=()):
+    """A rule-base document from descriptors and (premises, conclusion) pairs."""
+    def rows(column_of):
+        return ["".join("1" if f in column_of(rule) else "0" for rule in rules)
+                for f in facts]
+    return kb_from_json({
+        "format": "cellular-kb",
+        "facts": [{"descriptor": f, "input": int("=" in f)} for f in facts],
+        "rules": [{"premises": p, "conclusion": c} for p, c in rules],
+        "R_E": rows(lambda rule: rule[0]),
+        "R_S": rows(lambda rule: [rule[1]]),
+        "attributes": [{"name": name, "kind": "nominal", "domain": domain}
+                       for name, domain in attributes],
+        "classes": sorted(f.removeprefix("class=") for f in facts
+                          if f.startswith("class=")),
+        "discretization": None,
+    })
+
+
+@pytest.mark.parametrize("kb, values", [
+    (hand_built(["s0", "class=A", "class=B"],
+                [(["s0"], "class=A"), (["s0"], "class=B")]), ()),
+    (hand_built(["s0", "s1", "x=u", "class=A", "class=B", "class=C"],
+                [(["s0", "x=u"], "s1"), (["s1"], "class=A"),
+                 (["s1"], "class=C"), (["s0"], "class=B")],
+                [("x", ["u", "v"])]), ("u",)),
+])
+def test_inconsistent_bases_fail_as_the_oracle_does(kb, values):
+    got = outcome(classify_casi, kb, values)
+    assert got[0] is ModelIntegrityError
+    assert "multiple class facts" in got[1]
+    assert got == outcome(oracles.casi_label, kb, values)

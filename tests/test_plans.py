@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plancell import enumerate_plans, first_plan, parse_project
 from plancell.errors import DataError
@@ -142,3 +144,33 @@ def test_random_plans_are_well_formed():
                 pre = graph.tasks[step].preconditions
                 assert not pre or any(g <= seen for g in pre)
                 seen.add(step)
+
+
+@st.composite
+def unvalidated_graphs(draw):
+    """2-6 tasks wired straight from ``Task`` objects, never validated.
+
+    The first task is the entry, the last the exit. Most precondition
+    groups name earlier tasks; the rest may name any task, a later one or
+    the task itself included, or a task the graph lacks, so forward
+    references, cycles and dangling groups occur.
+    """
+    ids = [f"t{i}" for i in range(draw(st.integers(2, 6)))]
+    anywhere = st.frozensets(st.sampled_from(ids + ["ghost"]), min_size=1,
+                             max_size=2)
+    tasks = {ids[0]: Task(ids[0])}
+    for i, t in enumerate(ids[1:], 1):
+        earlier = st.frozensets(st.sampled_from(ids[:i]), min_size=1,
+                                max_size=2)
+        groups = st.lists(st.one_of(earlier, earlier, anywhere), min_size=1,
+                          max_size=3)
+        tasks[t] = Task(t, preconditions=tuple(draw(groups)))
+    return ProjectGraph(tasks=tasks, entry=ids[0], exit=ids[-1])
+
+
+@given(unvalidated_graphs())
+@settings(max_examples=150, deadline=None)
+def test_unvalidated_graphs_match_brute_force(graph):
+    result = enumerate_plans(graph)
+    assert not result.truncated
+    assert [p.steps for p in result.plans] == sorted(brute_force_plans(graph))
