@@ -125,12 +125,30 @@ class CellularKnowledgeBase:
             ef[self.fact_index(descriptor)] = True
         return Configuration(
             EF=ef,
-            IF=self.input_flags.copy(),
+            IF=self.input_flags,
             SF=_bool_vector(self.fact_count),
             ER=_bool_vector(self.rule_count),
             IR=np.ones(self.rule_count, dtype=bool),
             SR=_bool_vector(self.rule_count),
         )
+
+
+def _wire(facts, rules) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only premise and conclusion matrices, facts x rules."""
+    index = {f: i for i, f in enumerate(facts)}
+    premise = np.zeros((len(facts), len(rules)), dtype=bool)
+    conclusion = np.zeros_like(premise)
+    for j, rule in enumerate(rules):
+        for p in rule.premises:
+            if p not in index:
+                raise ModelIntegrityError(f"rule premise {p!r} is not a fact")
+            premise[index[p], j] = True
+        if rule.conclusion not in index:
+            raise ModelIntegrityError(
+                f"rule conclusion {rule.conclusion!r} is not a fact")
+        conclusion[index[rule.conclusion], j] = True
+    _freeze(premise, conclusion)
+    return premise, conclusion
 
 
 def compile_tree(tree: InductionGraph) -> CellularKnowledgeBase:
@@ -158,17 +176,9 @@ def compile_tree(tree: InductionGraph) -> CellularKnowledgeBase:
     facts += [CLASS_PREFIX + c for c in tree.classes if c in leaf_classes]
 
     rules = tuple(extract_rules(tree))
-    index = {f: i for i, f in enumerate(facts)}
-    l, r = len(facts), len(rules)
-    premise = np.zeros((l, r), dtype=bool)
-    conclusion = np.zeros((l, r), dtype=bool)
-    for j, rule in enumerate(rules):
-        for p in rule.premises:
-            premise[index[p], j] = True
-        conclusion[index[rule.conclusion], j] = True
-
+    premise, conclusion = _wire(facts, rules)
     input_flags = np.array(["=" in f for f in facts], dtype=bool)
-    _freeze(input_flags, premise, conclusion)
+    _freeze(input_flags)
     return CellularKnowledgeBase(
         facts=tuple(facts),
         input_flags=input_flags,
@@ -319,20 +329,8 @@ def kb_from_json(data: dict) -> CellularKnowledgeBase:
             raise ModelIntegrityError("rule base has no facts")
         if len(set(facts)) != len(facts):
             raise ModelIntegrityError("duplicate fact descriptors")
-        index = {f: i for i, f in enumerate(facts)}
-        l, r = len(facts), len(rules)
-        premise = np.zeros((l, r), dtype=bool)
-        conclusion = np.zeros((l, r), dtype=bool)
-        for j, rule in enumerate(rules):
-            for p in rule.premises:
-                if p not in index:
-                    raise ModelIntegrityError(f"rule premise {p!r} is not a fact")
-                premise[index[p], j] = True
-            if rule.conclusion not in index:
-                raise ModelIntegrityError(
-                    f"rule conclusion {rule.conclusion!r} is not a fact")
-            conclusion[index[rule.conclusion], j] = True
-
+        premise, conclusion = _wire(facts, rules)
+        l, r = premise.shape
         for name, rows, wired in (("R_E", data["R_E"], premise),
                                   ("R_S", data["R_S"], conclusion)):
             if len(rows) != l or any(len(row) != r for row in rows):
@@ -342,7 +340,7 @@ def kb_from_json(data: dict) -> CellularKnowledgeBase:
                     f"{name} matrix disagrees with the rule table")
     except (KeyError, TypeError, DataError) as exc:
         raise ModelIntegrityError(f"malformed rule-base file: {exc}") from exc
-    _freeze(flags, premise, conclusion)
+    _freeze(flags)
     return CellularKnowledgeBase(facts, flags, rules, premise, conclusion,
                                  attributes, classes, dmap)
 

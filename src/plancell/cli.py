@@ -19,7 +19,7 @@ from . import blocksworld
 from .casi import (classify_casi, compile_tree, format_fact_table,
                    format_incidence, format_rule_table, kb_from_json,
                    kb_to_json)
-from .dataset import NUMERIC, load_csv, save_csv
+from .dataset import NUMERIC, class_distribution, load_csv, save_csv
 from .discretize import apply_map, encode, fit_map
 from .errors import DataError, LimitError, ModelError, UnknownValueError
 from .evaluation import cross_validate, evaluate_grid, report, report_csv
@@ -120,9 +120,7 @@ def _cmd_dataset_info(args) -> int:
         else:
             print(f"  {spec.name}: nominal ({len(spec.domain)} values)")
     print(f"classes: {len(ts.classes)}")
-    counts = {label: 0 for label in ts.classes}
-    for inst in ts.instances:
-        counts[inst.label] += 1
+    counts = class_distribution(ts)
     for label in ts.classes:
         print(f"  {label}: {counts[label]}")
     return 0

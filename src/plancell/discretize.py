@@ -197,8 +197,9 @@ def _mdl_split(pairs: list[tuple[float, str]], found: list[float]) -> None:
         nl = sizes[i]
         left = [bisect_left(p, nl) for p in positions]
         right = [t - c for t, c in zip(total, left)]
-        h_left = entropy(left)
-        # a midpoint can round onto the largest value and leave nothing right
+        # a midpoint can overflow to -inf and leave nothing left, or round
+        # onto the largest value and leave nothing right
+        h_left = entropy(left) if nl else 0.0
         h_right = entropy(right) if nl < n else 0.0
         weighted = nl / n * h_left + (n - nl) / n * h_right
         if best is None or weighted < best[0]:

@@ -59,8 +59,8 @@ def enumerate_plans(graph: ProjectGraph, max_plans: int = DEFAULT_MAX_PLANS) -> 
 
     sequences: set[tuple[str, ...]] = set()
     truncated = False
-    for solution in _solutions(graph):
-        sequences.add(linearize(solution, graph))
+    for steps in _solutions(graph):
+        sequences.add(steps)
         if len(sequences) > max_plans:
             truncated = True
             break
@@ -72,25 +72,28 @@ def enumerate_plans(graph: ProjectGraph, max_plans: int = DEFAULT_MAX_PLANS) -> 
 
 def first_plan(graph: ProjectGraph) -> Plan | None:
     """The first solution in backward-chaining order, or None if unsolvable."""
-    for solution in _solutions(graph):
-        return Plan("P1", linearize(solution, graph))
+    for steps in _solutions(graph):
+        return Plan("P1", steps)
     return None
 
 
 def _solutions(graph: ProjectGraph):
-    """Yield every grounded solution by backward chaining from the exit.
+    """Yield each solution's step sequence, backward chaining from the exit.
 
     Tasks are resolved smallest-id first; groups are tried in declaration
-    order, so the yield order is deterministic. Choices whose closure cannot
-    be executed bottom-up (cyclic or dangling) are discarded.
+    order, so the yield order is deterministic. Choices that ``linearize``
+    cannot order (cyclic or dangling) are discarded.
     """
     if graph.exit not in graph.tasks:
         return
 
     def recurse(chosen: dict[str, frozenset[str]], pending: set[str]):
         if not pending:
-            if _grounded(chosen):
-                yield Solution(frozenset(chosen), dict(chosen))
+            try:
+                steps = linearize(Solution(frozenset(chosen), dict(chosen)))
+            except DataError:
+                return
+            yield steps
             return
         task_id = min(pending)
         rest = pending - {task_id}
@@ -111,21 +114,7 @@ def _solutions(graph: ProjectGraph):
     yield from recurse({}, {graph.exit})
 
 
-def _grounded(chosen: dict[str, frozenset[str]]) -> bool:
-    """True when the closure can be executed bottom-up from no-precondition tasks."""
-    done: set[str] = set()
-    remaining = dict(chosen)
-    while remaining:
-        ready = [t for t, group in remaining.items() if group <= done]
-        if not ready:
-            return False
-        for t in ready:
-            done.add(t)
-            del remaining[t]
-    return True
-
-
-def linearize(solution: Solution, graph: ProjectGraph) -> tuple[str, ...]:
+def linearize(solution: Solution) -> tuple[str, ...]:
     """Order a solution's tasks by readiness wave, then id.
 
     A task's wave is one past the latest wave among its chosen predecessors,

@@ -31,10 +31,6 @@ class Task:
     resource: str | None = None
     preconditions: tuple[frozenset[str], ...] = ()
 
-    @property
-    def is_entry_candidate(self) -> bool:
-        return not self.preconditions
-
 
 @dataclass(frozen=True)
 class ProjectGraph:

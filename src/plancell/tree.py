@@ -50,6 +50,20 @@ class TreeNode:
         return majority_label(self.counts)
 
 
+def _breadth_first(root: TreeNode) -> list[TreeNode]:
+    order = [root]
+    for node in order:
+        order.extend(node.children.values())
+    return order
+
+
+def _number(root: TreeNode) -> TreeNode:
+    """Assign ids s0, s1, ... in breadth-first order, in place."""
+    for i, node in enumerate(_breadth_first(root)):
+        node.node_id = f"s{i}"
+    return root
+
+
 @dataclass(frozen=True)
 class InductionGraph:
     """A grown tree plus the schema and discretization it was fit under."""
@@ -62,13 +76,7 @@ class InductionGraph:
 
     def nodes(self) -> list[TreeNode]:
         """All nodes in breadth-first order (the id order)."""
-        out = []
-        queue = deque([self.root])
-        while queue:
-            node = queue.popleft()
-            out.append(node)
-            queue.extend(node.children.values())
-        return out
+        return _breadth_first(self.root)
 
     @property
     def node_count(self) -> int:
@@ -105,27 +113,28 @@ class ClassificationRule:
         return f"{' & '.join(self.premises)} -> {self.conclusion}"
 
 
-def _entropy_of(labels: list[str]) -> float:
-    return entropy(Counter(labels))
+def _score(mode: str, values: list, labels: list[str]) -> float:
+    """Information gain of splitting ``labels`` by ``values``.
 
-
-def _gain(values: list, labels: list[str]) -> float:
-    parent = _entropy_of(labels)
+    Under ``gain_ratio`` the gain is divided by the split's own entropy,
+    and a single-valued split scores zero.
+    """
     groups: dict = {}
     for v, y in zip(values, labels):
         groups.setdefault(v, []).append(y)
     n = len(labels)
-    return parent - sum(len(g) / n * _entropy_of(g) for g in groups.values())
-
-
-def _split_info(values: list) -> float:
-    return entropy(Counter(values))
+    gain = entropy(Counter(labels)) - sum(
+        len(g) / n * entropy(Counter(g)) for g in groups.values())
+    if mode == INFO_GAIN:
+        return gain
+    info = entropy([len(g) for g in groups.values()])
+    return gain / info if info else 0.0
 
 
 def information_gain(ts: TrainingSet, attribute: str) -> float:
     """Entropy reduction from partitioning by the attribute's values."""
-    labels = [inst.label for inst in ts.instances]
-    return _gain(ts.column(attribute), labels)
+    return _score(INFO_GAIN, ts.column(attribute),
+                  [inst.label for inst in ts.instances])
 
 
 def gain_ratio(ts: TrainingSet, attribute: str) -> float:
@@ -133,12 +142,8 @@ def gain_ratio(ts: TrainingSet, attribute: str) -> float:
 
     Zero when the attribute is single-valued (split info 0).
     """
-    labels = [inst.label for inst in ts.instances]
-    values = ts.column(attribute)
-    info = _split_info(values)
-    if info == 0:
-        return 0.0
-    return _gain(values, labels) / info
+    return _score(GAIN_RATIO, ts.column(attribute),
+                  [inst.label for inst in ts.instances])
 
 
 def grow(ts: TrainingSet, mode: str = GAIN_RATIO, min_leaf: int = 2,
@@ -165,18 +170,8 @@ def grow(ts: TrainingSet, mode: str = GAIN_RATIO, min_leaf: int = 2,
     labels = [inst.label for inst in ts.instances]
     domains = {s.name: s.domain for s in ts.attributes}
 
-    def score(idx: list[int], attr: str) -> float:
-        vals = [columns[attr][i] for i in idx]
-        labs = [labels[i] for i in idx]
-        if mode == INFO_GAIN:
-            return _gain(vals, labs)
-        info = _split_info(vals)
-        return _gain(vals, labs) / info if info else 0.0
-
-    serial = iter(range(len(ts.instances) * 2 + 1))
-
     def new_node(idx: list[int]) -> TreeNode:
-        return TreeNode(f"s{next(serial)}", dict(Counter(labels[i] for i in idx)))
+        return TreeNode("", dict(Counter(labels[i] for i in idx)))
 
     all_idx = list(range(len(ts.instances)))
     root = new_node(all_idx)
@@ -186,8 +181,9 @@ def grow(ts: TrainingSet, mode: str = GAIN_RATIO, min_leaf: int = 2,
         if len(node.counts) == 1 or not attrs:
             continue
         best_attr, best_score = None, 0.0
+        labs = [labels[i] for i in idx]
         for attr in attrs:
-            s = score(idx, attr)
+            s = _score(mode, [columns[attr][i] for i in idx], labs)
             if s > best_score:
                 best_attr, best_score = attr, s
         if best_attr is None:
@@ -205,7 +201,8 @@ def grow(ts: TrainingSet, mode: str = GAIN_RATIO, min_leaf: int = 2,
             child = new_node(parts[value])
             node.children[value] = child
             queue.append((child, parts[value], remaining))
-    return InductionGraph(root, ts.attributes, ts.classes, mode, discretization)
+    return InductionGraph(_number(root), ts.attributes, ts.classes, mode,
+                          discretization)
 
 
 def classify_tree(tree: InductionGraph, instance,
@@ -250,32 +247,15 @@ def extract_rules(tree: InductionGraph) -> list[ClassificationRule]:
     return rules
 
 
-def _copy_leaf(node: TreeNode) -> TreeNode:
-    return TreeNode(node.node_id, dict(node.counts))
-
-
-def _renumber(root: TreeNode) -> TreeNode:
-    """Fresh breadth-first ids after structural surgery."""
-    serial = iter(range(10 ** 9))
-    new_root = TreeNode(f"s{next(serial)}", dict(root.counts), root.attribute)
-    queue = deque([(root, new_root)])
-    while queue:
-        old, new = queue.popleft()
-        for value, child in old.children.items():
-            twin = TreeNode(f"s{next(serial)}", dict(child.counts), child.attribute)
-            new.children[value] = twin
-            queue.append((child, twin))
-    return new_root
-
-
 def rep_prune(tree: InductionGraph, prune_set: TrainingSet) -> InductionGraph:
     """Reduced-error pruning: collapse subtrees that don't beat their leaf.
 
-    Bottom-up over nodes reached by at least one prune instance: replace the
-    subtree with its (training-)majority leaf unless the subtree makes
-    strictly fewer errors on the prune instances that reach it. Subtrees no
-    prune instance reaches are kept as grown. Node ids are reassigned
-    breadth-first in the pruned tree.
+    One bottom-up pass partitions the prune instances at each node and
+    counts the errors of the pruned subtree as it goes; an instance whose
+    value has no branch counts as an error. A subtree is replaced by its
+    (training-)majority leaf unless it makes strictly fewer errors on the
+    prune instances that reach it. Subtrees no prune instance reaches are
+    kept as grown. Node ids are reassigned breadth-first in the pruned tree.
     """
     if tuple(s.name for s in prune_set.attributes) != \
             tuple(s.name for s in tree.attributes):
@@ -284,35 +264,27 @@ def rep_prune(tree: InductionGraph, prune_set: TrainingSet) -> InductionGraph:
     col = {s.name: prune_set.column(s.name) for s in prune_set.attributes}
     labels = [inst.label for inst in prune_set.instances]
 
-    def errors(node: TreeNode, idx: list[int]) -> int:
-        """Misclassifications of the pruned subtree; missing branch = error."""
+    def prune(node: TreeNode, idx: list[int]) -> tuple[TreeNode, int]:
+        """A pruned copy of ``node`` and its errors on the rows ``idx``."""
+        leaf = TreeNode("", dict(node.counts))
+        leaf_errors = len(idx) - [labels[i] for i in idx].count(node.majority)
         if node.is_leaf:
-            return sum(1 for i in idx if labels[i] != node.majority)
-        wrong = 0
+            return leaf, leaf_errors
+        parts: dict = {}
         for i in idx:
-            child = node.children.get(col[node.attribute][i])
-            if child is None:
-                wrong += 1
-            else:
-                wrong += errors(child, [i])
-        return wrong
-
-    def prune(node: TreeNode, idx: list[int]) -> TreeNode:
-        if node.is_leaf:
-            return _copy_leaf(node)
-        pruned = TreeNode(node.node_id, dict(node.counts), node.attribute)
+            parts.setdefault(col[node.attribute][i], []).append(i)
+        errors = sum(len(rows) for value, rows in parts.items()
+                     if value not in node.children)
+        pruned = TreeNode("", dict(node.counts), node.attribute)
         for value, child in node.children.items():
-            sub = [i for i in idx if col[node.attribute][i] == value]
-            pruned.children[value] = prune(child, sub)
-        if not idx:
-            return pruned
-        leaf_errors = sum(1 for i in idx if labels[i] != node.majority)
-        if leaf_errors <= errors(pruned, idx):
-            return _copy_leaf(node)
-        return pruned
+            pruned.children[value], wrong = prune(child, parts.get(value, []))
+            errors += wrong
+        if idx and leaf_errors <= errors:
+            return leaf, leaf_errors
+        return pruned, errors
 
-    new_root = _renumber(prune(tree.root, list(range(len(prune_set.instances)))))
-    return replace(tree, root=new_root)
+    root, _ = prune(tree.root, list(range(len(prune_set.instances))))
+    return replace(tree, root=_number(root))
 
 
 J48 = "j48"

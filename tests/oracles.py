@@ -6,7 +6,7 @@ package's own search/ordering code, so agreement is meaningful.
 
 import math
 import random
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import replace
 from itertools import combinations, product
 
@@ -16,6 +16,7 @@ from plancell.casi import Configuration
 from plancell.dataset import Instance
 from plancell.discretize import encode
 from plancell.errors import DataError, ModelIntegrityError, UnknownValueError
+from plancell.tree import TreeNode
 
 
 def _closure(chosen, exit_id):
@@ -308,3 +309,59 @@ def casi_label(kb, instance):
         raise ModelIntegrityError(
             f"multiple class facts established: {', '.join(hits)}")
     return hits[0].removeprefix("class=")
+
+
+# Reduced-error pruning as first written: prune bottom-up, then walk every
+# prune row down the pruned subtree again to count its errors, and give the
+# pruned tree fresh breadth-first ids in a second copy.
+
+def _copy_leaf(node):
+    return TreeNode(node.node_id, dict(node.counts))
+
+
+def _renumber(root):
+    serial = iter(range(10 ** 9))
+    new_root = TreeNode(f"s{next(serial)}", dict(root.counts), root.attribute)
+    queue = deque([(root, new_root)])
+    while queue:
+        old, new = queue.popleft()
+        for value, child in old.children.items():
+            twin = TreeNode(f"s{next(serial)}", dict(child.counts), child.attribute)
+            new.children[value] = twin
+            queue.append((child, twin))
+    return new_root
+
+
+def rep_prune(tree, prune_set):
+    """Collapse every reached subtree that does not beat its majority leaf."""
+    col = {s.name: prune_set.column(s.name) for s in prune_set.attributes}
+    labels = [inst.label for inst in prune_set.instances]
+
+    def errors(node, idx):
+        if node.is_leaf:
+            return sum(1 for i in idx if labels[i] != node.majority)
+        wrong = 0
+        for i in idx:
+            child = node.children.get(col[node.attribute][i])
+            if child is None:
+                wrong += 1
+            else:
+                wrong += errors(child, [i])
+        return wrong
+
+    def prune(node, idx):
+        if node.is_leaf:
+            return _copy_leaf(node)
+        pruned = TreeNode(node.node_id, dict(node.counts), node.attribute)
+        for value, child in node.children.items():
+            sub = [i for i in idx if col[node.attribute][i] == value]
+            pruned.children[value] = prune(child, sub)
+        if not idx:
+            return pruned
+        leaf_errors = sum(1 for i in idx if labels[i] != node.majority)
+        if leaf_errors <= errors(pruned, idx):
+            return _copy_leaf(node)
+        return pruned
+
+    return replace(tree, root=_renumber(
+        prune(tree.root, list(range(len(prune_set.instances))))))

@@ -96,6 +96,13 @@ def test_initial_configuration(stump_kb):
     assert np.array_equal(config.IF, stump_kb.input_flags)
 
 
+def test_initial_configuration_shares_the_read_only_input_flags(runs_model):
+    _, kb, _ = runs_model
+    for base in (kb, kb_from_json(kb_to_json(kb))):
+        assert base.initial_configuration().IF is base.input_flags
+        assert not base.input_flags.flags.writeable
+
+
 def test_configuration_equality_ignores_generation(stump_kb):
     config = stump_kb.initial_configuration(["s0"])
     assert replace(config, generation=99) == config
@@ -380,6 +387,15 @@ def test_kb_json_rejects_unknown_premise(runs_model):
     doc = kb_to_json(kb)
     doc["rules"][0]["premises"] = ["ghost"]
     with pytest.raises(ModelIntegrityError, match="not a fact"):
+        kb_from_json(doc)
+
+
+def test_kb_json_rejects_unknown_conclusion(runs_model):
+    _, kb, _ = runs_model
+    doc = kb_to_json(kb)
+    doc["rules"][0]["conclusion"] = "ghost"
+    with pytest.raises(ModelIntegrityError,
+                       match="rule conclusion 'ghost' is not a fact"):
         kb_from_json(doc)
 
 

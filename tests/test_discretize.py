@@ -226,6 +226,9 @@ def test_mdl_cuts_equal_the_quadratic_oracle(column):
     ([1, 1, 2, 2, 2, 9, 9, 9, 10, 10], list("AABABBBABB")),
     # the last midpoint rounds onto the largest value: nothing goes right
     ([1.0, 1.0000000000000002, 1.0000000000000004] * 4, list("ABBABBAABBBA")),
+    # the first midpoint overflows to -inf: nothing goes left
+    ([0.0] * 9 + [-8.881489377429503e+293, -1.797693134862307e+308,
+                  -1.797693134862307e+308], list("CCDEEFGGHBAA")),
 ])
 def test_mdl_cuts_equal_the_oracle_on_edge_cases(values, labels):
     values = [float(v) for v in values]

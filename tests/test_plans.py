@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from plancell import enumerate_plans, first_plan, parse_project
 from plancell.errors import DataError
-from plancell.plans import Plan
+from plancell.plans import Plan, Solution, linearize
 from plancell.project import ProjectGraph, Task
 
 from oracles import brute_force_plans
@@ -91,6 +91,18 @@ def test_unsolvable_graph_yields_nothing():
     assert result.plans == ()
     assert not result.truncated
     assert first_plan(graph) is None
+
+
+def test_linearize_orders_by_wave_then_id():
+    chosen = {"a": frozenset(), "c": frozenset({"a"}), "b": frozenset({"c"}),
+              "d": frozenset()}
+    assert linearize(Solution(frozenset(chosen), chosen)) == ("a", "d", "c", "b")
+
+
+def test_linearize_rejects_a_cycle():
+    chosen = {"a": frozenset({"b"}), "b": frozenset({"a"})}
+    with pytest.raises(DataError, match="cycle"):
+        linearize(Solution(frozenset(chosen), chosen))
 
 
 def test_plan_rejects_empty_steps():
