@@ -10,12 +10,11 @@ cross-validation harness complete the comparison loop.
 
 from .blocksworld import (Action, BlockState, CorpusRun, SolveResult,
                           all_on_table, apply, corpus_training_set,
-                          generate_corpus, generate_runs, problem_from_json,
-                          problem_to_json, solve, validate_plan)
+                          generate_corpus, generate_runs, solve, validate_plan)
 from .casi import (CellularKnowledgeBase, Configuration, classify_casi,
-                   compile_tree, delta_fact, delta_rule, established_facts,
-                   format_fact_table, format_incidence, format_rule_table,
-                   infer, instance_facts, kb_from_json, kb_to_json)
+                   compile_tree, established_facts, format_fact_table,
+                   format_incidence, format_rule_table, infer, instance_facts,
+                   kb_from_json, kb_to_json)
 from .dataset import (AttributeSpec, Instance, TrainingSet,
                       build_training_set, class_distribution, load_csv,
                       save_csv, subset)
@@ -31,7 +30,7 @@ from .knn import KnnModel, classify_knn, distance, fit_knn
 from .plans import (Plan, PlanEnumeration, Solution, enumerate_plans,
                     first_plan, linearize)
 from .project import (ProjectGraph, ProjectParseError, Task, parse_project,
-                      serialize_project, validate)
+                      validate)
 from .sample_data import sample_project, sample_runs
 from .tree import (ClassificationRule, InductionGraph, TreeNode,
                    classify_tree, extract_rules, gain_ratio, grow,
@@ -50,16 +49,14 @@ __all__ = [
     "TrainingSet", "TreeNode", "UnknownValueError", "all_on_table", "apply",
     "apply_map", "boundary_candidates", "build_training_set",
     "class_distribution", "classify_casi", "classify_knn", "classify_tree",
-    "compile_tree", "corpus_training_set", "cross_validate", "delta_fact",
-    "delta_rule", "distance", "discretize_supervised",
-    "discretize_unsupervised", "entropy", "enumerate_plans",
-    "established_facts", "evaluate_grid", "extract_rules", "first_plan",
-    "fit_knn", "fit_map", "format_fact_table", "format_incidence",
-    "format_rule_table", "gain_ratio", "generate_corpus", "generate_runs",
-    "grow", "induce", "infer", "information_gain", "instance_facts",
-    "kb_from_json", "kb_to_json", "linearize", "load_csv", "make_folds",
-    "model_from_json", "model_to_json", "parse_project", "problem_from_json",
-    "problem_to_json", "rep_prune", "report", "report_csv", "sample_project",
-    "sample_runs", "save_csv", "serialize_project", "solve", "subset",
-    "validate", "validate_plan",
+    "compile_tree", "corpus_training_set", "cross_validate", "distance",
+    "discretize_supervised", "discretize_unsupervised", "entropy",
+    "enumerate_plans", "established_facts", "evaluate_grid", "extract_rules",
+    "first_plan", "fit_knn", "fit_map", "format_fact_table",
+    "format_incidence", "format_rule_table", "gain_ratio", "generate_corpus",
+    "generate_runs", "grow", "induce", "infer", "information_gain",
+    "instance_facts", "kb_from_json", "kb_to_json", "linearize", "load_csv",
+    "make_folds", "model_from_json", "model_to_json", "parse_project",
+    "rep_prune", "report", "report_csv", "sample_project", "sample_runs",
+    "save_csv", "solve", "subset", "validate", "validate_plan",
 ]

@@ -447,37 +447,3 @@ def generate_corpus(sizes: list[int], per_size: int, seed: int,
                     pool: int = 5, method: str = "greedy") -> TrainingSet:
     """Training set over solved instances: problem name, cpu time, plan length."""
     return corpus_training_set(generate_runs(sizes, per_size, seed, pool, method))
-
-
-def problem_to_json(initial: BlockState, goal) -> dict:
-    """JSON-ready problem description: blocks, initial layout, goal atoms."""
-    return {
-        "blocks": sorted(initial.blocks),
-        "initial": {
-            "on": dict(sorted(initial.on.items())),
-            "on-table": sorted(initial.on_table),
-            "holding": initial.holding,
-        },
-        "goal": [list(atom) for atom in goal],
-    }
-
-
-def problem_from_json(data: dict) -> tuple[BlockState, tuple[Atom, ...]]:
-    try:
-        blocks = set(data["blocks"])
-        layout = data["initial"]
-        state = BlockState(layout.get("on", {}),
-                           set(layout.get("on-table", ())),
-                           layout.get("holding"))
-        goal = tuple(tuple(atom) for atom in data["goal"])
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise DataError(f"malformed problem description: {exc}") from exc
-    if state.blocks - blocks:
-        raise DataError("initial layout uses blocks missing from the block list")
-    if blocks - state.blocks:
-        raise DataError("block list names blocks absent from the initial layout")
-    state.check()
-    for atom in goal:
-        if atom[0] not in ("on", "on-table"):
-            raise DataError(f"unknown goal atom {atom!r}")
-    return state, goal

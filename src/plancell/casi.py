@@ -3,14 +3,21 @@
 The tree's rules become two cell layers: one per fact (tree nodes,
 attribute=value tests, class assignments) and one per rule, wired by a
 premise matrix and a conclusion matrix. Classification seeds the root and
-the instance's attribute-value facts, then alternates an eligibility pass
-(a rule becomes eligible once all its premise facts are established) with
-an execution pass (eligible rules establish their conclusion facts) until
-the configuration stops changing.
+the instance's attribute-value facts and runs the automaton to its first
+fixed point. A compiled base is a monotone Horn program, so the engine
+finds it by counter propagation (Dowling & Gallier 1984): each rule counts
+its unmet premises, each newly established fact decrements the counters of
+the rules that read it, and a rule fires at zero. Each wave of firings is
+one generation, so two vectors hold the whole run: the generation that
+established each fact (seeds at 0) and the one in which each rule became
+eligible. The registers of generation g are views of them: EF = facts <= g,
+SF = EF of g - 1, ER = rules <= g and SR = not ER (clear at 0).
 """
 
 from __future__ import annotations
 
+import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -22,21 +29,12 @@ from .errors import DataError, ModelIntegrityError, UnknownValueError
 from .tree import CLASS_ATTRIBUTE, ClassificationRule, InductionGraph, extract_rules
 
 CLASS_PREFIX = CLASS_ATTRIBUTE + "="
-
-
-def _bool_vector(n: int) -> np.ndarray:
-    return np.zeros(n, dtype=bool)
+NEVER = sys.maxsize  # the generation of a cell that is never set
 
 
 def _freeze(*arrays: np.ndarray) -> None:
     for array in arrays:
         array.setflags(write=False)
-
-
-def _same(a: np.ndarray, b: np.ndarray) -> bool:
-    """One register against another: the same array, or the same cells."""
-    return a is b or (a.shape == b.shape and a.dtype == b.dtype
-                      and a.tobytes() == b.tobytes())
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,9 +43,8 @@ class Configuration:
 
     EF marks established facts, IF is the fixed input-fact marker, SF echoes
     the previous EF. ER marks eligible rules, IR the (constant) active-rule
-    mask, SR the complement of ER after each execution pass. The engine
-    never writes a register in place, so a configuration shares every
-    unchanged register with its predecessor.
+    mask, SR the complement of ER after each execution pass. Traces build
+    configurations from their generation vectors, with read-only registers.
     """
 
     EF: np.ndarray
@@ -58,21 +55,14 @@ class Configuration:
     SR: np.ndarray
     generation: int = 0
 
-    def __eq__(self, other):
-        if not isinstance(other, Configuration):
-            return NotImplemented
-        return (_same(self.EF, other.EF) and _same(self.SF, other.SF)
-                and _same(self.ER, other.ER) and _same(self.SR, other.SR)
-                and _same(self.IF, other.IF) and _same(self.IR, other.IR))
-
 
 @dataclass(frozen=True)
 class CellularKnowledgeBase:
     """Immutable compiled rule base: fact layer, rule layer, wiring.
 
-    The engine reads the wiring as sparse (fact, rule) cell lists, built on
-    the first classification and cached; the matrices are read-only so the
-    cache cannot go stale.
+    The engine reads the wiring as per-fact and per-rule index lists, built
+    on the first classification and cached; the matrices are read-only so
+    the cache cannot go stale.
     """
 
     facts: tuple[str, ...]
@@ -97,20 +87,18 @@ class CellularKnowledgeBase:
         return {f: i for i, f in enumerate(self.facts)}
 
     @cached_property
-    def _class_facts(self) -> np.ndarray:
-        return np.array([i for i, f in enumerate(self.facts)
-                         if f.startswith(CLASS_PREFIX)], dtype=np.intp)
+    def _class_facts(self) -> list[int]:
+        return [i for i, f in enumerate(self.facts) if f.startswith(CLASS_PREFIX)]
 
     @cached_property
-    def _premise_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Fact and rule of every premise cell, and each rule's premise count."""
-        fact, rule = np.nonzero(self.premise_matrix)
-        width = self.premise_matrix.shape[1]
-        return fact, rule, np.bincount(rule, minlength=width)
-
-    @cached_property
-    def _conclusion_cells(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.nonzero(self.conclusion_matrix)
+    def _counters(self) -> tuple[list, list, list, list]:
+        """Per fact the rules reading it; per rule its premise count and its
+        conclusion facts; and the rules without premises."""
+        readers = [np.flatnonzero(row).tolist() for row in self.premise_matrix]
+        counts = self.premise_matrix.sum(axis=0).tolist()
+        concludes = [np.flatnonzero(column).tolist()
+                     for column in self.conclusion_matrix.T]
+        return readers, counts, concludes, [r for r, n in enumerate(counts) if not n]
 
     def fact_index(self, descriptor: str) -> int:
         try:
@@ -120,17 +108,7 @@ class CellularKnowledgeBase:
 
     def initial_configuration(self, initial_facts=()) -> Configuration:
         """All registers clear except IF, IR, and the seeded EF cells."""
-        ef = _bool_vector(self.fact_count)
-        for descriptor in initial_facts:
-            ef[self.fact_index(descriptor)] = True
-        return Configuration(
-            EF=ef,
-            IF=self.input_flags,
-            SF=_bool_vector(self.fact_count),
-            ER=_bool_vector(self.rule_count),
-            IR=np.ones(self.rule_count, dtype=bool),
-            SR=_bool_vector(self.rule_count),
-        )
+        return infer(self, initial_facts)[0]
 
 
 def _wire(facts, rules) -> tuple[np.ndarray, np.ndarray]:
@@ -191,61 +169,80 @@ def compile_tree(tree: InductionGraph) -> CellularKnowledgeBase:
     )
 
 
-def eligible_rules(kb: CellularKnowledgeBase, ef: np.ndarray) -> np.ndarray:
-    """Rules whose premise facts are all established.
+class Trace(Sequence):
+    """The configurations of one inference, generation 0 to the fixed point.
 
-    Counts the established premise cells of each rule, so the cost follows
-    the number of premise cells, not facts x rules.
+    Holds the generation of every fact and rule (``NEVER`` for a cell that
+    stays clear) and builds each ``Configuration`` only when it is read.
     """
-    fact, rule, count = kb._premise_cells
-    return np.bincount(rule[ef[fact]], minlength=count.size) == count
+
+    def __init__(self, kb: CellularKnowledgeBase, fact_gen: tuple[int, ...],
+                 rule_gen: tuple[int, ...], length: int):
+        self.kb, self.fact_gen, self.rule_gen = kb, fact_gen, rule_gen
+        self._length = length
+
+    def __len__(self) -> int:
+        return self._length
+
+    @cached_property
+    def _vectors(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.array(self.fact_gen), np.array(self.rule_gen)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[g] for g in range(self._length)[index]]
+        g = range(self._length)[index]
+        facts, rules = self._vectors
+        ef, sf, er = facts <= g, facts < g, rules <= g
+        ir = np.ones(len(self.rule_gen), dtype=bool)
+        sr = ~er if g else er  # at generation 0, SR is as clear as ER
+        _freeze(ef, sf, er, ir, sr)
+        return Configuration(ef, self.kb.input_flags, sf, er, ir, sr, g)
 
 
-def _execute(kb: CellularKnowledgeBase, ef: np.ndarray,
-             er: np.ndarray) -> np.ndarray:
-    """EF plus the conclusion facts of the eligible rules ER."""
-    fact, rule = kb._conclusion_cells
-    out = ef.copy()
-    out[fact[er[rule]]] = True
-    return out
-
-
-def delta_fact(kb: CellularKnowledgeBase, config: Configuration) -> Configuration:
-    """Assessment pass: copy EF into SF, extend ER with newly eligible rules."""
-    return Configuration(config.EF, config.IF, config.EF,
-                         config.ER | eligible_rules(kb, config.EF),
-                         config.IR, config.SR, config.generation)
-
-
-def delta_rule(kb: CellularKnowledgeBase, config: Configuration) -> Configuration:
-    """Execution pass: eligible rules establish conclusions; SR = not ER."""
-    return Configuration(_execute(kb, config.EF, config.ER), config.IF,
-                         config.SF, config.ER, config.IR, ~config.ER,
-                         config.generation)
-
-
-def step(kb: CellularKnowledgeBase, config: Configuration) -> Configuration:
-    """One full generation: assessment then execution, as one configuration."""
-    er = config.ER | eligible_rules(kb, config.EF)
-    return Configuration(_execute(kb, config.EF, er), config.IF, config.EF,
-                         er, config.IR, ~er, config.generation + 1)
-
-
-def infer(kb: CellularKnowledgeBase, initial_facts) -> list[Configuration]:
+def infer(kb: CellularKnowledgeBase, initial_facts) -> Trace:
     """Run to the first fixed point; return every configuration on the way.
 
     The trace starts at generation 0 and ends at the first configuration
-    that reproduces itself. Tree-compiled bases stabilize within depth+2
-    generations; the rule-count cap only guards corrupted bases.
+    that reproduces itself. Every wave fires at least one new rule, so a
+    consistent base stabilizes within rule_count + 1 generations (tree
+    bases within depth + 2); the cap only guards corrupted bases.
     """
-    trace = [kb.initial_configuration(initial_facts)]
-    for _ in range(kb.rule_count + 2):
-        succ = step(kb, trace[-1])
-        if succ == trace[-1]:
-            return trace
-        trace.append(succ)
-    raise ModelIntegrityError(
-        f"inference did not stabilize within {kb.rule_count + 2} generations")
+    readers, counts, concludes, free = kb._counters
+    missing = counts.copy()
+    fact_gen = [NEVER] * kb.fact_count
+    rule_gen = [NEVER] * len(counts)
+    wave = []
+    for descriptor in initial_facts:
+        f = kb.fact_index(descriptor)
+        if fact_gen[f] == NEVER:
+            fact_gen[f] = 0
+            wave.append(f)
+    ready, g = free.copy(), 0
+    while True:
+        for f in wave:
+            for r in readers[f]:
+                missing[r] -= 1
+                if not missing[r]:
+                    ready.append(r)
+        if not ready:
+            break
+        g += 1
+        wave = []
+        for r in ready:
+            rule_gen[r] = g
+            for f in concludes[r]:
+                if fact_gen[f] == NEVER:
+                    fact_gen[f] = g
+                    wave.append(f)
+        ready = []
+    # SF catches up with EF one generation after the last new facts, and
+    # with any rule SR leaves its clear start at generation 1.
+    last = max(g + bool(wave), min(len(counts), 1))
+    if last > kb.rule_count + 1:
+        raise ModelIntegrityError(
+            f"inference did not stabilize within {kb.rule_count + 2} generations")
+    return Trace(kb, tuple(fact_gen), tuple(rule_gen), last + 1)
 
 
 def established_facts(kb: CellularKnowledgeBase,
@@ -277,11 +274,9 @@ def classify_casi(kb: CellularKnowledgeBase, instance) -> str:
     instance fell off the known paths (unknown value), more than one means
     the rule base is inconsistent.
     """
-    root = kb.facts[0]
-    seeds = [root] + instance_facts(kb, instance)
-    final = infer(kb, seeds)[-1]
-    classes = kb._class_facts
-    hits = [kb.facts[i] for i in classes[final.EF[classes]]]
+    seeds = [kb.facts[0]] + instance_facts(kb, instance)
+    fact_gen = infer(kb, seeds).fact_gen
+    hits = [kb.facts[i] for i in kb._class_facts if fact_gen[i] != NEVER]
     if not hits:
         raise UnknownValueError(
             "no class fact established; instance values leave the known paths")
@@ -320,8 +315,9 @@ def kb_from_json(data: dict) -> CellularKnowledgeBase:
     attributes, classes, dmap = schema_from_json(data)
     try:
         facts = tuple(entry["descriptor"] for entry in data["facts"])
-        flags = np.array([bool(entry["input"]) for entry in data["facts"]],
-                         dtype=bool)
+        flags = [entry["input"] for entry in data["facts"]]
+        if any(type(flag) is not int or flag not in (0, 1) for flag in flags):
+            raise ModelIntegrityError("input flags must be the integers 0 or 1")
         rules = tuple(
             ClassificationRule(tuple(r["premises"]), r["conclusion"])
             for r in data["rules"])
@@ -335,11 +331,14 @@ def kb_from_json(data: dict) -> CellularKnowledgeBase:
                                   ("R_S", data["R_S"], conclusion)):
             if len(rows) != l or any(len(row) != r for row in rows):
                 raise ModelIntegrityError(f"{name} shape is not facts x rules")
-            if [[c == "1" for c in row] for row in rows] != wired.tolist():
+            if any(set(row) - {"0", "1"} for row in rows):
+                raise ModelIntegrityError(f"{name} holds bits other than 0 and 1")
+            if rows != _bitrows(wired):
                 raise ModelIntegrityError(
                     f"{name} matrix disagrees with the rule table")
     except (KeyError, TypeError, DataError) as exc:
         raise ModelIntegrityError(f"malformed rule-base file: {exc}") from exc
+    flags = np.array(flags, dtype=bool)
     _freeze(flags)
     return CellularKnowledgeBase(facts, flags, rules, premise, conclusion,
                                  attributes, classes, dmap)

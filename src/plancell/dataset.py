@@ -70,9 +70,6 @@ class TrainingSet:
         idx = self.attribute_names.index(name)
         return [inst.values[idx] for inst in self.instances]
 
-    def value_of(self, inst: Instance, name: str):
-        return inst.values[self.attribute_names.index(name)]
-
 
 def build_training_set(columns: list[tuple[str, str]], rows: list[tuple]) -> TrainingSet:
     """Assemble a TrainingSet from descriptive ``(name, kind)`` column specs.

@@ -40,9 +40,6 @@ class ProjectGraph:
     entry: str = ""
     exit: str = ""
 
-    def task_ids(self) -> list[str]:
-        return list(self.tasks)
-
     def predecessors(self, task_id: str) -> set[str]:
         """Union of all tasks referenced by any precondition group."""
         return {t for group in self.tasks[task_id].preconditions for t in group}
@@ -173,21 +170,3 @@ def _derivable(graph: ProjectGraph) -> set[str]:
                 derivable.add(tid)
                 changed = True
     return derivable
-
-
-def serialize_project(graph: ProjectGraph) -> str:
-    """Write a graph back to the JSON project format (groups sorted for stability)."""
-    doc = {
-        "entry": graph.entry,
-        "exit": graph.exit,
-        "tasks": [
-            {
-                "id": t.id,
-                "desc": t.description,
-                "resource": t.resource,
-                "pre": [sorted(g) for g in t.preconditions],
-            }
-            for t in graph.tasks.values()
-        ],
-    }
-    return json.dumps(doc, indent=2)

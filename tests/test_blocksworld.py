@@ -4,8 +4,7 @@ import pytest
 
 from plancell.blocksworld import (Action, BlockState, all_on_table, apply,
                                   corpus_training_set, generate_corpus,
-                                  generate_runs, problem_from_json,
-                                  problem_to_json, random_state, solve,
+                                  generate_runs, random_state, solve,
                                   state_goal_atoms, validate_plan,
                                   UnsolvableGoalError)
 from plancell.errors import DataError, InapplicableActionError, LimitError
@@ -256,26 +255,3 @@ def test_corpus_steps_column_matches_plan_length():
     for run, inst in zip(runs, ts.instances):
         assert inst.values[2] == float(len(run.plan))
         assert inst.label == run.label
-
-
-def test_problem_json_round_trip():
-    rng = random.Random(12)
-    state = random_state(list("abcd"), rng)
-    goal = tuple(state_goal_atoms(random_state(list("abcd"), rng)))
-    data = problem_to_json(state, goal)
-    back_state, back_goal = problem_from_json(data)
-    assert back_state == state
-    assert back_goal == goal
-
-
-def test_problem_from_json_rejects_malformed():
-    with pytest.raises(DataError, match="malformed"):
-        problem_from_json({"blocks": ["a"]})
-    with pytest.raises(DataError, match="missing from the block list"):
-        problem_from_json({"blocks": ["a"],
-                           "initial": {"on": {}, "on-table": ["a", "b"]},
-                           "goal": []})
-    with pytest.raises(DataError, match="unknown goal atom"):
-        problem_from_json({"blocks": ["a"],
-                           "initial": {"on": {}, "on-table": ["a"]},
-                           "goal": [["fly", "a"]]})

@@ -5,12 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import oracles
 from plancell import casi
 from plancell.casi import (CellularKnowledgeBase, classify_casi, compile_tree,
-                           delta_fact, delta_rule, eligible_rules,
                            established_facts, format_fact_table,
                            format_incidence, format_rule_table, infer,
-                           instance_facts, kb_from_json, kb_to_json, step)
+                           instance_facts, kb_from_json, kb_to_json)
 from plancell.dataset import build_training_set
 from plancell.discretize import apply_map, discretize_supervised
 from plancell.errors import (DataError, ModelIntegrityError,
@@ -103,54 +103,56 @@ def test_initial_configuration_shares_the_read_only_input_flags(runs_model):
         assert not base.input_flags.flags.writeable
 
 
+# The trace stops at the first configuration whose successor has the same
+# registers; the dense oracle's comparison is the reference for that rule.
+
 def test_configuration_equality_ignores_generation(stump_kb):
-    config = stump_kb.initial_configuration(["s0"])
-    assert replace(config, generation=99) == config
-    assert replace(config, EF=~config.EF) != config
+    config = oracles.casi_initial(stump_kb, ["s0"])
+    assert oracles.same_registers(replace(config, generation=99), config)
+    assert not oracles.same_registers(replace(config, EF=~config.EF), config)
 
 
-@pytest.mark.parametrize("register", ["EF", "IF", "SF", "ER", "IR", "SR"])
+@pytest.mark.parametrize("register", oracles.REGISTERS)
 def test_configuration_equality_reads_every_register(stump_kb, register):
-    config = stump_kb.initial_configuration(["s0"])
+    config = oracles.casi_initial(stump_kb, ["s0"])
     cells = getattr(config, register)
-    assert replace(config, **{register: ~cells}) != config
-    assert replace(config, **{register: cells.copy()}) == config
+    assert not oracles.same_registers(
+        replace(config, **{register: ~cells}), config)
+    assert oracles.same_registers(
+        replace(config, **{register: cells.copy()}), config)
 
 
 def test_assessment_pass_marks_satisfied_rules(stump_kb):
     kb = stump_kb
-    config = delta_fact(kb, kb.initial_configuration(["s0", "x=a"]))
+    config = infer(kb, ["s0", "x=a"])[1]
     assert [kb.rules[j].conclusion for j in np.flatnonzero(config.ER)] == ["s1"]
     assert facts_of(kb, replace(config, EF=config.SF)) == {"s0", "x=a"}
 
 
 def test_assessment_needs_every_premise(stump_kb):
     kb = stump_kb
-    config = delta_fact(kb, kb.initial_configuration(["s0"]))
-    assert not config.ER.any()  # both edge rules also need their x fact
-    empty = delta_fact(kb, kb.initial_configuration())
-    assert not empty.ER.any()
+    # both edge rules also need their x fact
+    assert not any(config.ER.any() for config in infer(kb, ["s0"]))
+    assert not any(config.ER.any() for config in infer(kb, []))
 
 
 def test_execution_pass_establishes_conclusions(stump_kb):
     kb = stump_kb
-    config = delta_fact(kb, kb.initial_configuration(["s0", "x=a"]))
-    after = delta_rule(kb, config)
-    assert facts_of(kb, after) == {"s0", "x=a", "s1"}
-    assert list(after.SR) == [not e for e in config.ER]
+    config = infer(kb, ["s0", "x=a"])[1]
+    assert facts_of(kb, config) == {"s0", "x=a", "s1"}
+    assert list(config.SR) == [not e for e in config.ER]
 
 
 def test_execution_with_no_eligible_rules(stump_kb):
     kb = stump_kb
-    after = delta_rule(kb, kb.initial_configuration(["s0"]))
+    after = infer(kb, ["s0"])[1]
     assert facts_of(kb, after) == {"s0"}
     assert after.SR.all()
 
 
 def test_execution_runs_all_eligible_rules_at_once(stump_kb):
     kb = stump_kb
-    config = kb.initial_configuration(["s1", "s2"])
-    after = delta_rule(kb, delta_fact(kb, config))
+    after = infer(kb, ["s1", "s2"])[1]
     assert facts_of(kb, after) == {"s1", "s2", "class=c1", "class=c2"}
 
 
@@ -162,6 +164,28 @@ def test_inference_trace_on_stump(stump_kb):
     assert facts_of(kb, trace[1]) == {"s0", "x=a", "s1"}
     # the last generation only lets the echo registers catch up
     assert facts_of(kb, trace[2]) == facts_of(kb, trace[3])
+
+
+def test_trace_is_a_lazy_sequence(stump_kb):
+    trace = infer(stump_kb, ["s0", "x=a"])
+    assert len(trace) == 4
+    assert [c.generation for c in trace] == [0, 1, 2, 3]
+    assert [trace[g].generation for g in (-4, -1, 0, 3)] == [0, 3, 0, 3]
+    assert [c.generation for c in trace[1:3]] == [1, 2]
+    assert [c.generation for c in reversed(trace)] == [3, 2, 1, 0]
+    for index in (4, -5, 99):
+        with pytest.raises(IndexError):
+            trace[index]
+
+
+@pytest.mark.parametrize("register", oracles.REGISTERS)
+def test_trace_registers_are_read_only(stump_kb, register):
+    for trace in (infer(stump_kb, ["s0", "x=a"]), infer(stump_kb, [])):
+        for config in trace:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(config, register)[0] = True
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(stump_kb.initial_configuration(["s0"]), register)[0] = True
 
 
 def test_inference_from_nothing_stops_immediately(stump_kb):
@@ -285,26 +309,32 @@ def test_wiring_is_read_only(runs_model, field):
             getattr(base, field)[0] = True
 
 
-def test_runaway_inference_is_capped(stump_kb, monkeypatch):
-    def churn(kb, config):
-        return replace(config, SR=~config.SR,
-                       generation=config.generation + 1)
-
-    monkeypatch.setattr("plancell.casi.step", churn)
-    with pytest.raises(ModelIntegrityError, match="stabilize"):
-        infer(stump_kb, ["s0"])
-
-
-def fake_kb(premise, conclusion):
+def fake_kb(premise, conclusion, rules=None):
+    """A base from bare wiring; its rule table only sizes the rule layer."""
     l, r = premise.shape
     return CellularKnowledgeBase(
         facts=tuple(f"f{i}" for i in range(l)),
         input_flags=np.zeros(l, dtype=bool),
-        rules=(), premise_matrix=premise, conclusion_matrix=conclusion,
+        rules=(None,) * r if rules is None else rules,
+        premise_matrix=premise, conclusion_matrix=conclusion,
         attributes=(), classes=())
 
 
+def test_runaway_inference_is_capped():
+    # a chain f0 -> f1 -> f2 -> f3 wired by three rules, and a rule table
+    # that lists none of them: the run outlasts rule_count + 2 generations
+    chain = np.eye(4, 3, dtype=bool)
+    kb = fake_kb(chain, np.eye(4, 3, k=-1, dtype=bool), rules=())
+    with pytest.raises(ModelIntegrityError,
+                       match="did not stabilize within 2 generations"):
+        infer(kb, ["f0"])
+    assert len(infer(fake_kb(chain, np.eye(4, 3, k=-1, dtype=bool)),
+                     ["f0"])) == 5
+
+
 def test_vectorized_passes_match_scalar_loops():
+    # the dense oracle passes, and the engine's first generation, against
+    # per-cell loops over the wiring
     rng = random.Random(77)
     for _ in range(30):
         l, r = rng.randint(1, 9), rng.randint(1, 9)
@@ -316,13 +346,20 @@ def test_vectorized_passes_match_scalar_loops():
         ef = np.array([rng.random() < 0.5 for _ in range(l)])
         er = np.array([rng.random() < 0.5 for _ in range(r)])
 
-        conjunctive = [all(ef[i] for i in range(l) if premise[i][j])
-                       for j in range(r)]
-        assert list(eligible_rules(kb, ef)) == conjunctive
-        executed = [ef[i] or any(conclusion[i][j] and er[j] for j in range(r))
+        def eligible(ef):
+            return [all(ef[i] for i in range(l) if premise[i][j])
+                    for j in range(r)]
+
+        def executed(ef, er):
+            return [ef[i] or any(conclusion[i][j] and er[j] for j in range(r))
                     for i in range(l)]
-        config = replace(kb.initial_configuration(), EF=ef, ER=er)
-        assert list(delta_rule(kb, config).EF) == executed
+
+        assert list(oracles.casi_eligible(kb, ef)) == eligible(ef)
+        config = replace(oracles.casi_initial(kb), EF=ef, ER=er)
+        assert list(oracles.casi_delta_rule(kb, config).EF) == executed(ef, er)
+        first = infer(kb, [f for f, on in zip(kb.facts, ef) if on])[1]
+        assert list(first.ER) == eligible(ef)
+        assert list(first.EF) == executed(ef, first.ER)
 
 
 def random_training_set(rng):
@@ -379,6 +416,25 @@ def test_kb_json_rejects_flipped_matrix_bit(runs_model):
     row = doc["R_E"][0]
     doc["R_E"][0] = ("1" if row[0] == "0" else "0") + row[1:]
     with pytest.raises(ModelIntegrityError, match="disagrees"):
+        kb_from_json(doc)
+
+
+@pytest.mark.parametrize("matrix", ["R_E", "R_S"])
+@pytest.mark.parametrize("bit", ["x", "2", " "])
+def test_kb_json_rejects_bits_other_than_0_and_1(runs_model, matrix, bit):
+    _, kb, _ = runs_model
+    doc = kb_to_json(kb)
+    doc[matrix][0] = doc[matrix][0].replace("0", bit, 1)
+    with pytest.raises(ModelIntegrityError, match="bits other than 0 and 1"):
+        kb_from_json(doc)
+
+
+@pytest.mark.parametrize("flag", ["no", "1", 2, -1, 1.0, True, None])
+def test_kb_json_rejects_input_flags_other_than_0_and_1(runs_model, flag):
+    _, kb, _ = runs_model
+    doc = kb_to_json(kb)
+    doc["facts"][0]["input"] = flag
+    with pytest.raises(ModelIntegrityError, match="input flags"):
         kb_from_json(doc)
 
 

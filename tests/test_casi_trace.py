@@ -2,8 +2,9 @@
 
 Property tests: ``infer`` gives the oracle's trace configuration by
 configuration (all six registers, every generation number, the trace
-length) on random wiring and on compiled trees; the sparse passes equal
-the dense formulas; ``classify_casi`` answers or fails as the oracle does.
+length) on random wiring and on compiled trees; each configuration is the
+dense assessment and execution passes applied to its predecessor;
+``classify_casi`` answers or fails as the oracle does.
 """
 
 import numpy as np
@@ -12,9 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from plancell.casi import (CellularKnowledgeBase, classify_casi, delta_fact,
-                           delta_rule, eligible_rules, infer, instance_facts,
-                           kb_from_json, step)
+from plancell.casi import (CellularKnowledgeBase, classify_casi, infer,
+                           instance_facts, kb_from_json)
 from plancell.errors import ModelIntegrityError, PlancellError
 from test_encoding import fitted, trained
 
@@ -60,44 +60,48 @@ def bool_matrix(draw, rows, cols):
 
 @st.composite
 def wirings(draw):
-    """Random wiring, seeds and register values over 3-10 facts, 2-10 rules.
+    """Random wiring and seeds (some repeated) over 3-10 facts and 3-10 rules.
 
     Every draw has a rule without premises, a fact that several rules
-    conclude and a fact that no rule reads; rules may conclude several
-    facts or none.
+    conclude, a fact that no rule reads and a two-rule cycle between two
+    facts; rules may conclude several facts or none.
     """
-    l, r = draw(st.integers(3, 10)), draw(st.integers(2, 10))
+    l, r = draw(st.integers(3, 10)), draw(st.integers(3, 10))
     premise = bool_matrix(draw, l, r)
     conclusion = bool_matrix(draw, l, r)
-    premise[:, draw(st.integers(0, r - 1))] = False
-    shared = draw(st.integers(0, l - 1))
+    free, x, y = draw(st.permutations(range(r)))[:3]
+    unread, a, b = draw(st.permutations(range(l)))[:3]
+    premise[:, free] = False
+    premise[unread, :] = False
+    premise[a, x] = conclusion[b, x] = premise[b, y] = conclusion[a, y] = True
     concluders = draw(st.sets(st.integers(0, r - 1), min_size=2))
-    conclusion[shared, sorted(concluders)] = True
-    premise[draw(st.integers(0, l - 1).filter(lambda i: i != shared)), :] = False
+    conclusion[draw(st.integers(0, l - 1)), sorted(concluders)] = True
     kb = wired_kb(premise, conclusion, bool_matrix(draw, 1, l)[0])
-    seeds = [f for f, on in zip(kb.facts, bool_matrix(draw, 1, l)[0]) if on]
-    ef, er = bool_matrix(draw, 1, l)[0], bool_matrix(draw, 1, r)[0]
-    return kb, seeds, ef, er
+    seeds = draw(st.lists(st.sampled_from(kb.facts), max_size=2 * l))
+    return kb, seeds
 
 
 @given(wirings())
 @PROPERTY
 def test_trace_equals_oracle_on_random_wiring(drawn):
-    kb, seeds, _, _ = drawn
-    assert_same_trace(infer(kb, seeds), oracles.casi_infer(kb, seeds))
+    kb, seeds = drawn
+    trace = infer(kb, seeds)
+    assert_same_trace(trace, oracles.casi_infer(kb, seeds))
+    assert len(trace) <= kb.rule_count + 2
 
 
 @given(wirings())
 @PROPERTY
-def test_sparse_passes_equal_dense_formulas(drawn):
-    kb, seeds, ef, er = drawn
-    assert np.array_equal(eligible_rules(kb, ef), oracles.casi_eligible(kb, ef))
-    config = oracles.casi_initial(kb, seeds)
-    config = type(config)(ef, config.IF, config.SF, er, config.IR, config.SR, 4)
-    for new, old in ((delta_fact, oracles.casi_delta_fact),
-                     (delta_rule, oracles.casi_delta_rule),
-                     (step, oracles.casi_step)):
-        assert_same_trace([new(kb, config)], [old(kb, config)])
+def test_each_generation_is_the_dense_passes_of_its_predecessor(drawn):
+    kb, seeds = drawn
+    trace = infer(kb, seeds)
+    for config, succ in zip(trace, list(trace[1:]) + [trace[-1]]):
+        assessed = oracles.casi_delta_fact(kb, config)
+        assert np.array_equal(assessed.SF, succ.SF)
+        assert np.array_equal(assessed.ER, succ.ER)
+        executed = oracles.casi_delta_rule(kb, assessed)
+        assert np.array_equal(executed.EF, succ.EF)
+        assert np.array_equal(executed.SR, succ.SR)
 
 
 @st.composite

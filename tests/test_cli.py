@@ -223,10 +223,24 @@ MODEL_FAULTS = {
     "branch outside the domain": _branch_outside_domain,
 }
 
+
+def _bit(name, char):
+    """A fault that writes ``char`` over the first 0 bit of a matrix."""
+    def fault(doc):
+        row = next(i for i, bits in enumerate(doc[name]) if "0" in bits)
+        doc[name][row] = doc[name][row].replace("0", char, 1)
+    return fault
+
+
 KB_FAULTS = {
     "unsorted cuts": _put("discretization", "steps", value=[11.0, 8.0]),
     "list discretization": _put("discretization", value=[[8.0, 11.0]]),
     "rule with empty premises": _put("rules", 0, "premises", value=[]),
+    "premise bit x": _bit("R_E", "x"),
+    "conclusion bit 2": _bit("R_S", "2"),
+    "input flag string": _put("facts", 0, "input", value="no"),
+    "input flag 2": _put("facts", 0, "input", value=2),
+    "input flag boolean": _put("facts", 5, "input", value=True),
 }
 
 

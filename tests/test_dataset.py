@@ -41,7 +41,6 @@ def test_round_trip_exact():
 def test_column_and_value_helpers():
     ts = load_csv(CSV)
     assert ts.column("steps") == [6.0, 10.0, 6.0]
-    assert ts.value_of(ts.instances[0], "problem") == "blocks-4"
 
 
 def test_class_distribution():

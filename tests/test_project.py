@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from plancell import parse_project, serialize_project, validate
+from plancell import parse_project, validate
 from plancell.project import ProjectParseError
 
 
@@ -31,10 +31,6 @@ def test_parse_fire_project(fire):
 def test_predecessors_union(fire):
     assert fire.predecessors("police") == {"PU(L0,L1)", "PU(L2,L1)"}
     assert fire.predecessors("Begin") == set()
-
-
-def test_round_trip(fire):
-    assert parse_project(serialize_project(fire)) == fire
 
 
 def test_syntax_error_reports_position():
@@ -124,4 +120,4 @@ def test_validate_lists_all_violations(fire):
 
 def test_valid_chain_parses():
     graph = parse_project(doc(chain("t0", "t5", "t9")))
-    assert graph.task_ids() == ["t0", "t5", "t9"]
+    assert list(graph.tasks) == ["t0", "t5", "t9"]
