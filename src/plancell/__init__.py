@@ -27,8 +27,8 @@ from .errors import (DataError, InapplicableActionError, LimitError,
 from .evaluation import (EvalReport, FoldPlan, cross_validate, evaluate_grid,
                          make_folds, report, report_csv)
 from .knn import KnnModel, classify_knn, distance, fit_knn
-from .plans import (Plan, PlanEnumeration, Solution, enumerate_plans,
-                    first_plan, linearize)
+from .plans import (Plan, PlanEnumeration, enumerate_plans, first_plan,
+                    linearize)
 from .project import (ProjectGraph, ProjectParseError, Task, parse_project,
                       validate)
 from .sample_data import sample_project, sample_runs
@@ -45,7 +45,7 @@ __all__ = [
     "DiscretizationMap", "EvalReport", "FoldPlan", "InapplicableActionError",
     "InductionGraph", "Instance", "KnnModel", "LimitError", "ModelError",
     "ModelIntegrityError", "Plan", "PlanEnumeration", "PlancellError",
-    "ProjectGraph", "ProjectParseError", "Solution", "SolveResult", "Task",
+    "ProjectGraph", "ProjectParseError", "SolveResult", "Task",
     "TrainingSet", "TreeNode", "UnknownValueError", "all_on_table", "apply",
     "apply_map", "boundary_candidates", "build_training_set",
     "class_distribution", "classify_casi", "classify_knn", "classify_tree",

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 import string
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 from .dataset import TrainingSet, build_training_set
@@ -84,20 +85,28 @@ class BlockState:
         return self.holding is None
 
     def check(self) -> None:
-        """Raise DataError unless every block occupies exactly one position."""
-        positions: dict[str, int] = {}
-        for b in self.on:
-            positions[b] = positions.get(b, 0) + 1
-        for b in self.on_table:
-            positions[b] = positions.get(b, 0) + 1
-        if self.holding:
-            positions[self.holding] = positions.get(self.holding, 0) + 1
-        for b, n in positions.items():
-            if n != 1:
-                raise DataError(f"block {b!r} occupies {n} positions")
+        """Raise DataError unless the state is a set of towers on the table.
+
+        Every block occupies exactly one position (on a block, on the
+        table or in the arm) and rests only on a known block; at most one
+        block rests on any block, none on the held block, and every chain
+        of supports ends on the table.
+        """
+        located = [*self.on, *self.on_table] + ([self.holding] if self.holding else [])
+        known = set(located)
+        if len(known) < len(located):
+            b, n = Counter(located).most_common(1)[0]
+            raise DataError(f"block {b!r} occupies {n} positions")
         for b, under in self.on.items():
-            if under not in positions:
+            if under not in known:
                 raise DataError(f"block {b!r} rests on unknown block {under!r}")
+            if under == self.holding:
+                raise DataError(f"block {b!r} rests on the held block {under!r}")
+        if len(set(self.on.values())) < len(self.on):
+            under, n = Counter(self.on.values()).most_common(1)[0]
+            raise DataError(f"{n} blocks rest on block {under!r}")
+        if _cyclic(self.on):
+            raise DataError("block supports contain a cycle")
 
     def __eq__(self, other):
         return isinstance(other, BlockState) and self._key == other._key
@@ -176,12 +185,11 @@ def satisfies(state: BlockState, goal) -> bool:
 def validate_plan(initial: BlockState, plan, goal) -> tuple[bool, str | None]:
     """Replay a plan; (True, None) iff every step applies and the goal holds.
 
-    ``plan`` may be anything with a ``steps`` attribute, or a plain
-    sequence of action strings / Action objects.
+    ``plan`` is a sequence of action strings or Action objects, such as
+    ``solve(...).plan``.
     """
-    steps = getattr(plan, "steps", plan)
     state = initial
-    for i, step in enumerate(steps):
+    for i, step in enumerate(plan):
         action = step if isinstance(step, Action) else Action.parse(step)
         try:
             state = apply(state, action)
@@ -199,7 +207,6 @@ class SolveResult:
 
     plan: tuple[str, ...]
     cpu_time: float
-    steps: int
 
 
 def solve(initial: BlockState, goal, budget: int = 500_000,
@@ -219,7 +226,7 @@ def solve(initial: BlockState, goal, budget: int = 500_000,
     else:
         raise DataError(f"unknown solve method {method!r}")
     elapsed = time.perf_counter() - start
-    return SolveResult(tuple(str(a) for a in actions), elapsed, len(actions))
+    return SolveResult(tuple(str(a) for a in actions), elapsed)
 
 
 class UnsolvableGoalError(DataError):
@@ -243,20 +250,26 @@ def _check_goal_consistency(initial: BlockState, goal) -> None:
         elif atom[0] == "on-table":
             if atom[1] in support:
                 raise UnsolvableGoalError(f"block {atom[1]!r} has two goal positions")
-    under = {}
-    for x, y in support.items():
-        if y in under:
-            raise UnsolvableGoalError(f"two blocks stacked on {y!r} in goal")
-        under[y] = x
-    # cycle check over the goal support chain
-    for x in support:
-        seen = {x}
-        cur = x
-        while cur in support:
-            cur = support[cur]
-            if cur in seen:
-                raise UnsolvableGoalError("goal stacking contains a cycle")
-            seen.add(cur)
+    if len(set(support.values())) < len(support):
+        y = Counter(support.values()).most_common(1)[0][0]
+        raise UnsolvableGoalError(f"two blocks stacked on {y!r} in goal")
+    if _cyclic(support):
+        raise UnsolvableGoalError("goal stacking contains a cycle")
+
+
+def _cyclic(support: dict[str, str]) -> bool:
+    """Whether following block -> support links ever returns to a block."""
+    finished: set[str] = set()
+    for start in support:
+        path = set()
+        b = start
+        while b in support and b not in finished:
+            if b in path:
+                return True
+            path.add(b)
+            b = support[b]
+        finished |= path
+    return False
 
 
 def _successors(state: BlockState):
@@ -312,18 +325,16 @@ def _solve_greedy(initial: BlockState, goal) -> list[Action]:
         state = apply(state, action)
         actions.append(action)
 
-    def placed(b: str, trail=()) -> bool:
+    def placed(b: str) -> bool:
         """Block b is in its final position (support chain included)."""
-        if b in trail:
-            return False
         if b in want_on:
             under = state.on.get(b)
-            return under == want_on[b] and placed(under, trail + (b,))
+            return under == want_on[b] and placed(under)
         if b in want_table:
             return b in state.on_table
         # unconstrained: stable unless resting on something unplaced
         under = state.on.get(b)
-        return under is None or placed(under, trail + (b,))
+        return under is None or placed(under)
 
     if state.holding:
         do(Action("put-down", (state.holding,)))
@@ -395,10 +406,6 @@ class CorpusRun:
     label: str
 
 
-def block_names(n: int) -> list[str]:
-    return list(string.ascii_lowercase[:n])
-
-
 def generate_runs(sizes: list[int], per_size: int, seed: int,
                   pool: int = 5, method: str = "greedy") -> list[CorpusRun]:
     """Solve ``per_size`` draws per block count and label the plans.
@@ -411,6 +418,9 @@ def generate_runs(sizes: list[int], per_size: int, seed: int,
     """
     if not sizes:
         raise DataError("sizes must be nonempty")
+    for n in sizes:
+        if not 1 <= n <= len(string.ascii_lowercase):
+            raise DataError(f"block counts must be in 1..26, got {n}")
     if per_size < 1:
         raise DataError(f"per_size must be >= 1, got {per_size}")
     if pool < 1:
@@ -420,7 +430,7 @@ def generate_runs(sizes: list[int], per_size: int, seed: int,
     labels: dict[tuple[str, ...], str] = {}
     runs: list[CorpusRun] = []
     for n in sizes:
-        blocks = block_names(n)
+        blocks = list(string.ascii_lowercase[:n])
         problems = []
         for _ in range(pool):
             initial = random_state(blocks, rng)

@@ -31,11 +31,17 @@ DISCRETIZE_CHOICES = ("supervised", "unsupervised", "none")
 
 
 def _write_atomic(path: str, text: str) -> None:
-    """Write via a temp file and rename, so readers never see a torn file."""
+    """Write via a temp file and rename, so readers never see a torn file.
+
+    The file gets the mode open() would give it, not mkstemp's 0600.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".plancell-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -17,6 +17,7 @@ from .errors import DataError
 
 NOMINAL = "nominal"
 NUMERIC = "numeric"
+CLASS_ATTRIBUTE = "class"
 
 
 @dataclass(frozen=True)
@@ -25,6 +26,9 @@ class AttributeSpec:
 
     For nominal attributes ``domain`` is the list of values in first-seen
     order; for numeric attributes it is the observed ``(min, max)`` pair.
+    The name may not be ``class`` nor contain ``=``: rule bases spell a
+    fact ``name=value`` and the class fact ``class=label``, so either
+    would let two facts share one descriptor.
     """
 
     name: str
@@ -32,6 +36,8 @@ class AttributeSpec:
     domain: tuple
 
     def __post_init__(self):
+        if self.name == CLASS_ATTRIBUTE or "=" in self.name:
+            raise DataError(f"attribute {self.name!r}: reserved name")
         if self.kind not in (NOMINAL, NUMERIC):
             raise DataError(f"attribute {self.name!r}: unknown kind {self.kind!r}")
         if self.kind == NOMINAL and not self.domain:

@@ -33,14 +33,6 @@ class Plan:
 
 
 @dataclass(frozen=True)
-class Solution:
-    """A task subset plus the precondition group chosen for each member."""
-
-    tasks: frozenset[str]
-    chosen: dict[str, frozenset[str]]
-
-
-@dataclass(frozen=True)
 class PlanEnumeration:
     plans: tuple[Plan, ...]
     truncated: bool
@@ -81,16 +73,14 @@ def _solutions(graph: ProjectGraph):
     """Yield each solution's step sequence, backward chaining from the exit.
 
     Tasks are resolved smallest-id first; groups are tried in declaration
-    order, so the yield order is deterministic. Choices that ``linearize``
-    cannot order (cyclic or dangling) are discarded.
+    order, so the yield order is deterministic. Choices whose groups form a
+    cycle, or that reach a task the graph lacks, are discarded.
     """
-    if graph.exit not in graph.tasks:
-        return
 
     def recurse(chosen: dict[str, frozenset[str]], pending: set[str]):
         if not pending:
             try:
-                steps = linearize(Solution(frozenset(chosen), dict(chosen)))
+                steps = linearize(chosen)
             except DataError:
                 return
             yield steps
@@ -100,12 +90,7 @@ def _solutions(graph: ProjectGraph):
         task = graph.tasks.get(task_id)
         if task is None:
             return
-        if not task.preconditions:
-            chosen[task_id] = frozenset()
-            yield from recurse(chosen, rest)
-            del chosen[task_id]
-            return
-        for group in task.preconditions:
+        for group in task.preconditions or (frozenset(),):
             chosen[task_id] = group
             new = {t for t in group if t not in chosen}
             yield from recurse(chosen, rest | new)
@@ -114,23 +99,25 @@ def _solutions(graph: ProjectGraph):
     yield from recurse({}, {graph.exit})
 
 
-def linearize(solution: Solution) -> tuple[str, ...]:
+def linearize(chosen: dict[str, frozenset[str]]) -> tuple[str, ...]:
     """Order a solution's tasks by readiness wave, then id.
 
-    A task's wave is one past the latest wave among its chosen predecessors,
-    which makes the ordering a topological sort of the chosen-group
-    precedence relation with ties broken lexicographically.
+    ``chosen`` maps each task of the solution to its chosen precondition
+    group (empty for the entry). A task's wave is one past the latest wave
+    among its chosen predecessors, which makes the ordering a topological
+    sort of the chosen-group precedence relation with ties broken
+    lexicographically. Raises DataError if some task never becomes ready.
     """
     wave: dict[str, int] = {}
-    remaining = set(solution.tasks)
+    remaining = set(chosen)
     while remaining:
         progressed = False
         for t in list(remaining):
-            group = solution.chosen[t]
+            group = chosen[t]
             if all(p in wave for p in group):
                 wave[t] = max((wave[p] + 1 for p in group), default=0)
                 remaining.discard(t)
                 progressed = True
         if not progressed:
             raise DataError("solution contains a precedence cycle")
-    return tuple(sorted(solution.tasks, key=lambda t: (wave[t], t)))
+    return tuple(sorted(chosen, key=lambda t: (wave[t], t)))

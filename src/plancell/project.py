@@ -60,8 +60,12 @@ def parse_project(text: str) -> ProjectGraph:
         if key not in doc:
             raise ProjectParseError(f"missing required key {key!r}")
 
+    if not isinstance(doc["tasks"], list):
+        raise ProjectParseError("'tasks' must be a list")
     tasks: dict[str, Task] = {}
     for i, item in enumerate(doc["tasks"]):
+        if not isinstance(item, dict):
+            raise ProjectParseError(f"task #{i + 1}: must be an object")
         tid = item.get("id")
         if not tid or not isinstance(tid, str):
             raise ProjectParseError(f"task #{i + 1}: missing or empty id")
@@ -70,6 +74,8 @@ def parse_project(text: str) -> ProjectGraph:
         pre = item.get("pre", [])
         if not isinstance(pre, list) or any(not isinstance(g, list) for g in pre):
             raise ProjectParseError(f"task {tid!r}: 'pre' must be a list of lists")
+        if any(not isinstance(ref, str) for group in pre for ref in group):
+            raise ProjectParseError(f"task {tid!r}: 'pre' may only name task ids")
         tasks[tid] = Task(
             id=tid,
             description=item.get("desc", ""),
@@ -77,6 +83,9 @@ def parse_project(text: str) -> ProjectGraph:
             preconditions=tuple(frozenset(g) for g in pre),
         )
 
+    for key in ("entry", "exit"):
+        if not isinstance(doc[key], str):
+            raise ProjectParseError(f"{key!r} must be a task id")
     graph = ProjectGraph(tasks=tasks, entry=doc["entry"], exit=doc["exit"])
     violations = validate(graph)
     if violations:
@@ -85,7 +94,13 @@ def parse_project(text: str) -> ProjectGraph:
 
 
 def validate(graph: ProjectGraph) -> list[str]:
-    """Check every ProjectGraph invariant; returns one message per violation."""
+    """Check every ProjectGraph invariant; returns one message per violation.
+
+    Entry and exit exist, only the entry lacks precondition groups, every
+    group is non-empty and names known tasks, and the union precedence
+    relation is acyclic. These imply that the exit is reachable: in a
+    topological order every task has a group of earlier, reachable tasks.
+    """
     violations = []
     tasks = graph.tasks
 
@@ -109,13 +124,6 @@ def validate(graph: ProjectGraph) -> list[str]:
             violations.append(f"task {task.id!r} has no preconditions but is not the entry")
 
     violations.extend(_find_cycle(graph))
-
-    if graph.exit in tasks and not violations:
-        if graph.exit not in _derivable(graph):
-            violations.append(
-                f"exit task {graph.exit!r} is not reachable from entry "
-                "through any choice of precondition groups"
-            )
     return violations
 
 
@@ -151,22 +159,3 @@ def _find_cycle(graph: ProjectGraph) -> list[str]:
                 path.pop()
                 stack.pop()
     return []
-
-
-def _derivable(graph: ProjectGraph) -> set[str]:
-    """Least fixpoint of tasks executable from the entry.
-
-    A task is derivable when it has no preconditions or when some full
-    precondition group is already derivable.
-    """
-    derivable = {tid for tid, t in graph.tasks.items() if not t.preconditions}
-    changed = True
-    while changed:
-        changed = False
-        for tid, task in graph.tasks.items():
-            if tid in derivable:
-                continue
-            if any(group <= derivable for group in task.preconditions):
-                derivable.add(tid)
-                changed = True
-    return derivable

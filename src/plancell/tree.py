@@ -14,16 +14,14 @@ import random
 from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 
-from .dataset import (NOMINAL, AttributeSpec, Instance, TrainingSet,
-                      class_members)
+from .dataset import (CLASS_ATTRIBUTE, NOMINAL, AttributeSpec, Instance,
+                      TrainingSet, class_members)
 from .discretize import (DiscretizationMap, entropy, schema_from_json,
                          schema_to_json)
 from .errors import DataError, ModelIntegrityError, UnknownValueError
 
 GAIN_RATIO = "gain_ratio"
 INFO_GAIN = "info_gain"
-
-CLASS_ATTRIBUTE = "class"
 
 
 def majority_label(counts: dict[str, int]) -> str:

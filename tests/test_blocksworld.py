@@ -52,6 +52,21 @@ def test_pick_up_requires_clear():
         apply(state, Action("pick-up", ("a",)))
 
 
+@pytest.mark.parametrize("state,message", [
+    (BlockState(on={"a": "b"}, on_table={"a", "b"}), "occupies 2 positions"),
+    (BlockState(on={"a": "z"}), "unknown block 'z'"),
+    (BlockState(on={"a": "b", "b": "a"}), "cycle"),
+    (BlockState(on={"a": "a"}), "cycle"),
+    (BlockState(on={"a": "c", "b": "c"}, on_table={"c"}), "2 blocks rest on block 'c'"),
+    (BlockState(on={"a": "b"}, holding="b"), "held block 'b'"),
+])
+def test_check_rejects_non_towers(state, message):
+    with pytest.raises(DataError, match=message):
+        state.check()
+    with pytest.raises(DataError, match=message):
+        solve(state, [("on-table", "a")])
+
+
 def test_action_parse_and_str():
     action = Action.parse("stack b a")
     assert action == Action("stack", ("b", "a"))
@@ -130,20 +145,20 @@ def test_validate_reports_unmet_goal():
 
 def test_solve_tower_is_six_steps():
     result = solve(all_on_table("abcd"), TOWER_GOAL)
-    assert result.steps == 6
+    assert len(result.plan) == 6
     assert validate_plan(all_on_table("abcd"), result.plan, TOWER_GOAL)[0]
 
 
 def test_solve_satisfied_goal_is_empty():
     result = solve(all_on_table("ab"), [("on-table", "a")])
     assert result.plan == ()
-    assert result.steps == 0
+    assert len(result.plan) == 0
 
 
 def test_solve_three_block_double_stack():
     goal = (("on", "a", "b"), ("on", "b", "c"))
     result = solve(all_on_table("abc"), goal)
-    assert result.steps == 4
+    assert len(result.plan) == 4
 
 
 def test_bfs_matches_independent_oracle():
@@ -157,7 +172,7 @@ def test_bfs_matches_independent_oracle():
                               lambda s: list(_successors(s)),
                               satisfies)
         result = solve(initial, goal, method="bfs")
-        assert result.steps == expected
+        assert len(result.plan) == expected
 
 
 def test_greedy_validates_and_is_no_shorter_than_bfs():
@@ -168,7 +183,7 @@ def test_greedy_validates_and_is_no_shorter_than_bfs():
         greedy = solve(initial, goal, method="greedy")
         assert validate_plan(initial, greedy.plan, goal)[0]
         optimal = solve(initial, goal, method="bfs")
-        assert greedy.steps >= optimal.steps
+        assert len(greedy.plan) >= len(optimal.plan)
 
 
 def test_budget_exhaustion():
@@ -204,6 +219,9 @@ def test_generate_runs_deterministic_except_time():
 
 
 def test_generate_runs_rejects_bad_arguments():
+    for size in (0, -1, 27):
+        with pytest.raises(DataError, match=f"1..26, got {size}"):
+            generate_runs([4, size], 3, seed=0)
     with pytest.raises(DataError, match="per_size"):
         generate_runs([4], 0, seed=0)
     with pytest.raises(DataError, match="sizes"):

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import pytest
 
@@ -72,6 +74,53 @@ def test_invalid_project_json(tmp_path, capsys):
     path.write_text('{"entry": }')
     assert run(["plans", "--project", str(path)]) == 3
     assert "syntax error" in capsys.readouterr().err
+
+
+def _project(**fields):
+    doc = {"entry": "t0", "exit": "t9",
+           "tasks": [{"id": "t0", "pre": []}, {"id": "t9", "pre": [["t0"]]}]}
+    doc.update(fields)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("text,message", [
+    (_project(tasks=5), "'tasks' must be a list"),
+    (_project(tasks=[1]), "task #1: must be an object"),
+    (_project(entry=["t0"]), "'entry' must be a task id"),
+    (_project(exit=["t9"]), "'exit' must be a task id"),
+    (_project(tasks=[{"id": "t0", "pre": []}, {"id": "t9", "pre": [["t0", 5]]}]),
+     "task 't9': 'pre' may only name task ids"),
+    (_project(entry="t5"), "entry task 't5' not found"),
+    (_project(exit="t5"), "exit task 't5' not found"),
+])
+def test_malformed_project_exits_3(text, message, tmp_path, capsys):
+    path = tmp_path / "project.json"
+    path.write_text(text)
+    assert run(["plans", "--project", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"plancell: {message}")
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o027, 0o640)])
+def test_output_files_follow_the_umask(umask, mode, project_file, tmp_path,
+                                       capsys):
+    out = tmp_path / "plans.txt"
+    old = os.umask(umask)
+    try:
+        assert run(["plans", "--project", project_file, "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(out.stat().st_mode) == mode
+
+
+@pytest.mark.parametrize("sizes", ["30", "4,-1", "0"])
+def test_bw_gen_rejects_block_counts_outside_1_to_26(sizes, tmp_path, capsys):
+    out = tmp_path / "runs.csv"
+    assert run(["bw-gen", f"--sizes={sizes}", "--per-size", "2",
+                "--out", str(out)]) == 3
+    assert "block counts must be in 1..26" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bw_gen_reruns_identically_except_time(tmp_path, capsys):
@@ -151,6 +200,25 @@ def test_classify_rejects_schema_mismatch(model_file, tmp_path, capsys):
     assert "do not match" in capsys.readouterr().err
 
 
+def test_classify_rejects_numeric_column_without_cut_points(tmp_path, capsys):
+    train, cases, model = (tmp_path / n for n in ("t.csv", "c.csv", "m.json"))
+    train.write_text("x:nominal,class:nominal\n1,A\n2,B\n1,A\n2,B\n")
+    cases.write_text("x:numeric,class:nominal\n1,A\n")
+    assert run(["train", "--in", str(train), "--out", str(model)]) == 0
+    capsys.readouterr()
+    assert run(["classify", "--model", str(model), "--in", str(cases)]) == 3
+    assert "has no cut points" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("column", ["class", "a=b"])
+def test_reserved_attribute_name_in_csv_exits_3(column, tmp_path, capsys):
+    path = tmp_path / "runs.csv"
+    path.write_text(f"{column}:nominal,class:nominal\nx,P1\ny,P2\n")
+    assert run(["train", "--in", str(path), "--out",
+                str(tmp_path / "m.json")]) == 3
+    assert f"attribute {column!r}: reserved name" in capsys.readouterr().err
+
+
 def test_classify_prints_unknown_values_as_question_marks(model_file,
                                                           tmp_path, capsys):
     cases = tmp_path / "unseen.csv"
@@ -206,6 +274,14 @@ def _branch_outside_domain(doc):
     children["b9"] = children.pop("b2")
 
 
+def _rename_time(name):
+    """A fault that renames the never-split ``time`` attribute and its cuts."""
+    def fault(doc):
+        doc["attributes"][1]["name"] = name
+        doc["discretization"][name] = doc["discretization"].pop("time")
+    return fault
+
+
 MODEL_FAULTS = {
     "node without id": _put("nodes", 1, "id", drop=True),
     "node without counts": _put("nodes", 1, "counts", drop=True),
@@ -221,6 +297,8 @@ MODEL_FAULTS = {
     "split outside the schema": _put("nodes", 0, "split", value="colour"),
     "leaf class outside the classes": _put("classes", value=["P1"]),
     "branch outside the domain": _branch_outside_domain,
+    "attribute named class": _rename_time("class"),
+    "attribute name with =": _rename_time("a=b"),
 }
 
 
@@ -304,6 +382,23 @@ def test_knn_subcommand(runs_file, capsys):
 
 def test_knn_rejects_bad_cv_spec(runs_file, capsys):
     assert run(["knn", "--in", runs_file, "--eval", "five"]) == 2
+    assert run(["knn", "--in", runs_file, "--eval", "cvx"]) == 2
+
+
+def test_knn_eval_spec_sets_the_fold_count(runs_file, capsys, monkeypatch):
+    folds = []
+    real = cli.cross_validate
+
+    def spy(*args, **kwargs):
+        folds.append(kwargs["folds"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "cross_validate", spy)
+    assert run(["knn", "--in", runs_file, "--eval", "cv5"]) == 0
+    assert capsys.readouterr().out.startswith("knn (k=1, none, 5-fold):")
+    assert run(["knn", "--in", runs_file, "--eval", "cv1"]) == 3
+    assert "fold" in capsys.readouterr().err
+    assert folds == [5, 1]
 
 
 def test_eval_writes_report(runs_file, tmp_path, capsys):

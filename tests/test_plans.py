@@ -2,12 +2,12 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from plancell import enumerate_plans, first_plan, parse_project
+from plancell import enumerate_plans, first_plan, parse_project, validate
 from plancell.errors import DataError
-from plancell.plans import Plan, Solution, linearize
+from plancell.plans import Plan, linearize
 from plancell.project import ProjectGraph, Task
 
 from oracles import brute_force_plans
@@ -96,13 +96,13 @@ def test_unsolvable_graph_yields_nothing():
 def test_linearize_orders_by_wave_then_id():
     chosen = {"a": frozenset(), "c": frozenset({"a"}), "b": frozenset({"c"}),
               "d": frozenset()}
-    assert linearize(Solution(frozenset(chosen), chosen)) == ("a", "d", "c", "b")
+    assert linearize(chosen) == ("a", "d", "c", "b")
 
 
 def test_linearize_rejects_a_cycle():
     chosen = {"a": frozenset({"b"}), "b": frozenset({"a"})}
     with pytest.raises(DataError, match="cycle"):
-        linearize(Solution(frozenset(chosen), chosen))
+        linearize(chosen)
 
 
 def test_plan_rejects_empty_steps():
@@ -186,3 +186,13 @@ def test_unvalidated_graphs_match_brute_force(graph):
     result = enumerate_plans(graph)
     assert not result.truncated
     assert [p.steps for p in result.plans] == sorted(brute_force_plans(graph))
+
+
+@given(unvalidated_graphs())
+@settings(max_examples=150, deadline=None)
+def test_every_valid_graph_has_a_first_plan(graph):
+    # validate has no reachability check: its other invariants imply one
+    assume(validate(graph) == [])
+    plan = first_plan(graph)
+    assert plan is not None
+    assert plan.steps[0] == graph.entry and plan.steps[-1] == graph.exit
