@@ -1,14 +1,14 @@
 """Boolean cellular inference engine compiled from an induction graph.
 
 The tree's rules become two cell layers: one per fact (tree nodes,
-attribute=value tests, class assignments) and one per rule, wired by a
-premise matrix and a conclusion matrix. Classification seeds the root and
-the instance's attribute-value facts and runs the automaton to its first
-fixed point. A compiled base is a monotone Horn program, so the engine
-finds it by counter propagation (Dowling & Gallier 1984): each rule counts
-its unmet premises, each newly established fact decrements the counters of
-the rules that read it, and a rule fires at zero. Each wave of firings is
-one generation, so two vectors hold the whole run: the generation that
+attribute=value tests, class assignments) and one per rule; the rule table
+wires them. Classification seeds the root and the instance's
+attribute-value facts and runs the automaton to its first fixed point. A
+compiled base is a monotone Horn program, so the engine finds it by
+counter propagation (Dowling & Gallier 1984): each rule counts its unmet
+premises, each newly established fact decrements the counters of the rules
+that read it, and a rule fires at zero. Each wave of firings is one
+generation, so two vectors hold the whole run: the generation that
 established each fact (seeds at 0) and the one in which each rule became
 eligible. The registers of generation g are views of them: EF = facts <= g,
 SF = EF of g - 1, ER = rules <= g and SR = not ER (clear at 0).
@@ -32,9 +32,9 @@ CLASS_PREFIX = CLASS_ATTRIBUTE + "="
 NEVER = sys.maxsize  # the generation of a cell that is never set
 
 
-def _freeze(*arrays: np.ndarray) -> None:
-    for array in arrays:
-        array.setflags(write=False)
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,21 +58,32 @@ class Configuration:
 
 @dataclass(frozen=True)
 class CellularKnowledgeBase:
-    """Immutable compiled rule base: fact layer, rule layer, wiring.
+    """Immutable compiled rule base: a fact table and a rule table.
 
-    The engine reads the wiring as per-fact and per-rule index lists, built
-    on the first classification and cached; the matrices are read-only so
-    the cache cannot go stale.
+    Construction checks that both tables are non-empty, that no descriptor
+    repeats and that every premise and conclusion names a fact. The input
+    flags, the incidence matrices and the engine's counters are views of
+    the tables, built on first use and cached; the arrays are read-only.
     """
 
     facts: tuple[str, ...]
-    input_flags: np.ndarray            # the fixed IF vector
     rules: tuple[ClassificationRule, ...]
-    premise_matrix: np.ndarray         # facts x rules; 1 = fact in premise
-    conclusion_matrix: np.ndarray      # facts x rules; 1 = fact in conclusion
     attributes: tuple[AttributeSpec, ...]
     classes: tuple[str, ...]
     discretization: DiscretizationMap | None = None
+
+    def __post_init__(self):
+        if not self.facts:
+            raise ModelIntegrityError("rule base has no facts")
+        if not self.rules:
+            raise ModelIntegrityError("rule base has no rules")
+        if len(self._fact_indices) != len(self.facts):
+            raise ModelIntegrityError("duplicate fact descriptors")
+        for rule in self.rules:
+            for role, fact in [*(("premise", p) for p in rule.premises),
+                               ("conclusion", rule.conclusion)]:
+                if fact not in self._fact_indices:
+                    raise ModelIntegrityError(f"rule {role} {fact!r} is not a fact")
 
     @property
     def fact_count(self) -> int:
@@ -91,14 +102,40 @@ class CellularKnowledgeBase:
         return [i for i, f in enumerate(self.facts) if f.startswith(CLASS_PREFIX)]
 
     @cached_property
-    def _counters(self) -> tuple[list, list, list, list]:
-        """Per fact the rules reading it; per rule its premise count and its
-        conclusion facts; and the rules without premises."""
-        readers = [np.flatnonzero(row).tolist() for row in self.premise_matrix]
-        counts = self.premise_matrix.sum(axis=0).tolist()
-        concludes = [np.flatnonzero(column).tolist()
-                     for column in self.conclusion_matrix.T]
-        return readers, counts, concludes, [r for r, n in enumerate(counts) if not n]
+    def input_flags(self) -> np.ndarray:
+        """The fixed IF vector: set for the facts containing '='."""
+        return _frozen(np.array(["=" in f for f in self.facts], dtype=bool))
+
+    def _incidence(self, cells) -> np.ndarray:
+        """Read-only facts x rules matrix; column j marks cells(rule j)."""
+        matrix = np.zeros((self.fact_count, self.rule_count), dtype=bool)
+        for j, rule in enumerate(self.rules):
+            for f in cells(rule):
+                matrix[self._fact_indices[f], j] = True
+        return _frozen(matrix)
+
+    @cached_property
+    def premise_matrix(self) -> np.ndarray:
+        """R_E: fact i is a premise of rule j."""
+        return self._incidence(lambda rule: rule.premises)
+
+    @cached_property
+    def conclusion_matrix(self) -> np.ndarray:
+        """R_S: fact i is the conclusion of rule j."""
+        return self._incidence(lambda rule: (rule.conclusion,))
+
+    @cached_property
+    def _counters(self) -> tuple[list, list, list]:
+        """Per fact the rules reading it; per rule its number of distinct
+        premises and the index of its conclusion."""
+        index = self._fact_indices
+        premises = [{index[p] for p in rule.premises} for rule in self.rules]
+        readers = [[] for _ in self.facts]
+        for r, facts in enumerate(premises):
+            for f in facts:
+                readers[f].append(r)
+        return (readers, [len(facts) for facts in premises],
+                [index[rule.conclusion] for rule in self.rules])
 
     def fact_index(self, descriptor: str) -> int:
         try:
@@ -111,31 +148,12 @@ class CellularKnowledgeBase:
         return infer(self, initial_facts)[0]
 
 
-def _wire(facts, rules) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only premise and conclusion matrices, facts x rules."""
-    index = {f: i for i, f in enumerate(facts)}
-    premise = np.zeros((len(facts), len(rules)), dtype=bool)
-    conclusion = np.zeros_like(premise)
-    for j, rule in enumerate(rules):
-        for p in rule.premises:
-            if p not in index:
-                raise ModelIntegrityError(f"rule premise {p!r} is not a fact")
-            premise[index[p], j] = True
-        if rule.conclusion not in index:
-            raise ModelIntegrityError(
-                f"rule conclusion {rule.conclusion!r} is not a fact")
-        conclusion[index[rule.conclusion], j] = True
-    _freeze(premise, conclusion)
-    return premise, conclusion
-
-
 def compile_tree(tree: InductionGraph) -> CellularKnowledgeBase:
-    """Flatten a tree into fact/rule layers with incidence matrices.
+    """Flatten a tree into a fact table and a rule table.
 
     Fact order: node facts breadth-first, then attribute=value facts in
     schema order restricted to values actually tested on some edge, then
-    class facts in label order restricted to leaf classes. Input flag is 1
-    exactly for the facts containing '=' (the non-node facts).
+    class facts in label order restricted to leaf classes.
     """
     nodes = tree.nodes()
     facts: list[str] = [n.node_id for n in nodes]
@@ -152,21 +170,9 @@ def compile_tree(tree: InductionGraph) -> CellularKnowledgeBase:
             if value in edge_values[spec.name]:
                 facts.append(f"{spec.name}={value}")
     facts += [CLASS_PREFIX + c for c in tree.classes if c in leaf_classes]
-
-    rules = tuple(extract_rules(tree))
-    premise, conclusion = _wire(facts, rules)
-    input_flags = np.array(["=" in f for f in facts], dtype=bool)
-    _freeze(input_flags)
-    return CellularKnowledgeBase(
-        facts=tuple(facts),
-        input_flags=input_flags,
-        rules=rules,
-        premise_matrix=premise,
-        conclusion_matrix=conclusion,
-        attributes=tree.attributes,
-        classes=tree.classes,
-        discretization=tree.discretization,
-    )
+    return CellularKnowledgeBase(tuple(facts), tuple(extract_rules(tree)),
+                                 tree.attributes, tree.classes,
+                                 tree.discretization)
 
 
 class Trace(Sequence):
@@ -193,10 +199,9 @@ class Trace(Sequence):
             return [self[g] for g in range(self._length)[index]]
         g = range(self._length)[index]
         facts, rules = self._vectors
-        ef, sf, er = facts <= g, facts < g, rules <= g
-        ir = np.ones(len(self.rule_gen), dtype=bool)
-        sr = ~er if g else er  # at generation 0, SR is as clear as ER
-        _freeze(ef, sf, er, ir, sr)
+        ef, sf, er = map(_frozen, (facts <= g, facts < g, rules <= g))
+        ir = _frozen(np.ones(len(self.rule_gen), dtype=bool))
+        sr = _frozen(~er) if g else er  # at generation 0, SR is as clear as ER
         return Configuration(ef, self.kb.input_flags, sf, er, ir, sr, g)
 
 
@@ -204,22 +209,23 @@ def infer(kb: CellularKnowledgeBase, initial_facts) -> Trace:
     """Run to the first fixed point; return every configuration on the way.
 
     The trace starts at generation 0 and ends at the first configuration
-    that reproduces itself. Every wave fires at least one new rule, so a
-    consistent base stabilizes within rule_count + 1 generations (tree
-    bases within depth + 2); the cap only guards corrupted bases.
+    that reproduces itself. Each rule fires at most once and every wave
+    fires at least one rule, so a trace never exceeds rule_count + 2
+    configurations (a tree base stabilizes within depth + 2 generations).
     """
-    readers, counts, concludes, free = kb._counters
+    readers, counts, concludes = kb._counters
     missing = counts.copy()
     fact_gen = [NEVER] * kb.fact_count
-    rule_gen = [NEVER] * len(counts)
+    rule_gen = [NEVER] * kb.rule_count
     wave = []
     for descriptor in initial_facts:
         f = kb.fact_index(descriptor)
         if fact_gen[f] == NEVER:
             fact_gen[f] = 0
             wave.append(f)
-    ready, g = free.copy(), 0
+    g = 0
     while True:
+        ready = []
         for f in wave:
             for r in readers[f]:
                 missing[r] -= 1
@@ -231,18 +237,13 @@ def infer(kb: CellularKnowledgeBase, initial_facts) -> Trace:
         wave = []
         for r in ready:
             rule_gen[r] = g
-            for f in concludes[r]:
-                if fact_gen[f] == NEVER:
-                    fact_gen[f] = g
-                    wave.append(f)
-        ready = []
+            f = concludes[r]
+            if fact_gen[f] == NEVER:
+                fact_gen[f] = g
+                wave.append(f)
     # SF catches up with EF one generation after the last new facts, and
-    # with any rule SR leaves its clear start at generation 1.
-    last = max(g + bool(wave), min(len(counts), 1))
-    if last > kb.rule_count + 1:
-        raise ModelIntegrityError(
-            f"inference did not stabilize within {kb.rule_count + 2} generations")
-    return Trace(kb, tuple(fact_gen), tuple(rule_gen), last + 1)
+    # SR leaves its clear start at generation 1.
+    return Trace(kb, tuple(fact_gen), tuple(rule_gen), (g + bool(wave) or 1) + 1)
 
 
 def established_facts(kb: CellularKnowledgeBase,
@@ -261,10 +262,9 @@ def instance_facts(kb: CellularKnowledgeBase, instance) -> list[str]:
     if len(values) != len(kb.attributes):
         raise DataError(
             f"instance has {len(values)} values, schema has {len(kb.attributes)}")
-    known = kb._fact_indices
     descriptors = (f"{spec.name}={value}" for spec, value in zip(
         kb.attributes, encode(kb.discretization, kb.attributes, values)))
-    return [d for d in descriptors if d in known]
+    return [d for d in descriptors if d in kb._fact_indices]
 
 
 def classify_casi(kb: CellularKnowledgeBase, instance) -> str:
@@ -287,21 +287,17 @@ def classify_casi(kb: CellularKnowledgeBase, instance) -> str:
 
 
 def _bitrows(matrix: np.ndarray) -> list[str]:
-    return ["".join("1" if b else "0" for b in row) for row in matrix]
+    return [(row + ord("0")).tobytes().decode() for row in matrix.view(np.uint8)]
 
 
 def kb_to_json(kb: CellularKnowledgeBase) -> dict:
     """JSON-ready form: fact/rule tables plus row-major matrix bitstrings."""
     return {
         "format": "cellular-kb",
-        "facts": [
-            {"descriptor": f, "input": int(flag)}
-            for f, flag in zip(kb.facts, kb.input_flags)
-        ],
-        "rules": [
-            {"premises": list(r.premises), "conclusion": r.conclusion}
-            for r in kb.rules
-        ],
+        "facts": [{"descriptor": f, "input": int(flag)}
+                  for f, flag in zip(kb.facts, kb.input_flags)],
+        "rules": [{"premises": list(r.premises), "conclusion": r.conclusion}
+                  for r in kb.rules],
         "R_E": _bitrows(kb.premise_matrix),
         "R_S": _bitrows(kb.conclusion_matrix),
         **schema_to_json(kb.attributes, kb.classes, kb.discretization),
@@ -309,27 +305,28 @@ def kb_to_json(kb: CellularKnowledgeBase) -> dict:
 
 
 def kb_from_json(data: dict) -> CellularKnowledgeBase:
-    """Rebuild a compiled base, cross-checking matrices against the rules."""
+    """Rebuild a base from its tables, then check the file's input flags
+    and matrices against the base's views."""
     if not isinstance(data, dict) or data.get("format") != "cellular-kb":
         raise ModelIntegrityError("not a cellular-kb file")
     attributes, classes, dmap = schema_from_json(data)
     try:
-        facts = tuple(entry["descriptor"] for entry in data["facts"])
         flags = [entry["input"] for entry in data["facts"]]
         if any(type(flag) is not int or flag not in (0, 1) for flag in flags):
             raise ModelIntegrityError("input flags must be the integers 0 or 1")
-        rules = tuple(
-            ClassificationRule(tuple(r["premises"]), r["conclusion"])
-            for r in data["rules"])
-        if not facts:
-            raise ModelIntegrityError("rule base has no facts")
-        if len(set(facts)) != len(facts):
-            raise ModelIntegrityError("duplicate fact descriptors")
-        premise, conclusion = _wire(facts, rules)
-        l, r = premise.shape
-        for name, rows, wired in (("R_E", data["R_E"], premise),
-                                  ("R_S", data["R_S"], conclusion)):
-            if len(rows) != l or any(len(row) != r for row in rows):
+        kb = CellularKnowledgeBase(
+            tuple(entry["descriptor"] for entry in data["facts"]),
+            tuple(ClassificationRule(tuple(r["premises"]), r["conclusion"])
+                  for r in data["rules"]),
+            attributes, classes, dmap)
+        for fact, flag, wired in zip(kb.facts, flags, kb.input_flags):
+            if flag != wired:
+                raise ModelIntegrityError(
+                    f"input flag {flag} of fact {fact!r} disagrees with "
+                    f"its descriptor")
+        for name, rows, wired in (("R_E", data["R_E"], kb.premise_matrix),
+                                  ("R_S", data["R_S"], kb.conclusion_matrix)):
+            if [len(row) for row in rows] != [kb.rule_count] * kb.fact_count:
                 raise ModelIntegrityError(f"{name} shape is not facts x rules")
             if any(set(row) - {"0", "1"} for row in rows):
                 raise ModelIntegrityError(f"{name} holds bits other than 0 and 1")
@@ -338,35 +335,32 @@ def kb_from_json(data: dict) -> CellularKnowledgeBase:
                     f"{name} matrix disagrees with the rule table")
     except (KeyError, TypeError, DataError) as exc:
         raise ModelIntegrityError(f"malformed rule-base file: {exc}") from exc
-    flags = np.array(flags, dtype=bool)
-    _freeze(flags)
-    return CellularKnowledgeBase(facts, flags, rules, premise, conclusion,
-                                 attributes, classes, dmap)
+    return kb
+
+
+def _layer_table(title, names, registers, config: Configuration) -> str:
+    """One cell layer as an aligned table: a row of register bits per cell."""
+    width = max(map(len, [title, *names]))
+    lines = [f"{title:<{width}}  " + "  ".join(registers)]
+    for i, name in enumerate(names):
+        bits = (str(int(getattr(config, r)[i])) for r in registers)
+        lines.append(f"{name:<{width}}  " + "   ".join(bits))
+    return "\n".join(lines)
 
 
 def format_fact_table(kb: CellularKnowledgeBase,
                       config: Configuration | None = None) -> str:
     """The fact layer as an aligned table of EF/IF/SF per fact."""
-    config = config or kb.initial_configuration()
-    width = max(len("Facts"), max(len(f) for f in kb.facts))
-    lines = [f"{'Facts':<{width}}  EF  IF  SF"]
-    for i, fact in enumerate(kb.facts):
-        lines.append(f"{fact:<{width}}  {int(config.EF[i])}   "
-                     f"{int(config.IF[i])}   {int(config.SF[i])}")
-    return "\n".join(lines)
+    return _layer_table("Facts", kb.facts, ("EF", "IF", "SF"),
+                        config or kb.initial_configuration())
 
 
 def format_rule_table(kb: CellularKnowledgeBase,
                       config: Configuration | None = None) -> str:
     """The rule layer as an aligned table of ER/IR/SR per rule."""
-    config = config or kb.initial_configuration()
     names = [f"R{j + 1}: {rule}" for j, rule in enumerate(kb.rules)]
-    width = max(len("Rules"), max(len(n) for n in names))
-    lines = [f"{'Rules':<{width}}  ER  IR  SR"]
-    for j, name in enumerate(names):
-        lines.append(f"{name:<{width}}  {int(config.ER[j])}   "
-                     f"{int(config.IR[j])}   {int(config.SR[j])}")
-    return "\n".join(lines)
+    return _layer_table("Rules", names, ("ER", "IR", "SR"),
+                        config or kb.initial_configuration())
 
 
 def format_incidence(kb: CellularKnowledgeBase) -> str:
@@ -377,8 +371,7 @@ def format_incidence(kb: CellularKnowledgeBase) -> str:
     for title, matrix in (("Input relation", kb.premise_matrix),
                           ("Output relation", kb.conclusion_matrix)):
         lines = [f"{title}:", f"{'':<{width}}  {header}"]
-        for i, fact in enumerate(kb.facts):
-            cells = "   ".join("1" if b else "0" for b in matrix[i])
-            lines.append(f"{fact:<{width}}  {cells}")
+        lines += [f"{fact:<{width}}  {'   '.join(row)}"
+                  for fact, row in zip(kb.facts, _bitrows(matrix))]
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks)

@@ -36,6 +36,8 @@ class AttributeSpec:
     domain: tuple
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise DataError(f"attribute 'name' must be a string, not {self.name!r}")
         if self.name == CLASS_ATTRIBUTE or "=" in self.name:
             raise DataError(f"attribute {self.name!r}: reserved name")
         if self.kind not in (NOMINAL, NUMERIC):

@@ -77,10 +77,14 @@ def schema_to_json(attributes, classes, dmap: DiscretizationMap | None) -> dict:
 def schema_from_json(data: dict):
     """Inverse of ``schema_to_json``: (attributes, classes, map or None).
 
-    Raises ModelIntegrityError on any malformed part, repeated attribute
-    names and unsorted or non-numeric cut lists included.
+    Raises ModelIntegrityError on any malformed part: repeated attribute
+    names, unsorted or non-numeric cuts, classes or domains not in lists.
     """
     try:
+        for value in [data["classes"], *(a["domain"] for a in data["attributes"])]:
+            if not isinstance(value, list):
+                raise ModelIntegrityError(
+                    f"classes and domains must be lists, not {value!r}")
         attributes = tuple(AttributeSpec(a["name"], a["kind"], tuple(a["domain"]))
                            for a in data["attributes"])
         if len({a.name for a in attributes}) != len(attributes):

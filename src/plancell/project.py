@@ -76,12 +76,13 @@ def parse_project(text: str) -> ProjectGraph:
             raise ProjectParseError(f"task {tid!r}: 'pre' must be a list of lists")
         if any(not isinstance(ref, str) for group in pre for ref in group):
             raise ProjectParseError(f"task {tid!r}: 'pre' may only name task ids")
-        tasks[tid] = Task(
-            id=tid,
-            description=item.get("desc", ""),
-            resource=item.get("resource"),
-            preconditions=tuple(frozenset(g) for g in pre),
-        )
+        desc, resource = item.get("desc", ""), item.get("resource")
+        if not isinstance(desc, str):
+            raise ProjectParseError(f"task {tid!r}: 'desc' must be a string")
+        if not isinstance(resource, (str, type(None))):
+            raise ProjectParseError(
+                f"task {tid!r}: 'resource' must be a string or null")
+        tasks[tid] = Task(tid, desc, resource, tuple(frozenset(g) for g in pre))
 
     for key in ("entry", "exit"):
         if not isinstance(doc[key], str):

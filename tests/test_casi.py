@@ -7,16 +7,17 @@ import pytest
 
 import oracles
 from plancell import casi
-from plancell.casi import (CellularKnowledgeBase, classify_casi, compile_tree,
-                           established_facts, format_fact_table,
-                           format_incidence, format_rule_table, infer,
-                           instance_facts, kb_from_json, kb_to_json)
+from plancell.casi import (classify_casi, compile_tree, established_facts,
+                           format_fact_table, format_incidence,
+                           format_rule_table, infer, instance_facts,
+                           kb_from_json, kb_to_json)
 from plancell.dataset import build_training_set
 from plancell.discretize import apply_map, discretize_supervised
 from plancell.errors import (DataError, ModelIntegrityError,
                              UnknownValueError)
 from plancell.tree import (INFO_GAIN, InductionGraph, TreeNode, classify_tree,
                            grow)
+from test_casi_trace import table_kb
 
 
 def nominal_set(columns, rows):
@@ -309,55 +310,65 @@ def test_wiring_is_read_only(runs_model, field):
             getattr(base, field)[0] = True
 
 
-def fake_kb(premise, conclusion, rules=None):
-    """A base from bare wiring; its rule table only sizes the rule layer."""
-    l, r = premise.shape
-    return CellularKnowledgeBase(
-        facts=tuple(f"f{i}" for i in range(l)),
-        input_flags=np.zeros(l, dtype=bool),
-        rules=(None,) * r if rules is None else rules,
-        premise_matrix=premise, conclusion_matrix=conclusion,
-        attributes=(), classes=())
+@pytest.mark.parametrize("facts,rules,message", [
+    ([], [(["s0"], "s1")], "rule base has no facts"),
+    (["s0", "s1"], [], "rule base has no rules"),
+    (["s0", "s1", "s0"], [(["s0"], "s1")], "duplicate fact descriptors"),
+    (["s0", "s1"], [(["s0", "s2"], "s1")], "rule premise 's2' is not a fact"),
+    (["s0", "s1"], [(["s0"], "s2")], "rule conclusion 's2' is not a fact"),
+])
+def test_base_checks_its_tables(facts, rules, message):
+    with pytest.raises(ModelIntegrityError, match=message):
+        table_kb(facts, rules)
+
+
+def test_repeated_premise_counts_once():
+    kb = table_kb(["a", "x=u", "b"], [(["a", "x=u", "a"], "b")])
+    assert kb.premise_matrix[:, 0].tolist() == [True, True, False]
+    assert kb.input_flags.tolist() == [False, True, False]
+    assert infer(kb, ["a", "x=u"]).fact_gen == (0, 0, 1)
+    assert infer(kb, ["a"]).fact_gen == (0, casi.NEVER, casi.NEVER)
 
 
 def test_runaway_inference_is_capped():
-    # a chain f0 -> f1 -> f2 -> f3 wired by three rules, and a rule table
-    # that lists none of them: the run outlasts rule_count + 2 generations
-    chain = np.eye(4, 3, dtype=bool)
-    kb = fake_kb(chain, np.eye(4, 3, k=-1, dtype=bool), rules=())
-    with pytest.raises(ModelIntegrityError,
-                       match="did not stabilize within 2 generations"):
-        infer(kb, ["f0"])
-    assert len(infer(fake_kb(chain, np.eye(4, 3, k=-1, dtype=bool)),
-                     ["f0"])) == 5
+    # a chain f0 -> f1 -> f2 -> f3 of three rules reaches the bound of
+    # rule_count + 2 configurations: three waves, then the echo catches up
+    kb = table_kb([f"f{i}" for i in range(4)],
+                  [([f"f{i}"], f"f{i + 1}") for i in range(3)])
+    trace = infer(kb, ["f0"])
+    assert len(trace) == kb.rule_count + 2 == 5
+    assert list(trace.fact_gen) == [0, 1, 2, 3]
 
 
 def test_vectorized_passes_match_scalar_loops():
     # the dense oracle passes, and the engine's first generation, against
-    # per-cell loops over the wiring
+    # per-cell loops over random rule tables (repeated premises included)
     rng = random.Random(77)
     for _ in range(30):
-        l, r = rng.randint(1, 9), rng.randint(1, 9)
-        premise = np.array([[rng.random() < 0.3 for _ in range(r)]
-                            for _ in range(l)])
-        conclusion = np.array([[rng.random() < 0.3 for _ in range(r)]
-                               for _ in range(l)])
-        kb = fake_kb(premise, conclusion)
+        l, r = rng.randint(2, 9), rng.randint(1, 9)
+        facts = [f"f{i}" for i in range(l)]
+        rules = []
+        for _ in range(r):
+            conclusion = rng.choice(facts)
+            others = [f for f in facts if f != conclusion]
+            rules.append((rng.choices(others, k=rng.randint(1, 3)), conclusion))
+        kb = table_kb(facts, rules)
         ef = np.array([rng.random() < 0.5 for _ in range(l)])
         er = np.array([rng.random() < 0.5 for _ in range(r)])
 
         def eligible(ef):
-            return [all(ef[i] for i in range(l) if premise[i][j])
-                    for j in range(r)]
+            return [all(ef[facts.index(p)] for p in premises)
+                    for premises, _ in rules]
 
         def executed(ef, er):
-            return [ef[i] or any(conclusion[i][j] and er[j] for j in range(r))
-                    for i in range(l)]
+            return [ef[i] or any(c == f and er[j]
+                                 for j, (_, c) in enumerate(rules))
+                    for i, f in enumerate(facts)]
 
         assert list(oracles.casi_eligible(kb, ef)) == eligible(ef)
         config = replace(oracles.casi_initial(kb), EF=ef, ER=er)
         assert list(oracles.casi_delta_rule(kb, config).EF) == executed(ef, er)
-        first = infer(kb, [f for f, on in zip(kb.facts, ef) if on])[1]
+        first = infer(kb, [f for f, on in zip(facts, ef) if on])[1]
         assert list(first.ER) == eligible(ef)
         assert list(first.EF) == executed(ef, first.ER)
 
@@ -435,6 +446,20 @@ def test_kb_json_rejects_input_flags_other_than_0_and_1(runs_model, flag):
     doc = kb_to_json(kb)
     doc["facts"][0]["input"] = flag
     with pytest.raises(ModelIntegrityError, match="input flags"):
+        kb_from_json(doc)
+
+
+@pytest.mark.parametrize("index", [0, 12])
+def test_kb_json_rejects_input_flag_that_disagrees_with_descriptor(runs_model,
+                                                                   index):
+    # s0 flagged as an input, problem=blocks-4 flagged as none
+    _, kb, _ = runs_model
+    doc = kb_to_json(kb)
+    fact = doc["facts"][index]
+    fact["input"] = 1 - fact["input"]
+    with pytest.raises(ModelIntegrityError, match=(
+            f"input flag {fact['input']} of fact {fact['descriptor']!r} "
+            f"disagrees with its descriptor")):
         kb_from_json(doc)
 
 

@@ -2,8 +2,8 @@
 
 Property tests: ``infer`` gives the oracle's trace configuration by
 configuration (all six registers, every generation number, the trace
-length) on random wiring and on compiled trees; each configuration is the
-dense assessment and execution passes applied to its predecessor;
+length) on random rule tables and on compiled trees; each configuration is
+the dense assessment and execution passes applied to its predecessor;
 ``classify_casi`` answers or fails as the oracle does.
 """
 
@@ -16,6 +16,7 @@ import oracles
 from plancell.casi import (CellularKnowledgeBase, classify_casi, infer,
                            instance_facts, kb_from_json)
 from plancell.errors import ModelIntegrityError, PlancellError
+from plancell.tree import ClassificationRule
 from test_encoding import fitted, trained
 
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -38,46 +39,33 @@ def assert_same_trace(got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
-def wired_kb(premise, conclusion, flags):
-    """A base from bare wiring; its rules only size the rule layer.
-
-    Rules without premises cannot be written as ``ClassificationRule``s,
-    and the engine reads nothing of a rule but its matrix columns.
-    """
-    l, r = premise.shape
+def table_kb(facts, rules):
+    """A base from descriptors and (premises, conclusion) pairs, no schema."""
     return CellularKnowledgeBase(
-        facts=tuple(f"f{i}" for i in range(l)), input_flags=flags,
-        rules=(None,) * r, premise_matrix=premise,
-        conclusion_matrix=conclusion, attributes=(), classes=())
-
-
-def bool_matrix(draw, rows, cols):
-    """A Boolean matrix with about a quarter of its cells set."""
-    cell = st.integers(0, 3).map(lambda k: k == 0)
-    return np.array(draw(st.lists(st.lists(cell, min_size=cols, max_size=cols),
-                                  min_size=rows, max_size=rows)), dtype=bool)
+        tuple(facts), tuple(ClassificationRule(tuple(p), c) for p, c in rules),
+        attributes=(), classes=())
 
 
 @st.composite
 def wirings(draw):
-    """Random wiring and seeds (some repeated) over 3-10 facts and 3-10 rules.
+    """A random rule table and seeds (some repeated) over 4-10 facts.
 
-    Every draw has a rule without premises, a fact that several rules
-    conclude, a fact that no rule reads and a two-rule cycle between two
-    facts; rules may conclude several facts or none.
+    Some facts carry an input flag. Every draw has a two-rule cycle between
+    two facts, a fact that several rules conclude, a rule with a repeated
+    premise and a fact that no rule reads, among 3-10 rules in random order.
     """
-    l, r = draw(st.integers(3, 10)), draw(st.integers(3, 10))
-    premise = bool_matrix(draw, l, r)
-    conclusion = bool_matrix(draw, l, r)
-    free, x, y = draw(st.permutations(range(r)))[:3]
-    unread, a, b = draw(st.permutations(range(l)))[:3]
-    premise[:, free] = False
-    premise[unread, :] = False
-    premise[a, x] = conclusion[b, x] = premise[b, y] = conclusion[a, y] = True
-    concluders = draw(st.sets(st.integers(0, r - 1), min_size=2))
-    conclusion[draw(st.integers(0, l - 1)), sorted(concluders)] = True
-    kb = wired_kb(premise, conclusion, bool_matrix(draw, 1, l)[0])
-    seeds = draw(st.lists(st.sampled_from(kb.facts), max_size=2 * l))
+    l = draw(st.integers(4, 10))
+    facts = [f"x=v{i}" if draw(st.booleans()) else f"f{i}" for i in range(l)]
+    a, b, c, unread = draw(st.permutations(facts))[:4]
+    readable = [f for f in facts if f != unread]
+    rules = [([a], b), ([b], a), ([c, c], b)]
+    for _ in range(draw(st.integers(0, 7))):
+        conclusion = draw(st.sampled_from(facts))
+        rules.append((draw(st.lists(
+            st.sampled_from([f for f in readable if f != conclusion]),
+            min_size=1, max_size=3)), conclusion))
+    kb = table_kb(facts, draw(st.permutations(rules)))
+    seeds = draw(st.lists(st.sampled_from(facts), max_size=2 * l))
     return kb, seeds
 
 

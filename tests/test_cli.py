@@ -90,6 +90,12 @@ def _project(**fields):
     (_project(exit=["t9"]), "'exit' must be a task id"),
     (_project(tasks=[{"id": "t0", "pre": []}, {"id": "t9", "pre": [["t0", 5]]}]),
      "task 't9': 'pre' may only name task ids"),
+    (_project(tasks=[{"id": "t0", "pre": [], "desc": 5},
+                     {"id": "t9", "pre": [["t0"]]}]),
+     "task 't0': 'desc' must be a string"),
+    (_project(tasks=[{"id": "t0", "pre": []},
+                     {"id": "t9", "pre": [["t0"]], "resource": [1]}]),
+     "task 't9': 'resource' must be a string or null"),
     (_project(entry="t5"), "entry task 't5' not found"),
     (_project(exit="t5"), "exit task 't5' not found"),
 ])
@@ -299,6 +305,9 @@ MODEL_FAULTS = {
     "branch outside the domain": _branch_outside_domain,
     "attribute named class": _rename_time("class"),
     "attribute name with =": _rename_time("a=b"),
+    "attribute name 5": _rename_time(5),
+    "domain string": _put("attributes", 0, "domain", value="blocks-4"),
+    "classes string": _put("classes", value="P1P2P3P4P5"),
 }
 
 
@@ -319,6 +328,9 @@ KB_FAULTS = {
     "input flag string": _put("facts", 0, "input", value="no"),
     "input flag 2": _put("facts", 0, "input", value=2),
     "input flag boolean": _put("facts", 5, "input", value=True),
+    "input flag against descriptor": _put("facts", 0, "input", value=1),
+    "no rules": lambda doc: doc.update(rules=[], R_E=[""] * len(doc["R_E"]),
+                                       R_S=[""] * len(doc["R_S"])),
 }
 
 
@@ -349,6 +361,18 @@ def test_malformed_rule_base_exits_4(fault, model_file, tmp_path, capsys):
     KB_FAULTS[fault](doc)
     kb_path.write_text(json.dumps(doc))
     _assert_model_error(["casi-dump", "--model", str(kb_path)], capsys)
+
+
+def test_rule_base_without_rules_exits_4(tmp_path, capsys):
+    kb_path = tmp_path / "kb.json"
+    kb_path.write_text(json.dumps({
+        "format": "cellular-kb", "facts": [{"descriptor": "s0", "input": 0}],
+        "rules": [], "R_E": [""], "R_S": [""],
+        "attributes": [], "classes": ["A"], "discretization": None}))
+    assert run(["casi-dump", "--model", str(kb_path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "plancell: model error: rule base has no rules\n"
 
 
 def test_casi_dump_prints_layers(model_file, capsys):

@@ -2,6 +2,7 @@ import pytest
 
 from plancell import (DataError, build_training_set, class_distribution,
                       load_csv, save_csv, subset)
+from plancell.dataset import AttributeSpec
 
 CSV = """problem:nominal,time:numeric,steps:numeric,class:nominal
 blocks-4,0.5,6,P1
@@ -91,6 +92,12 @@ def test_duplicate_attribute_names_rejected():
 def test_unknown_kind_rejected():
     with pytest.raises(DataError, match="unknown kind"):
         build_training_set([("a", "ordinal")], [("x", "P1")])
+
+
+@pytest.mark.parametrize("name", [5, None, ("a",)])
+def test_attribute_name_must_be_a_string(name):
+    with pytest.raises(DataError, match="attribute 'name' must be a string"):
+        AttributeSpec(name, "nominal", ("x",))
 
 
 def test_subset_reinfers_domains():

@@ -1,4 +1,5 @@
-"""Every script under ``demos/`` runs to completion."""
+"""Every script under ``demos/`` and the README's library tour run to
+completion."""
 
 import os
 import subprocess
@@ -15,11 +16,23 @@ def test_demos_are_found():
     assert len(DEMOS) >= 5
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
-def test_demo_runs(demo, tmp_path):
+def run_python(args, cwd):
     src = str(ROOT / "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(demo, tmp_path):
+    done = run_python([str(demo)], tmp_path)
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_library_tour_prints_p1(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("## Library tour", 1)[1]
+    snippet = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    done = run_python(["-c", snippet], tmp_path)
+    assert (done.returncode, done.stdout) == (0, "P1\n"), done.stderr

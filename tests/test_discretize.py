@@ -10,8 +10,9 @@ from oracles import mdl_cuts
 from plancell.dataset import build_training_set
 from plancell.discretize import (DiscretizationMap, _mdl_split, apply_map,
                                  boundary_candidates, discretize_supervised,
-                                 discretize_unsupervised, fit_map)
-from plancell.errors import DataError
+                                 discretize_unsupervised, fit_map,
+                                 schema_from_json)
+from plancell.errors import DataError, ModelIntegrityError
 
 
 def numeric_set(values, labels):
@@ -247,3 +248,23 @@ def test_tied_splits_keep_the_first_cut():
     _mdl_split(pairs, found)
     assert found == [19.5, 39.5]
     assert tuple(found) == mdl_cuts(values, labels)
+
+
+def schema_doc():
+    return {"attributes": [{"name": "x", "kind": "nominal", "domain": ["a", "b"]}],
+            "classes": ["A", "B"], "discretization": None}
+
+
+@pytest.mark.parametrize("fault,message", [
+    (lambda doc: doc.update(classes="AB"),
+     "classes and domains must be lists, not 'AB'"),
+    (lambda doc: doc["attributes"][0].update(domain="ab"),
+     "classes and domains must be lists, not 'ab'"),
+    (lambda doc: doc["attributes"][0].update(name=5),
+     "attribute 'name' must be a string"),
+])
+def test_schema_from_json_refuses_fields_of_the_wrong_type(fault, message):
+    doc = schema_doc()
+    fault(doc)
+    with pytest.raises(ModelIntegrityError, match=message):
+        schema_from_json(doc)

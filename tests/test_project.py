@@ -26,6 +26,9 @@ def test_parse_fire_project(fire):
     assert fire.tasks["extinguish_fire"].preconditions == (
         frozenset({"police", "fireman"}),)
     assert fire.tasks["PU1"].resource == "Police"
+    assert (fire.tasks["Begin"].description, fire.tasks["Begin"].resource) == (
+        "Start project", None)
+    assert len(set(fire.tasks.values())) == 12  # every task hashes
 
 
 def test_predecessors_union(fire):
@@ -52,6 +55,19 @@ def test_duplicate_task_id():
     tasks = [{"id": "t0", "pre": []}, {"id": "t0", "pre": [["t0"]]}]
     with pytest.raises(ProjectParseError, match="duplicate task id"):
         parse_project(doc(tasks, exit="t0"))
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("desc", 5, "'desc' must be a string"),
+    ("desc", None, "'desc' must be a string"),
+    ("resource", [1], "'resource' must be a string or null"),
+    ("resource", 3, "'resource' must be a string or null"),
+])
+def test_task_text_fields_must_be_strings(field, value, message):
+    tasks = chain("t0", "t9")
+    tasks[1][field] = value
+    with pytest.raises(ProjectParseError, match=f"task 't9': {message}"):
+        parse_project(doc(tasks))
 
 
 def test_unknown_reference():
