@@ -314,11 +314,22 @@ def kb_from_json(data: dict) -> CellularKnowledgeBase:
         flags = [entry["input"] for entry in data["facts"]]
         if any(type(flag) is not int or flag not in (0, 1) for flag in flags):
             raise ModelIntegrityError("input flags must be the integers 0 or 1")
-        kb = CellularKnowledgeBase(
-            tuple(entry["descriptor"] for entry in data["facts"]),
-            tuple(ClassificationRule(tuple(r["premises"]), r["conclusion"])
-                  for r in data["rules"]),
-            attributes, classes, dmap)
+        facts = tuple(entry["descriptor"] for entry in data["facts"])
+        for fact in facts:
+            if not isinstance(fact, str):
+                raise ModelIntegrityError(f"fact descriptor {fact!r} is not a string")
+        rules = []
+        for j, r in enumerate(data["rules"], 1):
+            premises, conclusion = r["premises"], r["conclusion"]
+            if not isinstance(premises, list) or not all(
+                    isinstance(p, str) for p in premises):
+                raise ModelIntegrityError(
+                    f"rule {j}: premises must be a list of strings, not {premises!r}")
+            if not isinstance(conclusion, str):
+                raise ModelIntegrityError(
+                    f"rule {j}: conclusion must be a string, not {conclusion!r}")
+            rules.append(ClassificationRule(tuple(premises), conclusion))
+        kb = CellularKnowledgeBase(facts, tuple(rules), attributes, classes, dmap)
         for fact, flag, wired in zip(kb.facts, flags, kb.input_flags):
             if flag != wired:
                 raise ModelIntegrityError(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -113,8 +114,8 @@ def load_csv(text: str) -> TrainingSet:
     """Parse a training set from CSV text.
 
     The header declares each column as ``name:kind``; the last column must
-    be ``class:nominal``. Numeric cells must parse as floats, and every row
-    must have exactly as many cells as the header.
+    be ``class:nominal``. Numeric cells must parse as finite floats, and every
+    row must have exactly as many cells as the header.
     """
     reader = csv.reader(io.StringIO(text))
     try:
@@ -144,11 +145,15 @@ def load_csv(text: str) -> TrainingSet:
                 raise DataError(f"row {lineno}: missing value in column {name!r}")
             if kind == NUMERIC:
                 try:
-                    row.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise DataError(
                         f"row {lineno}: non-numeric value {cell!r} in column {name!r}"
                     ) from None
+                if not math.isfinite(value):
+                    raise DataError(
+                        f"row {lineno}: non-finite value {cell!r} in column {name!r}")
+                row.append(value)
             else:
                 row.append(cell)
         rows.append(tuple(row))

@@ -11,6 +11,7 @@ first inside a wave.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from graphlib import CycleError, TopologicalSorter
 
 from .errors import DataError
 from .project import ProjectGraph
@@ -108,16 +109,16 @@ def linearize(chosen: dict[str, frozenset[str]]) -> tuple[str, ...]:
     sort of the chosen-group precedence relation with ties broken
     lexicographically. Raises DataError if some task never becomes ready.
     """
-    wave: dict[str, int] = {}
-    remaining = set(chosen)
-    while remaining:
-        progressed = False
-        for t in list(remaining):
-            group = chosen[t]
-            if all(p in wave for p in group):
-                wave[t] = max((wave[p] + 1 for p in group), default=0)
-                remaining.discard(t)
-                progressed = True
-        if not progressed:
-            raise DataError("solution contains a precedence cycle")
-    return tuple(sorted(chosen, key=lambda t: (wave[t], t)))
+    if not chosen.keys() >= set().union(*chosen.values()):
+        raise DataError("solution names a task outside it")
+    sorter = TopologicalSorter(chosen)
+    try:
+        sorter.prepare()
+    except CycleError:
+        raise DataError("solution contains a precedence cycle") from None
+    steps: list[str] = []
+    while sorter.is_active():
+        wave = sorted(sorter.get_ready())
+        steps += wave
+        sorter.done(*wave)
+    return tuple(steps)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from graphlib import CycleError, TopologicalSorter
 
 from .errors import DataError
 
@@ -129,34 +130,17 @@ def validate(graph: ProjectGraph) -> list[str]:
 
 
 def _find_cycle(graph: ProjectGraph) -> list[str]:
-    """DFS over the union precedence relation; reports one cycle if present."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {tid: WHITE for tid in graph.tasks}
-
-    for start in graph.tasks:
-        if color[start] != WHITE:
-            continue
-        stack = [(start, iter(sorted(graph.predecessors(start))))]
-        color[start] = GRAY
-        path = [start]
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for pred in it:
-                if pred not in graph.tasks:
-                    continue
-                if color[pred] == GRAY:
-                    cycle = path[path.index(pred):] + [pred]
-                    return [f"task {pred!r} is reachable from itself: "
-                            + " <- ".join(cycle)]
-                if color[pred] == WHITE:
-                    color[pred] = GRAY
-                    path.append(pred)
-                    stack.append((pred, iter(sorted(graph.predecessors(pred)))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                path.pop()
-                stack.pop()
+    """Report one cycle of the union precedence relation, if it has one."""
+    # Edges run task -> predecessor, so graphlib reports a cycle as x <- y <- x.
+    sorter = TopologicalSorter()
+    for tid in graph.tasks:
+        sorter.add(tid)
+        for pred in sorted(graph.predecessors(tid)):
+            if pred in graph.tasks:
+                sorter.add(pred, tid)
+    try:
+        sorter.prepare()
+    except CycleError as exc:
+        cycle = exc.args[1]
+        return [f"task {cycle[0]!r} is reachable from itself: " + " <- ".join(cycle)]
     return []

@@ -90,6 +90,58 @@ def brute_force_plans(graph):
     return sequences
 
 
+def dfs_find_cycle(graph):
+    """Colour DFS over the union precedence relation; one cycle message or none."""
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color = {tid: WHITE for tid in graph.tasks}
+
+    for start in graph.tasks:
+        if color[start] != WHITE:
+            continue
+        stack = [(start, iter(sorted(graph.predecessors(start))))]
+        color[start] = GRAY
+        path = [start]
+        while stack:
+            node, it = stack[-1]
+            advanced = False
+            for pred in it:
+                if pred not in graph.tasks:
+                    continue
+                if color[pred] == GRAY:
+                    cycle = path[path.index(pred):] + [pred]
+                    return [f"task {pred!r} is reachable from itself: "
+                            + " <- ".join(cycle)]
+                if color[pred] == WHITE:
+                    color[pred] = GRAY
+                    path.append(pred)
+                    stack.append((pred, iter(sorted(graph.predecessors(pred)))))
+                    advanced = True
+                    break
+            if not advanced:
+                color[node] = BLACK
+                path.pop()
+                stack.pop()
+    return []
+
+
+def wave_linearize(chosen):
+    """Readiness waves by repeated scans, then id; DataError if a task never
+    becomes ready (a cycle, or a group member missing from ``chosen``)."""
+    wave = {}
+    remaining = set(chosen)
+    while remaining:
+        progressed = False
+        for t in list(remaining):
+            group = chosen[t]
+            if all(p in wave for p in group):
+                wave[t] = max((wave[p] + 1 for p in group), default=0)
+                remaining.discard(t)
+                progressed = True
+        if not progressed:
+            raise DataError("solution contains a precedence cycle")
+    return tuple(sorted(chosen, key=lambda t: (wave[t], t)))
+
+
 def bfs_blocks(initial, goal, apply_fn, successors_fn, satisfies_fn):
     """Shortest plan length by plain breadth-first search, or None."""
     if satisfies_fn(initial, goal):

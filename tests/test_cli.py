@@ -216,6 +216,19 @@ def test_classify_rejects_numeric_column_without_cut_points(tmp_path, capsys):
     assert "has no cut points" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_non_finite_csv_cell_exits_3(cell, model_file, runs_file, tmp_path,
+                                     capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(open(runs_file).read().replace("0.032237", cell))
+    for argv in (["dataset-info"], ["train", "--out", str(tmp_path / "m.json")],
+                 ["classify", "--model", model_file],
+                 ["eval", "--methods", "knn", "--modes", "none"]):
+        assert run(argv + ["--in", str(bad)]) == 3
+        assert capsys.readouterr().err == (
+            f"plancell: row 2: non-finite value {cell!r} in column 'time'\n")
+
+
 @pytest.mark.parametrize("column", ["class", "a=b"])
 def test_reserved_attribute_name_in_csv_exits_3(column, tmp_path, capsys):
     path = tmp_path / "runs.csv"
@@ -331,6 +344,10 @@ KB_FAULTS = {
     "input flag against descriptor": _put("facts", 0, "input", value=1),
     "no rules": lambda doc: doc.update(rules=[], R_E=[""] * len(doc["R_E"]),
                                        R_S=[""] * len(doc["R_S"])),
+    "descriptor 5": _put("facts", 0, "descriptor", value=5),
+    "conclusion list": _put("rules", 0, "conclusion", value=["s1"]),
+    "premises string": _put("rules", 0, "premises", value="s0"),
+    "premise 5": _put("rules", 0, "premises", value=["s0", 5]),
 }
 
 
@@ -352,15 +369,37 @@ def test_malformed_model_exits_4(fault, model_file, runs_file, tmp_path, capsys)
         _assert_model_error(argv + ["--model", str(bad)], capsys)
 
 
-@pytest.mark.parametrize("fault", KB_FAULTS)
-def test_malformed_rule_base_exits_4(fault, model_file, tmp_path, capsys):
+def _faulty_kb(fault, model_file, tmp_path, capsys):
     kb_path = tmp_path / "kb.json"
     assert run(["casi-dump", "--model", model_file, "--out", str(kb_path)]) == 0
     capsys.readouterr()
     doc = json.loads(kb_path.read_text())
     KB_FAULTS[fault](doc)
     kb_path.write_text(json.dumps(doc))
-    _assert_model_error(["casi-dump", "--model", str(kb_path)], capsys)
+    return str(kb_path)
+
+
+@pytest.mark.parametrize("fault", KB_FAULTS)
+def test_malformed_rule_base_exits_4(fault, model_file, tmp_path, capsys):
+    kb_path = _faulty_kb(fault, model_file, tmp_path, capsys)
+    _assert_model_error(["casi-dump", "--model", kb_path], capsys)
+
+
+KB_TYPE_MESSAGES = {
+    "descriptor 5": "fact descriptor 5 is not a string",
+    "conclusion list": "rule 1: conclusion must be a string, not ['s1']",
+    "premises string": "rule 1: premises must be a list of strings, not 's0'",
+    "premise 5": "rule 1: premises must be a list of strings, not ['s0', 5]",
+}
+
+
+@pytest.mark.parametrize("fault", KB_TYPE_MESSAGES)
+def test_rule_base_field_of_the_wrong_type_is_named(fault, model_file, tmp_path,
+                                                    capsys):
+    kb_path = _faulty_kb(fault, model_file, tmp_path, capsys)
+    assert run(["casi-dump", "--model", kb_path]) == 4
+    assert capsys.readouterr().err == (
+        f"plancell: model error: {KB_TYPE_MESSAGES[fault]}\n")
 
 
 def test_rule_base_without_rules_exits_4(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from plancell import (DataError, build_training_set, class_distribution,
@@ -76,6 +78,13 @@ def test_missing_cell_rejected():
 def test_non_numeric_cell_rejected():
     with pytest.raises(DataError, match="non-numeric value 'abc'"):
         load_csv("t:numeric,class:nominal\nabc,P1\n")
+
+
+@pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-Infinity", "1e999"])
+def test_non_finite_cell_rejected(cell):
+    message = f"row 3: non-finite value '{cell}' in column 't'"
+    with pytest.raises(DataError, match=re.escape(message)):
+        load_csv(f"t:numeric,class:nominal\n1,P1\n{cell},P2\n")
 
 
 def test_empty_body_rejected():

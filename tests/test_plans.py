@@ -10,7 +10,7 @@ from plancell.errors import DataError
 from plancell.plans import Plan, linearize
 from plancell.project import ProjectGraph, Task
 
-from oracles import brute_force_plans
+from oracles import brute_force_plans, dfs_find_cycle, wave_linearize
 
 FIRE_P1 = ("Begin", "FU1", "PU1", "FU(L0,L1)", "PU(L0,L1)",
            "fireman", "police", "extinguish_fire")
@@ -196,3 +196,40 @@ def test_every_valid_graph_has_a_first_plan(graph):
     plan = first_plan(graph)
     assert plan is not None
     assert plan.steps[0] == graph.entry and plan.steps[-1] == graph.exit
+
+
+@given(unvalidated_graphs())
+@settings(max_examples=300, deadline=None)
+def test_cycle_message_equals_the_dfs_oracle(graph):
+    cycles = [m for m in validate(graph) if "reachable from itself" in m]
+    assert cycles == dfs_find_cycle(graph)
+
+
+@st.composite
+def chosen_maps(draw):
+    """1-7 tasks in random order, each mapped to a group.
+
+    Most groups name tasks that come earlier in id order, so many maps
+    are executable; the rest may name any task, the task itself included,
+    or one outside the map, so cycles, self-loops and missing members occur.
+    """
+    ids = [f"t{i}" for i in range(draw(st.integers(1, 7)))]
+    anywhere = st.frozensets(st.sampled_from(ids + ["ghost"]), max_size=3)
+    chosen = {}
+    for i, t in enumerate(ids):
+        earlier = (st.frozensets(st.sampled_from(ids[:i]), max_size=3) if i
+                   else st.just(frozenset()))
+        chosen[t] = draw(st.one_of(earlier, earlier, earlier, anywhere))
+    return {t: chosen[t] for t in draw(st.permutations(ids))}
+
+
+@given(chosen_maps())
+@settings(max_examples=300, deadline=None)
+def test_linearize_equals_the_wave_oracle(chosen):
+    try:
+        expected = wave_linearize(chosen)
+    except DataError:
+        with pytest.raises(DataError):
+            linearize(chosen)
+    else:
+        assert linearize(chosen) == expected
