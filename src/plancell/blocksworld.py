@@ -2,7 +2,8 @@
 
 States are immutable values; ``apply`` returns a fresh successor. The
 solver comes in two flavours: exhaustive breadth-first search (optimal,
-used for small instances and as an oracle) and a greedy two-phase strategy
+used for small instances; it searches over packed tuples of support
+indices, not BlockState objects) and a greedy two-phase strategy
 (put misplaced blocks on the table, then build goal towers bottom-up) that
 is fast enough to generate training corpora for the larger sizes.
 """
@@ -14,6 +15,7 @@ import string
 import time
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .dataset import TrainingSet, build_training_set
 from .errors import DataError, InapplicableActionError, LimitError
@@ -237,6 +239,9 @@ def _check_goal_consistency(initial: BlockState, goal) -> None:
     known = initial.blocks
     support: dict[str, str] = {}
     for atom in goal:
+        if not (len(atom) == 3 and atom[0] == "on"
+                or len(atom) == 2 and atom[0] == "on-table"):
+            raise UnsolvableGoalError(f"malformed goal atom {atom!r}")
         for b in atom[1:]:
             if b not in known:
                 raise UnsolvableGoalError(f"goal references unknown block {b!r}")
@@ -273,44 +278,74 @@ def _cyclic(support: dict[str, str]) -> bool:
     return False
 
 
-def _successors(state: BlockState):
-    clear = sorted(state.clear)
-    if state.arm_empty:
-        for x in clear:
-            if x in state.on_table:
-                yield Action("pick-up", (x,))
-            else:
-                yield Action("unstack", (x, state.on[x]))
-    else:
-        x = state.holding
-        yield Action("put-down", (x,))
-        for y in clear:
-            yield Action("stack", (x, y))
+# A packed state has one entry per block, in sorted-name order: the index
+# of the block it rests on, _TABLE or _HELD. Packing maps one-to-one onto
+# BlockState._key, so the search meets exactly the states BlockState would.
+_TABLE, _HELD = -1, -2
 
 
 def _solve_bfs(initial: BlockState, goal, budget: int) -> list[Action]:
+    """Shortest plan by breadth-first search over packed states.
+
+    Successors are generated for clear blocks by name, ``put-down`` before
+    any ``stack``; each is tested against the goal when first generated,
+    and each dequeued state counts against ``budget``. Every state maps to
+    its predecessor, and the plan is read back from that map at the end.
+    """
     if satisfies(initial, goal):
         return []
-    frontier = [(initial, ())]
-    seen = {initial}
+    names = sorted(initial.blocks)
+    index = {b: i for i, b in enumerate(names)}
+    blocks = range(len(names))
+    start = tuple(index[initial.on[b]] if b in initial.on
+                  else _TABLE if b in initial.on_table else _HELD for b in names)
+    want = {index[a[1]]: (index[a[2]] if a[0] == "on" else _TABLE) for a in goal}
+    at_goal = itemgetter(*want)
+    target = at_goal([want.get(b) for b in blocks])
+    predecessor = {start: None}
+    frontier = [start]
     expanded = 0
     while frontier:
         next_frontier = []
-        for state, path in frontier:
+        for state in frontier:
             expanded += 1
             if expanded > budget:
                 raise LimitError(f"search budget of {budget} states exhausted")
-            for action in _successors(state):
-                succ = apply(state, action)
-                if succ in seen:
+            clear = [b for b in blocks if b not in state and state[b] != _HELD]
+            if _HELD in state:
+                held = state.index(_HELD)
+                moves = [(held, _TABLE)] + [(held, y) for y in clear]
+            else:
+                moves = [(x, _HELD) for x in clear]
+            for x, to in moves:
+                succ = list(state)
+                succ[x] = to
+                succ = tuple(succ)
+                if succ in predecessor:
                     continue
-                seen.add(succ)
-                new_path = path + (action,)
-                if satisfies(succ, goal):
-                    return list(new_path)
-                next_frontier.append((succ, new_path))
+                predecessor[succ] = state
+                if at_goal(succ) == target:
+                    return _unpack_plan(names, predecessor, succ)
+                next_frontier.append(succ)
         frontier = next_frontier
     raise UnsolvableGoalError("goal unreachable from the initial state")
+
+
+def _unpack_plan(names: list[str], predecessor: dict, state: tuple) -> list[Action]:
+    """The actions leading to ``state``: each moves the one block whose entry changed."""
+    actions = []
+    while (prev := predecessor[state]) is not None:
+        x = next(b for b in range(len(names)) if prev[b] != state[b])
+        was, now = prev[x], state[x]
+        if now == _HELD:
+            actions.append(Action("pick-up", (names[x],)) if was == _TABLE
+                           else Action("unstack", (names[x], names[was])))
+        elif now == _TABLE:
+            actions.append(Action("put-down", (names[x],)))
+        else:
+            actions.append(Action("stack", (names[x], names[now])))
+        state = prev
+    return actions[::-1]
 
 
 def _solve_greedy(initial: BlockState, goal) -> list[Action]:

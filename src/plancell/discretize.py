@@ -78,7 +78,8 @@ def schema_from_json(data: dict):
     """Inverse of ``schema_to_json``: (attributes, classes, map or None).
 
     Raises ModelIntegrityError on any malformed part: repeated attribute
-    names, unsorted or non-numeric cuts, classes or domains not in lists.
+    names, unsorted, non-numeric or non-finite cuts (``json`` reads NaN and
+    Infinity), classes or domains not in lists.
     """
     try:
         for value in [data["classes"], *(a["domain"] for a in data["attributes"])]:
@@ -94,8 +95,8 @@ def schema_from_json(data: dict):
         if cuts is None:
             return attributes, classes, None
         for name, cs in cuts.items():
-            if not all(map(_is_number, cs)):
-                raise ModelIntegrityError(f"cuts for {name!r} are not numbers")
+            if not all(_is_number(c) and math.isfinite(c) for c in cs):
+                raise ModelIntegrityError(f"cuts for {name!r} are not finite numbers")
         return attributes, classes, DiscretizationMap(
             {a: tuple(c) for a, c in cuts.items()})
     except (KeyError, TypeError, AttributeError, DataError) as exc:

@@ -12,10 +12,12 @@ from itertools import combinations, product
 
 import numpy as np
 
+from plancell.blocksworld import Action, UnsolvableGoalError, apply, satisfies
 from plancell.casi import Configuration
 from plancell.dataset import Instance
 from plancell.discretize import encode
-from plancell.errors import DataError, ModelIntegrityError, UnknownValueError
+from plancell.errors import (DataError, LimitError, ModelIntegrityError,
+                             UnknownValueError)
 from plancell.tree import TreeNode
 
 
@@ -140,6 +142,51 @@ def wave_linearize(chosen):
         if not progressed:
             raise DataError("solution contains a precedence cycle")
     return tuple(sorted(chosen, key=lambda t: (wave[t], t)))
+
+
+def blocks_successors(state):
+    """Applicable actions: clear blocks by name, ``put-down`` before any ``stack``."""
+    clear = sorted(state.clear)
+    if state.arm_empty:
+        for x in clear:
+            if x in state.on_table:
+                yield Action("pick-up", (x,))
+            else:
+                yield Action("unstack", (x, state.on[x]))
+    else:
+        x = state.holding
+        yield Action("put-down", (x,))
+        for y in clear:
+            yield Action("stack", (x, y))
+
+
+def bfs_plan(initial, goal, budget):
+    """The first shortest plan (action strings) by BFS over BlockState objects.
+
+    Same successor order, goal test and budget count as ``solve``'s BFS.
+    """
+    if satisfies(initial, goal):
+        return ()
+    frontier = [(initial, ())]
+    seen = {initial}
+    expanded = 0
+    while frontier:
+        next_frontier = []
+        for state, path in frontier:
+            expanded += 1
+            if expanded > budget:
+                raise LimitError(f"search budget of {budget} states exhausted")
+            for action in blocks_successors(state):
+                succ = apply(state, action)
+                if succ in seen:
+                    continue
+                seen.add(succ)
+                new_path = path + (str(action),)
+                if satisfies(succ, goal):
+                    return new_path
+                next_frontier.append((succ, new_path))
+        frontier = next_frontier
+    raise UnsolvableGoalError("goal unreachable from the initial state")
 
 
 def bfs_blocks(initial, goal, apply_fn, successors_fn, satisfies_fn):

@@ -1,6 +1,10 @@
 import random
+import re
+import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plancell.blocksworld import (Action, BlockState, all_on_table, apply,
                                   corpus_training_set, generate_corpus,
@@ -9,7 +13,7 @@ from plancell.blocksworld import (Action, BlockState, all_on_table, apply,
                                   UnsolvableGoalError)
 from plancell.errors import DataError, InapplicableActionError, LimitError
 
-from oracles import bfs_blocks
+from oracles import bfs_blocks, bfs_plan, blocks_successors
 
 TOWER_PLAN = ("pick-up b", "stack b a", "pick-up c",
               "stack c b", "pick-up d", "stack d c")
@@ -82,15 +86,7 @@ def test_action_arity_checked():
 
 
 def random_applicable(state, rng):
-    if state.arm_empty:
-        choices = [Action("pick-up", (x,)) if x in state.on_table
-                   else Action("unstack", (x, state.on[x]))
-                   for x in sorted(state.clear)]
-    else:
-        x = state.holding
-        choices = [Action("put-down", (x,))]
-        choices += [Action("stack", (x, y)) for y in sorted(state.clear)]
-    return rng.choice(choices)
+    return rng.choice(list(blocks_successors(state)))
 
 
 def test_apply_preserves_invariant():
@@ -162,17 +158,80 @@ def test_solve_three_block_double_stack():
 
 
 def test_bfs_matches_independent_oracle():
-    from plancell.blocksworld import _successors, satisfies
+    from plancell.blocksworld import satisfies
 
     rng = random.Random(31)
     for _ in range(10):
         initial = random_state(list("abcd"), rng)
         goal = tuple(state_goal_atoms(random_state(list("abcd"), rng)))
-        expected = bfs_blocks(initial, goal, apply,
-                              lambda s: list(_successors(s)),
-                              satisfies)
+        expected = bfs_blocks(initial, goal, apply, blocks_successors, satisfies)
         result = solve(initial, goal, method="bfs")
         assert len(result.plan) == expected
+
+
+@st.composite
+def blocks_problems(draw):
+    """1-6 blocks, maybe one of them held, and a full or partial goal."""
+    names = list(string.ascii_lowercase[:draw(st.integers(1, 6))])
+
+    def towers():
+        order = draw(st.permutations(names))
+        new_tower = [True] + draw(st.lists(st.booleans(), min_size=len(names) - 1,
+                                           max_size=len(names) - 1))
+        on, on_table = {}, set()
+        for below, block, starts in zip([None, *order], order, new_tower):
+            if starts:
+                on_table.add(block)
+            else:
+                on[block] = below
+        return BlockState(on, on_table)
+
+    initial = towers()
+    if draw(st.booleans()):
+        held = draw(st.sampled_from(sorted(initial.clear)))
+        initial = BlockState({b: u for b, u in initial.on.items() if b != held},
+                             initial.on_table - {held}, held)
+    goal = state_goal_atoms(towers())
+    if draw(st.booleans()):
+        goal = [a for a in goal if draw(st.booleans())]
+    return initial, tuple(goal)
+
+
+@settings(max_examples=60, deadline=None)
+@given(blocks_problems())
+def test_bfs_plan_equals_the_object_search(problem):
+    initial, goal = problem
+    plan = solve(initial, goal, method="bfs").plan
+    assert plan == bfs_plan(initial, goal, 500_000)
+    assert validate_plan(initial, plan, goal) == (True, None)
+
+
+def _smallest_oracle_budget(initial, goal):
+    fails, succeeds = 0, 500_000
+    while succeeds - fails > 1:
+        mid = (fails + succeeds) // 2
+        try:
+            bfs_plan(initial, goal, mid)
+            succeeds = mid
+        except LimitError:
+            fails = mid
+    return succeeds
+
+
+def test_bfs_spends_the_oracle_budget():
+    rng = random.Random(33)
+    for n in (3, 4, 4, 5, 5, 6):
+        blocks = list(string.ascii_lowercase[:n])
+        initial = random_state(blocks, rng)
+        goal = tuple(state_goal_atoms(random_state(blocks, rng)))
+        if not bfs_plan(initial, goal, 500_000):
+            continue
+        budget = _smallest_oracle_budget(initial, goal)
+        assert solve(initial, goal, budget=budget).plan == \
+            bfs_plan(initial, goal, budget)
+        with pytest.raises(LimitError,
+                           match=f"^search budget of {budget - 1} states exhausted$"):
+            solve(initial, goal, budget=budget - 1)
 
 
 def test_greedy_validates_and_is_no_shorter_than_bfs():
@@ -209,6 +268,16 @@ def test_unknown_method():
 def test_inconsistent_goals_rejected(goal, message):
     with pytest.raises(UnsolvableGoalError, match=message):
         solve(all_on_table("abc"), goal)
+
+
+@pytest.mark.parametrize("method", ["bfs", "greedy"])
+@pytest.mark.parametrize("atom", [("on", "a"), ("on-table", "a", "b"),
+                                  ("clear", "a")],
+                         ids=["on a", "on-table a b", "clear a"])
+def test_malformed_goal_atoms_rejected(atom, method):
+    with pytest.raises(UnsolvableGoalError,
+                       match=re.escape(f"malformed goal atom {atom!r}")):
+        solve(all_on_table("abc"), (atom,), method=method)
 
 
 def test_generate_runs_deterministic_except_time():

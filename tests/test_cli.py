@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import stat
 
@@ -310,6 +311,8 @@ MODEL_FAULTS = {
     "scalar cut list": _put("discretization", "steps", value=8.0),
     "unsorted cuts": _put("discretization", "steps", value=[11.0, 8.0]),
     "non-numeric cuts": _put("discretization", "steps", value=["a", "b"]),
+    "NaN cut": _put("discretization", "steps", value=[math.nan]),
+    "infinite cut": _put("discretization", "steps", value=[8.0, math.inf]),
     "top-level array": lambda doc: [doc],
     "repeated attribute name": lambda doc: doc["attributes"].append(
         dict(doc["attributes"][0])),
@@ -334,6 +337,8 @@ def _bit(name, char):
 
 KB_FAULTS = {
     "unsorted cuts": _put("discretization", "steps", value=[11.0, 8.0]),
+    "NaN cut": _put("discretization", "steps", value=[math.nan]),
+    "infinite cut": _put("discretization", "steps", value=[8.0, math.inf]),
     "list discretization": _put("discretization", value=[[8.0, 11.0]]),
     "rule with empty premises": _put("rules", 0, "premises", value=[]),
     "premise bit x": _bit("R_E", "x"),
