@@ -1,11 +1,12 @@
 """STRIPS blocksworld: states, the four actions, validation, solving, corpora.
 
-States are immutable values; ``apply`` returns a fresh successor. The
-solver comes in two flavours: exhaustive breadth-first search (optimal,
-used for small instances; it searches over packed tuples of support
-indices, not BlockState objects) and a greedy two-phase strategy
-(put misplaced blocks on the table, then build goal towers bottom-up) that
-is fast enough to generate training corpora for the larger sizes.
+A state is its support function (Slaney & Thiebaux 2001): per block, in
+sorted-name order, the index of the block it rests on, the table or the
+arm. ``apply``, goal tests and both solvers work on that tuple; one reader
+turns a goal into a target per block. The solver comes in two flavours:
+exhaustive breadth-first search (optimal, used for small instances) and a
+greedy two-phase strategy (put misplaced blocks on the table, then build
+goal towers bottom-up) that is fast enough for the larger corpus sizes.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ ACTION_ARITY = {"pick-up": 1, "put-down": 1, "stack": 2, "unstack": 2}
 
 # goal atoms: ("on", x, y) or ("on-table", x)
 Atom = tuple
+
+# Support entries that are not block indices.
+_TABLE, _HELD = -1, -2
 
 
 @dataclass(frozen=True)
@@ -52,78 +56,95 @@ class Action:
 
 
 class BlockState:
-    """One blocksworld configuration.
+    """One blocksworld configuration: the sorted block ``names`` and, per
+    block, the ``support`` index it rests on, ``_TABLE`` or ``_HELD``.
 
-    ``on`` maps a block to the block it sits on, ``on_table`` holds the
-    blocks on the table, ``holding`` is the block in the arm (or None).
-    ``clear`` and ``arm_empty`` are derived, so they can never disagree
-    with the rest of the state.
+    ``on``, ``on_table``, ``holding``, ``blocks``, ``clear`` and
+    ``arm_empty`` are views. The constructor rejects a block in two
+    positions or on an unknown block; ``check`` covers the rest.
     """
 
-    __slots__ = ("on", "on_table", "holding", "_key")
+    __slots__ = ("names", "support")
 
     def __init__(self, on: dict[str, str] | None = None,
                  on_table: set[str] | frozenset[str] = frozenset(),
                  holding: str | None = None):
-        self.on = dict(on or {})
-        self.on_table = frozenset(on_table)
-        self.holding = holding
-        self._key = (frozenset(self.on.items()), self.on_table, holding)
+        on = on or {}
+        located = [*on, *on_table] + ([holding] if holding else [])
+        self.names = tuple(sorted(set(located)))
+        if len(self.names) < len(located):
+            b, n = Counter(located).most_common(1)[0]
+            raise DataError(f"block {b!r} occupies {n} positions")
+        index = {b: i for i, b in enumerate(self.names)}
+        for b, under in on.items():
+            if under not in index:
+                raise DataError(f"block {b!r} rests on unknown block {under!r}")
+        self.support = tuple(index[on[b]] if b in on else _TABLE if b in on_table
+                             else _HELD for b in self.names)
+
+    @classmethod
+    def _packed(cls, names, support) -> "BlockState":
+        state = object.__new__(cls)
+        state.names, state.support = names, support
+        return state
+
+    @property
+    def on(self) -> dict[str, str]:
+        return {b: self.names[s] for b, s in zip(self.names, self.support) if s >= 0}
+
+    @property
+    def on_table(self) -> frozenset[str]:
+        return frozenset(b for b, s in zip(self.names, self.support) if s == _TABLE)
+
+    @property
+    def holding(self) -> str | None:
+        return self.names[self.support.index(_HELD)] if _HELD in self.support else None
 
     @property
     def blocks(self) -> frozenset[str]:
-        extra = {self.holding} if self.holding else set()
-        return frozenset(self.on) | frozenset(self.on.values()) | self.on_table | extra
+        return frozenset(self.names)
 
     @property
     def clear(self) -> frozenset[str]:
-        covered = set(self.on.values())
-        if self.holding:
-            covered.add(self.holding)
-        return self.blocks - covered
+        return frozenset(b for i, b in enumerate(self.names)
+                         if i not in self.support and self.support[i] != _HELD)
 
     @property
     def arm_empty(self) -> bool:
-        return self.holding is None
+        return _HELD not in self.support
 
     def check(self) -> None:
         """Raise DataError unless the state is a set of towers on the table.
 
-        Every block occupies exactly one position (on a block, on the
-        table or in the arm) and rests only on a known block; at most one
-        block rests on any block, none on the held block, and every chain
-        of supports ends on the table.
+        At most one block rests on any block, none on the held block, and
+        every chain of supports ends on the table.
         """
-        located = [*self.on, *self.on_table] + ([self.holding] if self.holding else [])
-        known = set(located)
-        if len(known) < len(located):
-            b, n = Counter(located).most_common(1)[0]
-            raise DataError(f"block {b!r} occupies {n} positions")
-        for b, under in self.on.items():
-            if under not in known:
-                raise DataError(f"block {b!r} rests on unknown block {under!r}")
-            if under == self.holding:
-                raise DataError(f"block {b!r} rests on the held block {under!r}")
-        if len(set(self.on.values())) < len(self.on):
-            under, n = Counter(self.on.values()).most_common(1)[0]
-            raise DataError(f"{n} blocks rest on block {under!r}")
-        if _cyclic(self.on):
+        names, support = self.names, self.support
+        for b, under in zip(names, support):
+            if under >= 0 and support[under] == _HELD:
+                raise DataError(f"block {b!r} rests on the held block {names[under]!r}")
+        stacked = [s for s in support if s >= 0]
+        if len(set(stacked)) < len(stacked):
+            under, n = Counter(stacked).most_common(1)[0]
+            raise DataError(f"{n} blocks rest on block {names[under]!r}")
+        if _cyclic(support):
             raise DataError("block supports contain a cycle")
 
     def __eq__(self, other):
-        return isinstance(other, BlockState) and self._key == other._key
+        return (isinstance(other, BlockState) and self.names == other.names
+                and self.support == other.support)
 
     def __hash__(self):
-        return hash(self._key)
+        return hash((self.names, self.support))
 
     def __repr__(self):
+        above = {s: i for i, s in enumerate(self.support) if s >= 0}
         towers = []
-        for base in sorted(self.on_table):
+        for base in (i for i, s in enumerate(self.support) if s == _TABLE):
             tower = [base]
-            inverse = {v: k for k, v in self.on.items()}
-            while tower[-1] in inverse:
-                tower.append(inverse[tower[-1]])
-            towers.append("/".join(tower))
+            while tower[-1] in above:
+                tower.append(above[tower[-1]])
+            towers.append("/".join(self.names[i] for i in tower))
         hold = f" holding={self.holding}" if self.holding else ""
         return f"<BlockState {' '.join(towers)}{hold}>"
 
@@ -137,59 +158,44 @@ def apply(state: BlockState, action: Action) -> BlockState:
 
     Raises InapplicableActionError naming the first failed precondition.
     """
-    name, args = action.name, action.args
+    names, support = state.names, state.support
+    index = {b: i for i, b in enumerate(names)}
 
     def need(cond: bool, what: str):
         if not cond:
             raise InapplicableActionError(f"{action}: requires {what}")
 
-    if name == "pick-up":
-        (x,) = args
-        need(x in state.on_table, f"on-table({x})")
+    x, y = action.args[0], action.args[-1]
+    at = support[index[x]] if x in index else None
+    if action.name in ("put-down", "stack"):
+        need(at == _HELD, f"holding({x})")
+        need(action.name == "put-down" or y in state.clear, f"clear({y})")
+        now = _TABLE if action.name == "put-down" else index[y]
+    else:
+        if action.name == "pick-up":
+            need(at == _TABLE, f"on-table({x})")
+        else:
+            need(y in index and at == index[y], f"on({x},{y})")
         need(x in state.clear, f"clear({x})")
         need(state.arm_empty, "arm-empty")
-        return BlockState(state.on, state.on_table - {x}, x)
-
-    if name == "put-down":
-        (x,) = args
-        need(state.holding == x, f"holding({x})")
-        return BlockState(state.on, state.on_table | {x}, None)
-
-    if name == "stack":
-        x, y = args
-        need(state.holding == x, f"holding({x})")
-        need(y in state.clear, f"clear({y})")
-        on = dict(state.on)
-        on[x] = y
-        return BlockState(on, state.on_table, None)
-
-    x, y = args  # unstack
-    need(state.on.get(x) == y, f"on({x},{y})")
-    need(x in state.clear, f"clear({x})")
-    need(state.arm_empty, "arm-empty")
-    on = dict(state.on)
-    del on[x]
-    return BlockState(on, state.on_table, x)
-
-
-def holds(state: BlockState, atom: Atom) -> bool:
-    if atom[0] == "on":
-        return state.on.get(atom[1]) == atom[2]
-    if atom[0] == "on-table":
-        return atom[1] in state.on_table
-    raise DataError(f"unknown goal atom {atom!r}")
+        now = _HELD
+    succ = list(support)
+    succ[index[x]] = now
+    return BlockState._packed(names, tuple(succ))
 
 
 def satisfies(state: BlockState, goal) -> bool:
-    return all(holds(state, atom) for atom in goal)
+    return _reached(state.support, _read_goal(state.names, goal))
 
 
 def validate_plan(initial: BlockState, plan, goal) -> tuple[bool, str | None]:
     """Replay a plan; (True, None) iff every step applies and the goal holds.
 
     ``plan`` is a sequence of action strings or Action objects, such as
-    ``solve(...).plan``.
+    ``solve(...).plan``. A goal no state satisfies raises
+    UnsolvableGoalError, as in ``solve``, before any step is replayed.
     """
+    target = _read_goal(initial.names, goal)
     state = initial
     for i, step in enumerate(plan):
         action = step if isinstance(step, Action) else Action.parse(step)
@@ -198,7 +204,8 @@ def validate_plan(initial: BlockState, plan, goal) -> tuple[bool, str | None]:
         except InapplicableActionError as exc:
             return False, f"step {i + 1} inapplicable: {exc}"
     for atom in goal:
-        if not holds(state, atom):
+        x = state.names.index(atom[1])
+        if state.support[x] != target[x]:
             return False, f"goal atom {atom} not satisfied in final state"
     return True, None
 
@@ -219,12 +226,12 @@ def solve(initial: BlockState, goal, budget: int = 500_000,
     plan always validates against (initial, goal).
     """
     initial.check()
-    _check_goal_consistency(initial, goal)
+    target = _read_goal(initial.names, goal)
     start = time.perf_counter()
     if method == "bfs":
-        actions = _solve_bfs(initial, goal, budget)
+        actions = _solve_bfs(initial, target, budget)
     elif method == "greedy":
-        actions = _solve_greedy(initial, goal)
+        actions = _solve_greedy(initial, target)
     else:
         raise DataError(f"unknown solve method {method!r}")
     elapsed = time.perf_counter() - start
@@ -235,41 +242,49 @@ class UnsolvableGoalError(DataError):
     pass
 
 
-def _check_goal_consistency(initial: BlockState, goal) -> None:
-    known = initial.blocks
-    support: dict[str, str] = {}
+def _read_goal(names: tuple[str, ...], goal) -> list[int | None]:
+    """Target support per block: an index, ``_TABLE`` or None (free).
+
+    Raises UnsolvableGoalError, naming the atom or block, if no state
+    satisfies the goal."""
+    index = {b: i for i, b in enumerate(names)}
+    target: list[int | None] = [None] * len(names)
     for atom in goal:
         if not (len(atom) == 3 and atom[0] == "on"
                 or len(atom) == 2 and atom[0] == "on-table"):
             raise UnsolvableGoalError(f"malformed goal atom {atom!r}")
         for b in atom[1:]:
-            if b not in known:
+            if b not in index:
                 raise UnsolvableGoalError(f"goal references unknown block {b!r}")
-        if atom[0] == "on":
-            x, y = atom[1], atom[2]
-            if x == y:
-                raise UnsolvableGoalError(f"block {x!r} cannot rest on itself")
-            if support.get(x, y) != y:
-                raise UnsolvableGoalError(f"block {x!r} has two goal positions")
-            support[x] = y
-        elif atom[0] == "on-table":
-            if atom[1] in support:
-                raise UnsolvableGoalError(f"block {atom[1]!r} has two goal positions")
-    if len(set(support.values())) < len(support):
-        y = Counter(support.values()).most_common(1)[0][0]
-        raise UnsolvableGoalError(f"two blocks stacked on {y!r} in goal")
-    if _cyclic(support):
+        x = index[atom[1]]
+        want = index[atom[2]] if atom[0] == "on" else _TABLE
+        if want == x:
+            raise UnsolvableGoalError(f"block {atom[1]!r} cannot rest on itself")
+        if target[x] not in (None, want):
+            raise UnsolvableGoalError(f"block {atom[1]!r} has two goal positions")
+        target[x] = want
+    stacked = [t for t in target if t is not None and t >= 0]
+    if len(set(stacked)) < len(stacked):
+        y = Counter(stacked).most_common(1)[0][0]
+        raise UnsolvableGoalError(f"two blocks stacked on {names[y]!r} in goal")
+    if _cyclic(target):
         raise UnsolvableGoalError("goal stacking contains a cycle")
+    return target
+
+
+def _reached(support, target) -> bool:
+    return all(t is None or s == t for s, t in zip(support, target))
 
 
 # Kept by hand: ~1.6 us a call on 8-block states, a graphlib sorter ~18 us.
-def _cyclic(support: dict[str, str]) -> bool:
-    """Whether following block -> support links ever returns to a block."""
-    finished: set[str] = set()
-    for start in support:
-        path = set()
-        b = start
-        while b in support and b not in finished:
+def _cyclic(support) -> bool:
+    """Whether following block -> support links ever returns to a block;
+    an entry that is no block index (table, arm, free) ends a chain."""
+    blocks = range(len(support))
+    finished: set[int] = set()
+    for start in blocks:
+        path, b = set(), start
+        while b in blocks and b not in finished:
             if b in path:
                 return True
             path.add(b)
@@ -278,30 +293,20 @@ def _cyclic(support: dict[str, str]) -> bool:
     return False
 
 
-# A packed state has one entry per block, in sorted-name order: the index
-# of the block it rests on, _TABLE or _HELD. Packing maps one-to-one onto
-# BlockState._key, so the search meets exactly the states BlockState would.
-_TABLE, _HELD = -1, -2
-
-
-def _solve_bfs(initial: BlockState, goal, budget: int) -> list[Action]:
-    """Shortest plan by breadth-first search over packed states.
+def _solve_bfs(initial: BlockState, target: list, budget: int) -> list[Action]:
+    """Shortest plan by breadth-first search over support tuples.
 
     Successors are generated for clear blocks by name, ``put-down`` before
     any ``stack``; each is tested against the goal when first generated,
     and each dequeued state counts against ``budget``. Every state maps to
     its predecessor, and the plan is read back from that map at the end.
     """
-    if satisfies(initial, goal):
+    start = initial.support
+    if _reached(start, target):
         return []
-    names = sorted(initial.blocks)
-    index = {b: i for i, b in enumerate(names)}
-    blocks = range(len(names))
-    start = tuple(index[initial.on[b]] if b in initial.on
-                  else _TABLE if b in initial.on_table else _HELD for b in names)
-    want = {index[a[1]]: (index[a[2]] if a[0] == "on" else _TABLE) for a in goal}
-    at_goal = itemgetter(*want)
-    target = at_goal([want.get(b) for b in blocks])
+    blocks = range(len(start))
+    at_goal = itemgetter(*(b for b in blocks if target[b] is not None))
+    goal = at_goal(target)
     predecessor = {start: None}
     frontier = [start]
     expanded = 0
@@ -324,83 +329,78 @@ def _solve_bfs(initial: BlockState, goal, budget: int) -> list[Action]:
                 if succ in predecessor:
                     continue
                 predecessor[succ] = state
-                if at_goal(succ) == target:
-                    return _unpack_plan(names, predecessor, succ)
+                if at_goal(succ) == goal:
+                    return _unpack_plan(initial.names, predecessor, succ)
                 next_frontier.append(succ)
         frontier = next_frontier
     raise UnsolvableGoalError("goal unreachable from the initial state")
 
 
-def _unpack_plan(names: list[str], predecessor: dict, state: tuple) -> list[Action]:
+def _move(names: tuple[str, ...], x: int, was: int, now: int) -> Action:
+    """The action that moves block ``x`` from support ``was`` to ``now``."""
+    if now == _HELD:
+        return (Action("pick-up", (names[x],)) if was == _TABLE
+                else Action("unstack", (names[x], names[was])))
+    if now == _TABLE:
+        return Action("put-down", (names[x],))
+    return Action("stack", (names[x], names[now]))
+
+
+def _unpack_plan(names: tuple[str, ...], predecessor: dict, state: tuple) -> list[Action]:
     """The actions leading to ``state``: each moves the one block whose entry changed."""
     actions = []
     while (prev := predecessor[state]) is not None:
         x = next(b for b in range(len(names)) if prev[b] != state[b])
-        was, now = prev[x], state[x]
-        if now == _HELD:
-            actions.append(Action("pick-up", (names[x],)) if was == _TABLE
-                           else Action("unstack", (names[x], names[was])))
-        elif now == _TABLE:
-            actions.append(Action("put-down", (names[x],)))
-        else:
-            actions.append(Action("stack", (names[x], names[now])))
+        actions.append(_move(names, x, prev[x], state[x]))
         state = prev
     return actions[::-1]
 
 
-def _solve_greedy(initial: BlockState, goal) -> list[Action]:
-    """Two phases: clear misplaced blocks to the table, then build towers."""
-    want_on = {a[1]: a[2] for a in goal if a[0] == "on"}
-    want_table = {a[1] for a in goal if a[0] == "on-table"}
+def _solve_greedy(initial: BlockState, target: list) -> list[Action]:
+    """Two phases: clear misplaced blocks to the table, then build towers.
 
+    The arm is empty between moves, so a clear block is one no entry names.
+    """
+    names, support = initial.names, list(initial.support)
     actions: list[Action] = []
-    state = initial
 
-    def do(action: Action):
-        nonlocal state
-        state = apply(state, action)
-        actions.append(action)
+    def move(x: int, now: int):
+        actions.append(_move(names, x, support[x], now))
+        support[x] = now
 
-    def placed(b: str) -> bool:
-        """Block b is in its final position (support chain included)."""
-        if b in want_on:
-            under = state.on.get(b)
-            return under == want_on[b] and placed(under)
-        if b in want_table:
-            return b in state.on_table
-        # unconstrained: stable unless resting on something unplaced
-        under = state.on.get(b)
-        return under is None or placed(under)
+    def placed(b: int) -> bool:
+        """Block b and every block below it rest where the goal wants them."""
+        want, under = target[b], support[b]
+        if want is not None and want != under:
+            return False
+        return under < 0 or placed(under)
 
-    if state.holding:
-        do(Action("put-down", (state.holding,)))
+    if _HELD in support:
+        move(support.index(_HELD), _TABLE)
 
     # phase 1: tear down everything not already in final position
     moved = True
     while moved:
         moved = False
-        for x in sorted(state.clear):
-            if x in state.on and not placed(x):
-                do(Action("unstack", (x, state.on[x])))
-                do(Action("put-down", (x,)))
+        for x in [b for b in range(len(names)) if b not in support]:
+            if support[x] >= 0 and not placed(x):
+                move(x, _HELD)
+                move(x, _TABLE)
                 moved = True
 
     # phase 2: build goal towers bottom-up
+    stacks = [(x, y) for x, y in enumerate(target) if y is not None and y >= 0]
     progress = True
     while progress:
         progress = False
-        for x in sorted(want_on):
-            y = want_on[x]
-            if placed(x) or x not in state.clear or y not in state.clear:
+        for x, y in stacks:
+            if placed(x) or x in support or y in support or not placed(y):
                 continue
-            if not placed(y):
-                continue
-            do(Action("pick-up", (x,)) if x in state.on_table
-               else Action("unstack", (x, state.on[x])))
-            do(Action("stack", (x, y)))
+            move(x, _HELD)
+            move(x, y)
             progress = True
 
-    if not satisfies(state, goal):
+    if not _reached(support, target):
         raise UnsolvableGoalError("greedy construction failed to reach the goal")
     return actions
 

@@ -189,6 +189,68 @@ def bfs_plan(initial, goal, budget):
     raise UnsolvableGoalError("goal unreachable from the initial state")
 
 
+def greedy_plan(initial, goal):
+    """Two phases: clear misplaced blocks to the table, then build towers.
+
+    The greedy solver as it was written over BlockState objects and
+    ``apply``; returns the list of Actions ``solve(..., method="greedy")``
+    must turn into its plan.
+    """
+    want_on = {a[1]: a[2] for a in goal if a[0] == "on"}
+    want_table = {a[1] for a in goal if a[0] == "on-table"}
+
+    actions: list[Action] = []
+    state = initial
+
+    def do(action: Action):
+        nonlocal state
+        state = apply(state, action)
+        actions.append(action)
+
+    def placed(b: str) -> bool:
+        """Block b is in its final position (support chain included)."""
+        if b in want_on:
+            under = state.on.get(b)
+            return under == want_on[b] and placed(under)
+        if b in want_table:
+            return b in state.on_table
+        # unconstrained: stable unless resting on something unplaced
+        under = state.on.get(b)
+        return under is None or placed(under)
+
+    if state.holding:
+        do(Action("put-down", (state.holding,)))
+
+    # phase 1: tear down everything not already in final position
+    moved = True
+    while moved:
+        moved = False
+        for x in sorted(state.clear):
+            if x in state.on and not placed(x):
+                do(Action("unstack", (x, state.on[x])))
+                do(Action("put-down", (x,)))
+                moved = True
+
+    # phase 2: build goal towers bottom-up
+    progress = True
+    while progress:
+        progress = False
+        for x in sorted(want_on):
+            y = want_on[x]
+            if placed(x) or x not in state.clear or y not in state.clear:
+                continue
+            if not placed(y):
+                continue
+            do(Action("pick-up", (x,)) if x in state.on_table
+               else Action("unstack", (x, state.on[x])))
+            do(Action("stack", (x, y)))
+            progress = True
+
+    if not satisfies(state, goal):
+        raise UnsolvableGoalError("greedy construction failed to reach the goal")
+    return actions
+
+
 def bfs_blocks(initial, goal, apply_fn, successors_fn, satisfies_fn):
     """Shortest plan length by plain breadth-first search, or None."""
     if satisfies_fn(initial, goal):

@@ -13,7 +13,7 @@ from plancell.blocksworld import (Action, BlockState, all_on_table, apply,
                                   UnsolvableGoalError)
 from plancell.errors import DataError, InapplicableActionError, LimitError
 
-from oracles import bfs_blocks, bfs_plan, blocks_successors
+from oracles import bfs_blocks, bfs_plan, blocks_successors, greedy_plan
 
 TOWER_PLAN = ("pick-up b", "stack b a", "pick-up c",
               "stack c b", "pick-up d", "stack d c")
@@ -56,19 +56,21 @@ def test_pick_up_requires_clear():
         apply(state, Action("pick-up", ("a",)))
 
 
+# Each ``state`` is constructor arguments: the first two cases already fail
+# in the constructor, the rest in ``check``.
 @pytest.mark.parametrize("state,message", [
-    (BlockState(on={"a": "b"}, on_table={"a", "b"}), "occupies 2 positions"),
-    (BlockState(on={"a": "z"}), "unknown block 'z'"),
-    (BlockState(on={"a": "b", "b": "a"}), "cycle"),
-    (BlockState(on={"a": "a"}), "cycle"),
-    (BlockState(on={"a": "c", "b": "c"}, on_table={"c"}), "2 blocks rest on block 'c'"),
-    (BlockState(on={"a": "b"}, holding="b"), "held block 'b'"),
+    (dict(on={"a": "b"}, on_table={"a", "b"}), "occupies 2 positions"),
+    (dict(on={"a": "z"}), "unknown block 'z'"),
+    (dict(on={"a": "b", "b": "a"}), "cycle"),
+    (dict(on={"a": "a"}), "cycle"),
+    (dict(on={"a": "c", "b": "c"}, on_table={"c"}), "2 blocks rest on block 'c'"),
+    (dict(on={"a": "b"}, holding="b"), "held block 'b'"),
 ])
 def test_check_rejects_non_towers(state, message):
     with pytest.raises(DataError, match=message):
-        state.check()
+        BlockState(**state).check()
     with pytest.raises(DataError, match=message):
-        solve(state, [("on-table", "a")])
+        solve(BlockState(**state), [("on-table", "a")])
 
 
 def test_action_parse_and_str():
@@ -206,6 +208,32 @@ def test_bfs_plan_equals_the_object_search(problem):
     assert validate_plan(initial, plan, goal) == (True, None)
 
 
+@settings(max_examples=60, deadline=None)
+@given(blocks_problems())
+def test_greedy_plan_equals_the_object_construction(problem):
+    initial, goal = problem
+    try:
+        expected = tuple(str(a) for a in greedy_plan(initial, goal))
+    except UnsolvableGoalError as exc:
+        # some partial goals defeat the construction; it must fail alike
+        with pytest.raises(UnsolvableGoalError, match=f"^{exc}$"):
+            solve(initial, goal, method="greedy")
+        return
+    plan = solve(initial, goal, method="greedy").plan
+    assert plan == expected
+    assert validate_plan(initial, plan, goal) == (True, None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(blocks_problems())
+def test_state_rebuilt_from_its_views_is_equal(problem):
+    state, _ = problem
+    again = BlockState(state.on, state.on_table, state.holding)
+    assert again == state
+    assert hash(again) == hash(state)
+    assert repr(again) == repr(state)
+
+
 def _smallest_oracle_budget(initial, goal):
     fails, succeeds = 0, 500_000
     while succeeds - fails > 1:
@@ -264,20 +292,26 @@ def test_unknown_method():
     ((("on", "a", "b"), ("on", "c", "b")), "two blocks stacked"),
     ((("on", "a", "b"), ("on", "b", "c"), ("on", "c", "a")), "cycle"),
     ((("on", "a", "z"),), "unknown block"),
+    ((("on-table", "a"), ("on", "a", "b")), "two goal positions"),
 ])
 def test_inconsistent_goals_rejected(goal, message):
     with pytest.raises(UnsolvableGoalError, match=message):
         solve(all_on_table("abc"), goal)
+    with pytest.raises(UnsolvableGoalError, match=message):
+        validate_plan(all_on_table("abc"), (), goal)
 
 
-@pytest.mark.parametrize("method", ["bfs", "greedy"])
+@pytest.mark.parametrize("reader", ["bfs", "greedy", "validate_plan"])
 @pytest.mark.parametrize("atom", [("on", "a"), ("on-table", "a", "b"),
                                   ("clear", "a")],
                          ids=["on a", "on-table a b", "clear a"])
-def test_malformed_goal_atoms_rejected(atom, method):
+def test_malformed_goal_atoms_rejected(atom, reader):
     with pytest.raises(UnsolvableGoalError,
                        match=re.escape(f"malformed goal atom {atom!r}")):
-        solve(all_on_table("abc"), (atom,), method=method)
+        if reader == "validate_plan":
+            validate_plan(all_on_table("abc"), (), (atom,))
+        else:
+            solve(all_on_table("abc"), (atom,), method=reader)
 
 
 def test_generate_runs_deterministic_except_time():

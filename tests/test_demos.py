@@ -1,5 +1,5 @@
 """Every script under ``demos/`` and the README's library tour run to
-completion."""
+completion; the corpus demo also replays every plan it built."""
 
 import os
 import subprocess
@@ -24,10 +24,16 @@ def run_python(args, cwd):
                           capture_output=True, text=True, timeout=120)
 
 
+# A line a demo must print, beyond exiting with 0.
+EXPECTED_LINES = {"build_corpus": "replayed plans: 100/100 valid"}
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo, tmp_path):
     done = run_python([str(demo)], tmp_path)
     assert done.returncode == 0, done.stderr
+    if demo.stem in EXPECTED_LINES:
+        assert EXPECTED_LINES[demo.stem] in done.stdout.splitlines(), done.stdout
 
 
 def test_readme_library_tour_prints_p1(tmp_path):
