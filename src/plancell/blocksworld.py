@@ -368,10 +368,13 @@ def _solve_greedy(initial: BlockState, target: list) -> list[Action]:
         actions.append(_move(names, x, support[x], now))
         support[x] = now
 
+    bases = {t for t in target if t is not None and t >= 0}
+
     def placed(b: int) -> bool:
-        """Block b and every block below it rest where the goal wants them."""
+        """Block b and every block below it rest where the goal wants them;
+        a free block may not rest on a block the goal stacks another onto."""
         want, under = target[b], support[b]
-        if want is not None and want != under:
+        if want != under and (want is not None or under in bases):
             return False
         return under < 0 or placed(under)
 

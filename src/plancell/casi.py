@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dataset import AttributeSpec, Instance
+from .dataset import AttributeSpec, case_values
 from .discretize import DiscretizationMap, encode, schema_to_json, schema_from_json
 from .errors import DataError, ModelIntegrityError, UnknownValueError
 from .tree import CLASS_ATTRIBUTE, ClassificationRule, InductionGraph, extract_rules
@@ -151,28 +151,20 @@ class CellularKnowledgeBase:
 def compile_tree(tree: InductionGraph) -> CellularKnowledgeBase:
     """Flatten a tree into a fact table and a rule table.
 
-    Fact order: node facts breadth-first, then attribute=value facts in
-    schema order restricted to values actually tested on some edge, then
-    class facts in label order restricted to leaf classes.
+    Fact order: node facts breadth-first, then the attribute=value facts
+    the edge rules test, in schema and domain order, then the class facts
+    the leaf rules conclude, in label order.
     """
-    nodes = tree.nodes()
-    facts: list[str] = [n.node_id for n in nodes]
-
-    edge_values: dict[str, set] = {}
-    leaf_classes: set[str] = set()
-    for node in nodes:
-        if node.is_leaf:
-            leaf_classes.add(node.majority)
-        else:
-            edge_values.setdefault(node.attribute, set()).update(node.children)
-    for spec in tree.attributes:
-        for value in spec.domain if spec.name in edge_values else ():
-            if value in edge_values[spec.name]:
-                facts.append(f"{spec.name}={value}")
-    facts += [CLASS_PREFIX + c for c in tree.classes if c in leaf_classes]
-    return CellularKnowledgeBase(tuple(facts), tuple(extract_rules(tree)),
-                                 tree.attributes, tree.classes,
-                                 tree.discretization)
+    rules = extract_rules(tree)
+    tested = {fact for rule in rules for fact in rule.premises[1:]}
+    concluded = {rule.conclusion for rule in rules}
+    facts = [node.node_id for node in tree.nodes()]
+    facts += [f"{spec.name}={value}" for spec in tree.attributes
+              for value in spec.domain if f"{spec.name}={value}" in tested]
+    facts += [CLASS_PREFIX + c for c in tree.classes
+              if CLASS_PREFIX + c in concluded]
+    return CellularKnowledgeBase(tuple(facts), tuple(rules), tree.attributes,
+                                 tree.classes, tree.discretization)
 
 
 class Trace(Sequence):
@@ -258,10 +250,7 @@ def instance_facts(kb: CellularKnowledgeBase, instance) -> list[str]:
     naming values the rule base never tests are dropped, which at worst
     starves the inference and surfaces as an unknown-value error.
     """
-    values = instance.values if isinstance(instance, Instance) else tuple(instance)
-    if len(values) != len(kb.attributes):
-        raise DataError(
-            f"instance has {len(values)} values, schema has {len(kb.attributes)}")
+    values = case_values(instance, len(kb.attributes))
     descriptors = (f"{spec.name}={value}" for spec, value in zip(
         kb.attributes, encode(kb.discretization, kb.attributes, values)))
     return [d for d in descriptors if d in kb._fact_indices]

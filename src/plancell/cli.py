@@ -20,9 +20,10 @@ from .casi import (classify_casi, compile_tree, format_fact_table,
                    format_incidence, format_rule_table, kb_from_json,
                    kb_to_json)
 from .dataset import NUMERIC, class_distribution, load_csv, save_csv
-from .discretize import apply_map, encode, fit_map
-from .errors import DataError, LimitError, ModelError, UnknownValueError
-from .evaluation import cross_validate, evaluate_grid, report, report_csv
+from .discretize import apply_map, fit_map
+from .errors import DataError, LimitError, ModelError
+from .evaluation import (UNKNOWN, cross_validate, evaluate_grid, predict,
+                         report, report_csv)
 from .plans import DEFAULT_MAX_PLANS, enumerate_plans, first_plan
 from .project import parse_project
 from .tree import classify_tree, induce, model_from_json, model_to_json
@@ -172,23 +173,21 @@ def _cmd_classify(args) -> int:
                             f"model has no cut points for it")
     kb = compile_tree(model) if args.casi else None
 
+    def classify(values):
+        if kb is not None:
+            return classify_casi(kb, values)
+        return classify_tree(model, values, fallback=args.fallback_majority)[0]
+
     lines = ["index,actual,predicted"]
     hits = misses = 0
     for i, inst in enumerate(cases.instances):
-        values = encode(model.discretization, model.attributes, inst.values)
-        try:
-            if kb is not None:
-                predicted = classify_casi(kb, values)
-            else:
-                predicted = classify_tree(model, values,
-                                          fallback=args.fallback_majority)[0]
-        except UnknownValueError:
-            predicted = "?"
+        predicted = predict(classify, inst.values)
         if predicted == inst.label:
             hits += 1
         else:
             misses += 1
-        lines.append(f"{i},{inst.label},{predicted}")
+        lines.append(f"{i},{inst.label},"
+                     f"{UNKNOWN if predicted is None else predicted}")
     body = "\n".join(lines) + "\n"
     if args.out:
         _write_atomic(args.out, body)
@@ -291,10 +290,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="classify cases with a trained model")
     p.add_argument("--model", required=True)
     p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--casi", action="store_true",
-                   help="infer through the cellular rule base")
-    p.add_argument("--fallback-majority", action="store_true",
-                   help="route unseen values to the node majority")
+    engine = p.add_mutually_exclusive_group()
+    engine.add_argument("--casi", action="store_true",
+                        help="infer through the cellular rule base")
+    engine.add_argument("--fallback-majority", action="store_true",
+                        help="route unseen values to the node majority "
+                             "of the tree walk")
     p.add_argument("--out", help="write predictions CSV here")
     p.set_defaults(func=_cmd_classify)
 

@@ -80,6 +80,16 @@ class TrainingSet:
         return [inst.values[idx] for inst in self.instances]
 
 
+def case_values(case, width: int) -> tuple:
+    """The values of an Instance or a plain value sequence, as a tuple;
+    DataError unless there are ``width`` of them, one per attribute."""
+    values = case.values if isinstance(case, Instance) else tuple(case)
+    if len(values) != width:
+        raise DataError(
+            f"case has {len(values)} values, the schema width is {width}")
+    return values
+
+
 def build_training_set(columns: list[tuple[str, str]], rows: list[tuple]) -> TrainingSet:
     """Assemble a TrainingSet from descriptive ``(name, kind)`` column specs.
 

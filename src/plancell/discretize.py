@@ -2,9 +2,10 @@
 
 Both fitters produce a DiscretizationMap, a per-attribute list of strictly
 increasing cut points. A value v falls into bin ``count of cuts < v``, so a
-value equal to a cut maps to the bin on its left. ``encode`` is the one path
-from a raw case to model values; ``apply_map`` rewrites the numeric columns
-of a training set through it into nominal bin codes b0, b1, ...
+value equal to a cut maps to the bin on its left. ``bin_label`` is the one
+path from a raw value to a model value; ``encode`` maps a case through it,
+and ``apply_map`` rewrites the numeric columns of a training set into
+nominal bin codes b0, b1, ...
 ``schema_to_json``/``schema_from_json`` are the one JSON form of a model's
 schema and cut points, shared by tree models and cellular rule bases.
 """
@@ -35,23 +36,24 @@ class DiscretizationMap:
     def bin_index(self, attribute: str, value: float) -> int:
         return bisect_left(self.cuts[attribute], value)
 
-    def bin_label(self, attribute: str, value: float) -> str:
-        return f"b{self.bin_index(attribute, value)}"
-
-    def bin_count(self, attribute: str) -> int:
-        return len(self.cuts[attribute]) + 1
-
-    def encode(self, attributes, values) -> tuple:
-        """A raw case as model values, one per attribute spec.
+    def bin_label(self, attribute: str, value):
+        """One raw value as a model value.
 
         A value is binned only when this map has cuts for its attribute and
         it is an int or float (not a bool); every other value, bin labels
         included, passes through, so encoding twice changes nothing.
         """
-        return tuple(
-            self.bin_label(spec.name, v)
-            if spec.name in self.cuts and _is_number(v) else v
-            for spec, v in zip(attributes, values))
+        if attribute in self.cuts and _is_number(value):
+            return f"b{bisect_left(self.cuts[attribute], value)}"
+        return value
+
+    def bin_count(self, attribute: str) -> int:
+        return len(self.cuts[attribute]) + 1
+
+    def encode(self, attributes, values) -> tuple:
+        """A raw case as model values, one ``bin_label`` per attribute spec."""
+        return tuple(self.bin_label(spec.name, v)
+                     for spec, v in zip(attributes, values))
 
 
 def _is_number(v) -> bool:

@@ -80,16 +80,28 @@ class EvalReport:
         return 100.0 * self.correct / self.total
 
 
+def predict(classify, values) -> str | None:
+    """The label ``classify`` gives a case, or None if it cannot place it."""
+    try:
+        return classify(values)
+    except UnknownValueError:
+        return None
+
+
 def _fit_predictor(method: str, fitted: TrainingSet,
                    dmap: DiscretizationMap | None, engine: str,
                    seed: int, k: int, min_leaf: int):
-    """Train one fold's classifier; returns a values -> label callable."""
+    """Train one fold's classifier; returns a raw values -> label callable.
+
+    Trees and rule bases bin raw values themselves; kNN encodes them first.
+    """
     if method == "majority":
         label = majority_label(Counter(i.label for i in fitted.instances))
         return lambda values: label
     if method == "knn":
         model = fit_knn(fitted, k)
-        return lambda values: classify_knn(model, values)
+        return lambda values: classify_knn(
+            model, encode(dmap, fitted.attributes, values))
     graph = induce(fitted, method, min_leaf=min_leaf, seed=seed,
                    discretization=dmap)
     if engine == "casi":
@@ -124,7 +136,7 @@ def cross_validate(ts: TrainingSet, method: str, mode: str = "supervised",
     if global_discretize and mode != "none":
         global_map = fit_map(ts, mode, bins)
 
-    correct = incorrect = errors = 0
+    correct = errors = 0
     per_fold: list[float] = []
     confusion: Counter = Counter()
     for fold in range(folds):
@@ -137,31 +149,27 @@ def cross_validate(ts: TrainingSet, method: str, mode: str = "supervised",
             dmap = fit_map(train, mode, bins)
             fitted = apply_map(dmap, train)
         try:
-            predict = _fit_predictor(method, fitted, dmap, engine,
-                                     seed, k, min_leaf)
+            classify = _fit_predictor(method, fitted, dmap, engine,
+                                      seed, k, min_leaf)
         except PlancellError as exc:
             raise type(exc)(f"fold {fold}: {exc}") from exc
 
-        fold_correct = fold_total = 0
-        for i in plan.test_indices(fold):
+        test = plan.test_indices(fold)
+        fold_correct = 0
+        for i in test:
             inst = ts.instances[i]
-            values = encode(dmap, ts.attributes, inst.values)
-            fold_total += 1
-            try:
-                predicted = predict(values)
-            except UnknownValueError:
+            predicted = predict(classify, inst.values)
+            if predicted is None:
                 errors += 1
-                confusion[(inst.label, UNKNOWN)] += 1
-                continue
-            confusion[(inst.label, predicted)] += 1
-            if predicted == inst.label:
-                correct += 1
+                predicted = UNKNOWN
+            elif predicted == inst.label:
                 fold_correct += 1
-            else:
-                incorrect += 1
-        per_fold.append(100.0 * fold_correct / fold_total)
+            confusion[inst.label, predicted] += 1
+        correct += fold_correct
+        per_fold.append(100.0 * fold_correct / len(test))
 
     table = tuple(sorted((a, p, n) for (a, p), n in confusion.items()))
+    incorrect = len(ts.instances) - correct - errors
     return EvalReport(method, mode, seed, folds, len(ts.instances),
                       correct, incorrect, errors, tuple(per_fold), table)
 
@@ -180,16 +188,17 @@ def _mode_heading(mode: str) -> str:
 
 
 def _grid(results) -> tuple[list[str], list[str], dict]:
+    """Methods, modes and each cell's 2-decimal rate text."""
+    if not results:
+        raise DataError("nothing to report")
     methods = list(dict.fromkeys(r.method for r in results))
     modes = list(dict.fromkeys(r.mode for r in results))
-    cells = {(r.method, r.mode): r.rate for r in results}
+    cells = {(r.method, r.mode): f"{r.rate:.2f}" for r in results}
     return methods, modes, cells
 
 
 def report(results: list[EvalReport]) -> str:
     """Plain-text table: methods as rows, modes as columns, 2-decimal rates."""
-    if not results:
-        raise DataError("nothing to report")
     methods, modes, cells = _grid(results)
     headings = [_mode_heading(m) for m in modes]
     left = max(len("Method"), max(len(m) for m in methods))
@@ -197,25 +206,17 @@ def report(results: list[EvalReport]) -> str:
     lines = ["  ".join([f"{'Method':<{left}}"]
                        + [f"{h:>{w}}" for h, w in zip(headings, widths)])]
     for method in methods:
-        row = [f"{method:<{left}}"]
-        for mode, w in zip(modes, widths):
-            value = cells.get((method, mode))
-            text = f"{value:.2f}" if value is not None else ""
-            row.append(f"{text:>{w}}")
-        lines.append("  ".join(row).rstrip())
+        row = [f"{cells.get((method, mode), ''):>{w}}"
+               for mode, w in zip(modes, widths)]
+        lines.append("  ".join([f"{method:<{left}}"] + row).rstrip())
     return "\n".join(lines)
 
 
 def report_csv(results: list[EvalReport]) -> str:
     """The same table as comma-separated values."""
-    if not results:
-        raise DataError("nothing to report")
     methods, modes, cells = _grid(results)
     lines = [",".join(["method"] + modes)]
     for method in methods:
-        row = [method]
-        for mode in modes:
-            value = cells.get((method, mode))
-            row.append(f"{value:.2f}" if value is not None else "")
-        lines.append(",".join(row))
+        lines.append(",".join([method] + [cells.get((method, mode), "")
+                                          for mode in modes]))
     return "\n".join(lines) + "\n"

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Instance, NUMERIC, TrainingSet
+from .dataset import NUMERIC, TrainingSet, case_values
 from .errors import DataError
 
 
@@ -45,8 +45,8 @@ def fit_knn(ts: TrainingSet, k: int = 1) -> KnnModel:
     if k > len(ts.instances):
         raise DataError(
             f"k={k} exceeds the {len(ts.instances)} training instances")
-    if any(len(inst.values) != len(ts.attributes) for inst in ts.instances):
-        raise DataError("instance width does not match the model schema")
+    for inst in ts.instances:
+        case_values(inst, len(ts.attributes))
     columns, spans, codes = [], [], []
     for spec in ts.attributes:
         raw = ts.column(spec.name)
@@ -63,20 +63,14 @@ def fit_knn(ts: TrainingSet, k: int = 1) -> KnnModel:
     return KnnModel(ts, k, tuple(columns), tuple(spans), tuple(codes))
 
 
-def _values(x) -> tuple:
-    return x.values if isinstance(x, Instance) else tuple(x)
-
-
 def distance(a, b, model: KnnModel) -> float:
     """Range-normalized Euclidean distance between two instances.
 
     The scalar reference for ``classify_knn``, which computes the same sums
     for every training row at once.
     """
-    va, vb = _values(a), _values(b)
     specs = model.training.attributes
-    if len(va) != len(specs) or len(vb) != len(specs):
-        raise DataError("instance width does not match the model schema")
+    va, vb = case_values(a, len(specs)), case_values(b, len(specs))
     total = 0.0
     for spec, span, x, y in zip(specs, model.spans, va, vb):
         if spec.kind == NUMERIC:
@@ -94,9 +88,7 @@ def _distances(model: KnnModel, query) -> np.ndarray:
     IEEE operations as ``distance``, so equal distances stay equal. A zero
     span adds nothing and an unseen nominal value mismatches every row.
     """
-    values = _values(query)
-    if len(values) != len(model.columns):
-        raise DataError("instance width does not match the model schema")
+    values = case_values(query, len(model.columns))
     total = np.zeros(len(model.training.instances))
     for column, span, codes, x in zip(model.columns, model.spans,
                                       model.codes, values):

@@ -13,9 +13,10 @@ from __future__ import annotations
 import random
 from collections import Counter, deque
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
-from .dataset import (CLASS_ATTRIBUTE, NOMINAL, AttributeSpec, Instance,
-                      TrainingSet, class_members)
+from .dataset import (CLASS_ATTRIBUTE, NOMINAL, AttributeSpec, TrainingSet,
+                      case_values, class_members)
 from .discretize import (DiscretizationMap, entropy, schema_from_json,
                          schema_to_json)
 from .errors import DataError, ModelIntegrityError, UnknownValueError
@@ -87,11 +88,10 @@ class InductionGraph:
             return max(walk(c, d + 1) for c in node.children.values())
         return walk(self.root, 0)
 
-    def attribute_index(self, name: str) -> int:
-        for i, spec in enumerate(self.attributes):
-            if spec.name == name:
-                return i
-        raise KeyError(name)
+    @cached_property
+    def attribute_index(self) -> dict[str, int]:
+        """Each attribute's position in the schema, by name."""
+        return {spec.name: i for i, spec in enumerate(self.attributes)}
 
 
 @dataclass(frozen=True)
@@ -207,19 +207,20 @@ def classify_tree(tree: InductionGraph, instance,
                   fallback: bool = False) -> tuple[str, tuple[str, ...]]:
     """Walk the splits; return (class, visited node ids).
 
-    ``instance`` is an Instance or a plain value sequence aligned with the
-    tree's attribute schema. A value with no branch raises UnknownValueError
-    unless ``fallback`` routes it to the current node's majority class.
+    ``instance`` is an Instance or a plain value sequence over the tree's
+    schema, raw or encoded: a value with no branch is looked up again as
+    its bin. One still without a branch raises UnknownValueError unless
+    ``fallback`` routes it to the current node's majority class.
     """
-    values = instance.values if isinstance(instance, Instance) else tuple(instance)
-    if len(values) != len(tree.attributes):
-        raise DataError(
-            f"instance has {len(values)} values, schema has {len(tree.attributes)}")
+    values = case_values(instance, len(tree.attributes))
     node = tree.root
     path = [node.node_id]
     while not node.is_leaf:
-        value = values[tree.attribute_index(node.attribute)]
+        value = values[tree.attribute_index[node.attribute]]
         child = node.children.get(value)
+        if child is None and tree.discretization is not None:
+            child = node.children.get(
+                tree.discretization.bin_label(node.attribute, value))
         if child is None:
             if fallback:
                 return node.majority, tuple(path)

@@ -248,6 +248,40 @@ def test_classify_prints_unknown_values_as_question_marks(model_file,
     assert capsys.readouterr().out.splitlines()[1] == "0,P1,?"
 
 
+def test_classify_fallback_majority_places_unknown_values(model_file, tmp_path,
+                                                         capsys):
+    cases = tmp_path / "unseen.csv"
+    cases.write_text("problem:nominal,time:numeric,steps:numeric,class:nominal\n"
+                     "blocks-9,0.1,6.0,P1\nblocks-4,0.1,6.0,P2\n")
+    assert run(["classify", "--model", model_file, "--in", str(cases),
+                "--fallback-majority"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1:] == ["0,P1,P1", "1,P2,P1"]
+    assert "1/2 cases match" in captured.err
+
+
+def test_classify_rejects_casi_with_fallback_majority(model_file, runs_file,
+                                                      capsys):
+    assert run(["classify", "--model", model_file, "--in", runs_file,
+                "--casi", "--fallback-majority"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not allowed with argument" in captured.err
+
+
+@pytest.mark.parametrize("engine", [[], ["--casi"]])
+def test_unplaced_case_never_matches_its_label(engine, model_file, tmp_path,
+                                               capsys):
+    cases = tmp_path / "unseen.csv"
+    cases.write_text("problem:nominal,time:numeric,steps:numeric,class:nominal\n"
+                     "blocks-9,0.1,6.0,?\nblocks-4,0.1,6.0,P1\n")
+    assert run(["classify", "--model", model_file, "--in", str(cases)]
+               + engine) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1:] == ["0,?,?", "1,P1,P1"]
+    assert "1/2 cases match" in captured.err
+
+
 @pytest.mark.parametrize("engine", ["classify_tree", "classify_casi"])
 def test_classify_integrity_fault_exits_4(model_file, runs_file, capsys,
                                           monkeypatch, engine):

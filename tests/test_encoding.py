@@ -1,9 +1,10 @@
-"""One encoding path: ``DiscretizationMap.encode`` and the JSON round trips.
+"""One encoding path: ``DiscretizationMap.bin_label`` and the JSON round trips.
 
 Property tests: encoding a case equals the row ``apply_map`` writes and is
-idempotent; the cellular engine on raw cases answers as the tree walk on
-encoded ones, out-of-range and unseen values included; models, rule bases
-and CSV files survive their round trips unchanged.
+idempotent; the tree walk (with and without its majority fallback) and the
+cellular engine answer on raw cases as the tree walk does on encoded ones,
+out-of-range and unseen values included; models, rule bases and CSV files
+survive their round trips unchanged.
 """
 
 import json
@@ -100,7 +101,10 @@ def test_cellular_engine_on_raw_cases_equals_tree_on_encoded(case, method, seed)
     for raw in cases + [inst.values for inst in ts.instances]:
         encoded = dmap.encode(ts.attributes, raw)
         expected = outcome(lambda v: classify_tree(tree, v)[0], encoded)
+        assert outcome(lambda v: classify_tree(tree, v)[0], raw) == expected
         assert outcome(lambda v: classify_casi(kb, v), raw) == expected
+        assert classify_tree(tree, raw, fallback=True) == \
+            classify_tree(tree, encoded, fallback=True)
 
 
 @PROPERTY
