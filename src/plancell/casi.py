@@ -246,13 +246,16 @@ def established_facts(kb: CellularKnowledgeBase,
 def instance_facts(kb: CellularKnowledgeBase, instance) -> list[str]:
     """The attribute=value descriptors an instance contributes.
 
-    Raw values are encoded with the base's own discretization; descriptors
-    naming values the rule base never tests are dropped, which at worst
-    starves the inference and surfaces as an unknown-value error.
+    Raw values are encoded with the base's own discretization. Only string
+    values are spelled, as the tree walk matches only equal values: 1 or
+    True never takes a "1" or "True" branch. Descriptors naming values the
+    rule base never tests are dropped, which at worst starves the inference
+    and surfaces as an unknown-value error.
     """
     values = case_values(instance, len(kb.attributes))
     descriptors = (f"{spec.name}={value}" for spec, value in zip(
-        kb.attributes, encode(kb.discretization, kb.attributes, values)))
+        kb.attributes, encode(kb.discretization, kb.attributes, values))
+        if isinstance(value, str))
     return [d for d in descriptors if d in kb._fact_indices]
 
 
@@ -295,7 +298,9 @@ def kb_to_json(kb: CellularKnowledgeBase) -> dict:
 
 def kb_from_json(data: dict) -> CellularKnowledgeBase:
     """Rebuild a base from its tables, then check the file's input flags
-    and matrices against the base's views."""
+    and matrices against the base's views, that every input fact names a
+    domain value or class of the schema, and that the first fact is the
+    root: the only node fact no rule concludes."""
     if not isinstance(data, dict) or data.get("format") != "cellular-kb":
         raise ModelIntegrityError("not a cellular-kb file")
     attributes, classes, dmap = schema_from_json(data)
@@ -324,6 +329,18 @@ def kb_from_json(data: dict) -> CellularKnowledgeBase:
                 raise ModelIntegrityError(
                     f"input flag {flag} of fact {fact!r} disagrees with "
                     f"its descriptor")
+        known = {f"{s.name}={v}" for s in attributes for v in s.domain}
+        known.update(CLASS_PREFIX + c for c in classes)
+        for fact in kb.facts:
+            if "=" in fact and fact not in known:
+                raise ModelIntegrityError(
+                    f"input fact {fact!r} names no domain value or class")
+        concluded = {rule.conclusion for rule in kb.rules}
+        roots = [f for f in kb.facts if "=" not in f and f not in concluded]
+        if roots != [kb.facts[0]]:
+            raise ModelIntegrityError(
+                f"the first fact, {kb.facts[0]!r}, must be the only node fact "
+                f"no rule concludes; those are {roots}")
         for name, rows, wired in (("R_E", data["R_E"], kb.premise_matrix),
                                   ("R_S", data["R_S"], kb.conclusion_matrix)):
             if [len(row) for row in rows] != [kb.rule_count] * kb.fact_count:

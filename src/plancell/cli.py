@@ -20,15 +20,13 @@ from .casi import (classify_casi, compile_tree, format_fact_table,
                    format_incidence, format_rule_table, kb_from_json,
                    kb_to_json)
 from .dataset import NUMERIC, class_distribution, load_csv, save_csv
-from .discretize import apply_map, fit_map
+from .discretize import MODES, apply_map, fit_map
 from .errors import DataError, LimitError, ModelError
 from .evaluation import (UNKNOWN, cross_validate, evaluate_grid, predict,
                          report, report_csv)
 from .plans import DEFAULT_MAX_PLANS, enumerate_plans, first_plan
 from .project import parse_project
 from .tree import classify_tree, induce, model_from_json, model_to_json
-
-DISCRETIZE_CHOICES = ("supervised", "unsupervised", "none")
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -145,10 +143,9 @@ def _cmd_discretize(args) -> int:
 
 def _cmd_train(args) -> int:
     ts = load_csv(_read_text(args.input))
-    dmap = None
-    if args.discretize != "none" and any(s.kind == NUMERIC for s in ts.attributes):
-        dmap = fit_map(ts, args.discretize, args.bins)
-        ts = apply_map(dmap, ts)
+    numeric = any(s.kind == NUMERIC for s in ts.attributes)
+    dmap = fit_map(ts, args.discretize, args.bins) if numeric else None
+    ts = apply_map(dmap, ts)
     graph = induce(ts, args.mode, min_leaf=args.min_leaf, seed=args.seed,
                    discretization=dmap)
     _write_atomic(args.out, json.dumps(model_to_json(graph), indent=2) + "\n")
@@ -279,8 +276,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="induce a decision tree model")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--mode", choices=("j48", "reptree"), default="j48")
-    p.add_argument("--discretize", choices=DISCRETIZE_CHOICES,
-                   default="supervised")
+    p.add_argument("--discretize", choices=MODES, default="supervised")
     p.add_argument("--bins", type=int, default=10)
     p.add_argument("--min-leaf", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
@@ -310,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--eval", type=_cv_spec, default=10,
                    help="cvN cross-validation spec (default cv10)")
-    p.add_argument("--mode", choices=DISCRETIZE_CHOICES, default="none")
+    p.add_argument("--mode", choices=MODES, default="none")
     p.add_argument("--bins", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_knn)

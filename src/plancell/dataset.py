@@ -25,11 +25,11 @@ CLASS_ATTRIBUTE = "class"
 class AttributeSpec:
     """One descriptive attribute: its name, kind, and observed domain.
 
-    For nominal attributes ``domain`` is the list of values in first-seen
-    order; for numeric attributes it is the observed ``(min, max)`` pair.
-    The name may not be ``class`` nor contain ``=``: rule bases spell a
-    fact ``name=value`` and the class fact ``class=label``, so either
-    would let two facts share one descriptor.
+    For nominal attributes ``domain`` is the list of values, all strings,
+    in first-seen order; for numeric attributes it is the observed
+    ``(min, max)`` pair. The name may not be ``class`` nor contain ``=``:
+    rule bases spell a fact ``name=value`` and the class fact
+    ``class=label``, so either would let two facts share one descriptor.
     """
 
     name: str
@@ -45,6 +45,10 @@ class AttributeSpec:
             raise DataError(f"attribute {self.name!r}: unknown kind {self.kind!r}")
         if self.kind == NOMINAL and not self.domain:
             raise DataError(f"attribute {self.name!r}: empty nominal domain")
+        for value in self.domain if self.kind == NOMINAL else ():
+            if not isinstance(value, str):
+                raise DataError(
+                    f"attribute {self.name!r}: nominal value {value!r} is not a string")
 
 
 @dataclass(frozen=True)
@@ -116,7 +120,11 @@ def build_training_set(columns: list[tuple[str, str]], rows: list[tuple]) -> Tra
         specs.append(AttributeSpec(name, kind, domain))
 
     instances = tuple(Instance(tuple(row[:-1]), row[-1]) for row in rows)
-    classes = tuple(sorted({inst.label for inst in instances}))
+    labels = dict.fromkeys(inst.label for inst in instances)
+    for label in labels:
+        if not isinstance(label, str):
+            raise DataError(f"class label {label!r} is not a string")
+    classes = tuple(sorted(labels))
     return TrainingSet(tuple(specs), classes, instances)
 
 
@@ -194,7 +202,10 @@ def class_members(ts: TrainingSet) -> dict[str, list[int]]:
     """Instance indices per class, in ``ts.classes`` and index order (one pass)."""
     members: dict[str, list[int]] = {label: [] for label in ts.classes}
     for i, inst in enumerate(ts.instances):
-        members.get(inst.label, []).append(i)
+        if inst.label not in members:
+            raise DataError(f"instance {i} has label {inst.label!r}, "
+                            f"which is not one of the classes")
+        members[inst.label].append(i)
     return members
 
 

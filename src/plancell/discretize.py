@@ -1,13 +1,15 @@
 """Numeric-attribute discretization: equal-width and entropy/MDL binning.
 
-Both fitters produce a DiscretizationMap, a per-attribute list of strictly
-increasing cut points. A value v falls into bin ``count of cuts < v``, so a
-value equal to a cut maps to the bin on its left. ``bin_label`` is the one
-path from a raw value to a model value; ``encode`` maps a case through it,
-and ``apply_map`` rewrites the numeric columns of a training set into
-nominal bin codes b0, b1, ...
-``schema_to_json``/``schema_from_json`` are the one JSON form of a model's
-schema and cut points, shared by tree models and cellular rule bases.
+This module alone decides whether and how data is binned: ``fit_map`` takes
+one of ``MODES``, and mode "none" fits no map (``None``), through which
+``apply_map`` and ``encode`` pass values unchanged. Both fitters produce a
+DiscretizationMap, a per-attribute list of strictly increasing cut points.
+A value v falls into bin ``count of cuts < v``, so a value equal to a cut
+maps to the bin on its left. ``bin_label`` is the one path from a raw value
+to a model value; ``encode`` maps a case through it, and ``apply_map``
+rewrites the numeric columns of a training set into nominal bin codes b0,
+b1, ... ``schema_to_json``/``schema_from_json`` are the one JSON form of a
+model's schema and cut points, shared by tree models and cellular rule bases.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ import numpy as np
 from .dataset import NOMINAL, NUMERIC, AttributeSpec, Instance, TrainingSet
 from .errors import DataError, ModelIntegrityError
 
+MODES = ("supervised", "unsupervised", "none")
+
 
 @dataclass(frozen=True)
 class DiscretizationMap:
@@ -32,9 +36,6 @@ class DiscretizationMap:
         for name, cs in self.cuts.items():
             if list(cs) != sorted(set(cs)):
                 raise DataError(f"cuts for {name!r} must be strictly increasing")
-
-    def bin_index(self, attribute: str, value: float) -> int:
-        return bisect_left(self.cuts[attribute], value)
 
     def bin_label(self, attribute: str, value):
         """One raw value as a model value.
@@ -81,7 +82,8 @@ def schema_from_json(data: dict):
 
     Raises ModelIntegrityError on any malformed part: repeated attribute
     names, unsorted, non-numeric or non-finite cuts (``json`` reads NaN and
-    Infinity), classes or domains not in lists.
+    Infinity), classes or domains not in lists, classes or nominal values
+    that are not strings.
     """
     try:
         for value in [data["classes"], *(a["domain"] for a in data["attributes"])]:
@@ -93,6 +95,9 @@ def schema_from_json(data: dict):
         if len({a.name for a in attributes}) != len(attributes):
             raise ModelIntegrityError("attribute names repeat")
         classes = tuple(data["classes"])
+        for label in classes:
+            if not isinstance(label, str):
+                raise ModelIntegrityError(f"class {label!r} is not a string")
         cuts = data.get("discretization")
         if cuts is None:
             return attributes, classes, None
@@ -256,12 +261,15 @@ def _tolerance(n: int) -> float:
     return 64 * np.finfo(float).eps * (1.0 + n * math.log2(max(n, 2)))
 
 
-def apply_map(dmap: DiscretizationMap, ts: TrainingSet) -> TrainingSet:
+def apply_map(dmap: DiscretizationMap | None, ts: TrainingSet) -> TrainingSet:
     """Rewrite numeric attributes as nominal bin codes.
 
     Nominal attributes, instance order and class labels are untouched. Every
-    numeric attribute of ``ts`` must be covered by the map.
+    numeric attribute of ``ts`` must be covered by the map; no map (``None``)
+    returns ``ts`` as it is.
     """
+    if dmap is None:
+        return ts
     for spec in ts.attributes:
         if spec.kind == NUMERIC and spec.name not in dmap.cuts:
             raise DataError(f"attribute {spec.name!r} missing from discretization map")
@@ -277,10 +285,12 @@ def apply_map(dmap: DiscretizationMap, ts: TrainingSet) -> TrainingSet:
     return TrainingSet(new_specs, ts.classes, new_instances)
 
 
-def fit_map(ts: TrainingSet, mode: str, bins: int = 10) -> DiscretizationMap:
-    """Dispatch on mode: 'supervised' or 'unsupervised'."""
+def fit_map(ts: TrainingSet, mode: str, bins: int = 10) -> DiscretizationMap | None:
+    """The map ``mode`` fits on ``ts``; mode "none" fits none (``None``)."""
     if mode == "supervised":
         return discretize_supervised(ts)
     if mode == "unsupervised":
         return discretize_unsupervised(ts, bins)
-    raise DataError(f"unknown discretization mode {mode!r}")
+    if mode == "none":
+        return None
+    raise DataError(f"unknown discretization mode {mode!r}; expected one of {MODES}")

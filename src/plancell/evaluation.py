@@ -15,13 +15,12 @@ from dataclasses import dataclass
 
 from .casi import classify_casi, compile_tree
 from .dataset import NUMERIC, TrainingSet, class_members, subset
-from .discretize import DiscretizationMap, apply_map, encode, fit_map
+from .discretize import MODES, DiscretizationMap, apply_map, encode, fit_map
 from .errors import DataError, PlancellError, UnknownValueError
 from .knn import classify_knn, fit_knn
 from .tree import classify_tree, induce, majority_label
 
 METHODS = ("j48", "reptree", "knn", "majority")
-MODES = ("supervised", "unsupervised", "none")
 ENGINES = ("tree", "casi")
 
 UNKNOWN = "?"
@@ -132,22 +131,15 @@ def cross_validate(ts: TrainingSet, method: str, mode: str = "supervised",
                         f"mode 'none' leaves numeric attributes raw")
 
     plan = make_folds(ts, folds, seed)
-    global_map = None
-    if global_discretize and mode != "none":
-        global_map = fit_map(ts, mode, bins)
+    global_map = fit_map(ts, mode, bins) if global_discretize else None
 
     correct = errors = 0
     per_fold: list[float] = []
     confusion: Counter = Counter()
     for fold in range(folds):
         train = subset(ts, plan.train_indices(fold))
-        if mode == "none":
-            dmap, fitted = None, train
-        elif global_map is not None:
-            dmap, fitted = global_map, apply_map(global_map, train)
-        else:
-            dmap = fit_map(train, mode, bins)
-            fitted = apply_map(dmap, train)
+        dmap = global_map if global_discretize else fit_map(train, mode, bins)
+        fitted = apply_map(dmap, train)
         try:
             classify = _fit_predictor(method, fitted, dmap, engine,
                                       seed, k, min_leaf)

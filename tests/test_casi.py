@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -460,6 +461,30 @@ def test_kb_json_rejects_input_flag_that_disagrees_with_descriptor(runs_model,
     with pytest.raises(ModelIntegrityError, match=(
             f"input flag {fact['input']} of fact {fact['descriptor']!r} "
             f"disagrees with its descriptor")):
+        kb_from_json(doc)
+
+
+def test_kb_json_rejects_a_first_fact_that_is_not_the_root(runs_model):
+    # s0 and s1 swapped along with their matrix rows: every other check
+    # passes, and inference would seed s1 as the root
+    _, kb, _ = runs_model
+    doc = kb_to_json(kb)
+    for key in ("facts", "R_E", "R_S"):
+        doc[key][0], doc[key][1] = doc[key][1], doc[key][0]
+    with pytest.raises(ModelIntegrityError, match=re.escape(
+            "the first fact, 's1', must be the only node fact no rule "
+            "concludes; those are ['s0']")):
+        kb_from_json(doc)
+
+
+@pytest.mark.parametrize("old,new", [("problem=blocks-4", "problem=zzz"),
+                                     ("problem=blocks-4", "colour=red"),
+                                     ("class=P1", "class=P9")])
+def test_kb_json_rejects_input_fact_outside_the_schema(runs_model, old, new):
+    _, kb, _ = runs_model
+    doc = json.loads(json.dumps(kb_to_json(kb)).replace(f'"{old}"', f'"{new}"'))
+    with pytest.raises(ModelIntegrityError, match=re.escape(
+            f"input fact {new!r} names no domain value or class")):
         kb_from_json(doc)
 
 

@@ -358,6 +358,8 @@ MODEL_FAULTS = {
     "attribute name 5": _rename_time(5),
     "domain string": _put("attributes", 0, "domain", value="blocks-4"),
     "classes string": _put("classes", value="P1P2P3P4P5"),
+    "class 5": lambda doc: doc["classes"].append(5),
+    "nominal value 1": lambda doc: doc["attributes"][0]["domain"].append(1),
 }
 
 
@@ -366,6 +368,22 @@ def _bit(name, char):
     def fault(doc):
         row = next(i for i, bits in enumerate(doc[name]) if "0" in bits)
         doc[name][row] = doc[name][row].replace("0", char, 1)
+    return fault
+
+
+def _swap_first_two_facts(doc):
+    for key in ("facts", "R_E", "R_S"):
+        doc[key][0], doc[key][1] = doc[key][1], doc[key][0]
+
+
+def _rename_fact(old, new):
+    """A fault that renames fact ``old`` in the fact and rule tables."""
+    def fault(doc):
+        for entry in doc["facts"]:
+            if entry["descriptor"] == old:
+                entry["descriptor"] = new
+        for rule in doc["rules"]:
+            rule["premises"] = [new if p == old else p for p in rule["premises"]]
     return fault
 
 
@@ -387,6 +405,10 @@ KB_FAULTS = {
     "conclusion list": _put("rules", 0, "conclusion", value=["s1"]),
     "premises string": _put("rules", 0, "premises", value="s0"),
     "premise 5": _put("rules", 0, "premises", value=["s0", 5]),
+    "class 5": lambda doc: doc["classes"].append(5),
+    "root swapped with a child": _swap_first_two_facts,
+    "input fact outside the domain": _rename_fact("steps=b0", "steps=b9"),
+    "input fact outside the schema": _rename_fact("steps=b0", "colour=red"),
 }
 
 

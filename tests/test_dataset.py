@@ -109,6 +109,26 @@ def test_attribute_name_must_be_a_string(name):
         AttributeSpec(name, "nominal", ("x",))
 
 
+@pytest.mark.parametrize("domain", [(1, 2), ("a", 1), (True,), (None,)])
+def test_nominal_values_must_be_strings(domain):
+    bad = next(v for v in domain if not isinstance(v, str))
+    with pytest.raises(DataError, match=re.escape(
+            f"attribute 'x': nominal value {bad!r} is not a string")):
+        AttributeSpec("x", "nominal", domain)
+    # a tree over int values would write a model its own loader refuses
+    with pytest.raises(DataError, match="nominal value"):
+        build_training_set([("x", "nominal")], [(v, "A") for v in domain])
+
+
+@pytest.mark.parametrize("labels", [(1, 2), ("A", 1), ("A", None)])
+def test_class_labels_must_be_strings(labels):
+    bad = next(v for v in labels if not isinstance(v, str))
+    with pytest.raises(DataError,
+                       match=re.escape(f"class label {bad!r} is not a string")):
+        build_training_set([("x", "nominal")],
+                           [("a", label) for label in labels])
+
+
 def test_subset_reinfers_domains():
     ts = load_csv(CSV)
     sub = subset(ts, [0, 2])

@@ -1,3 +1,4 @@
+import argparse
 import math
 import random
 from collections import Counter
@@ -7,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import mdl_cuts
+from plancell import cli, evaluation
 from plancell.dataset import build_training_set
-from plancell.discretize import (DiscretizationMap, _mdl_split, apply_map,
-                                 boundary_candidates, discretize_supervised,
-                                 discretize_unsupervised, fit_map,
-                                 schema_from_json)
+from plancell.discretize import (MODES, DiscretizationMap, _mdl_split,
+                                 apply_map, boundary_candidates,
+                                 discretize_supervised, discretize_unsupervised,
+                                 encode, fit_map, schema_from_json)
 from plancell.errors import DataError, ModelIntegrityError
 
 
@@ -111,13 +113,13 @@ def test_accepted_cuts_achieve_the_brute_force_minimum():
     assert nonempty > 5
 
 
-def test_bin_index_value_on_cut_goes_left():
+def test_bin_label_value_on_cut_goes_left():
     dmap = DiscretizationMap({"x": (2.0, 4.0)})
-    assert dmap.bin_index("x", 1.9) == 0
-    assert dmap.bin_index("x", 2.0) == 0
-    assert dmap.bin_index("x", 2.1) == 1
-    assert dmap.bin_index("x", 4.0) == 1
-    assert dmap.bin_index("x", 4.1) == 2
+    assert dmap.bin_label("x", 1.9) == "b0"
+    assert dmap.bin_label("x", 2.0) == "b0"
+    assert dmap.bin_label("x", 2.1) == "b1"
+    assert dmap.bin_label("x", 4.0) == "b1"
+    assert dmap.bin_label("x", 4.1) == "b2"
     assert dmap.bin_label("x", 5.0) == "b2"
     assert dmap.bin_count("x") == 3
 
@@ -164,6 +166,23 @@ def test_fit_map_dispatch(runs11):
         discretize_unsupervised(runs11, 5).cuts
     with pytest.raises(DataError, match="mode"):
         fit_map(runs11, "semi")
+
+
+def test_mode_none_fits_no_map_and_applying_it_changes_nothing(runs11):
+    assert fit_map(runs11, "none") is None
+    assert apply_map(None, runs11) is runs11
+    values = runs11.instances[0].values
+    assert encode(None, runs11.attributes, values) == values
+
+
+def test_every_module_reads_the_one_mode_tuple():
+    parser = cli._build_parser()
+    commands = next(a.choices for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    assert MODES == ("supervised", "unsupervised", "none")
+    assert evaluation.MODES is MODES
+    for command, option in (("train", "--discretize"), ("knn", "--mode")):
+        assert commands[command]._option_string_actions[option].choices is MODES
 
 
 # --- the one-pass MDL search against the quadratic oracle -------------------
@@ -262,6 +281,9 @@ def schema_doc():
      "classes and domains must be lists, not 'ab'"),
     (lambda doc: doc["attributes"][0].update(name=5),
      "attribute 'name' must be a string"),
+    (lambda doc: doc["classes"].append(5), "class 5 is not a string"),
+    (lambda doc: doc["attributes"][0]["domain"].append(1),
+     "attribute 'x': nominal value 1 is not a string"),
 ])
 def test_schema_from_json_refuses_fields_of_the_wrong_type(fault, message):
     doc = schema_doc()

@@ -9,6 +9,7 @@ survive their round trips unchanged.
 
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +18,8 @@ from plancell.dataset import (NOMINAL, NUMERIC, build_training_set, load_csv,
                               save_csv)
 from plancell.discretize import DiscretizationMap, apply_map, encode, fit_map
 from plancell.errors import UnknownValueError
-from plancell.tree import classify_tree, induce, model_from_json, model_to_json
+from plancell.tree import (classify_tree, grow, induce, model_from_json,
+                           model_to_json)
 
 NOMINAL_VALUES = ["a", "b", "c"]
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -105,6 +107,21 @@ def test_cellular_engine_on_raw_cases_equals_tree_on_encoded(case, method, seed)
         assert outcome(lambda v: classify_casi(kb, v), raw) == expected
         assert classify_tree(tree, raw, fallback=True) == \
             classify_tree(tree, encoded, fallback=True)
+
+
+@pytest.mark.parametrize("domain,value", [
+    (("1", "2"), 1), (("1", "2"), 1.0), (("1", "2"), True), (("1", "2"), "1"),
+    (("1", "2"), "3"), (("True", "False"), True)],
+    ids=["1", "1.0", "True", "'1'", "'3'", "True on 'True'"])
+def test_both_engines_place_only_equal_values(domain, value):
+    # a non-string value never takes the branch its spelling names
+    tree = grow(build_training_set([("x", NOMINAL)],
+                                   [(v, c) for v, c in zip(domain, "AB")]),
+                min_leaf=1)
+    expected = "A" if value == domain[0] and isinstance(value, str) else "?"
+    assert outcome(lambda v: classify_tree(tree, v)[0], (value,)) == expected
+    assert outcome(lambda v: classify_casi(compile_tree(tree), v),
+                   (value,)) == expected
 
 
 @PROPERTY

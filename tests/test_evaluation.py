@@ -1,11 +1,12 @@
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 import plancell.evaluation as evaluation
 from plancell.blocksworld import generate_corpus
-from plancell.dataset import build_training_set
+from plancell.dataset import Instance, build_training_set, class_members
 from plancell.errors import DataError
 from plancell.evaluation import (EvalReport, cross_validate, evaluate_grid,
                                  make_folds, report, report_csv)
@@ -30,6 +31,18 @@ def test_class_grouping_matches_per_class_scans(seed):
         assert make_folds(ts, folds, seed).assignment == \
             fold_assignment(ts, folds, seed)
     assert _stratified_thirds(ts, seed) == stratified_thirds(ts, seed)
+
+
+def test_a_label_outside_the_classes_is_refused_not_dropped():
+    ts = build_training_set([("x", "nominal")],
+                            [(f"v{i % 3}", "AB"[i % 2]) for i in range(12)])
+    stray = replace(ts, instances=ts.instances + (Instance(("v0",), "C"),))
+    with pytest.raises(DataError, match="instance 12 has label 'C'"):
+        class_members(stray)
+    with pytest.raises(DataError, match="instance 12 has label 'C'"):
+        make_folds(stray, folds=2)
+    with pytest.raises(DataError, match="instance 12 has label 'C'"):
+        _stratified_thirds(stray, 0)
 
 
 def test_fold_sizes_eleven_over_ten(runs11):
