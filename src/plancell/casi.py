@@ -61,9 +61,11 @@ class CellularKnowledgeBase:
     """Immutable compiled rule base: a fact table and a rule table.
 
     Construction checks that both tables are non-empty, that no descriptor
-    repeats and that every premise and conclusion names a fact. The input
-    flags, the incidence matrices and the engine's counters are views of
-    the tables, built on first use and cached; the arrays are read-only.
+    repeats and that every premise and conclusion names a fact. The root,
+    the input flags, the incidence matrices and the engine's counters are
+    views of the tables, built on first use and cached; the arrays are
+    read-only. ``root`` checks the first fact: classification and loading
+    read it, ``infer`` does not, so hand-wired bases may seed any fact.
     """
 
     facts: tuple[str, ...]
@@ -92,6 +94,19 @@ class CellularKnowledgeBase:
     @property
     def rule_count(self) -> int:
         return len(self.rules)
+
+    @cached_property
+    def root(self) -> str:
+        """The fact every classification seeds: the first fact, which must
+        be the only node fact no rule concludes (ModelIntegrityError if not).
+        """
+        concluded = {rule.conclusion for rule in self.rules}
+        roots = [f for f in self.facts if "=" not in f and f not in concluded]
+        if roots != [self.facts[0]]:
+            raise ModelIntegrityError(
+                f"the first fact, {self.facts[0]!r}, must be the only node fact "
+                f"no rule concludes; those are {roots}")
+        return self.facts[0]
 
     @cached_property
     def _fact_indices(self) -> dict[str, int]:
@@ -266,7 +281,7 @@ def classify_casi(kb: CellularKnowledgeBase, instance) -> str:
     instance fell off the known paths (unknown value), more than one means
     the rule base is inconsistent.
     """
-    seeds = [kb.facts[0]] + instance_facts(kb, instance)
+    seeds = [kb.root] + instance_facts(kb, instance)
     fact_gen = infer(kb, seeds).fact_gen
     hits = [kb.facts[i] for i in kb._class_facts if fact_gen[i] != NEVER]
     if not hits:
@@ -335,12 +350,7 @@ def kb_from_json(data: dict) -> CellularKnowledgeBase:
             if "=" in fact and fact not in known:
                 raise ModelIntegrityError(
                     f"input fact {fact!r} names no domain value or class")
-        concluded = {rule.conclusion for rule in kb.rules}
-        roots = [f for f in kb.facts if "=" not in f and f not in concluded]
-        if roots != [kb.facts[0]]:
-            raise ModelIntegrityError(
-                f"the first fact, {kb.facts[0]!r}, must be the only node fact "
-                f"no rule concludes; those are {roots}")
+        kb.root  # raises unless the first fact is the root
         for name, rows, wired in (("R_E", data["R_E"], kb.premise_matrix),
                                   ("R_S", data["R_S"], kb.conclusion_matrix)):
             if [len(row) for row in rows] != [kb.rule_count] * kb.fact_count:

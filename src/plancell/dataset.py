@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 
@@ -94,13 +95,25 @@ def case_values(case, width: int) -> tuple:
     return values
 
 
+def is_number(v) -> bool:
+    """An int or a float, bools excluded."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def is_finite_number(v) -> bool:
+    """A number a float holds finitely: what a numeric attribute or a cut
+    point may be. The comparison is exact, so a huge int does not raise."""
+    return is_number(v) and abs(v) <= sys.float_info.max
+
+
 def build_training_set(columns: list[tuple[str, str]], rows: list[tuple]) -> TrainingSet:
     """Assemble a TrainingSet from descriptive ``(name, kind)`` column specs.
 
     Each row is the attribute values followed by the class label (one more
     cell than there are columns). Nominal domains are taken in first-seen
-    order; numeric domains are the observed min/max. Classes are the sorted
-    set of labels that occur.
+    order; numeric domains are the observed min/max, and numeric values
+    must be finite ints or floats. Classes are the sorted set of labels
+    that occur.
     """
     if not rows:
         raise DataError("empty dataset: no instances")
@@ -114,6 +127,10 @@ def build_training_set(columns: list[tuple[str, str]], rows: list[tuple]) -> Tra
         if kind == NOMINAL:
             domain = tuple(dict.fromkeys(values))
         elif kind == NUMERIC:
+            for value in values:
+                if not is_finite_number(value):
+                    raise DataError(
+                        f"attribute {name!r}: {value!r} is not a finite number")
             domain = (min(values), max(values))
         else:
             raise DataError(f"attribute {name!r}: unknown kind {kind!r}")

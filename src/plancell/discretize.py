@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import NOMINAL, NUMERIC, AttributeSpec, Instance, TrainingSet
+from .dataset import (NOMINAL, NUMERIC, AttributeSpec, Instance, TrainingSet,
+                      is_finite_number, is_number)
 from .errors import DataError, ModelIntegrityError
 
 MODES = ("supervised", "unsupervised", "none")
@@ -44,7 +45,7 @@ class DiscretizationMap:
         it is an int or float (not a bool); every other value, bin labels
         included, passes through, so encoding twice changes nothing.
         """
-        if attribute in self.cuts and _is_number(value):
+        if attribute in self.cuts and is_number(value):
             return f"b{bisect_left(self.cuts[attribute], value)}"
         return value
 
@@ -55,10 +56,6 @@ class DiscretizationMap:
         """A raw case as model values, one ``bin_label`` per attribute spec."""
         return tuple(self.bin_label(spec.name, v)
                      for spec, v in zip(attributes, values))
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def encode(dmap: DiscretizationMap | None, attributes, values) -> tuple:
@@ -102,7 +99,7 @@ def schema_from_json(data: dict):
         if cuts is None:
             return attributes, classes, None
         for name, cs in cuts.items():
-            if not all(_is_number(c) and math.isfinite(c) for c in cs):
+            if not all(map(is_finite_number, cs)):
                 raise ModelIntegrityError(f"cuts for {name!r} are not finite numbers")
         return attributes, classes, DiscretizationMap(
             {a: tuple(c) for a, c in cuts.items()})

@@ -107,14 +107,10 @@ def classify_knn(model: KnnModel, query) -> str:
     instances = model.training.instances
     if model.k == 1:
         return instances[int(np.argmin(dists))].label
-    # stable sort: equal distances keep training order
+    # stable sort: equal distances keep training order, and each label's
+    # first neighbour is its nearest
     neighbors = np.argsort(dists, kind="stable")[:model.k].tolist()
-    votes = Counter(instances[i].label for i in neighbors)
-    top = max(votes.values())
-    tied = [label for label, n in votes.items() if n == top]
-    if len(tied) == 1:
-        return tied[0]
-    nearest = {label: min(dists[i] for i in neighbors
-                          if instances[i].label == label)
-               for label in tied}
-    return min(tied, key=lambda label: (nearest[label], label))
+    labels = [instances[i].label for i in neighbors]
+    votes = Counter(labels)
+    return min(votes, key=lambda label: (
+        -votes[label], dists[neighbors[labels.index(label)]], label))

@@ -10,10 +10,10 @@ first inside a wave.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from graphlib import CycleError, TopologicalSorter
 
-from .errors import DataError
+from .errors import DataError, LimitError
 from .project import ProjectGraph
 
 DEFAULT_MAX_PLANS = 10_000
@@ -77,27 +77,24 @@ def _solutions(graph: ProjectGraph):
     order, so the yield order is deterministic. Choices whose groups form a
     cycle, or that reach a task the graph lacks, are discarded.
     """
-
-    def recurse(chosen: dict[str, frozenset[str]], pending: set[str]):
+    stack = [({}, frozenset({graph.exit}))]
+    while stack:
+        chosen, pending = stack.pop()
         if not pending:
             try:
                 steps = linearize(chosen)
             except DataError:
-                return
+                continue
             yield steps
-            return
+            continue
         task_id = min(pending)
-        rest = pending - {task_id}
         task = graph.tasks.get(task_id)
         if task is None:
-            return
-        for group in task.preconditions or (frozenset(),):
-            chosen[task_id] = group
-            new = {t for t in group if t not in chosen}
-            yield from recurse(chosen, rest | new)
-            del chosen[task_id]
-
-    yield from recurse({}, {graph.exit})
+            continue
+        # pushed last to first, so the first group is popped first
+        for group in reversed(task.preconditions or (frozenset(),)):
+            now = {**chosen, task_id: group}
+            stack.append((now, pending - {task_id} | (group - now.keys())))
 
 
 def linearize(chosen: dict[str, frozenset[str]]) -> tuple[str, ...]:
@@ -107,18 +104,26 @@ def linearize(chosen: dict[str, frozenset[str]]) -> tuple[str, ...]:
     group (empty for the entry). A task's wave is one past the latest wave
     among its chosen predecessors, which makes the ordering a topological
     sort of the chosen-group precedence relation with ties broken
-    lexicographically. Raises DataError if some task never becomes ready.
+    lexicographically. Raises DataError if some task never becomes ready,
+    and LimitError if a precedence chain is deeper than the recursion limit.
     """
     if not chosen.keys() >= set().union(*chosen.values()):
         raise DataError("solution names a task outside it")
-    sorter = TopologicalSorter(chosen)
+    wave: dict[str, int] = {}
+
+    def place(task: str) -> int:
+        if task not in wave:
+            wave[task] = -1  # in progress: meeting it again closes a cycle
+            level = 0
+            for pred in chosen[task]:  # a plain loop: one frame per chain link
+                level = max(level, place(pred) + 1)
+            wave[task] = level
+        elif wave[task] < 0:
+            raise DataError("solution contains a precedence cycle")
+        return wave[task]
+
     try:
-        sorter.prepare()
-    except CycleError:
-        raise DataError("solution contains a precedence cycle") from None
-    steps: list[str] = []
-    while sorter.is_active():
-        wave = sorted(sorter.get_ready())
-        steps += wave
-        sorter.done(*wave)
-    return tuple(steps)
+        return tuple(sorted(chosen, key=lambda t: (place(t), t)))
+    except RecursionError:
+        raise LimitError(f"a precedence chain is deeper than the recursion "
+                         f"limit ({sys.getrecursionlimit()})") from None

@@ -477,6 +477,19 @@ def test_kb_json_rejects_a_first_fact_that_is_not_the_root(runs_model):
         kb_from_json(doc)
 
 
+def test_classify_refuses_a_base_whose_first_fact_is_not_the_root(runs_model,
+                                                                  runs11):
+    # built directly, not loaded: classification used to seed s1 as the root
+    # and label 6 of the 11 runs differently from the tree walk
+    _, kb, _ = runs_model
+    swapped = replace(kb, facts=(kb.facts[1], kb.facts[0], *kb.facts[2:]))
+    for inst in runs11.instances:
+        with pytest.raises(ModelIntegrityError, match=re.escape(
+                "the first fact, 's1', must be the only node fact no rule "
+                "concludes; those are ['s0']")):
+            classify_casi(swapped, inst)
+
+
 @pytest.mark.parametrize("old,new", [("problem=blocks-4", "problem=zzz"),
                                      ("problem=blocks-4", "colour=red"),
                                      ("class=P1", "class=P9")])

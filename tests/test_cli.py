@@ -2,6 +2,7 @@ import json
 import math
 import os
 import stat
+import sys
 
 import pytest
 
@@ -63,6 +64,21 @@ def test_plans_truncation_exit_code(project_file, capsys):
     captured = capsys.readouterr()
     assert len(captured.out.strip().splitlines()) == 2
     assert "truncated" in captured.err
+
+
+def test_precedence_chain_deeper_than_the_recursion_limit_exits_5(tmp_path,
+                                                                  capsys):
+    n = sys.getrecursionlimit() + 100
+    tasks = [{"id": "c0000", "pre": []}]
+    tasks += [{"id": f"c{i:04d}", "pre": [[f"c{i - 1:04d}"]]} for i in range(1, n)]
+    path = tmp_path / "chain.json"
+    path.write_text(_project(tasks=tasks, entry="c0000", exit=f"c{n - 1:04d}"))
+    assert run(["plans", "--project", str(path)]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"plancell: limit exceeded: a precedence chain is deeper than the "
+        f"recursion limit ({sys.getrecursionlimit()})\n")
 
 
 def test_missing_project_file(tmp_path, capsys):
@@ -347,6 +363,8 @@ MODEL_FAULTS = {
     "non-numeric cuts": _put("discretization", "steps", value=["a", "b"]),
     "NaN cut": _put("discretization", "steps", value=[math.nan]),
     "infinite cut": _put("discretization", "steps", value=[8.0, math.inf]),
+    "cut beyond the float range": _put("discretization", "steps",
+                                       value=[8.0, 10**400]),
     "top-level array": lambda doc: [doc],
     "repeated attribute name": lambda doc: doc["attributes"].append(
         dict(doc["attributes"][0])),

@@ -1,3 +1,4 @@
+import math
 import re
 
 import pytest
@@ -127,6 +128,17 @@ def test_class_labels_must_be_strings(labels):
                        match=re.escape(f"class label {bad!r} is not a string")):
         build_training_set([("x", "nominal")],
                            [("a", label) for label in labels])
+
+
+@pytest.mark.parametrize("value", ["a", True, None, math.nan, math.inf,
+                                   pytest.param(10**400, id="10**400")])
+def test_numeric_values_must_be_finite_numbers(value):
+    # a numeric column of strings used to get a string domain, and fitting
+    # cuts on it a raw TypeError
+    with pytest.raises(DataError, match=re.escape(
+            f"attribute 'x': {value!r} is not a finite number")):
+        build_training_set([("x", "numeric")],
+                           [(1.0, "A"), (value, "B"), (3, "A")])
 
 
 def test_subset_reinfers_domains():

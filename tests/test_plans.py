@@ -1,5 +1,7 @@
+import inspect
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
@@ -103,6 +105,27 @@ def test_linearize_rejects_a_cycle():
     chosen = {"a": frozenset({"b"}), "b": frozenset({"a"})}
     with pytest.raises(DataError, match="cycle"):
         linearize(chosen)
+
+
+def test_wide_solution_enumerates_without_recursing_per_task():
+    # one solution of more tasks than the recursion limit, two waves deep
+    n = sys.getrecursionlimit() + 100
+    tasks = [{"id": "Begin", "pre": []}]
+    tasks += [{"id": f"p{i:04d}", "pre": [["Begin"]]} for i in range(n)]
+    tasks.append({"id": "Done", "pre": [[f"p{i:04d}" for i in range(n)]]})
+    plans = enumerate_plans(build(tasks, "Begin", "Done")).plans
+    assert len(plans) == 1
+    assert plans[0].steps[0] == "Begin" and plans[0].steps[-1] == "Done"
+    assert len(plans[0].steps) == n + 2
+
+
+def test_chain_within_the_recursion_limit_enumerates():
+    # placing a task costs one frame per precedence link, no more
+    n = sys.getrecursionlimit() - len(inspect.stack(0)) - 20
+    tasks = [{"id": "c0000", "pre": []}]
+    tasks += [{"id": f"c{i:04d}", "pre": [[f"c{i - 1:04d}"]]} for i in range(1, n)]
+    plan = first_plan(build(tasks, "c0000", f"c{n - 1:04d}"))
+    assert plan.steps == tuple(t["id"] for t in tasks)
 
 
 def test_plan_rejects_empty_steps():
