@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .dataset import AttributeSpec, case_values
-from .discretize import DiscretizationMap, encode, schema_to_json, schema_from_json
+from .discretize import DiscretizationMap, schema_to_json, schema_from_json
 from .errors import DataError, ModelIntegrityError, UnknownValueError
 from .tree import CLASS_ATTRIBUTE, ClassificationRule, InductionGraph, extract_rules
 
@@ -152,6 +152,19 @@ class CellularKnowledgeBase:
         return (readers, [len(facts) for facts in premises],
                 [index[rule.conclusion] for rule in self.rules])
 
+    @cached_property
+    def _input_tables(self) -> tuple[tuple[str, bool, dict[str, str]], ...]:
+        """Per attribute: its name, whether the map bins it, and each string
+        value the base tests, mapped to its fact descriptor."""
+        cuts = self.discretization.cuts if self.discretization else {}
+        tables = []
+        for spec in self.attributes:
+            prefix = spec.name + "="
+            tables.append((spec.name, spec.name in cuts,
+                           {f[len(prefix):]: f for f in self.facts
+                            if f.startswith(prefix)}))
+        return tuple(tables)
+
     def fact_index(self, descriptor: str) -> int:
         try:
             return self._fact_indices[descriptor]
@@ -185,21 +198,30 @@ def compile_tree(tree: InductionGraph) -> CellularKnowledgeBase:
 class Trace(Sequence):
     """The configurations of one inference, generation 0 to the fixed point.
 
-    Holds the generation of every fact and rule (``NEVER`` for a cell that
-    stays clear) and builds each ``Configuration`` only when it is read.
+    Holds the engine's lists of the generation of every fact and rule
+    (``NEVER`` for a cell that stays clear); their tuples and each
+    ``Configuration`` are built only when read.
     """
 
-    def __init__(self, kb: CellularKnowledgeBase, fact_gen: tuple[int, ...],
-                 rule_gen: tuple[int, ...], length: int):
-        self.kb, self.fact_gen, self.rule_gen = kb, fact_gen, rule_gen
+    def __init__(self, kb: CellularKnowledgeBase, fact_gen: list[int],
+                 rule_gen: list[int], length: int):
+        self.kb, self._fact_gen, self._rule_gen = kb, fact_gen, rule_gen
         self._length = length
 
     def __len__(self) -> int:
         return self._length
 
     @cached_property
+    def fact_gen(self) -> tuple[int, ...]:
+        return tuple(self._fact_gen)
+
+    @cached_property
+    def rule_gen(self) -> tuple[int, ...]:
+        return tuple(self._rule_gen)
+
+    @cached_property
     def _vectors(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.array(self.fact_gen), np.array(self.rule_gen)
+        return np.array(self._fact_gen), np.array(self._rule_gen)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -207,7 +229,7 @@ class Trace(Sequence):
         g = range(self._length)[index]
         facts, rules = self._vectors
         ef, sf, er = map(_frozen, (facts <= g, facts < g, rules <= g))
-        ir = _frozen(np.ones(len(self.rule_gen), dtype=bool))
+        ir = _frozen(np.ones(len(self._rule_gen), dtype=bool))
         sr = _frozen(~er) if g else er  # at generation 0, SR is as clear as ER
         return Configuration(ef, self.kb.input_flags, sf, er, ir, sr, g)
 
@@ -225,8 +247,11 @@ def infer(kb: CellularKnowledgeBase, initial_facts) -> Trace:
     fact_gen = [NEVER] * kb.fact_count
     rule_gen = [NEVER] * kb.rule_count
     wave = []
+    index = kb._fact_indices.get
     for descriptor in initial_facts:
-        f = kb.fact_index(descriptor)
+        f = index(descriptor)
+        if f is None:
+            raise UnknownValueError(f"unknown fact {descriptor!r}")
         if fact_gen[f] == NEVER:
             fact_gen[f] = 0
             wave.append(f)
@@ -250,7 +275,7 @@ def infer(kb: CellularKnowledgeBase, initial_facts) -> Trace:
                 wave.append(f)
     # SF catches up with EF one generation after the last new facts, and
     # SR leaves its clear start at generation 1.
-    return Trace(kb, tuple(fact_gen), tuple(rule_gen), (g + bool(wave) or 1) + 1)
+    return Trace(kb, fact_gen, rule_gen, (g + bool(wave) or 1) + 1)
 
 
 def established_facts(kb: CellularKnowledgeBase,
@@ -261,17 +286,21 @@ def established_facts(kb: CellularKnowledgeBase,
 def instance_facts(kb: CellularKnowledgeBase, instance) -> list[str]:
     """The attribute=value descriptors an instance contributes.
 
-    Raw values are encoded with the base's own discretization. Only string
-    values are spelled, as the tree walk matches only equal values: 1 or
-    True never takes a "1" or "True" branch. Descriptors naming values the
-    rule base never tests are dropped, which at worst starves the inference
-    and surfaces as an unknown-value error.
+    Raw values of a binned attribute go through the base's map. Each
+    attribute's input table then looks a value up: only string values
+    match, as the tree walk matches only equal values (1 or True never
+    takes a "1" or "True" branch), and values the rule base never tests
+    are dropped, which at worst starves the inference and surfaces as an
+    unknown-value error.
     """
     values = case_values(instance, len(kb.attributes))
-    descriptors = (f"{spec.name}={value}" for spec, value in zip(
-        kb.attributes, encode(kb.discretization, kb.attributes, values))
-        if isinstance(value, str))
-    return [d for d in descriptors if d in kb._fact_indices]
+    seeds = []
+    for (name, binned, table), value in zip(kb._input_tables, values):
+        if binned:
+            value = kb.discretization.bin_label(name, value)
+        if isinstance(value, str) and value in table:
+            seeds.append(table[value])
+    return seeds
 
 
 def classify_casi(kb: CellularKnowledgeBase, instance) -> str:
@@ -282,7 +311,7 @@ def classify_casi(kb: CellularKnowledgeBase, instance) -> str:
     the rule base is inconsistent.
     """
     seeds = [kb.root] + instance_facts(kb, instance)
-    fact_gen = infer(kb, seeds).fact_gen
+    fact_gen = infer(kb, seeds)._fact_gen
     hits = [kb.facts[i] for i in kb._class_facts if fact_gen[i] != NEVER]
     if not hits:
         raise UnknownValueError(

@@ -120,28 +120,31 @@ def build_training_set(columns: list[tuple[str, str]], rows: list[tuple]) -> Tra
     names = [n for n, _ in columns]
     if len(set(names)) != len(names):
         raise DataError("duplicate attribute names")
-
-    specs = []
     for col, (name, kind) in enumerate(columns):
-        values = [row[col] for row in rows]
-        if kind == NOMINAL:
-            domain = tuple(dict.fromkeys(values))
-        elif kind == NUMERIC:
-            for value in values:
-                if not is_finite_number(value):
+        if kind == NUMERIC:
+            for row in rows:
+                if not is_finite_number(row[col]):
                     raise DataError(
-                        f"attribute {name!r}: {value!r} is not a finite number")
-            domain = (min(values), max(values))
-        else:
+                        f"attribute {name!r}: {row[col]!r} is not a finite number")
+        elif kind != NOMINAL:
             raise DataError(f"attribute {name!r}: unknown kind {kind!r}")
-        specs.append(AttributeSpec(name, kind, domain))
-
     instances = tuple(Instance(tuple(row[:-1]), row[-1]) for row in rows)
-    labels = dict.fromkeys(inst.label for inst in instances)
-    for label in labels:
+    for label in dict.fromkeys(inst.label for inst in instances):
         if not isinstance(label, str):
             raise DataError(f"class label {label!r} is not a string")
-    classes = tuple(sorted(labels))
+    return _with_schema(columns, instances)
+
+
+def _with_schema(columns, instances: tuple[Instance, ...]) -> TrainingSet:
+    """A TrainingSet over checked instances, its domains and classes
+    inferred from them as ``build_training_set`` documents."""
+    specs = []
+    for col, (name, kind) in enumerate(columns):
+        values = [inst.values[col] for inst in instances]
+        domain = ((min(values), max(values)) if kind == NUMERIC
+                  else tuple(dict.fromkeys(values)))
+        specs.append(AttributeSpec(name, kind, domain))
+    classes = tuple(sorted(dict.fromkeys(inst.label for inst in instances)))
     return TrainingSet(tuple(specs), classes, instances)
 
 
@@ -229,9 +232,11 @@ def class_members(ts: TrainingSet) -> dict[str, list[int]]:
 def subset(ts: TrainingSet, indices: list[int]) -> TrainingSet:
     """A new TrainingSet over the given instance indices.
 
-    Domains and classes are re-inferred from the subset, so fitting on a
-    fold never sees values that only occur outside it.
+    The instances are the parent's own and are not checked again. Domains
+    and classes are re-inferred from the subset, so fitting on a fold never
+    sees values that only occur outside it.
     """
-    columns = [(a.name, a.kind) for a in ts.attributes]
-    rows = [ts.instances[i].values + (ts.instances[i].label,) for i in indices]
-    return build_training_set(columns, rows)
+    instances = tuple(ts.instances[i] for i in indices)
+    if not instances:
+        raise DataError("empty dataset: no instances")
+    return _with_schema([(a.name, a.kind) for a in ts.attributes], instances)

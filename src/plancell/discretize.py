@@ -42,10 +42,11 @@ class DiscretizationMap:
         """One raw value as a model value.
 
         A value is binned only when this map has cuts for its attribute and
-        it is an int or float (not a bool); every other value, bin labels
-        included, passes through, so encoding twice changes nothing.
+        it is an int or float (not a bool) other than NaN; every other value,
+        bin labels included, passes through, so encoding twice changes
+        nothing and a NaN matches no branch.
         """
-        if attribute in self.cuts and is_number(value):
+        if attribute in self.cuts and is_number(value) and value == value:
             return f"b{bisect_left(self.cuts[attribute], value)}"
         return value
 

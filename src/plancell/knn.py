@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import NUMERIC, TrainingSet, case_values
-from .errors import DataError
+from .errors import DataError, UnknownValueError
 
 
 @dataclass(frozen=True)
@@ -86,15 +86,20 @@ def _distances(model: KnnModel, query) -> np.ndarray:
 
     Squares are added one attribute at a time in attribute order, the same
     IEEE operations as ``distance``, so equal distances stay equal. A zero
-    span adds nothing and an unseen nominal value mismatches every row.
+    span adds nothing and an unseen nominal value mismatches every row; a
+    NaN numeric value is near no row and raises UnknownValueError.
     """
     values = case_values(query, len(model.columns))
     total = np.zeros(len(model.training.instances))
-    for column, span, codes, x in zip(model.columns, model.spans,
-                                      model.codes, values):
+    for spec, column, span, codes, x in zip(model.training.attributes,
+                                            model.columns, model.spans,
+                                            model.codes, values):
         if codes is not None:
             # a mismatch adds 1.0, its own square
             total += column != codes.get(x, -1)
+        elif x != x:
+            raise UnknownValueError(f"value {x!r} of attribute {spec.name!r} "
+                                    f"has no distance to the training rows")
         elif span:
             d = np.abs(column - float(x)) / span
             total += d * d

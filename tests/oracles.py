@@ -13,8 +13,8 @@ from itertools import combinations, product
 import numpy as np
 
 from plancell.blocksworld import Action, UnsolvableGoalError, apply, satisfies
-from plancell.casi import Configuration
-from plancell.dataset import Instance
+from plancell.casi import NEVER, Configuration
+from plancell.dataset import Instance, case_values
 from plancell.discretize import encode
 from plancell.errors import (DataError, LimitError, ModelIntegrityError,
                              UnknownValueError)
@@ -448,6 +448,26 @@ def casi_infer(kb, initial_facts):
         trace.append(succ)
     raise ModelIntegrityError(
         f"inference did not stabilize within {kb.rule_count + 2} generations")
+
+
+def casi_generations(trace):
+    """Per fact and per rule, the first generation of the trace that sets
+    its EF or ER cell; ``NEVER`` where none does."""
+    def first(register, count):
+        return tuple(next((c.generation for c in trace if getattr(c, register)[i]),
+                          NEVER) for i in range(count))
+    return first("EF", len(trace[0].EF)), first("ER", len(trace[0].ER))
+
+
+def casi_instance_facts(kb, instance):
+    """A case's input descriptors as first written: encode the whole case,
+    spell every string value ``name=value`` and keep the spellings that
+    are facts of the base."""
+    values = case_values(instance, len(kb.attributes))
+    descriptors = (f"{spec.name}={value}" for spec, value in zip(
+        kb.attributes, encode(kb.discretization, kb.attributes, values))
+        if isinstance(value, str))
+    return [d for d in descriptors if d in kb.facts]
 
 
 def casi_label(kb, instance):

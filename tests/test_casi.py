@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import re
 from dataclasses import replace
@@ -240,6 +241,18 @@ def test_classification_bins_raw_numerics(runs_model):
     _, kb, _ = runs_model
     assert classify_casi(kb, ("blocks-4", 0.032237, 6.0)) == "P1"
     assert classify_casi(kb, ("blocks-5", 0.092918, 12.0)) == "P3"
+
+
+def test_classification_refuses_nan_where_the_tree_walk_does(runs_model):
+    tree, kb, _ = runs_model
+    case = ("blocks-4", 0.032237, math.nan)
+    assert instance_facts(kb, case) == ["problem=blocks-4"]
+    with pytest.raises(UnknownValueError, match="no class fact"):
+        classify_casi(kb, case)
+    with pytest.raises(UnknownValueError):
+        classify_tree(tree, case)
+    case = ("blocks-4", math.nan, 6.0)  # time is never tested
+    assert classify_casi(kb, case) == classify_tree(tree, case)[0] == "P1"
 
 
 def test_instance_facts_drop_untested_descriptors(runs_model):

@@ -2,10 +2,14 @@
 
 Property tests: ``infer`` gives the oracle's trace configuration by
 configuration (all six registers, every generation number, the trace
-length) on random rule tables and on compiled trees; each configuration is
-the dense assessment and execution passes applied to its predecessor;
-``classify_casi`` answers or fails as the oracle does.
+length) and the oracle's generation tuples on random rule tables and on
+compiled trees; each configuration is the dense assessment and execution
+passes applied to its predecessor; ``instance_facts`` seeds what spelling
+every value ``name=value`` seeds; ``classify_casi`` answers or fails as the
+oracle does.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +19,8 @@ from hypothesis import strategies as st
 import oracles
 from plancell.casi import (CellularKnowledgeBase, classify_casi, infer,
                            instance_facts, kb_from_json)
+from plancell.dataset import NOMINAL, NUMERIC, AttributeSpec
+from plancell.discretize import DiscretizationMap
 from plancell.errors import ModelIntegrityError, PlancellError
 from plancell.tree import ClassificationRule
 from test_encoding import fitted, trained
@@ -32,6 +38,8 @@ def outcome(fn, *args):
 
 def assert_same_trace(got, want):
     assert len(got) == len(want)
+    assert type(got.fact_gen) is tuple and type(got.rule_gen) is tuple
+    assert (got.fact_gen, got.rule_gen) == oracles.casi_generations(want)
     for g, w in zip(got, want):
         assert g.generation == w.generation
         for name in oracles.REGISTERS:
@@ -107,7 +115,59 @@ def test_trace_equals_oracle_on_compiled_trees(drawn):
     kb, cases = drawn
     for values in cases:
         seeds = [kb.facts[0]] + instance_facts(kb, values)
+        assert seeds[1:] == oracles.casi_instance_facts(kb, values)
         assert_same_trace(infer(kb, seeds), oracles.casi_infer(kb, seeds))
+
+
+# Strings a fact may spell after "name=", and further strings a case may
+# carry: bin labels, spellings of numbers and bools, '=' inside a value.
+SPELLINGS = ["a", "b", "a=b", "=", "b0", "b1", "b2", "1", "1.5", "True",
+             "nan", "inf"]
+CASE_STRINGS = SPELLINGS + ["unseen", "a=b=c", "x0=a", ""]
+
+
+@st.composite
+def input_bases(draw):
+    """A base over 1-4 attributes whose facts spell some values of each,
+    and raw cases for it.
+
+    The base has no map, or a map that cuts some numeric attributes (some
+    with no cuts at all) and leaves the others out. Case values are ints,
+    halves and quarters (on and between cuts), bools, NaN, infinities and
+    strings, a fact's own among them.
+    """
+    kinds = draw(st.lists(st.sampled_from([NOMINAL, NUMERIC]),
+                          min_size=1, max_size=4))
+    names = [f"x{i}" for i in range(len(kinds))]
+    halves = st.lists(st.integers(-8, 8), max_size=3, unique=True).map(
+        lambda cs: tuple(c / 2 for c in sorted(cs)))
+    cuts = {name: draw(halves) for name, kind in zip(names, kinds)
+            if kind == NUMERIC and draw(st.booleans())}
+    dmap = DiscretizationMap(cuts) if draw(st.booleans()) else None
+    domain = st.lists(st.sampled_from(SPELLINGS), min_size=1, unique=True)
+    specs = tuple(AttributeSpec(name, kind, (-5.0, 5.0) if kind == NUMERIC
+                                else tuple(draw(domain)))
+                  for name, kind in zip(names, kinds))
+    facts = ["s0"] + [f"{name}={value}" for name in names for value in
+                      draw(st.lists(st.sampled_from(SPELLINGS), unique=True))]
+    kb = CellularKnowledgeBase(
+        tuple(facts + ["class=K"]), (ClassificationRule(("s0",), "class=K"),),
+        specs, ("K",), dmap)
+    value = st.one_of(st.integers(-6, 6),
+                      st.integers(-24, 24).map(lambda k: k / 4), st.booleans(),
+                      st.sampled_from([math.nan, math.inf, -math.inf]),
+                      st.sampled_from(CASE_STRINGS))
+    cases = draw(st.lists(st.tuples(*[value] * len(names)), min_size=1,
+                          max_size=10))
+    return kb, cases
+
+
+@given(input_bases())
+@PROPERTY
+def test_instance_facts_equal_the_spelling_oracle(drawn):
+    kb, cases = drawn
+    for values in cases:
+        assert instance_facts(kb, values) == oracles.casi_instance_facts(kb, values)
 
 
 @given(tree_bases())

@@ -150,6 +150,23 @@ def test_subset_reinfers_domains():
     assert len(sub.instances) == 2
 
 
+def test_subset_schema_equals_building_from_its_rows():
+    ts = load_csv(CSV + "blocks-6,0.75,14,P3\nblocks-5,0.5,10,P2\n")
+    columns = [(a.name, a.kind) for a in ts.attributes]
+    for indices in ([0], [1, 3], [4, 2, 0], [3, 1, 4, 2], list(range(5))):
+        sub = subset(ts, indices)
+        built = build_training_set(columns, [
+            ts.instances[i].values + (ts.instances[i].label,) for i in indices])
+        assert sub == built
+        # the subset holds the parent's own instances
+        assert all(s is ts.instances[i] for s, i in zip(sub.instances, indices))
+
+
+def test_subset_of_no_rows_is_refused():
+    with pytest.raises(DataError, match="no instances"):
+        subset(load_csv(CSV), [])
+
+
 def test_subset_keeps_instance_order():
     ts = load_csv(CSV)
     sub = subset(ts, [2, 0])

@@ -25,7 +25,8 @@ def run_python(args, cwd):
 
 
 # A line a demo must print, beyond exiting with 0.
-EXPECTED_LINES = {"build_corpus": "replayed plans: 100/100 valid"}
+EXPECTED_LINES = {"build_corpus": "replayed plans: 100/100 valid",
+                  "cellular_inference": "classification: class=P3"}
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)

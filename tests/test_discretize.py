@@ -124,6 +124,15 @@ def test_bin_label_value_on_cut_goes_left():
     assert dmap.bin_count("x") == 3
 
 
+def test_bin_label_passes_nan_through():
+    dmap = DiscretizationMap({"x": (2.0, 4.0), "e": ()})
+    for name in ("x", "e"):
+        value = dmap.bin_label(name, math.nan)
+        assert isinstance(value, float) and math.isnan(value)
+    assert dmap.bin_label("x", -math.inf) == "b0"
+    assert dmap.bin_label("x", math.inf) == "b2"
+
+
 def test_cuts_must_be_strictly_increasing():
     with pytest.raises(DataError, match="strictly increasing"):
         DiscretizationMap({"x": (2.0, 2.0)})

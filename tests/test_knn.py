@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import knn_label
 from plancell.dataset import Instance, build_training_set
-from plancell.errors import DataError
+from plancell.errors import DataError, UnknownValueError
 from plancell.knn import _distances, classify_knn, distance, fit_knn
 
 
@@ -32,6 +33,18 @@ def test_distance_between_first_and_fifth_runs(runs11, runs_knn):
     d = distance(a, b, runs_knn)
     assert d == pytest.approx(0.000621, abs=1e-6)
     assert d == pytest.approx(0.0006209739963807624)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("at", [1, 2])
+def test_nan_query_value_is_refused(runs11, k, at):
+    # NaN distances to every row used to send argmin to row 0
+    query = ["blocks-4", 0.032237, 6.0]
+    query[at] = math.nan
+    name = runs11.attributes[at].name
+    with pytest.raises(UnknownValueError,
+                       match=f"value nan of attribute '{name}'"):
+        classify_knn(fit_knn(runs11, k), tuple(query))
 
 
 def test_distance_is_symmetric(runs11, runs_knn):

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import pytest
@@ -168,6 +169,16 @@ def test_classify_unknown_value_and_fallback():
     label, path = classify_tree(tree, ("a", "r"), fallback=True)
     assert label == "c1"  # majority tie at the x=a node breaks low
     assert path == ("s0", "s1")
+
+
+def test_classify_refuses_nan_where_its_attribute_is_tested(runs11):
+    dmap = discretize_supervised(runs11)
+    tree = grow(apply_map(dmap, runs11), INFO_GAIN, min_leaf=1,
+                discretization=dmap)
+    with pytest.raises(UnknownValueError, match="value nan of attribute 'steps'"):
+        classify_tree(tree, ("blocks-4", 0.032237, math.nan))
+    # time is never tested, so a NaN there changes nothing
+    assert classify_tree(tree, ("blocks-4", math.nan, 6.0))[0] == "P1"
 
 
 def test_classify_checks_schema_width(stump):
