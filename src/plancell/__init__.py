@@ -26,7 +26,7 @@ from .errors import (DataError, InapplicableActionError, LimitError,
                      UnknownValueError)
 from .evaluation import (EvalReport, FoldPlan, cross_validate, evaluate_grid,
                          make_folds, report, report_csv)
-from .knn import KnnModel, classify_knn, distance, fit_knn
+from .knn import KnnModel, classify_knn, fit_knn
 from .plans import (Plan, PlanEnumeration, enumerate_plans, first_plan,
                     linearize)
 from .project import (ProjectGraph, ProjectParseError, Task, parse_project,
@@ -49,7 +49,7 @@ __all__ = [
     "TrainingSet", "TreeNode", "UnknownValueError", "all_on_table", "apply",
     "apply_map", "boundary_candidates", "build_training_set",
     "class_distribution", "classify_casi", "classify_knn", "classify_tree",
-    "compile_tree", "corpus_training_set", "cross_validate", "distance",
+    "compile_tree", "corpus_training_set", "cross_validate",
     "discretize_supervised", "discretize_unsupervised", "entropy",
     "enumerate_plans", "established_facts", "evaluate_grid", "extract_rules",
     "first_plan", "fit_knn", "fit_map", "format_fact_table",

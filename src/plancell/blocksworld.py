@@ -192,9 +192,11 @@ def validate_plan(initial: BlockState, plan, goal) -> tuple[bool, str | None]:
     """Replay a plan; (True, None) iff every step applies and the goal holds.
 
     ``plan`` is a sequence of action strings or Action objects, such as
-    ``solve(...).plan``. A goal no state satisfies raises
-    UnsolvableGoalError, as in ``solve``, before any step is replayed.
+    ``solve(...).plan``. As in ``solve`` and before any step is replayed,
+    an initial state that is not a set of towers raises DataError and a
+    goal no state satisfies UnsolvableGoalError.
     """
+    initial.check()
     target = _read_goal(initial.names, goal)
     state = initial
     for i, step in enumerate(plan):

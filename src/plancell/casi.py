@@ -113,10 +113,6 @@ class CellularKnowledgeBase:
         return {f: i for i, f in enumerate(self.facts)}
 
     @cached_property
-    def _class_facts(self) -> list[int]:
-        return [i for i, f in enumerate(self.facts) if f.startswith(CLASS_PREFIX)]
-
-    @cached_property
     def input_flags(self) -> np.ndarray:
         """The fixed IF vector: set for the facts containing '='."""
         return _frozen(np.array(["=" in f for f in self.facts], dtype=bool))
@@ -165,12 +161,6 @@ class CellularKnowledgeBase:
                             if f.startswith(prefix)}))
         return tuple(tables)
 
-    def fact_index(self, descriptor: str) -> int:
-        try:
-            return self._fact_indices[descriptor]
-        except KeyError:
-            raise UnknownValueError(f"unknown fact {descriptor!r}") from None
-
     def initial_configuration(self, initial_facts=()) -> Configuration:
         """All registers clear except IF, IR, and the seeded EF cells."""
         return infer(self, initial_facts)[0]
@@ -199,14 +189,18 @@ class Trace(Sequence):
     """The configurations of one inference, generation 0 to the fixed point.
 
     Holds the engine's lists of the generation of every fact and rule
-    (``NEVER`` for a cell that stays clear); their tuples and each
-    ``Configuration`` are built only when read.
+    (``NEVER`` for a cell that stays clear) and of the facts established:
+    the first ``seeded`` are the seeds, then come the waves in order. The
+    tuples and each ``Configuration`` are built only when read.
     """
 
     def __init__(self, kb: CellularKnowledgeBase, fact_gen: list[int],
-                 rule_gen: list[int], length: int):
+                 rule_gen: list[int], established: list[int], seeded: int):
         self.kb, self._fact_gen, self._rule_gen = kb, fact_gen, rule_gen
-        self._length = length
+        self._established, self._seeded = established, seeded
+        # SF catches up with EF one generation after the last new facts, and
+        # SR leaves its clear start at generation 1.
+        self._length = (fact_gen[established[-1]] if established else 0) + 2
 
     def __len__(self) -> int:
         return self._length
@@ -246,7 +240,7 @@ def infer(kb: CellularKnowledgeBase, initial_facts) -> Trace:
     missing = counts.copy()
     fact_gen = [NEVER] * kb.fact_count
     rule_gen = [NEVER] * kb.rule_count
-    wave = []
+    established = []  # the seeds, then each wave: a queue in generation order
     index = kb._fact_indices.get
     for descriptor in initial_facts:
         f = index(descriptor)
@@ -254,28 +248,21 @@ def infer(kb: CellularKnowledgeBase, initial_facts) -> Trace:
             raise UnknownValueError(f"unknown fact {descriptor!r}")
         if fact_gen[f] == NEVER:
             fact_gen[f] = 0
-            wave.append(f)
-    g = 0
-    while True:
-        ready = []
-        for f in wave:
-            for r in readers[f]:
-                missing[r] -= 1
-                if not missing[r]:
-                    ready.append(r)
-        if not ready:
-            break
-        g += 1
-        wave = []
-        for r in ready:
-            rule_gen[r] = g
-            f = concludes[r]
-            if fact_gen[f] == NEVER:
-                fact_gen[f] = g
-                wave.append(f)
-    # SF catches up with EF one generation after the last new facts, and
-    # SR leaves its clear start at generation 1.
-    return Trace(kb, fact_gen, rule_gen, (g + bool(wave) or 1) + 1)
+            established.append(f)
+    seeded = len(established)
+    # A rule fires one generation after the fact that meets its last
+    # premise; the facts it establishes join the queue this loop is reading.
+    for f in established:
+        g = fact_gen[f] + 1
+        for r in readers[f]:
+            missing[r] -= 1
+            if not missing[r]:
+                rule_gen[r] = g
+                c = concludes[r]
+                if fact_gen[c] == NEVER:
+                    fact_gen[c] = g
+                    established.append(c)
+    return Trace(kb, fact_gen, rule_gen, established, seeded)
 
 
 def established_facts(kb: CellularKnowledgeBase,
@@ -306,17 +293,20 @@ def instance_facts(kb: CellularKnowledgeBase, instance) -> list[str]:
 def classify_casi(kb: CellularKnowledgeBase, instance) -> str:
     """Seed the root plus the instance's facts; read off the class fact.
 
-    Exactly one established class fact is a classification; zero means the
-    instance fell off the known paths (unknown value), more than one means
-    the rule base is inconsistent.
+    Exactly one class fact among the facts the inference established is a
+    classification; zero means the instance fell off the known paths
+    (unknown value), more than one means the rule base is inconsistent.
     """
-    seeds = [kb.root] + instance_facts(kb, instance)
-    fact_gen = infer(kb, seeds)._fact_gen
-    hits = [kb.facts[i] for i in kb._class_facts if fact_gen[i] != NEVER]
+    trace = infer(kb, [kb.root] + instance_facts(kb, instance))
+    facts = kb.facts
+    # the seeds, the root and attribute facts, are never class facts
+    hits = [facts[f] for f in trace._established[trace._seeded:]
+            if facts[f].startswith(CLASS_PREFIX)]
     if not hits:
         raise UnknownValueError(
             "no class fact established; instance values leave the known paths")
     if len(hits) > 1:
+        hits.sort(key=kb._fact_indices.__getitem__)
         raise ModelIntegrityError(
             f"multiple class facts established: {', '.join(hits)}")
     return hits[0].removeprefix(CLASS_PREFIX)

@@ -109,14 +109,17 @@ def is_finite_number(v) -> bool:
 def build_training_set(columns: list[tuple[str, str]], rows: list[tuple]) -> TrainingSet:
     """Assemble a TrainingSet from descriptive ``(name, kind)`` column specs.
 
-    Each row is the attribute values followed by the class label (one more
-    cell than there are columns). Nominal domains are taken in first-seen
-    order; numeric domains are the observed min/max, and numeric values
-    must be finite ints or floats. Classes are the sorted set of labels
-    that occur.
+    Each row is the attribute values followed by the class label: one more
+    cell than there are columns, or DataError. Nominal domains are taken in
+    first-seen order; numeric domains are the observed min/max, and numeric
+    values must be finite ints or floats. Classes are the sorted set of
+    labels that occur.
     """
     if not rows:
         raise DataError("empty dataset: no instances")
+    for n, row in enumerate(rows, 1):
+        if len(row) != len(columns) + 1:
+            raise DataError(f"row {n}: expected {len(columns) + 1} cells, got {len(row)}")
     names = [n for n, _ in columns]
     if len(set(names)) != len(names):
         raise DataError("duplicate attribute names")

@@ -53,15 +53,14 @@ class DiscretizationMap:
     def bin_count(self, attribute: str) -> int:
         return len(self.cuts[attribute]) + 1
 
-    def encode(self, attributes, values) -> tuple:
-        """A raw case as model values, one ``bin_label`` per attribute spec."""
-        return tuple(self.bin_label(spec.name, v)
-                     for spec, v in zip(attributes, values))
-
 
 def encode(dmap: DiscretizationMap | None, attributes, values) -> tuple:
-    """``dmap.encode``, where a model without a map encodes nothing."""
-    return tuple(values) if dmap is None else dmap.encode(attributes, values)
+    """A raw case as model values, one ``bin_label`` per attribute spec; a
+    model without a map (``None``) encodes nothing."""
+    if dmap is None:
+        return tuple(values)
+    return tuple(dmap.bin_label(spec.name, v)
+                 for spec, v in zip(attributes, values))
 
 
 def schema_to_json(attributes, classes, dmap: DiscretizationMap | None) -> dict:
@@ -278,7 +277,7 @@ def apply_map(dmap: DiscretizationMap | None, ts: TrainingSet) -> TrainingSet:
         if spec.kind == NUMERIC else spec
         for spec in ts.attributes)
     new_instances = tuple(
-        Instance(dmap.encode(ts.attributes, inst.values), inst.label)
+        Instance(encode(dmap, ts.attributes, inst.values), inst.label)
         for inst in ts.instances)
     return TrainingSet(new_specs, ts.classes, new_instances)
 

@@ -10,7 +10,6 @@ label with the nearest member and then lexicographically.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -63,29 +62,11 @@ def fit_knn(ts: TrainingSet, k: int = 1) -> KnnModel:
     return KnnModel(ts, k, tuple(columns), tuple(spans), tuple(codes))
 
 
-def distance(a, b, model: KnnModel) -> float:
-    """Range-normalized Euclidean distance between two instances.
-
-    The scalar reference for ``classify_knn``, which computes the same sums
-    for every training row at once.
-    """
-    specs = model.training.attributes
-    va, vb = case_values(a, len(specs)), case_values(b, len(specs))
-    total = 0.0
-    for spec, span, x, y in zip(specs, model.spans, va, vb):
-        if spec.kind == NUMERIC:
-            d = 0.0 if span == 0 else abs(float(x) - float(y)) / span
-        else:
-            d = 0.0 if x == y else 1.0
-        total += d * d
-    return math.sqrt(total)
-
-
 def _distances(model: KnnModel, query) -> np.ndarray:
-    """``distance`` from the query to every training row, in training order.
+    """The distance from the query to every training row, in training order.
 
-    Squares are added one attribute at a time in attribute order, the same
-    IEEE operations as ``distance``, so equal distances stay equal. A zero
+    Squares are added one attribute at a time in attribute order, as a
+    scalar sum per row adds them, so equal distances stay equal. A zero
     span adds nothing and an unseen nominal value mismatches every row; a
     NaN numeric value is near no row and raises UnknownValueError.
     """

@@ -328,6 +328,24 @@ def mdl_cuts(values, labels):
     return tuple(sorted(found))
 
 
+def knn_distance(a, b, model):
+    """Range-normalized Euclidean distance between two instances.
+
+    The scalar reference for ``knn._distances``, which computes the same
+    sums for every training row at once.
+    """
+    specs = model.training.attributes
+    va, vb = case_values(a, len(specs)), case_values(b, len(specs))
+    total = 0.0
+    for spec, span, x, y in zip(specs, model.spans, va, vb):
+        if spec.kind == "numeric":
+            d = 0.0 if span == 0 else abs(float(x) - float(y)) / span
+        else:
+            d = 0.0 if x == y else 1.0
+        total += d * d
+    return math.sqrt(total)
+
+
 def knn_label(ts, k, query):
     """k-NN vote by one scalar distance per training row.
 

@@ -71,6 +71,11 @@ def test_check_rejects_non_towers(state, message):
         BlockState(**state).check()
     with pytest.raises(DataError, match=message):
         solve(BlockState(**state), [("on-table", "a")])
+    # validate_plan used to replay from such a state: with a goal that holds
+    # in it, a cycle or a block under two others reported success
+    goal = [("on", "a", state["on"]["a"])]
+    with pytest.raises(DataError, match=message):
+        validate_plan(BlockState(**state), [], goal)
 
 
 def test_action_parse_and_str():

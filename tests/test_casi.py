@@ -85,7 +85,7 @@ def test_input_flags_mark_non_node_facts(runs_model):
 
 def test_fact_index_unknown(stump_kb):
     with pytest.raises(UnknownValueError, match="unknown fact"):
-        stump_kb.fact_index("x=z")
+        infer(stump_kb, ["x=z"])
 
 
 def test_initial_configuration(stump_kb):

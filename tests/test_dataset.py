@@ -71,6 +71,18 @@ def test_ragged_row_rejected():
         load_csv("a:nominal,class:nominal\nx,P1\ny\n")
 
 
+@pytest.mark.parametrize("columns,rows,message", [
+    ([("x", "nominal"), ("y", "nominal")], [("a", "b", "A"), ("c", "B")],
+     "row 2: expected 3 cells, got 2"),
+    ([("x", "nominal")], [("a", "b", "A")], "row 1: expected 2 cells, got 3"),
+], ids=["short", "long"])
+def test_built_row_width_checked(columns, rows, message):
+    # a short row used to raise IndexError, a long one to build an instance
+    # wider than its schema
+    with pytest.raises(DataError, match=message):
+        build_training_set(columns, rows)
+
+
 def test_missing_cell_rejected():
     with pytest.raises(DataError, match="column 'a'"):
         load_csv("a:nominal,class:nominal\n,P1\n")

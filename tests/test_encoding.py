@@ -75,24 +75,23 @@ def test_encode_equals_apply_map_and_is_idempotent(case):
     ts, dmap, cases = case
     binned = apply_map(dmap, ts)
     for raw, row in zip(ts.instances, binned.instances):
-        assert dmap.encode(ts.attributes, raw.values) == row.values
-        assert dmap.encode(ts.attributes, row.values) == row.values
+        assert encode(dmap, ts.attributes, raw.values) == row.values
+        assert encode(dmap, ts.attributes, row.values) == row.values
     for raw in cases:
-        once = dmap.encode(ts.attributes, raw)
-        assert dmap.encode(ts.attributes, once) == once
-        assert encode(dmap, ts.attributes, raw) == once
+        once = encode(dmap, ts.attributes, raw)
+        assert encode(dmap, ts.attributes, once) == once
         assert encode(None, ts.attributes, raw) == raw
 
 
 def test_encode_bins_only_numbers_with_cuts(runs11):
     dmap = DiscretizationMap({"steps": (8.0, 11.0)})
-    assert dmap.encode(runs11.attributes, ("blocks-4", 0.5, 11.0)) == \
+    assert encode(dmap, runs11.attributes, ("blocks-4", 0.5, 11.0)) == \
         ("blocks-4", 0.5, "b1")
-    assert dmap.encode(runs11.attributes, ("blocks-4", 0.5, 12)) == \
+    assert encode(dmap, runs11.attributes, ("blocks-4", 0.5, 12)) == \
         ("blocks-4", 0.5, "b2")
     # bools, strings and bin labels pass through unchanged
-    assert dmap.encode(runs11.attributes, ("x", 0.5, True)) == ("x", 0.5, True)
-    assert dmap.encode(runs11.attributes, ("x", 0.5, "b0")) == ("x", 0.5, "b0")
+    assert encode(dmap, runs11.attributes, ("x", 0.5, True)) == ("x", 0.5, True)
+    assert encode(dmap, runs11.attributes, ("x", 0.5, "b0")) == ("x", 0.5, "b0")
 
 
 @PROPERTY
@@ -101,7 +100,7 @@ def test_cellular_engine_on_raw_cases_equals_tree_on_encoded(case, method, seed)
     ts, dmap, cases = case
     tree, kb = trained(ts, dmap, method, seed)
     for raw in cases + [inst.values for inst in ts.instances]:
-        encoded = dmap.encode(ts.attributes, raw)
+        encoded = encode(dmap, ts.attributes, raw)
         expected = outcome(lambda v: classify_tree(tree, v)[0], encoded)
         assert outcome(lambda v: classify_tree(tree, v)[0], raw) == expected
         assert outcome(lambda v: classify_casi(kb, v), raw) == expected
@@ -140,7 +139,7 @@ def test_model_and_rule_base_json_round_trips(case, method):
     assert json.dumps(kb_to_json(compile_tree(rebuilt))) == json.dumps(kb_doc)
 
     for raw in cases + [inst.values for inst in ts.instances]:
-        encoded = dmap.encode(ts.attributes, raw)
+        encoded = encode(dmap, ts.attributes, raw)
         assert outcome(lambda v: classify_tree(rebuilt, v), encoded) == \
             outcome(lambda v: classify_tree(tree, v), encoded)
         assert outcome(lambda v: classify_casi(rebuilt_kb, v), raw) == \

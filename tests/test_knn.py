@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import knn_label
+from oracles import knn_distance, knn_label
 from plancell.dataset import Instance, build_training_set
 from plancell.errors import DataError, UnknownValueError
-from plancell.knn import _distances, classify_knn, distance, fit_knn
+from plancell.knn import _distances, classify_knn, fit_knn
 
 
 @pytest.fixture
@@ -17,22 +17,24 @@ def runs_knn(runs11):
 
 
 def test_distance_to_self_is_zero(runs11, runs_knn):
-    for inst in runs11.instances:
-        assert distance(inst, inst, runs_knn) == 0.0
+    for i, inst in enumerate(runs11.instances):
+        assert knn_distance(inst, inst, runs_knn) == 0.0
+        assert _distances(runs_knn, inst)[i] == 0.0
 
 
 def test_single_nominal_difference_is_one(runs_knn):
     a = ("blocks-4", 0.1, 6.0)
     b = ("blocks-5", 0.1, 6.0)
-    assert distance(a, b, runs_knn) == 1.0
+    assert knn_distance(a, b, runs_knn) == 1.0
 
 
 def test_distance_between_first_and_fifth_runs(runs11, runs_knn):
     # both blocks-4 with 6 steps; only the solve time differs
     a, b = runs11.instances[0], runs11.instances[4]
-    d = distance(a, b, runs_knn)
+    d = knn_distance(a, b, runs_knn)
     assert d == pytest.approx(0.000621, abs=1e-6)
     assert d == pytest.approx(0.0006209739963807624)
+    assert _distances(runs_knn, a)[4] == d
 
 
 @pytest.mark.parametrize("k", [1, 3])
@@ -50,14 +52,14 @@ def test_nan_query_value_is_refused(runs11, k, at):
 def test_distance_is_symmetric(runs11, runs_knn):
     for a in runs11.instances[:4]:
         for b in runs11.instances[:4]:
-            assert distance(a, b, runs_knn) == distance(b, a, runs_knn)
+            assert knn_distance(a, b, runs_knn) == knn_distance(b, a, runs_knn)
 
 
 def test_distance_normalizes_by_training_range(runs11, runs_knn):
     lo, hi = runs11.attribute("steps").domain
     a = ("blocks-4", 0.1, lo)
     b = ("blocks-4", 0.1, hi)
-    assert distance(a, b, runs_knn) == 1.0
+    assert knn_distance(a, b, runs_knn) == 1.0
 
 
 def test_constant_numeric_column_contributes_nothing():
@@ -65,12 +67,15 @@ def test_constant_numeric_column_contributes_nothing():
         [("x", "numeric"), ("y", "numeric")],
         [(5.0, 1.0, "A"), (5.0, 2.0, "B")])
     model = fit_knn(ts)
-    assert distance((5.0, 1.0), (5.0, 2.0), model) == 1.0
+    assert knn_distance((5.0, 1.0), (5.0, 2.0), model) == 1.0
+    assert _distances(model, (5.0, 1.0)).tolist() == [0.0, 1.0]
 
 
 def test_distance_checks_width(runs_knn):
     with pytest.raises(DataError, match="width"):
-        distance(("blocks-4", 0.1), ("blocks-4", 0.1, 6.0), runs_knn)
+        knn_distance(("blocks-4", 0.1), ("blocks-4", 0.1, 6.0), runs_knn)
+    with pytest.raises(DataError, match="width"):
+        _distances(runs_knn, ("blocks-4", 0.1))
 
 
 def test_k_bounds(runs11):
@@ -167,7 +172,7 @@ def test_classify_knn_equals_the_scalar_oracle(problem):
     for query in queries:
         assert classify_knn(model, query) == knn_label(ts, k, query)
         assert _distances(model, query).tolist() == \
-            [distance(query, inst, model) for inst in ts.instances]
+            [knn_distance(query, inst, model) for inst in ts.instances]
         with pytest.raises(DataError, match="width"):
             classify_knn(model, query + query[:1])
 
@@ -175,7 +180,7 @@ def test_classify_knn_equals_the_scalar_oracle(problem):
 def test_unseen_nominal_value_is_distance_one_to_every_row(runs11, runs_knn):
     query = ("blocks-9", 0.1, 6.0)
     for got, inst in zip(_distances(runs_knn, query), runs11.instances):
-        assert got == distance(query, inst, runs_knn)
+        assert got == knn_distance(query, inst, runs_knn)
         assert got >= 1.0
 
 
