@@ -66,6 +66,11 @@ class TrainingSet:
     classes: tuple[str, ...]
     instances: tuple[Instance, ...]
 
+    def __post_init__(self):
+        # a rule base spells a fact name=value: one name, one attribute
+        if len(set(self.attribute_names)) != len(self.attributes):
+            raise DataError("duplicate attribute names")
+
     def __len__(self):
         return len(self.instances)
 
@@ -120,9 +125,6 @@ def build_training_set(columns: list[tuple[str, str]], rows: list[tuple]) -> Tra
     for n, row in enumerate(rows, 1):
         if len(row) != len(columns) + 1:
             raise DataError(f"row {n}: expected {len(columns) + 1} cells, got {len(row)}")
-    names = [n for n, _ in columns]
-    if len(set(names)) != len(names):
-        raise DataError("duplicate attribute names")
     for col, (name, kind) in enumerate(columns):
         if kind == NUMERIC:
             for row in rows:

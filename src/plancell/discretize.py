@@ -6,9 +6,10 @@ one of ``MODES``, and mode "none" fits no map (``None``), through which
 DiscretizationMap, a per-attribute list of strictly increasing cut points.
 A value v falls into bin ``count of cuts < v``, so a value equal to a cut
 maps to the bin on its left. ``bin_label`` is the one path from a raw value
-to a model value; ``encode`` maps a case through it, and ``apply_map``
-rewrites the numeric columns of a training set into nominal bin codes b0,
-b1, ... ``schema_to_json``/``schema_from_json`` are the one JSON form of a
+to a model value and ``bin_column`` its form for a whole column; ``encode``
+maps a case through the first, and ``apply_map`` rewrites the numeric
+columns of a training set into nominal bin codes b0, b1, ... through the
+second. ``schema_to_json``/``schema_from_json`` are the one JSON form of a
 model's schema and cut points, shared by tree models and cellular rule bases.
 """
 
@@ -35,7 +36,8 @@ class DiscretizationMap:
 
     def __post_init__(self):
         for name, cs in self.cuts.items():
-            if list(cs) != sorted(set(cs)):
+            # a NaN cut orders against nothing, so it cannot increase
+            if list(cs) != sorted(set(cs)) or any(c != c for c in cs):
                 raise DataError(f"cuts for {name!r} must be strictly increasing")
 
     def bin_label(self, attribute: str, value):
@@ -50,8 +52,40 @@ class DiscretizationMap:
             return f"b{bisect_left(self.cuts[attribute], value)}"
         return value
 
+    def bin_column(self, attribute: str, column) -> list:
+        """``bin_label`` of every value of one column, in order.
+
+        A column of ints and floats (NaN included) is binned by one
+        ``np.searchsorted``, which equals ``bisect_left`` as long as a float
+        holds every value and cut exactly; any other column, and an int
+        beyond 2**53, goes value by value.
+        """
+        cuts = self.cuts.get(attribute)
+        if cuts is None:
+            return list(column)
+        if not (_float_exact(column) and _float_exact(cuts)):
+            return [self.bin_label(attribute, v) for v in column]
+        values = np.array(column, dtype=float)
+        bins = [f"b{i}" for i in range(len(cuts) + 1)]
+        out = [bins[i] for i in
+               np.searchsorted(np.array(cuts, dtype=float), values).tolist()]
+        for i in np.flatnonzero(np.isnan(values)).tolist():
+            out[i] = column[i]
+        return out
+
     def bin_count(self, attribute: str) -> int:
         return len(self.cuts[attribute]) + 1
+
+
+def _float_exact(values) -> bool:
+    """Only ints and floats (no bools), and no int a float cannot hold.
+
+    NaN compares false, so min and max give either NaN, which fails the
+    bound, or the true bounds of the other values.
+    """
+    types = set(map(type, values))
+    return types <= {int, float} and (
+        int not in types or -2**53 <= min(values) and max(values) <= 2**53)
 
 
 def encode(dmap: DiscretizationMap | None, attributes, values) -> tuple:
@@ -164,93 +198,117 @@ def boundary_candidates(pairs: list[tuple[float, str]]) -> list[float]:
     ``pairs`` must be sorted by value. These are the only cut positions a
     best entropy split can occupy.
     """
-    groups: list[tuple[float, set[str]]] = []
-    for value, label in pairs:
+    return _boundaries(pairs)[0]
+
+
+def _boundaries(pairs: list[tuple[float, str]]) -> tuple[list[float], list[int]]:
+    """The boundary candidates, and the row where the group right of each
+    one starts."""
+    groups: list[tuple[float, set[str], int]] = []
+    for row, (value, label) in enumerate(pairs):
         if groups and groups[-1][0] == value:
             groups[-1][1].add(label)
         else:
-            groups.append((value, {label}))
-    out = []
-    for (v1, c1), (v2, c2) in zip(groups, groups[1:]):
+            groups.append((value, {label}, row))
+    cuts, starts = [], []
+    for (v1, c1, _), (v2, c2, start) in zip(groups, groups[1:]):
         if c1 != c2:
-            out.append((v1 + v2) / 2.0)
-    return out
+            cuts.append((v1 + v2) / 2.0)
+            starts.append(start)
+    return cuts, starts
 
 
 def _mdl_split(pairs: list[tuple[float, str]], found: list[float]) -> None:
     """Fayyad-Irani recursion over value-sorted (value, label) pairs.
 
-    A candidate cut sends the values ``<= cut`` left. Every candidate is
-    scored in one sorted pass (``_screen``); only the near-best ones are
-    re-scored exactly, so the chosen cut is the first one with the least
-    weighted entropy, as if every candidate were scored exactly.
+    A candidate cut sends the values ``<= cut`` left. A cut never splits a
+    run of equal values, so the candidates of a sub-range are the whole
+    list's candidates that start a group inside it: they are found once,
+    with the rows each sends left, and the recursion passes row ranges.
+    Every candidate of a range is scored in one sorted pass (``_screen``);
+    only the near-best ones are re-scored exactly, so the chosen cut is the
+    first one with the least weighted entropy, as if every candidate were
+    scored exactly.
     """
-    candidates = boundary_candidates(pairs)
-    if not candidates:
-        return
-
-    n = len(pairs)
     values = [value for value, _ in pairs]
-    sizes = [bisect_right(values, cut) for cut in candidates]
-    # row positions per label, labels in order of first appearance
-    rows: dict[str, list[int]] = {}
-    for i, (_, label) in enumerate(pairs):
-        rows.setdefault(label, []).append(i)
-    positions = list(rows.values())
-    total = [len(p) for p in positions]
-    parent = entropy(total)
+    cuts, starts = _boundaries(pairs)
+    sizes = np.array([bisect_right(values, cut) for cut in cuts], dtype=np.intp)
+    index: dict[str, int] = {}
+    codes = [index.setdefault(label, len(index)) for _, label in pairs]
+    tally = [0] * len(index)
+    ranks = []  # per row, the rows of its label before it
+    for code in codes:
+        ranks.append(tally[code])
+        tally[code] += 1
+    codes, ranks = np.array(codes, dtype=np.intp), np.array(ranks, dtype=np.intp)
 
-    screened = _screen(positions, n, sizes)
-    best = None
-    for i in np.flatnonzero(screened <= screened.min() + _tolerance(n)):
-        nl = sizes[i]
-        left = [bisect_left(p, nl) for p in positions]
-        right = [t - c for t, c in zip(total, left)]
-        # a midpoint can overflow to -inf and leave nothing left, or round
-        # onto the largest value and leave nothing right
-        h_left = entropy(left) if nl else 0.0
-        h_right = entropy(right) if nl < n else 0.0
-        weighted = nl / n * h_left + (n - nl) / n * h_right
-        if best is None or weighted < best[0]:
-            best = (weighted, candidates[i], nl, left, right, h_left, h_right)
+    def split(lo: int, hi: int) -> None:
+        first, last = bisect_right(starts, lo), bisect_left(starts, hi)
+        if first == last:
+            return
+        n = hi - lo
+        # a midpoint can overflow to -inf and send no row left, or round
+        # onto the next value and send that group left too: clamp
+        here = np.clip(sizes[first:last], lo, hi) - lo
+        rows = codes[lo:hi]
+        # per row, the rows of its label before it inside the range
+        seen = ranks[lo:hi] - np.bincount(codes[:lo], minlength=len(tally))[rows]
+        order = rows[seen == 0]  # label codes in order of first appearance
+        counts = np.bincount(rows)
+        total = counts[order].tolist()
+        parent = entropy(total)
 
-    weighted, cut, nl, left, right, h_left, h_right = best
-    gain = parent - weighted
-    k, k1, k2 = len(total), sum(map(bool, left)), sum(map(bool, right))
-    delta = math.log2(3**k - 2) - (k * parent - k1 * h_left - k2 * h_right)
-    if gain <= (math.log2(n - 1) + delta) / n:
-        return
+        screened = _screen(seen, counts[rows], total, here)
+        best = None
+        for i in np.flatnonzero(screened <= screened.min() + _tolerance(n)):
+            nl = int(here[i])
+            left = np.bincount(rows[:nl], minlength=len(counts))[order].tolist()
+            right = [t - c for t, c in zip(total, left)]
+            # entropy() refuses an empty side, whose entropy is 0
+            h_left = entropy(left) if nl else 0.0
+            h_right = entropy(right) if nl < n else 0.0
+            weighted = nl / n * h_left + (n - nl) / n * h_right
+            if best is None or weighted < best[0]:
+                best = (weighted, cuts[first + i], nl, left, right, h_left,
+                        h_right)
 
-    found.append(cut)
-    _mdl_split(pairs[:nl], found)
-    _mdl_split(pairs[nl:], found)
+        weighted, cut, nl, left, right, h_left, h_right = best
+        gain = parent - weighted
+        k, k1, k2 = len(total), sum(map(bool, left)), sum(map(bool, right))
+        delta = math.log2(3**k - 2) - (k * parent - k1 * h_left - k2 * h_right)
+        if gain <= (math.log2(n - 1) + delta) / n:
+            return
+        found.append(cut)
+        split(lo, lo + nl)
+        split(lo + nl, hi)
+
+    split(0, len(pairs))
 
 
 def _xlog2x(x: np.ndarray) -> np.ndarray:
     return x * np.log2(np.maximum(x, 1))
 
 
-def _screen(positions: list[list[int]], n: int, sizes: list[int]) -> np.ndarray:
+def _screen(seen: np.ndarray, label_n: np.ndarray, total: list[int],
+            sizes: np.ndarray) -> np.ndarray:
     """Weighted entropy of every split, to within ``_tolerance(n)``.
 
+    Per row, ``seen`` counts the rows of its label before it and
+    ``label_n`` the rows of its label; ``total`` holds the rows per label.
     With F(x) = x log2 x, a split with m rows on the left scores
     (F(m) - S_L(m) + F(n - m) - S_R(m)) / n, where S_L and S_R sum F over
     the class counts on each side. Moving row i to the left raises its
     label's left count by one and lowers its right count by one, so S_L
-    and S_R are running sums of per-row deltas: O(n) time and memory.
+    and S_R are running sums of per-row deltas.
     """
-    seen = np.empty(n)     # rows of the same label before row i
-    label_n = np.empty(n)  # rows of row i's label
-    for p in positions:
-        seen[p] = np.arange(len(p))
-        label_n[p] = len(p)
-    after = label_n - seen
+    n = len(seen)
+    after = (label_n - seen).astype(float)
+    seen = seen.astype(float)
     s_left = np.cumsum(_xlog2x(seen + 1) - _xlog2x(seen))
-    s_right = _xlog2x(np.array([len(p) for p in positions], float)).sum() \
+    s_right = _xlog2x(np.array(total, float)).sum() \
         + np.cumsum(_xlog2x(after - 1) - _xlog2x(after))
-    m = np.asarray(sizes)
-    nl, nr = m.astype(float), (n - m).astype(float)
-    return (_xlog2x(nl) - s_left[m - 1] + _xlog2x(nr) - s_right[m - 1]) / n
+    nl, nr = sizes.astype(float), (n - sizes).astype(float)
+    return (_xlog2x(nl) - s_left[sizes - 1] + _xlog2x(nr) - s_right[sizes - 1]) / n
 
 
 def _tolerance(n: int) -> float:
@@ -271,14 +329,16 @@ def apply_map(dmap: DiscretizationMap | None, ts: TrainingSet) -> TrainingSet:
         if spec.kind == NUMERIC and spec.name not in dmap.cuts:
             raise DataError(f"attribute {spec.name!r} missing from discretization map")
 
+    columns = [dmap.bin_column(spec.name, ts.column(spec.name))
+               for spec in ts.attributes]
+    rows = zip(*columns) if columns else [()] * len(ts.instances)
     new_specs = tuple(
         AttributeSpec(spec.name, NOMINAL,
                       tuple(f"b{i}" for i in range(dmap.bin_count(spec.name))))
         if spec.kind == NUMERIC else spec
         for spec in ts.attributes)
-    new_instances = tuple(
-        Instance(encode(dmap, ts.attributes, inst.values), inst.label)
-        for inst in ts.instances)
+    new_instances = tuple(Instance(values, inst.label)
+                          for values, inst in zip(rows, ts.instances))
     return TrainingSet(new_specs, ts.classes, new_instances)
 
 

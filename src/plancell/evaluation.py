@@ -109,16 +109,9 @@ def _fit_predictor(method: str, fitted: TrainingSet,
     return lambda values: classify_tree(graph, values)[0]
 
 
-def cross_validate(ts: TrainingSet, method: str, mode: str = "supervised",
-                   seed: int = 0, folds: int = 10, k: int = 1,
-                   bins: int = 10, min_leaf: int = 2, engine: str = "tree",
-                   global_discretize: bool = False) -> EvalReport:
-    """Evaluate one method under one discretization mode, fold by fold.
-
-    Every instance is tested exactly once. A test instance the classifier
-    cannot place (unknown value) counts as misclassified. Mode "none" skips
-    discretization and only suits classifiers that accept numeric values.
-    """
+def _check(ts: TrainingSet, method: str, mode: str, engine: str) -> None:
+    """Refuse a cell whose method, mode or engine is unknown, or a tree
+    method on raw numeric values."""
     if method not in METHODS:
         raise DataError(f"unknown method {method!r}; expected one of {METHODS}")
     if mode not in MODES:
@@ -130,47 +123,88 @@ def cross_validate(ts: TrainingSet, method: str, mode: str = "supervised",
         raise DataError(f"method {method!r} needs discretized data; "
                         f"mode 'none' leaves numeric attributes raw")
 
-    plan = make_folds(ts, folds, seed)
-    global_map = fit_map(ts, mode, bins) if global_discretize else None
 
-    correct = errors = 0
-    per_fold: list[float] = []
-    confusion: Counter = Counter()
-    for fold in range(folds):
+def cross_validate(ts: TrainingSet, method: str, mode: str = "supervised",
+                   seed: int = 0, folds: int = 10, k: int = 1,
+                   bins: int = 10, min_leaf: int = 2, engine: str = "tree",
+                   global_discretize: bool = False) -> EvalReport:
+    """Evaluate one method under one discretization mode, fold by fold.
+
+    Every instance is tested exactly once. A test instance the classifier
+    cannot place (unknown value) counts as misclassified. Mode "none" skips
+    discretization and only suits classifiers that accept numeric values.
+    """
+    _check(ts, method, mode, engine)
+    return _cross_validate_mode(ts, [method], mode, make_folds(ts, folds, seed),
+                                k, bins, min_leaf, engine, global_discretize)[0]
+
+
+def evaluate_grid(ts: TrainingSet, methods, modes, seed: int = 0, *,
+                  folds: int = 10, k: int = 1, bins: int = 10,
+                  min_leaf: int = 2, engine: str = "tree",
+                  global_discretize: bool = False) -> list[EvalReport]:
+    """cross_validate over the full methods x modes grid, in given order.
+
+    Every cell is checked before anything is fit. Each fold is prepared
+    (training subset, map, binned set) once per mode and shared by every
+    method; with one method there is nothing to share, and each cell is a
+    cross_validate call.
+    """
+    methods, modes = list(methods), list(modes)
+    for method in methods:
+        for mode in modes:
+            _check(ts, method, mode, engine)
+    if len(methods) < 2:
+        return [cross_validate(ts, method, mode, seed, folds, k, bins,
+                               min_leaf, engine, global_discretize)
+                for method in methods for mode in modes]
+    plan = make_folds(ts, folds, seed)
+    by_mode = {mode: _cross_validate_mode(ts, methods, mode, plan, k, bins,
+                                          min_leaf, engine, global_discretize)
+               for mode in modes}
+    return [by_mode[mode][row] for row in range(len(methods)) for mode in modes]
+
+
+def _cross_validate_mode(ts: TrainingSet, methods: list[str], mode: str,
+                         plan: FoldPlan, k: int, bins: int, min_leaf: int,
+                         engine: str, global_discretize: bool) -> list[EvalReport]:
+    """One report per method under ``mode``. Each fold is prepared once,
+    then every method is trained on it and tested on the held-out cases."""
+    global_map = fit_map(ts, mode, bins) if global_discretize else None
+    correct = [0] * len(methods)
+    errors = [0] * len(methods)
+    per_fold: list[list[float]] = [[] for _ in methods]
+    confusion = [Counter() for _ in methods]
+    for fold in range(plan.folds):
         train = subset(ts, plan.train_indices(fold))
         dmap = global_map if global_discretize else fit_map(train, mode, bins)
         fitted = apply_map(dmap, train)
-        try:
-            classify = _fit_predictor(method, fitted, dmap, engine,
-                                      seed, k, min_leaf)
-        except PlancellError as exc:
-            raise type(exc)(f"fold {fold}: {exc}") from exc
+        test = [ts.instances[i] for i in plan.test_indices(fold)]
+        for row, method in enumerate(methods):
+            try:
+                classify = _fit_predictor(method, fitted, dmap, engine,
+                                          plan.seed, k, min_leaf)
+            except PlancellError as exc:
+                raise type(exc)(f"fold {fold}: {exc}") from exc
+            fold_correct = 0
+            for inst in test:
+                predicted = predict(classify, inst.values)
+                if predicted is None:
+                    errors[row] += 1
+                    predicted = UNKNOWN
+                elif predicted == inst.label:
+                    fold_correct += 1
+                confusion[row][inst.label, predicted] += 1
+            correct[row] += fold_correct
+            per_fold[row].append(100.0 * fold_correct / len(test))
 
-        test = plan.test_indices(fold)
-        fold_correct = 0
-        for i in test:
-            inst = ts.instances[i]
-            predicted = predict(classify, inst.values)
-            if predicted is None:
-                errors += 1
-                predicted = UNKNOWN
-            elif predicted == inst.label:
-                fold_correct += 1
-            confusion[inst.label, predicted] += 1
-        correct += fold_correct
-        per_fold.append(100.0 * fold_correct / len(test))
-
-    table = tuple(sorted((a, p, n) for (a, p), n in confusion.items()))
-    incorrect = len(ts.instances) - correct - errors
-    return EvalReport(method, mode, seed, folds, len(ts.instances),
-                      correct, incorrect, errors, tuple(per_fold), table)
-
-
-def evaluate_grid(ts: TrainingSet, methods, modes, seed: int = 0,
-                  **options) -> list[EvalReport]:
-    """cross_validate over the full methods x modes grid, in given order."""
-    return [cross_validate(ts, method, mode, seed, **options)
-            for method in methods for mode in modes]
+    total = len(ts.instances)
+    return [EvalReport(method, mode, plan.seed, plan.folds, total, correct[row],
+                       total - correct[row] - errors[row], errors[row],
+                       tuple(per_fold[row]),
+                       tuple(sorted((a, p, n)
+                                    for (a, p), n in confusion[row].items())))
+            for row, method in enumerate(methods)]
 
 
 def _mode_heading(mode: str) -> str:

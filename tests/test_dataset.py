@@ -5,7 +5,7 @@ import pytest
 
 from plancell import (DataError, build_training_set, class_distribution,
                       load_csv, save_csv, subset)
-from plancell.dataset import AttributeSpec
+from plancell.dataset import AttributeSpec, Instance, TrainingSet
 
 CSV = """problem:nominal,time:numeric,steps:numeric,class:nominal
 blocks-4,0.5,6,P1
@@ -109,6 +109,11 @@ def test_duplicate_attribute_names_rejected():
     with pytest.raises(DataError, match="duplicate attribute"):
         build_training_set([("a", "nominal"), ("a", "nominal")],
                            [("x", "y", "P1")])
+    # a set built directly is refused too, not first at compile_tree
+    spec = AttributeSpec("x", "nominal", ("a", "b"))
+    with pytest.raises(DataError, match="duplicate attribute names"):
+        TrainingSet((spec, spec), ("A", "B"),
+                    (Instance(("a", "a"), "A"), Instance(("b", "b"), "B")))
 
 
 def test_unknown_kind_rejected():

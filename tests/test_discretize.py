@@ -138,6 +138,9 @@ def test_cuts_must_be_strictly_increasing():
         DiscretizationMap({"x": (2.0, 2.0)})
     with pytest.raises(DataError, match="strictly increasing"):
         DiscretizationMap({"x": (3.0, 1.0)})
+    for cuts in [(math.nan,), (1.0, math.nan)]:
+        with pytest.raises(DataError, match="strictly increasing"):
+            DiscretizationMap({"x": cuts})
 
 
 def test_apply_map_rewrites_numeric_columns(runs11):

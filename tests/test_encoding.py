@@ -1,20 +1,23 @@
 """One encoding path: ``DiscretizationMap.bin_label`` and the JSON round trips.
 
 Property tests: encoding a case equals the row ``apply_map`` writes and is
-idempotent; the tree walk (with and without its majority fallback) and the
-cellular engine answer on raw cases as the tree walk does on encoded ones,
-out-of-range and unseen values included; models, rule bases and CSV files
-survive their round trips unchanged.
+idempotent; binning a whole column equals ``bin_label`` value by value; the
+tree walk (with and without its majority fallback) and the cellular engine
+answer on raw cases as the tree walk does on encoded ones, out-of-range and
+unseen values included; models, rule bases and CSV files survive their
+round trips unchanged.
 """
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plancell.casi import classify_casi, compile_tree, kb_from_json, kb_to_json
-from plancell.dataset import (NOMINAL, NUMERIC, build_training_set, load_csv,
+from plancell.dataset import (NOMINAL, NUMERIC, AttributeSpec, Instance,
+                              TrainingSet, build_training_set, load_csv,
                               save_csv)
 from plancell.discretize import DiscretizationMap, apply_map, encode, fit_map
 from plancell.errors import UnknownValueError
@@ -81,6 +84,49 @@ def test_encode_equals_apply_map_and_is_idempotent(case):
         once = encode(dmap, ts.attributes, raw)
         assert encode(dmap, ts.attributes, once) == once
         assert encode(None, ts.attributes, raw) == raw
+
+
+# cuts around 2**53, where an int above it has no exact float, plus an int
+# cut a float cannot hold
+COLUMN_CUTS = (-1.5, 0.0, 2.5, float(2**53), 2**53 + 3, 1e300)
+EXACT = [-1.5, 0.0, 2.5, float(2**53), float(2**53 + 4), 1e300, -2**53, 2**53]
+BEYOND = [2**53 + 1, 2**53 + 2, 2**53 + 3, 2**53 + 4, -2**53 - 1, 10**400]
+
+
+@st.composite
+def mixed_columns(draw):
+    """A map and a directly built set whose numeric columns hold numbers
+    only, or numbers among bools, NaN, strings and bin labels."""
+    cuts = tuple(sorted(draw(st.sets(st.sampled_from(COLUMN_CUTS)))))
+    number = st.one_of(st.integers(-8, 8), st.sampled_from(EXACT),
+                       st.floats(-1e6, 1e6), st.just(math.nan))
+    anything = st.one_of(number, st.sampled_from(BEYOND), st.booleans(),
+                         st.text(max_size=2), st.sampled_from(["b0", "b2"]))
+    n = draw(st.integers(0, 12))
+    columns = [draw(st.lists(draw(st.sampled_from([number, anything])),
+                             min_size=n, max_size=n)) for _ in range(2)]
+    specs = (AttributeSpec("x0", NUMERIC, (0, 1)),
+             AttributeSpec("x1", NUMERIC, (0, 1)),
+             AttributeSpec("tag", NOMINAL, ("t",)))
+    instances = tuple(Instance((a, b, "t"), "K")
+                      for a, b in zip(*columns))
+    dmap = DiscretizationMap({"x0": cuts, "x1": cuts[1:]})
+    return dmap, TrainingSet(specs, ("K",), instances)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_columns())
+def test_column_binning_equals_bin_label_value_for_value(case):
+    dmap, ts = case
+    binned = apply_map(dmap, ts)
+    assert len(binned.instances) == len(ts.instances)
+    for raw, row in zip(ts.instances, binned.instances):
+        expected = tuple(dmap.bin_label(spec.name, v)
+                         for spec, v in zip(ts.attributes, raw.values))
+        # the same object or an equal value of the same type: NaN, bools
+        # and strings pass through as they are
+        assert all(a is b or (type(a) is type(b) and a == b)
+                   for a, b in zip(row.values, expected)), (row, expected)
 
 
 def test_encode_bins_only_numbers_with_cuts(runs11):

@@ -201,6 +201,53 @@ def test_fit_failures_name_the_fold(runs11, monkeypatch):
         cross_validate(runs11, "j48", "supervised", seed=0)
 
 
+def test_grid_prepares_each_fold_once_per_mode(runs11, monkeypatch):
+    calls = []
+    real = evaluation.fit_map
+
+    def spy(ts, mode, bins=10):
+        calls.append(mode)
+        return real(ts, mode, bins)
+
+    monkeypatch.setattr(evaluation, "fit_map", spy)
+    evaluate_grid(runs11, ["j48", "reptree", "knn"],
+                  ["supervised", "unsupervised"], seed=0)
+    assert len(calls) == 20  # 10 folds x 2 modes, shared by 3 methods
+    calls.clear()
+    evaluate_grid(runs11, ["j48", "reptree", "knn"],
+                  ["supervised", "unsupervised"], seed=0,
+                  global_discretize=True)
+    assert calls == ["supervised", "unsupervised"]
+
+
+@pytest.mark.parametrize("engine", ["tree", "casi"])
+@pytest.mark.parametrize("global_discretize", [False, True])
+def test_grid_reports_equal_one_cross_validate_per_cell(engine,
+                                                        global_discretize):
+    ts = generate_corpus([4, 5], 12, seed=21)
+    options = dict(folds=5, k=3, bins=4, min_leaf=1, engine=engine,
+                   global_discretize=global_discretize)
+    for methods, modes in [(["j48", "reptree", "knn", "majority"],
+                            ["supervised", "unsupervised"]),
+                           (["knn", "majority"], ["none", "supervised"])]:
+        grid = evaluate_grid(ts, methods, modes, seed=3, **options)
+        assert grid == [cross_validate(ts, method, mode, 3, **options)
+                        for method in methods for mode in modes]
+
+
+def test_grid_checks_every_cell_before_fitting(runs11, monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("fit before the arguments were checked")
+
+    monkeypatch.setattr(evaluation, "fit_map", boom)
+    with pytest.raises(DataError, match="unknown method 'svm'"):
+        evaluate_grid(runs11, ["majority", "svm"], ["supervised"])
+    with pytest.raises(DataError, match="unknown mode 'fuzzy'"):
+        evaluate_grid(runs11, ["majority"], ["supervised", "fuzzy"])
+    with pytest.raises(DataError, match="'j48' needs discretized"):
+        evaluate_grid(runs11, ["knn", "j48"], ["supervised", "none"])
+
+
 def test_grid_covers_methods_times_modes(runs11):
     results = evaluate_grid(runs11, ["majority", "knn"],
                             ["supervised", "unsupervised"], seed=0)
