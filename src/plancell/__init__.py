@@ -11,10 +11,10 @@ cross-validation harness complete the comparison loop.
 from .blocksworld import (Action, BlockState, CorpusRun, SolveResult,
                           all_on_table, apply, corpus_training_set,
                           generate_corpus, generate_runs, solve, validate_plan)
-from .casi import (CellularKnowledgeBase, Configuration, classify_casi,
-                   compile_tree, established_facts, format_fact_table,
-                   format_incidence, format_rule_table, infer, instance_facts,
-                   kb_from_json, kb_to_json)
+from .casi import (CellularKnowledgeBase, ClassificationRule, Configuration,
+                   classify_casi, compile_tree, established_facts,
+                   format_fact_table, format_incidence, format_rule_table,
+                   infer, instance_facts, kb_from_json, kb_to_json)
 from .dataset import (AttributeSpec, Instance, TrainingSet,
                       build_training_set, class_distribution, load_csv,
                       save_csv, subset)
@@ -32,8 +32,7 @@ from .plans import (Plan, PlanEnumeration, enumerate_plans, first_plan,
 from .project import (ProjectGraph, ProjectParseError, Task, parse_project,
                       validate)
 from .sample_data import sample_project, sample_runs
-from .tree import (ClassificationRule, InductionGraph, TreeNode,
-                   classify_tree, extract_rules, gain_ratio, grow,
+from .tree import (InductionGraph, TreeNode, classify_tree, gain_ratio, grow,
                    induce, information_gain, model_from_json, model_to_json,
                    rep_prune)
 
@@ -51,7 +50,7 @@ __all__ = [
     "class_distribution", "classify_casi", "classify_knn", "classify_tree",
     "compile_tree", "corpus_training_set", "cross_validate",
     "discretize_supervised", "discretize_unsupervised", "entropy",
-    "enumerate_plans", "established_facts", "evaluate_grid", "extract_rules",
+    "enumerate_plans", "established_facts", "evaluate_grid",
     "first_plan", "fit_knn", "fit_map", "format_fact_table",
     "format_incidence", "format_rule_table", "gain_ratio", "generate_corpus",
     "generate_runs", "grow", "induce", "infer", "information_gain",

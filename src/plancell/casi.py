@@ -23,10 +23,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .dataset import AttributeSpec, case_values
+from .dataset import CLASS_ATTRIBUTE, AttributeSpec, case_values
 from .discretize import DiscretizationMap, schema_to_json, schema_from_json
 from .errors import DataError, ModelIntegrityError, UnknownValueError
-from .tree import CLASS_ATTRIBUTE, ClassificationRule, InductionGraph, extract_rules
+from .tree import InductionGraph
 
 CLASS_PREFIX = CLASS_ATTRIBUTE + "="
 NEVER = sys.maxsize  # the generation of a cell that is never set
@@ -35,6 +35,23 @@ NEVER = sys.maxsize  # the generation of a cell that is never set
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
+
+
+@dataclass(frozen=True)
+class ClassificationRule:
+    """Conjunction of premise facts implying one conclusion fact."""
+
+    premises: tuple[str, ...]
+    conclusion: str
+
+    def __post_init__(self):
+        if not self.premises:
+            raise DataError("rule with empty premises")
+        if self.conclusion in self.premises:
+            raise DataError(f"rule concludes its own premise {self.conclusion!r}")
+
+    def __str__(self):
+        return f"{' & '.join(self.premises)} -> {self.conclusion}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,17 +166,12 @@ class CellularKnowledgeBase:
                 [index[rule.conclusion] for rule in self.rules])
 
     @cached_property
-    def _input_tables(self) -> tuple[tuple[str, bool, dict[str, str]], ...]:
-        """Per attribute: its name, whether the map bins it, and each string
-        value the base tests, mapped to its fact descriptor."""
-        cuts = self.discretization.cuts if self.discretization else {}
-        tables = []
-        for spec in self.attributes:
-            prefix = spec.name + "="
-            tables.append((spec.name, spec.name in cuts,
-                           {f[len(prefix):]: f for f in self.facts
-                            if f.startswith(prefix)}))
-        return tuple(tables)
+    def _input_tables(self) -> tuple[tuple[str, dict[str, str]], ...]:
+        """Per attribute: its name, and each string value the base tests,
+        mapped to its fact descriptor."""
+        return tuple((spec.name, {f[len(spec.name) + 1:]: f for f in self.facts
+                                  if f.startswith(spec.name + "=")})
+                     for spec in self.attributes)
 
     def initial_configuration(self, initial_facts=()) -> Configuration:
         """All registers clear except IF, IR, and the seeded EF cells."""
@@ -169,18 +181,25 @@ class CellularKnowledgeBase:
 def compile_tree(tree: InductionGraph) -> CellularKnowledgeBase:
     """Flatten a tree into a fact table and a rule table.
 
-    Fact order: node facts breadth-first, then the attribute=value facts
-    the edge rules test, in schema and domain order, then the class facts
-    the leaf rules conclude, in label order.
+    One rule per edge and one per leaf, in breadth-first node order. Fact
+    order: node facts breadth-first, then the attribute=value facts the
+    edge rules test, in schema and domain order, then the class facts the
+    leaf rules conclude, in label order.
     """
-    rules = extract_rules(tree)
-    tested = {fact for rule in rules for fact in rule.premises[1:]}
-    concluded = {rule.conclusion for rule in rules}
-    facts = [node.node_id for node in tree.nodes()]
+    facts, rules, tested, labels = [], [], set(), set()
+    for node in tree.nodes():
+        facts.append(node.node_id)
+        if node.is_leaf:
+            labels.add(node.majority)
+            rules.append(ClassificationRule((node.node_id,),
+                                            CLASS_PREFIX + node.majority))
+        for value, child in node.children.items():
+            test = f"{node.attribute}={value}"
+            tested.add(test)
+            rules.append(ClassificationRule((node.node_id, test), child.node_id))
     facts += [f"{spec.name}={value}" for spec in tree.attributes
               for value in spec.domain if f"{spec.name}={value}" in tested]
-    facts += [CLASS_PREFIX + c for c in tree.classes
-              if CLASS_PREFIX + c in concluded]
+    facts += [CLASS_PREFIX + c for c in tree.classes if c in labels]
     return CellularKnowledgeBase(tuple(facts), tuple(rules), tree.attributes,
                                  tree.classes, tree.discretization)
 
@@ -273,18 +292,19 @@ def established_facts(kb: CellularKnowledgeBase,
 def instance_facts(kb: CellularKnowledgeBase, instance) -> list[str]:
     """The attribute=value descriptors an instance contributes.
 
-    Raw values of a binned attribute go through the base's map. Each
-    attribute's input table then looks a value up: only string values
-    match, as the tree walk matches only equal values (1 or True never
-    takes a "1" or "True" branch), and values the rule base never tests
-    are dropped, which at worst starves the inference and surfaces as an
-    unknown-value error.
+    Each value goes through the base's map, if it has one, as in the tree
+    walk. Each attribute's input table then looks it up: only string
+    values match, as the tree walk matches only equal values (1 or True
+    never takes a "1" or "True" branch), and values the rule base never
+    tests are dropped, which at worst starves the inference and surfaces
+    as an unknown-value error.
     """
     values = case_values(instance, len(kb.attributes))
+    dmap = kb.discretization
     seeds = []
-    for (name, binned, table), value in zip(kb._input_tables, values):
-        if binned:
-            value = kb.discretization.bin_label(name, value)
+    for (name, table), value in zip(kb._input_tables, values):
+        if dmap is not None:
+            value = dmap.bin_label(name, value)
         if isinstance(value, str) and value in table:
             seeds.append(table[value])
     return seeds

@@ -48,6 +48,8 @@ class DiscretizationMap:
         bin labels included, passes through, so encoding twice changes
         nothing and a NaN matches no branch.
         """
+        if isinstance(value, str):  # an encoded or nominal value: the common case
+            return value
         if attribute in self.cuts and is_number(value) and value == value:
             return f"b{bisect_left(self.cuts[attribute], value)}"
         return value
@@ -145,7 +147,9 @@ def discretize_unsupervised(ts: TrainingSet, bins: int = 10) -> DiscretizationMa
     """Equal-width cuts over each numeric attribute's observed range.
 
     ``bins`` intervals give ``bins - 1`` interior cuts; a constant column
-    gets no cuts at all.
+    gets no cuts at all. A width that overflows splits the range as
+    ``lo / bins * (bins - k) + hi / bins * k``, and a cut that rounds onto
+    the one before it (a range a few ulps wide) is dropped.
     """
     if bins < 1:
         raise DataError(f"bins must be >= 1, got {bins}")
@@ -154,11 +158,13 @@ def discretize_unsupervised(ts: TrainingSet, bins: int = 10) -> DiscretizationMa
         if spec.kind != NUMERIC:
             continue
         lo, hi = spec.domain
-        if lo == hi:
-            cuts[spec.name] = ()
+        width = (hi - lo) / bins
+        if math.isinf(width):
+            points = {lo / bins * (bins - k) + hi / bins * k for k in range(1, bins)}
         else:
-            width = (hi - lo) / bins
-            cuts[spec.name] = tuple(lo + k * width for k in range(1, bins))
+            points = {lo + k * width for k in range(1, bins)}
+        # the points never decrease in k, so sorting the set drops the repeats
+        cuts[spec.name] = tuple(sorted(points)) if lo < hi else ()
     return DiscretizationMap(cuts)
 
 

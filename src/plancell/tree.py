@@ -1,11 +1,10 @@
-"""Decision-tree induction over nominal attributes, plus rule extraction.
+"""Decision-tree induction over nominal attributes.
 
 Two growth modes: ``gain_ratio`` (C4.5-style selection) and ``info_gain``
 (plain information gain), the latter usually followed by reduced-error
 pruning on a held-out third of the data. Node ids s0, s1, ... are assigned
 breadth-first, so the root is always s0. Trees classify by walking splits;
-``extract_rules`` flattens the same structure into premise/conclusion rules
-for the cellular engine.
+``casi.compile_tree`` turns the same structure into a cellular rule base.
 """
 
 from __future__ import annotations
@@ -15,8 +14,8 @@ from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
-from .dataset import (CLASS_ATTRIBUTE, NOMINAL, AttributeSpec, TrainingSet,
-                      case_values, class_members)
+from .dataset import (NOMINAL, AttributeSpec, TrainingSet, case_values,
+                      class_members)
 from .discretize import (DiscretizationMap, entropy, schema_from_json,
                          schema_to_json)
 from .errors import DataError, ModelIntegrityError, UnknownValueError
@@ -92,23 +91,6 @@ class InductionGraph:
     def attribute_index(self) -> dict[str, int]:
         """Each attribute's position in the schema, by name."""
         return {spec.name: i for i, spec in enumerate(self.attributes)}
-
-
-@dataclass(frozen=True)
-class ClassificationRule:
-    """Conjunction of premise facts implying one conclusion fact."""
-
-    premises: tuple[str, ...]
-    conclusion: str
-
-    def __post_init__(self):
-        if not self.premises:
-            raise DataError("rule with empty premises")
-        if self.conclusion in self.premises:
-            raise DataError(f"rule concludes its own premise {self.conclusion!r}")
-
-    def __str__(self):
-        return f"{' & '.join(self.premises)} -> {self.conclusion}"
 
 
 def _score(mode: str, values: list, labels: list[str]) -> float:
@@ -208,19 +190,19 @@ def classify_tree(tree: InductionGraph, instance,
     """Walk the splits; return (class, visited node ids).
 
     ``instance`` is an Instance or a plain value sequence over the tree's
-    schema, raw or encoded: a value with no branch is looked up again as
-    its bin. One still without a branch raises UnknownValueError unless
-    ``fallback`` routes it to the current node's majority class.
+    schema, raw or encoded: each tested value goes through the tree's map,
+    if it has one, and is looked up once. A value without a branch raises
+    UnknownValueError naming the value as given, unless ``fallback``
+    routes it to the current node's majority class.
     """
     values = case_values(instance, len(tree.attributes))
+    dmap = tree.discretization
     node = tree.root
     path = [node.node_id]
     while not node.is_leaf:
         value = values[tree.attribute_index[node.attribute]]
-        child = node.children.get(value)
-        if child is None and tree.discretization is not None:
-            child = node.children.get(
-                tree.discretization.bin_label(node.attribute, value))
+        child = node.children.get(
+            value if dmap is None else dmap.bin_label(node.attribute, value))
         if child is None:
             if fallback:
                 return node.majority, tuple(path)
@@ -230,20 +212,6 @@ def classify_tree(tree: InductionGraph, instance,
         node = child
         path.append(node.node_id)
     return node.majority, tuple(path)
-
-
-def extract_rules(tree: InductionGraph) -> list[ClassificationRule]:
-    """One rule per edge plus one per leaf, in breadth-first node order."""
-    rules = []
-    for node in tree.nodes():
-        if node.is_leaf:
-            rules.append(ClassificationRule(
-                (node.node_id,), f"{CLASS_ATTRIBUTE}={node.majority}"))
-        else:
-            for value, child in node.children.items():
-                rules.append(ClassificationRule(
-                    (node.node_id, f"{node.attribute}={value}"), child.node_id))
-    return rules
 
 
 def rep_prune(tree: InductionGraph, prune_set: TrainingSet) -> InductionGraph:

@@ -17,12 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from plancell.casi import (CellularKnowledgeBase, classify_casi, infer,
-                           instance_facts, kb_from_json)
+from plancell.casi import (CellularKnowledgeBase, ClassificationRule,
+                           classify_casi, infer, instance_facts, kb_from_json)
 from plancell.dataset import NOMINAL, NUMERIC, AttributeSpec
 from plancell.discretize import DiscretizationMap
 from plancell.errors import ModelIntegrityError, PlancellError
-from plancell.tree import ClassificationRule
 from test_encoding import fitted, trained
 
 PROPERTY = settings(max_examples=60, deadline=None)

@@ -246,6 +246,22 @@ def test_non_finite_csv_cell_exits_3(cell, model_file, runs_file, tmp_path,
             f"plancell: row 2: non-finite value {cell!r} in column 'time'\n")
 
 
+@pytest.mark.parametrize("rows,bins", [
+    (["1.0,A", "1.0000000000000004,B"], "10"),
+    (["-1e308,A", "1e308,B"], "10"),
+    (["-1e308,A", "1e308,B"], "2"),
+], ids=["few ulps wide", "overflowing width", "overflowing width, 2 bins"])
+def test_unsupervised_cuts_of_extreme_ranges_train_and_classify(rows, bins,
+                                                                tmp_path):
+    data, model = tmp_path / "x.csv", str(tmp_path / "m.json")
+    data.write_text("\n".join(["x:numeric,class:nominal", *rows]) + "\n")
+    assert run(["train", "--in", str(data), "--discretize", "unsupervised",
+                "--bins", bins, "--out", model]) == 0
+    for engine in ([], ["--casi"]):
+        assert run(["classify", "--model", model, "--in", str(data)]
+                   + engine) == 0
+
+
 @pytest.mark.parametrize("column", ["class", "a=b"])
 def test_reserved_attribute_name_in_csv_exits_3(column, tmp_path, capsys):
     path = tmp_path / "runs.csv"

@@ -43,6 +43,21 @@ def test_constant_column_gets_no_cuts():
     assert discretize_unsupervised(ts, bins=10).cuts["x"] == ()
 
 
+def test_equal_width_cuts_of_a_range_a_few_ulps_wide():
+    # lo + k * width rounds onto lo, the next float or hi: repeats drop
+    ts = numeric_set([1.0, 1.0000000000000004], ["A", "B"])
+    assert discretize_unsupervised(ts, bins=10).cuts["x"] == (
+        1.0, 1.0000000000000002, 1.0000000000000004)
+
+
+def test_equal_width_cuts_of_a_range_whose_width_overflows():
+    ts = numeric_set([-1e308, 1e308], ["A", "B"])
+    assert discretize_unsupervised(ts, bins=2).cuts["x"] == (0.0,)
+    cuts = discretize_unsupervised(ts, bins=10).cuts["x"]
+    assert cuts == tuple(pytest.approx(k * 2e307) for k in range(-4, 5))
+    assert list(cuts) == sorted(set(cuts))
+
+
 def test_bins_must_be_positive(runs11):
     with pytest.raises(DataError, match="bins"):
         discretize_unsupervised(runs11, bins=0)

@@ -4,13 +4,14 @@ import random
 
 import pytest
 
+from plancell.casi import ClassificationRule, compile_tree
 from plancell.dataset import TrainingSet, build_training_set, class_distribution
-from plancell.discretize import discretize_supervised, apply_map
+from plancell.discretize import (DiscretizationMap, apply_map,
+                                 discretize_supervised)
 from plancell.errors import DataError, ModelIntegrityError, UnknownValueError
-from plancell.tree import (ClassificationRule, INFO_GAIN, GAIN_RATIO,
-                           classify_tree, entropy, extract_rules, gain_ratio,
-                           grow, induce, information_gain, model_from_json,
-                           model_to_json, rep_prune)
+from plancell.tree import (INFO_GAIN, GAIN_RATIO, classify_tree, entropy,
+                           gain_ratio, grow, induce, information_gain,
+                           model_from_json, model_to_json, rep_prune)
 
 
 def nominal_set(columns, rows):
@@ -171,6 +172,16 @@ def test_classify_unknown_value_and_fallback():
     assert path == ("s0", "s1")
 
 
+def test_unknown_value_message_names_the_raw_value():
+    ts = nominal_set(["x"], [("b0", "c1"), ("b2", "c2")])
+    tree = grow(ts, min_leaf=1, discretization=DiscretizationMap({"x": (0.0, 1.0)}))
+    assert classify_tree(tree, (1.5,))[0] == "c2"
+    # 0.5 falls in b1, which no branch of s0 takes
+    with pytest.raises(UnknownValueError) as error:
+        classify_tree(tree, (0.5,))
+    assert str(error.value) == "value 0.5 of attribute 'x' has no branch at node s0"
+
+
 def test_classify_refuses_nan_where_its_attribute_is_tested(runs11):
     dmap = discretize_supervised(runs11)
     tree = grow(apply_map(dmap, runs11), INFO_GAIN, min_leaf=1,
@@ -186,25 +197,26 @@ def test_classify_checks_schema_width(stump):
         classify_tree(stump, ("a", "extra"))
 
 
-def test_extract_rules_stump(stump):
-    assert extract_rules(stump) == [
+def test_compile_tree_rules_stump(stump):
+    rules = compile_tree(stump).rules
+    assert list(rules) == [
         ClassificationRule(("s0", "x=a"), "s1"),
         ClassificationRule(("s0", "x=b"), "s2"),
         ClassificationRule(("s1",), "class=c1"),
         ClassificationRule(("s2",), "class=c2"),
     ]
-    assert str(extract_rules(stump)[0]) == "s0 & x=a -> s1"
+    assert str(rules[0]) == "s0 & x=a -> s1"
 
 
-def test_extract_rules_single_leaf():
+def test_compile_tree_rules_single_leaf():
     tree = grow(nominal_set(["x"], [("a", "C")]))
-    assert extract_rules(tree) == [ClassificationRule(("s0",), "class=C")]
+    assert list(compile_tree(tree).rules) == [ClassificationRule(("s0",), "class=C")]
 
 
 def test_rule_count_is_edges_plus_leaves(binned):
     tree = grow(binned, INFO_GAIN, min_leaf=1)
     leaves = sum(1 for n in tree.nodes() if n.is_leaf)
-    assert len(extract_rules(tree)) == (tree.node_count - 1) + leaves == 20
+    assert len(compile_tree(tree).rules) == (tree.node_count - 1) + leaves == 20
 
 
 def test_rule_invariants():
