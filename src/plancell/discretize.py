@@ -174,15 +174,16 @@ def discretize_supervised(ts: TrainingSet) -> DiscretizationMap:
     Candidate cuts sit at midpoints between consecutive distinct values
     whose class sets differ; a cut is kept only when its information gain
     clears the MDL threshold, then both sides are discretized recursively.
+    Each attribute's candidates are found once, by array operations over
+    its column (``_candidates``).
     """
     labels = [inst.label for inst in ts.instances]
     cuts: dict[str, tuple[float, ...]] = {}
     for spec in ts.attributes:
         if spec.kind != NUMERIC:
             continue
-        pairs = sorted(zip(ts.column(spec.name), labels))
         found: list[float] = []
-        _mdl_split(pairs, found)
+        _mdl_split(ts.column(spec.name), labels, found)
         cuts[spec.name] = tuple(sorted(found))
     return DiscretizationMap(cuts)
 
@@ -201,52 +202,69 @@ def entropy(dist) -> float:
 def boundary_candidates(pairs: list[tuple[float, str]]) -> list[float]:
     """Midpoints between consecutive distinct values with differing class sets.
 
-    ``pairs`` must be sorted by value. These are the only cut positions a
-    best entropy split can occupy.
+    ``pairs`` are (value, label) rows in any order. These are the only cut
+    positions a best entropy split can occupy.
     """
-    return _boundaries(pairs)[0]
+    return _candidates([v for v, _ in pairs], [y for _, y in pairs])[0].tolist()
 
 
-def _boundaries(pairs: list[tuple[float, str]]) -> tuple[list[float], list[int]]:
-    """The boundary candidates, and the row where the group right of each
-    one starts."""
-    groups: list[tuple[float, set[str], int]] = []
-    for row, (value, label) in enumerate(pairs):
-        if groups and groups[-1][0] == value:
-            groups[-1][1].add(label)
-        else:
-            groups.append((value, {label}, row))
-    cuts, starts = [], []
-    for (v1, c1, _), (v2, c2, start) in zip(groups, groups[1:]):
-        if c1 != c2:
-            cuts.append((v1 + v2) / 2.0)
-            starts.append(start)
-    return cuts, starts
+def _candidates(values: list, labels: list[str]):
+    """Sort the rows by value, then label, and find the boundary candidates.
+
+    Returns the candidates; the row where the group right of each one
+    starts; the rows ``<=`` each one; and per sorted row, its label's rank
+    among the sorted labels and the rows of its label before it. A column
+    a float cannot hold exactly is ranked as Python numbers; every step
+    after the sort is the same for both.
+    """
+    names = {y: i for i, y in enumerate(sorted(set(labels)))}
+    lab = np.fromiter(map(names.__getitem__, labels), np.intp, len(labels))
+    keys = np.array(values, dtype=float if _float_exact(values) else object)
+    order = np.lexsort((lab, keys))
+    v, lab = keys[order], lab[order]
+    n = len(v)
+    if n == 0:
+        empty = np.zeros(0, np.intp)
+        return v, empty, empty, empty, empty
+    new = v[1:] != v[:-1]  # row i + 1 starts a group of equal values
+    heads = np.concatenate(([0], np.flatnonzero(new) + 1))  # groups' first rows
+    group = np.concatenate(([0], np.cumsum(new)))
+    # the distinct (group, label) pairs: each group's class set, sorted
+    first = np.concatenate(([True], new | (lab[1:] != lab[:-1])))
+    pair_group, pair_label = group[first], lab[first]
+    width = np.bincount(pair_group)  # labels per group
+    differ = width[:-1] != width[1:]
+    # equally wide neighbours: each pair's counterpart lies ``width`` pairs on
+    j = np.flatnonzero(~differ[pair_group[:len(pair_group) - width[-1]]])
+    mismatch = pair_label[j] != pair_label[j + width[pair_group[j]]]
+    differ[pair_group[j[mismatch]]] = True
+    left = np.flatnonzero(differ)
+    starts = heads[left + 1]
+    with np.errstate(over="ignore"):
+        cuts = (v[heads[left]] + v[starts]) / 2.0
+    sizes = np.searchsorted(v, cuts, side="right")
+    # per row, the rows of its label before it, from one stable sort by label
+    by_label = np.argsort(lab, kind="stable")
+    ranks = np.empty(n, np.intp)
+    ranks[by_label] = np.arange(n) - np.searchsorted(lab[by_label], lab[by_label])
+    return cuts, starts, sizes, lab, ranks
 
 
-def _mdl_split(pairs: list[tuple[float, str]], found: list[float]) -> None:
-    """Fayyad-Irani recursion over value-sorted (value, label) pairs.
+def _mdl_split(values: list, labels: list[str], found: list[float]) -> None:
+    """Fayyad-Irani recursion over one numeric column and its labels.
 
     A candidate cut sends the values ``<= cut`` left. A cut never splits a
     run of equal values, so the candidates of a sub-range are the whole
-    list's candidates that start a group inside it: they are found once,
-    with the rows each sends left, and the recursion passes row ranges.
-    Every candidate of a range is scored in one sorted pass (``_screen``);
-    only the near-best ones are re-scored exactly, so the chosen cut is the
-    first one with the least weighted entropy, as if every candidate were
-    scored exactly.
+    column's candidates that start a group inside it: ``_candidates`` finds
+    them once, with the rows each sends left and the label ranks, and the
+    recursion passes row ranges of the sorted column. Every candidate of a
+    range is scored in one sorted pass (``_screen``); only the near-best
+    ones are re-scored exactly, so the chosen cut is the first one with the
+    least weighted entropy, as if every candidate were scored exactly.
     """
-    values = [value for value, _ in pairs]
-    cuts, starts = _boundaries(pairs)
-    sizes = np.array([bisect_right(values, cut) for cut in cuts], dtype=np.intp)
-    index: dict[str, int] = {}
-    codes = [index.setdefault(label, len(index)) for _, label in pairs]
-    tally = [0] * len(index)
-    ranks = []  # per row, the rows of its label before it
-    for code in codes:
-        ranks.append(tally[code])
-        tally[code] += 1
-    codes, ranks = np.array(codes, dtype=np.intp), np.array(ranks, dtype=np.intp)
+    cuts, starts, sizes, codes, ranks = _candidates(values, labels)
+    cuts, starts = cuts.tolist(), starts.tolist()
+    classes = len(set(labels))
 
     def split(lo: int, hi: int) -> None:
         first, last = bisect_right(starts, lo), bisect_left(starts, hi)
@@ -258,7 +276,7 @@ def _mdl_split(pairs: list[tuple[float, str]], found: list[float]) -> None:
         here = np.clip(sizes[first:last], lo, hi) - lo
         rows = codes[lo:hi]
         # per row, the rows of its label before it inside the range
-        seen = ranks[lo:hi] - np.bincount(codes[:lo], minlength=len(tally))[rows]
+        seen = ranks[lo:hi] - np.bincount(codes[:lo], minlength=classes)[rows]
         order = rows[seen == 0]  # label codes in order of first appearance
         counts = np.bincount(rows)
         total = counts[order].tolist()
@@ -288,7 +306,7 @@ def _mdl_split(pairs: list[tuple[float, str]], found: list[float]) -> None:
         split(lo, lo + nl)
         split(lo + nl, hi)
 
-    split(0, len(pairs))
+    split(0, len(values))
 
 
 def _xlog2x(x: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ breadth-first, so the root is always s0. Trees classify by walking splits;
 from __future__ import annotations
 
 import random
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -93,28 +93,41 @@ class InductionGraph:
         return {spec.name: i for i, spec in enumerate(self.attributes)}
 
 
-def _score(mode: str, values: list, labels: list[str]) -> float:
-    """Information gain of splitting ``labels`` by ``values``.
+def _partition(column: list, labels: list[str], idx) -> tuple[dict, dict]:
+    """The rows ``idx`` by their value in ``column``, and each part's label
+    counts; values, and labels within a part, in order of first appearance."""
+    rows = defaultdict(list)
+    for i in idx:
+        rows[column[i]].append(i)
+    return rows, {v: Counter(map(labels.__getitem__, part))
+                  for v, part in rows.items()}
+
+
+def _score(mode: str, parent: float, counts) -> float:
+    """Information gain of a split with per-value label ``counts`` at a
+    node of entropy ``parent``.
 
     Under ``gain_ratio`` the gain is divided by the split's own entropy,
     and a single-valued split scores zero.
     """
-    groups: dict = {}
-    for v, y in zip(values, labels):
-        groups.setdefault(v, []).append(y)
-    n = len(labels)
-    gain = entropy(Counter(labels)) - sum(
-        len(g) / n * entropy(Counter(g)) for g in groups.values())
+    sizes = [sum(c.values()) for c in counts]
+    n = sum(sizes)
+    gain = parent - sum(m / n * entropy(c) for m, c in zip(sizes, counts))
     if mode == INFO_GAIN:
         return gain
-    info = entropy([len(g) for g in groups.values()])
+    info = entropy(sizes)
     return gain / info if info else 0.0
+
+
+def _attribute_score(mode: str, ts: TrainingSet, attribute: str) -> float:
+    labels = [inst.label for inst in ts.instances]
+    _, counts = _partition(ts.column(attribute), labels, range(len(labels)))
+    return _score(mode, entropy(Counter(labels)), counts.values())
 
 
 def information_gain(ts: TrainingSet, attribute: str) -> float:
     """Entropy reduction from partitioning by the attribute's values."""
-    return _score(INFO_GAIN, ts.column(attribute),
-                  [inst.label for inst in ts.instances])
+    return _attribute_score(INFO_GAIN, ts, attribute)
 
 
 def gain_ratio(ts: TrainingSet, attribute: str) -> float:
@@ -122,8 +135,7 @@ def gain_ratio(ts: TrainingSet, attribute: str) -> float:
 
     Zero when the attribute is single-valued (split info 0).
     """
-    return _score(GAIN_RATIO, ts.column(attribute),
-                  [inst.label for inst in ts.instances])
+    return _attribute_score(GAIN_RATIO, ts, attribute)
 
 
 def grow(ts: TrainingSet, mode: str = GAIN_RATIO, min_leaf: int = 2,
@@ -134,6 +146,11 @@ def grow(ts: TrainingSet, mode: str = GAIN_RATIO, min_leaf: int = 2,
     split scores zero, or some branch of the best split would receive fewer
     than ``min_leaf`` instances. Score ties go to the attribute declared
     first. Branches exist only for values present at the node.
+
+    Each row's label is counted once per candidate attribute: a node's own
+    entropy comes from its ``counts``, each attribute partitions the node's
+    rows by value with per-value label counts, and the winner's parts and
+    counts become the children's rows and ``counts``.
     """
     if mode not in (GAIN_RATIO, INFO_GAIN):
         raise DataError(f"unknown growth mode {mode!r}")
@@ -150,37 +167,33 @@ def grow(ts: TrainingSet, mode: str = GAIN_RATIO, min_leaf: int = 2,
     labels = [inst.label for inst in ts.instances]
     domains = {s.name: s.domain for s in ts.attributes}
 
-    def new_node(idx: list[int]) -> TreeNode:
-        return TreeNode("", dict(Counter(labels[i] for i in idx)))
-
     all_idx = list(range(len(ts.instances)))
-    root = new_node(all_idx)
+    root = TreeNode("", dict(Counter(labels)))
     queue = deque([(root, all_idx, tuple(ts.attribute_names))])
     while queue:
         node, idx, attrs = queue.popleft()
         if len(node.counts) == 1 or not attrs:
             continue
-        best_attr, best_score = None, 0.0
-        labs = [labels[i] for i in idx]
+        parent = entropy(node.counts)
+        best_score, best = 0.0, None
         for attr in attrs:
-            s = _score(mode, [columns[attr][i] for i in idx], labs)
+            rows, counts = _partition(columns[attr], labels, idx)
+            s = _score(mode, parent, counts.values())
             if s > best_score:
-                best_attr, best_score = attr, s
-        if best_attr is None:
+                best_score, best = s, (attr, rows, counts)
+        if best is None:
             continue
-        parts: dict = {}
-        for i in idx:
-            parts.setdefault(columns[best_attr][i], []).append(i)
-        if min(len(p) for p in parts.values()) < min_leaf:
+        best_attr, rows, counts = best
+        if min(map(len, rows.values())) < min_leaf:
             continue
         node.attribute = best_attr
         remaining = tuple(a for a in attrs if a != best_attr)
         for value in domains[best_attr]:
-            if value not in parts:
+            if value not in rows:
                 continue
-            child = new_node(parts[value])
+            child = TreeNode("", dict(counts[value]))
             node.children[value] = child
-            queue.append((child, parts[value], remaining))
+            queue.append((child, rows[value], remaining))
     return InductionGraph(_number(root), ts.attributes, ts.classes, mode,
                           discretization)
 

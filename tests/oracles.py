@@ -18,7 +18,7 @@ from plancell.dataset import Instance, case_values
 from plancell.discretize import encode
 from plancell.errors import (DataError, LimitError, ModelIntegrityError,
                              UnknownValueError)
-from plancell.tree import TreeNode
+from plancell.tree import InductionGraph, TreeNode
 
 
 def _closure(chosen, exit_id):
@@ -564,3 +564,58 @@ def rep_prune(tree, prune_set):
 
     return replace(tree, root=_renumber(
         prune(tree.root, list(range(len(prune_set.instances))))))
+
+
+# Growth as first written: every attribute counts the node's labels again,
+# and the winning attribute's rows are partitioned and counted once more.
+
+def _split_score(mode, values, labels):
+    groups = {}
+    for v, y in zip(values, labels):
+        groups.setdefault(v, []).append(y)
+    n = len(labels)
+    gain = _entropy(Counter(labels)) - sum(
+        len(g) / n * _entropy(Counter(g)) for g in groups.values())
+    if mode == "info_gain":
+        return gain
+    info = _entropy({v: len(g) for v, g in groups.items()})
+    return gain / info if info else 0.0
+
+
+def grow_tree(ts, mode, min_leaf):
+    """Breadth-first best-attribute growth, scoring each attribute from
+    fresh label lists; first strict maximum wins, as in ``tree.grow``."""
+    columns = {s.name: ts.column(s.name) for s in ts.attributes}
+    labels = [inst.label for inst in ts.instances]
+
+    def new_node(idx):
+        return TreeNode("", dict(Counter(labels[i] for i in idx)))
+
+    all_idx = list(range(len(ts.instances)))
+    root = new_node(all_idx)
+    queue = deque([(root, all_idx, tuple(ts.attribute_names))])
+    while queue:
+        node, idx, attrs = queue.popleft()
+        if len(node.counts) == 1 or not attrs:
+            continue
+        best_attr, best_score = None, 0.0
+        labs = [labels[i] for i in idx]
+        for attr in attrs:
+            score = _split_score(mode, [columns[attr][i] for i in idx], labs)
+            if score > best_score:
+                best_attr, best_score = attr, score
+        if best_attr is None:
+            continue
+        parts = {}
+        for i in idx:
+            parts.setdefault(columns[best_attr][i], []).append(i)
+        if min(len(p) for p in parts.values()) < min_leaf:
+            continue
+        node.attribute = best_attr
+        remaining = tuple(a for a in attrs if a != best_attr)
+        for value in ts.attribute(best_attr).domain:
+            if value in parts:
+                child = new_node(parts[value])
+                node.children[value] = child
+                queue.append((child, parts[value], remaining))
+    return InductionGraph(_renumber(root), ts.attributes, ts.classes, mode)

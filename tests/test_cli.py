@@ -3,6 +3,7 @@ import math
 import os
 import stat
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -183,7 +184,7 @@ def test_discretize_writes_binned_copy(runs_file, tmp_path, capsys):
 
 
 def test_train_writes_loadable_model(model_file, capsys):
-    model = model_from_json(json.loads(open(model_file).read()))
+    model = model_from_json(json.loads(Path(model_file).read_text()))
     assert model.node_count == 12
     assert model.discretization.cuts["steps"] == (8.0, 11.0)
 
@@ -237,7 +238,7 @@ def test_classify_rejects_numeric_column_without_cut_points(tmp_path, capsys):
 def test_non_finite_csv_cell_exits_3(cell, model_file, runs_file, tmp_path,
                                      capsys):
     bad = tmp_path / "bad.csv"
-    bad.write_text(open(runs_file).read().replace("0.032237", cell))
+    bad.write_text(Path(runs_file).read_text().replace("0.032237", cell))
     for argv in (["dataset-info"], ["train", "--out", str(tmp_path / "m.json")],
                  ["classify", "--model", model_file],
                  ["eval", "--methods", "knn", "--modes", "none"]):
@@ -455,7 +456,7 @@ def _assert_model_error(argv, capsys):
 
 @pytest.mark.parametrize("fault", MODEL_FAULTS)
 def test_malformed_model_exits_4(fault, model_file, runs_file, tmp_path, capsys):
-    doc = json.loads(open(model_file).read())
+    doc = json.loads(Path(model_file).read_text())
     doc = MODEL_FAULTS[fault](doc) or doc
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import mdl_cuts
+from oracles import _boundary_candidates, mdl_cuts
 from plancell import cli, evaluation
 from plancell.dataset import build_training_set
 from plancell.discretize import (MODES, DiscretizationMap, _mdl_split,
@@ -242,17 +242,22 @@ def labelled_columns(draw):
         values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                                min_size=n, max_size=n))
     values = [float(v) for v in values]
+    return values, draw_labels(draw, values, k)
+
+
+def draw_labels(draw, values, k):
+    """Labels from the first ``k`` of LABELS: at random, or following the
+    value's rank (so cuts get accepted) with a few redrawn."""
+    n = len(values)
     if draw(st.booleans()):
-        labels = draw(st.lists(st.sampled_from(LABELS[:k]), min_size=n, max_size=n))
-    else:
-        # class follows the value's rank, with a few labels redrawn
-        order = sorted(range(n), key=lambda i: values[i])
-        labels = [""] * n
-        for rank, i in enumerate(order):
-            labels[i] = LABELS[rank * k // n]
-        for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
-            labels[i] = draw(st.sampled_from(LABELS[:k]))
-    return values, labels
+        return draw(st.lists(st.sampled_from(LABELS[:k]), min_size=n, max_size=n))
+    order = sorted(range(n), key=lambda i: values[i])
+    labels = [""] * n
+    for rank, i in enumerate(order):
+        labels[i] = LABELS[rank * k // n]
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        labels[i] = draw(st.sampled_from(LABELS[:k]))
+    return labels
 
 
 @settings(max_examples=300, deadline=None)
@@ -262,6 +267,41 @@ def test_mdl_cuts_equal_the_quadratic_oracle(column):
     got = discretize_supervised(numeric_set(values, labels)).cuts["x"]
     assert got == mdl_cuts(values, labels)
     assert set(got) <= set(boundary_candidates(sorted(zip(values, labels))))
+
+
+@st.composite
+def int_columns(draw):
+    """A numeric column of ints: small ones, ones around and beyond 2**53
+    (where a float no longer holds every int) among floats, or small ints
+    some of which are floats of equal value (3 and 3.0)."""
+    n = draw(st.integers(2, 60))
+    k = draw(st.integers(1, len(LABELS)))
+    kind = draw(st.sampled_from(["small", "huge", "mixed"]))
+    if kind == "small":
+        values = draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n))
+    elif kind == "huge":
+        base = draw(st.sampled_from([2**53, -2**53, 2**60, 2**80]))
+        offsets = st.integers(-4, 4)
+        values = draw(st.lists(st.one_of(
+            offsets.map(lambda d: base + d),
+            offsets.map(lambda d: float(base + 2 * d)),
+            st.integers(-5, 5)), min_size=n, max_size=n))
+    else:
+        values = [float(v) if as_float else v for v, as_float in draw(st.lists(
+            st.tuples(st.integers(0, 6), st.booleans()), min_size=n, max_size=n))]
+    return values, draw_labels(draw, values, k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_columns())
+def test_mdl_cuts_equal_the_quadratic_oracle_on_int_columns(column):
+    values, labels = column
+    ts = build_training_set([("x", "numeric")], list(zip(values, labels)))
+    got = discretize_supervised(ts).cuts["x"]
+    assert list(map(repr, got)) == list(map(repr, mdl_cuts(values, labels)))
+    pairs = sorted(zip(values, labels))
+    assert list(map(repr, boundary_candidates(pairs))) == \
+        list(map(repr, _boundary_candidates(pairs)))
 
 
 @pytest.mark.parametrize("values, labels", [
@@ -291,7 +331,7 @@ def test_tied_splits_keep_the_first_cut():
     pairs = sorted(zip(values, labels))
     assert split_score(pairs, 19.5) == split_score(pairs, 39.5)
     found = []
-    _mdl_split(pairs, found)
+    _mdl_split(values, labels, found)
     assert found == [19.5, 39.5]
     assert tuple(found) == mdl_cuts(values, labels)
 

@@ -4,10 +4,13 @@ Property tests: the public ``information_gain``/``gain_ratio`` follow
 their textbook formulas, and every split ``grow`` makes is their first
 argmax over the node's rows; ``rep_prune`` and ``induce(..., "reptree")``
 equal the two-walk REP in ``oracles`` on random nominal sets and prune sets
-(empty ones, and rows whose value has no branch, included); node ids s0,
-s1, ... follow breadth-first order in grown, pruned and reloaded trees.
+(empty ones, and rows whose value has no branch, included); ``grow``
+writes the same model JSON as the recounting growth in ``oracles``; node
+ids s0, s1, ... follow breadth-first order in grown, pruned and reloaded
+trees.
 """
 
+import json
 from collections import Counter, deque
 
 import pytest
@@ -112,6 +115,39 @@ def test_public_scores_follow_their_formulas(ts):
        st.sampled_from([1, 2, 5]))
 def test_each_split_is_the_first_argmax_of_the_public_score(ts, mode, min_leaf):
     check_splits(grow(ts, mode, min_leaf), ts, min_leaf)
+
+
+@st.composite
+def tied_sets(draw):
+    """1-5 nominal attributes over up to four classes, where an attribute
+    may copy an earlier one (exact score ties) or hold one value (zero split
+    info); labels at random or following the first attribute."""
+    n = draw(st.integers(1, 60))
+    classes = "ABCD"[:draw(st.integers(1, 4))]
+    columns = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["free", "copy", "constant"]))
+        if kind == "copy" and columns:
+            columns.append(draw(st.sampled_from(columns)))
+        elif kind == "constant":
+            columns.append(["a"] * n)
+        else:
+            columns.append(draw(st.lists(st.sampled_from("abcd"),
+                                         min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        labels = draw(st.lists(st.sampled_from(classes), min_size=n, max_size=n))
+    else:
+        labels = [classes["abcd".index(v) % len(classes)] for v in columns[0]]
+    rows = [(*values, y) for values, y in zip(zip(*columns), labels)]
+    return nominal_set([f"x{i}" for i in range(len(columns))], rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(tied_sets(), nominal_sets()),
+       st.sampled_from([GAIN_RATIO, INFO_GAIN]), st.integers(1, 3))
+def test_grow_equals_the_recounting_oracle(ts, mode, min_leaf):
+    assert json.dumps(model_to_json(grow(ts, mode, min_leaf))) == \
+        json.dumps(model_to_json(oracles.grow_tree(ts, mode, min_leaf)))
 
 
 @PROPERTY
