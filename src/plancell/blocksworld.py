@@ -453,9 +453,11 @@ def generate_runs(sizes: list[int], per_size: int, seed: int,
 
     Draws are sampled from a pool of ``pool`` distinct problems per size so
     identical plans recur across instances, as in a corpus built by re-running
-    a planner. Labels P1, P2, ... are assigned in first-seen order of
-    distinct step sequences, shared across sizes. Deterministic given the
-    seed, except for the measured cpu time.
+    a planner. Each distinct problem is solved once, on its first draw; its
+    later draws share that plan and that measured cpu time. Labels P1, P2,
+    ... are assigned in first-seen order of distinct step sequences, shared
+    across sizes. Deterministic given the seed, except for the measured cpu
+    time.
     """
     if not sizes:
         raise DataError("sizes must be nonempty")
@@ -477,9 +479,13 @@ def generate_runs(sizes: list[int], per_size: int, seed: int,
             initial = random_state(blocks, rng)
             goal = tuple(state_goal_atoms(random_state(blocks, rng)))
             problems.append((initial, goal))
+        solved: dict[int, SolveResult] = {}
         for _ in range(per_size):
-            initial, goal = problems[rng.randrange(pool)]
-            result = solve(initial, goal, method=method)
+            index = rng.randrange(pool)
+            initial, goal = problems[index]
+            if index not in solved:
+                solved[index] = solve(initial, goal, method=method)
+            result = solved[index]
             steps = result.plan
             if steps not in labels:
                 labels[steps] = f"P{len(labels) + 1}"

@@ -255,7 +255,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-size", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--pool", type=int, default=5,
-                   help="distinct problems per size to draw from")
+                   help="distinct problems per size to draw from; each is "
+                        "solved once and its draws share the plan and the "
+                        "measured time")
     p.add_argument("--method", choices=("greedy", "bfs"), default="greedy")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_bw_gen)

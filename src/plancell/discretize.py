@@ -208,6 +208,16 @@ def boundary_candidates(pairs: list[tuple[float, str]]) -> list[float]:
     return _candidates([v for v, _ in pairs], [y for _, y in pairs])[0].tolist()
 
 
+def _midpoint(a, b) -> float:
+    """``(a + b) / 2.0``; where the sum leaves the float range, or an int sum
+    cannot become a float, ``a / 2 + b / 2`` instead."""
+    try:
+        cut = (a + b) / 2.0
+    except OverflowError:
+        return a / 2 + b / 2
+    return a / 2 + b / 2 if math.isinf(cut) else cut
+
+
 def _candidates(values: list, labels: list[str]):
     """Sort the rows by value, then label, and find the boundary candidates.
 
@@ -240,8 +250,14 @@ def _candidates(values: list, labels: list[str]):
     differ[pair_group[j[mismatch]]] = True
     left = np.flatnonzero(differ)
     starts = heads[left + 1]
-    with np.errstate(over="ignore"):
-        cuts = (v[heads[left]] + v[starts]) / 2.0
+    below, above = v[heads[left]], v[starts]
+    if v.dtype == object:
+        cuts = np.frompyfunc(_midpoint, 2, 1)(below, above)
+    else:
+        with np.errstate(over="ignore"):
+            cuts = (below + above) / 2.0
+        wide = np.isinf(cuts)  # the sum left the float range
+        cuts[wide] = below[wide] / 2 + above[wide] / 2
     sizes = np.searchsorted(v, cuts, side="right")
     # per row, the rows of its label before it, from one stable sort by label
     by_label = np.argsort(lab, kind="stable")

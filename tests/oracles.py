@@ -286,8 +286,17 @@ def _boundary_candidates(pairs):
             groups[-1][1].add(label)
         else:
             groups.append((value, {label}))
-    return [(v1 + v2) / 2.0 for (v1, c1), (v2, c2) in zip(groups, groups[1:])
+    return [_midpoint(v1, v2) for (v1, c1), (v2, c2) in zip(groups, groups[1:])
             if c1 != c2]
+
+
+def _midpoint(v1, v2):
+    """The plain midpoint, or half of each value where that overflows."""
+    try:
+        cut = (v1 + v2) / 2.0
+    except OverflowError:
+        return v1 / 2 + v2 / 2
+    return v1 / 2 + v2 / 2 if math.isinf(cut) else cut
 
 
 def _mdl_split(pairs, found):

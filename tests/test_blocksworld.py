@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plancell import blocksworld
 from plancell.blocksworld import (Action, BlockState, all_on_table, apply,
                                   corpus_training_set, generate_corpus,
                                   generate_runs, random_state, solve,
@@ -329,8 +330,38 @@ def test_malformed_goal_atoms_rejected(atom, reader):
 def test_generate_runs_deterministic_except_time():
     first = generate_runs([4, 5], 6, seed=3)
     second = generate_runs([4, 5], 6, seed=3)
-    assert [(r.problem, r.plan, r.label) for r in first] == \
-           [(r.problem, r.plan, r.label) for r in second]
+    assert [(r.problem, r.initial, r.goal, r.plan, r.label) for r in first] \
+        == [(r.problem, r.initial, r.goal, r.plan, r.label) for r in second]
+
+
+def test_generate_runs_solves_each_drawn_problem_once(monkeypatch):
+    calls = []
+
+    def counting_solve(initial, goal, method):
+        calls.append((initial, goal))
+        return solve(initial, goal, method=method)
+
+    monkeypatch.setattr(blocksworld, "solve", counting_solve)
+    runs = generate_runs([4, 5], 20, seed=5, pool=3)
+    assert len(runs) == 40
+    assert len(calls) <= 6
+    assert len(calls) == len(set(calls)) == len({(r.initial, r.goal)
+                                                 for r in runs})
+
+
+@pytest.mark.parametrize("method", ["greedy", "bfs"])
+def test_generated_plans_equal_a_fresh_solve(method):
+    for run in generate_runs([3, 4], 6, seed=4, pool=2, method=method):
+        assert run.plan == solve(run.initial, run.goal, method=method).plan
+
+
+def test_draws_of_one_problem_share_one_cpu_time():
+    runs = generate_runs([4, 5], 20, seed=5, pool=3)
+    times = {}
+    for run in runs:
+        times.setdefault((run.initial, run.goal), set()).add(run.cpu_time)
+    assert len(times) < len(runs)  # some problem is drawn more than once
+    assert all(len(t) == 1 for t in times.values())
 
 
 def test_generate_runs_rejects_bad_arguments():

@@ -263,6 +263,17 @@ def test_unsupervised_cuts_of_extreme_ranges_train_and_classify(rows, bins,
                    + engine) == 0
 
 
+def test_supervised_cut_between_values_beyond_half_the_float_range(tmp_path):
+    data, model = tmp_path / "x.csv", tmp_path / "m.json"
+    data.write_text("x:numeric,class:nominal\n"
+                    + "1e308,A\n" * 20 + "1.7e308,B\n" * 20)
+    assert run(["train", "--in", str(data), "--discretize", "supervised",
+                "--out", str(model)]) == 0
+    graph = model_from_json(json.loads(model.read_text()))
+    assert graph.discretization.cuts["x"] == (1.35e308,)
+    assert graph.depth() == 1
+
+
 @pytest.mark.parametrize("column", ["class", "a=b"])
 def test_reserved_attribute_name_in_csv_exits_3(column, tmp_path, capsys):
     path = tmp_path / "runs.csv"

@@ -89,6 +89,24 @@ def test_boundary_candidates_skip_same_class_runs():
     assert boundary_candidates(pairs) == []
 
 
+def test_boundary_candidate_whose_sum_overflows_is_half_of_each_value():
+    pairs = [(1e308, "A")] * 20 + [(1.7e308, "B")] * 20
+    assert boundary_candidates(pairs) == [1.35e308]
+    ts = numeric_set([v for v, _ in pairs], [y for _, y in pairs])
+    assert discretize_supervised(ts).cuts["x"] == (1.35e308,)
+    negated = [(-v, y) for v, y in pairs]
+    assert boundary_candidates(negated) == [-1.35e308]
+    assert _boundary_candidates(sorted(pairs)) == [1.35e308]
+
+
+def test_int_column_whose_sum_cannot_be_a_float_gets_its_cut():
+    rows = [(10**308, "A"), (10**308 + 7 * 10**307, "B"), (0, "A")]
+    ts = build_training_set([("x", "numeric")], rows)
+    assert discretize_supervised(ts).cuts["x"] == (1.35e308,)
+    assert boundary_candidates(rows) == [1.35e308]
+    assert _boundary_candidates(sorted(rows)) == [1.35e308]
+
+
 def entropy_of(labels):
     counts = Counter(labels)
     n = len(labels)
@@ -313,7 +331,7 @@ def test_mdl_cuts_equal_the_quadratic_oracle_on_int_columns(column):
     ([1, 1, 2, 2, 2, 9, 9, 9, 10, 10], list("AABABBBABB")),
     # the last midpoint rounds onto the largest value: nothing goes right
     ([1.0, 1.0000000000000002, 1.0000000000000004] * 4, list("ABBABBAABBBA")),
-    # the first midpoint overflows to -inf: nothing goes left
+    # the first midpoint's sum overflows: it is half of each value instead
     ([0.0] * 9 + [-8.881489377429503e+293, -1.797693134862307e+308,
                   -1.797693134862307e+308], list("CCDEEFGGHBAA")),
 ])
