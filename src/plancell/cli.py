@@ -109,15 +109,13 @@ def _cmd_bw_gen(args) -> int:
     ts = blocksworld.generate_corpus(args.sizes, args.per_size, args.seed,
                                      pool=args.pool, method=args.method)
     _write_atomic(args.out, save_csv(ts))
-    labels = {inst.label for inst in ts.instances}
-    print(f"wrote {len(ts.instances)} instances "
-          f"({len(labels)} plan classes) to {args.out}")
+    print(f"wrote {len(ts)} instances ({len(ts.classes)} plan classes) to {args.out}")
     return 0
 
 
 def _cmd_dataset_info(args) -> int:
     ts = load_csv(_read_text(args.input))
-    print(f"instances: {len(ts.instances)}")
+    print(f"instances: {len(ts)}")
     print(f"attributes: {len(ts.attributes)}")
     for spec in ts.attributes:
         if spec.kind == NUMERIC:
@@ -158,9 +156,8 @@ def _cmd_classify(args) -> int:
     model = model_from_json(_load_model_json(args.model))
     cases = load_csv(_read_text(args.input))
     model_names = tuple(s.name for s in model.attributes)
-    case_names = tuple(s.name for s in cases.attributes)
-    if case_names != model_names:
-        raise DataError(f"case attributes {case_names} do not match "
+    if cases.attribute_names != model_names:
+        raise DataError(f"case attributes {cases.attribute_names} do not match "
                         f"the model's {model_names}")
     for spec in cases.attributes:
         if spec.kind == NUMERIC and (
@@ -176,22 +173,17 @@ def _cmd_classify(args) -> int:
         return classify_tree(model, values, fallback=args.fallback_majority)[0]
 
     lines = ["index,actual,predicted"]
-    hits = misses = 0
+    hits = 0
     for i, inst in enumerate(cases.instances):
         predicted = predict(classify, inst.values)
-        if predicted == inst.label:
-            hits += 1
-        else:
-            misses += 1
-        lines.append(f"{i},{inst.label},"
-                     f"{UNKNOWN if predicted is None else predicted}")
+        hits += predicted == inst.label
+        lines.append(f"{i},{inst.label},{UNKNOWN if predicted is None else predicted}")
     body = "\n".join(lines) + "\n"
     if args.out:
         _write_atomic(args.out, body)
     else:
         sys.stdout.write(body)
-    total = hits + misses
-    print(f"{hits}/{total} cases match their recorded labels", file=sys.stderr)
+    print(f"{hits}/{len(cases)} cases match their recorded labels", file=sys.stderr)
     return 0
 
 

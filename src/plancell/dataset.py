@@ -1,8 +1,9 @@
 """Training-set data model and CSV I/O.
 
-A training set is a list of instances, each carrying one value per
-descriptive attribute plus a class label. Attributes are either nominal
-or numeric; the class column is always the last one and is named
+A training set is stored by column: one tuple of values per descriptive
+attribute plus one tuple of class labels, every reader's layout. The rows
+(``instances``) are a view built on first read. Attributes are either
+nominal or numeric; the class column is always the last one and is named
 ``class``. Missing cells are a hard parse error.
 """
 
@@ -14,6 +15,7 @@ import math
 import sys
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DataError
 
@@ -62,17 +64,32 @@ class Instance:
 
 @dataclass(frozen=True)
 class TrainingSet:
+    """One tuple of values per attribute, in order, and one label per row."""
+
     attributes: tuple[AttributeSpec, ...]
     classes: tuple[str, ...]
-    instances: tuple[Instance, ...]
+    columns: tuple[tuple, ...]
+    labels: tuple[str, ...]
 
     def __post_init__(self):
         # a rule base spells a fact name=value: one name, one attribute
         if len(set(self.attribute_names)) != len(self.attributes):
             raise DataError("duplicate attribute names")
+        width, n = len(self.attributes), len(self.labels)
+        if len(self.columns) != width:
+            raise DataError(f"{len(self.columns)} columns for {width} attributes")
+        for spec, column in zip(self.attributes, self.columns):
+            if len(column) != n:
+                raise DataError(f"column {spec.name!r}: {len(column)} values, {n} labels")
 
     def __len__(self):
-        return len(self.instances)
+        return len(self.labels)
+
+    @cached_property
+    def instances(self) -> tuple[Instance, ...]:
+        """The rows, one Instance each, built on first read."""
+        rows = zip(*self.columns) if self.columns else [()] * len(self)
+        return tuple(map(Instance, rows, self.labels))
 
     @property
     def attribute_names(self) -> tuple[str, ...]:
@@ -84,10 +101,15 @@ class TrainingSet:
                 return spec
         raise KeyError(name)
 
-    def column(self, name: str) -> list:
-        """All values of one attribute, in instance order."""
-        idx = self.attribute_names.index(name)
-        return [inst.values[idx] for inst in self.instances]
+    def column(self, name: str) -> tuple:
+        """All values of one attribute, in row order."""
+        return self.columns[self.attribute_names.index(name)]
+
+    def take(self, indices: list[int]) -> TrainingSet:
+        """The rows ``indices`` under this set's own attributes and classes."""
+        return TrainingSet(self.attributes, self.classes,
+                           tuple(tuple([c[i] for i in indices]) for c in self.columns),
+                           tuple([self.labels[i] for i in indices]))
 
 
 def case_values(case, width: int) -> tuple:
@@ -117,40 +139,45 @@ def build_training_set(columns: list[tuple[str, str]], rows: list[tuple]) -> Tra
     Each row is the attribute values followed by the class label: one more
     cell than there are columns, or DataError. Nominal domains are taken in
     first-seen order; numeric domains are the observed min/max, and numeric
-    values must be finite ints or floats. Classes are the sorted set of
-    labels that occur.
+    values must be finite ints or floats. Nominal values and labels must be
+    strings ``load_csv`` reads back as they are: neither empty nor padded
+    with whitespace. Classes are the sorted set of labels that occur.
     """
     if not rows:
         raise DataError("empty dataset: no instances")
     for n, row in enumerate(rows, 1):
         if len(row) != len(columns) + 1:
             raise DataError(f"row {n}: expected {len(columns) + 1} cells, got {len(row)}")
-    for col, (name, kind) in enumerate(columns):
+    *values, labels = zip(*rows)
+    for (name, kind), column in zip(columns, values):
         if kind == NUMERIC:
-            for row in rows:
-                if not is_finite_number(row[col]):
+            for v in column:
+                if not is_finite_number(v):
                     raise DataError(
-                        f"attribute {name!r}: {row[col]!r} is not a finite number")
-        elif kind != NOMINAL:
+                        f"attribute {name!r}: {v!r} is not a finite number")
+        elif kind == NOMINAL:
+            _check_readable(f"attribute {name!r}: nominal value", column)
+        else:
             raise DataError(f"attribute {name!r}: unknown kind {kind!r}")
-    instances = tuple(Instance(tuple(row[:-1]), row[-1]) for row in rows)
-    for label in dict.fromkeys(inst.label for inst in instances):
-        if not isinstance(label, str):
-            raise DataError(f"class label {label!r} is not a string")
-    return _with_schema(columns, instances)
+    _check_readable("class label", labels)
+    return _with_schema(columns, tuple(values), labels)
 
 
-def _with_schema(columns, instances: tuple[Instance, ...]) -> TrainingSet:
-    """A TrainingSet over checked instances, its domains and classes
-    inferred from them as ``build_training_set`` documents."""
-    specs = []
-    for col, (name, kind) in enumerate(columns):
-        values = [inst.values[col] for inst in instances]
-        domain = ((min(values), max(values)) if kind == NUMERIC
-                  else tuple(dict.fromkeys(values)))
-        specs.append(AttributeSpec(name, kind, domain))
-    classes = tuple(sorted(dict.fromkeys(inst.label for inst in instances)))
-    return TrainingSet(tuple(specs), classes, instances)
+def _check_readable(what: str, values) -> None:
+    """DataError unless every value is a string ``load_csv`` reads back."""
+    for v in dict.fromkeys(values):
+        if not isinstance(v, str) or not v or v != v.strip():
+            raise DataError(f"{what} {v!r} is not a string CSV reads back as itself")
+
+
+def _with_schema(specs, columns: tuple[tuple, ...], labels: tuple) -> TrainingSet:
+    """A TrainingSet over checked ``(name, kind)`` columns, its domains and
+    classes inferred from them as ``build_training_set`` documents."""
+    attributes = tuple(
+        AttributeSpec(name, kind, (min(column), max(column)) if kind == NUMERIC
+                      else tuple(dict.fromkeys(column)))
+        for (name, kind), column in zip(specs, columns))
+    return TrainingSet(attributes, tuple(sorted(set(labels))), columns, labels)
 
 
 def load_csv(text: str) -> TrainingSet:
@@ -212,36 +239,36 @@ def save_csv(ts: TrainingSet) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow([f"{a.name}:{a.kind}" for a in ts.attributes] + ["class:nominal"])
-    for inst in ts.instances:
-        writer.writerow([repr(v) if isinstance(v, float) else v for v in inst.values]
-                        + [inst.label])
+    for row in zip(*ts.columns, ts.labels):
+        writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
     return out.getvalue()
 
 
 def class_distribution(ts: TrainingSet) -> dict[str, int]:
     """Count instances per class label."""
-    return dict(Counter(inst.label for inst in ts.instances))
+    return dict(Counter(ts.labels))
 
 
 def class_members(ts: TrainingSet) -> dict[str, list[int]]:
     """Instance indices per class, in ``ts.classes`` and index order (one pass)."""
     members: dict[str, list[int]] = {label: [] for label in ts.classes}
-    for i, inst in enumerate(ts.instances):
-        if inst.label not in members:
-            raise DataError(f"instance {i} has label {inst.label!r}, "
+    for i, label in enumerate(ts.labels):
+        if label not in members:
+            raise DataError(f"instance {i} has label {label!r}, "
                             f"which is not one of the classes")
-        members[inst.label].append(i)
+        members[label].append(i)
     return members
 
 
 def subset(ts: TrainingSet, indices: list[int]) -> TrainingSet:
     """A new TrainingSet over the given instance indices.
 
-    The instances are the parent's own and are not checked again. Domains
+    The values are the parent's own and are not checked again. Domains
     and classes are re-inferred from the subset, so fitting on a fold never
     sees values that only occur outside it.
     """
-    instances = tuple(ts.instances[i] for i in indices)
-    if not instances:
+    if not indices:
         raise DataError("empty dataset: no instances")
-    return _with_schema([(a.name, a.kind) for a in ts.attributes], instances)
+    part = ts.take(indices)
+    return _with_schema([(a.name, a.kind) for a in ts.attributes],
+                        part.columns, part.labels)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import (NOMINAL, NUMERIC, AttributeSpec, Instance, TrainingSet,
+from .dataset import (NOMINAL, NUMERIC, AttributeSpec, TrainingSet,
                       is_finite_number, is_number)
 from .errors import DataError, ModelIntegrityError
 
@@ -54,7 +54,7 @@ class DiscretizationMap:
             return f"b{bisect_left(self.cuts[attribute], value)}"
         return value
 
-    def bin_column(self, attribute: str, column) -> list:
+    def bin_column(self, attribute: str, column) -> tuple:
         """``bin_label`` of every value of one column, in order.
 
         A column of ints and floats (NaN included) is binned by one
@@ -64,16 +64,16 @@ class DiscretizationMap:
         """
         cuts = self.cuts.get(attribute)
         if cuts is None:
-            return list(column)
+            return tuple(column)
         if not (_float_exact(column) and _float_exact(cuts)):
-            return [self.bin_label(attribute, v) for v in column]
+            return tuple(self.bin_label(attribute, v) for v in column)
         values = np.array(column, dtype=float)
         bins = [f"b{i}" for i in range(len(cuts) + 1)]
         out = [bins[i] for i in
                np.searchsorted(np.array(cuts, dtype=float), values).tolist()]
         for i in np.flatnonzero(np.isnan(values)).tolist():
             out[i] = column[i]
-        return out
+        return tuple(out)
 
     def bin_count(self, attribute: str) -> int:
         return len(self.cuts[attribute]) + 1
@@ -177,13 +177,12 @@ def discretize_supervised(ts: TrainingSet) -> DiscretizationMap:
     Each attribute's candidates are found once, by array operations over
     its column (``_candidates``).
     """
-    labels = [inst.label for inst in ts.instances]
     cuts: dict[str, tuple[float, ...]] = {}
-    for spec in ts.attributes:
+    for spec, column in zip(ts.attributes, ts.columns):
         if spec.kind != NUMERIC:
             continue
         found: list[float] = []
-        _mdl_split(ts.column(spec.name), labels, found)
+        _mdl_split(column, ts.labels, found)
         cuts[spec.name] = tuple(sorted(found))
     return DiscretizationMap(cuts)
 
@@ -369,17 +368,14 @@ def apply_map(dmap: DiscretizationMap | None, ts: TrainingSet) -> TrainingSet:
         if spec.kind == NUMERIC and spec.name not in dmap.cuts:
             raise DataError(f"attribute {spec.name!r} missing from discretization map")
 
-    columns = [dmap.bin_column(spec.name, ts.column(spec.name))
-               for spec in ts.attributes]
-    rows = zip(*columns) if columns else [()] * len(ts.instances)
+    columns = tuple(dmap.bin_column(spec.name, column)
+                    for spec, column in zip(ts.attributes, ts.columns))
     new_specs = tuple(
         AttributeSpec(spec.name, NOMINAL,
                       tuple(f"b{i}" for i in range(dmap.bin_count(spec.name))))
         if spec.kind == NUMERIC else spec
         for spec in ts.attributes)
-    new_instances = tuple(Instance(values, inst.label)
-                          for values, inst in zip(rows, ts.instances))
-    return TrainingSet(new_specs, ts.classes, new_instances)
+    return TrainingSet(new_specs, ts.classes, columns, ts.labels)
 
 
 def fit_map(ts: TrainingSet, mode: str, bins: int = 10) -> DiscretizationMap | None:

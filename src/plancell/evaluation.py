@@ -45,11 +45,10 @@ def make_folds(ts: TrainingSet, folds: int = 10, seed: int = 0) -> FoldPlan:
     """Stratified shuffle-then-deal assignment of instances to folds."""
     if folds < 2:
         raise DataError(f"need at least 2 folds, got {folds}")
-    if len(ts.instances) < folds:
-        raise DataError(
-            f"{len(ts.instances)} instances cannot fill {folds} folds")
+    if len(ts) < folds:
+        raise DataError(f"{len(ts)} instances cannot fill {folds} folds")
     rng = random.Random(seed)
-    assignment = [0] * len(ts.instances)
+    assignment = [0] * len(ts)
     pointer = 0
     for members in class_members(ts).values():
         rng.shuffle(members)
@@ -95,7 +94,7 @@ def _fit_predictor(method: str, fitted: TrainingSet,
     Trees and rule bases bin raw values themselves; kNN encodes them first.
     """
     if method == "majority":
-        label = majority_label(Counter(i.label for i in fitted.instances))
+        label = majority_label(Counter(fitted.labels))
         return lambda values: label
     if method == "knn":
         model = fit_knn(fitted, k)
@@ -198,7 +197,7 @@ def _cross_validate_mode(ts: TrainingSet, methods: list[str], mode: str,
             correct[row] += fold_correct
             per_fold[row].append(100.0 * fold_correct / len(test))
 
-    total = len(ts.instances)
+    total = len(ts)
     return [EvalReport(method, mode, plan.seed, plan.folds, total, correct[row],
                        total - correct[row] - errors[row], errors[row],
                        tuple(per_fold[row]),

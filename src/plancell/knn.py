@@ -41,14 +41,10 @@ def fit_knn(ts: TrainingSet, k: int = 1) -> KnnModel:
     """Memorize the training set column by column; k must fit within it."""
     if k < 1:
         raise DataError(f"k must be >= 1, got {k}")
-    if k > len(ts.instances):
-        raise DataError(
-            f"k={k} exceeds the {len(ts.instances)} training instances")
-    for inst in ts.instances:
-        case_values(inst, len(ts.attributes))
+    if k > len(ts):
+        raise DataError(f"k={k} exceeds the {len(ts)} training instances")
     columns, spans, codes = [], [], []
-    for spec in ts.attributes:
-        raw = ts.column(spec.name)
+    for spec, raw in zip(ts.attributes, ts.columns):
         if spec.kind == NUMERIC:
             columns.append(np.array(raw, dtype=float))
             spans.append(float(spec.domain[1]) - float(spec.domain[0]))
@@ -71,7 +67,7 @@ def _distances(model: KnnModel, query) -> np.ndarray:
     NaN numeric value is near no row and raises UnknownValueError.
     """
     values = case_values(query, len(model.columns))
-    total = np.zeros(len(model.training.instances))
+    total = np.zeros(len(model.training))
     for spec, column, span, codes, x in zip(model.training.attributes,
                                             model.columns, model.spans,
                                             model.codes, values):
@@ -90,13 +86,13 @@ def _distances(model: KnnModel, query) -> np.ndarray:
 def classify_knn(model: KnnModel, query) -> str:
     """Majority label among the k nearest training instances."""
     dists = _distances(model, query)
-    instances = model.training.instances
+    labels = model.training.labels
     if model.k == 1:
-        return instances[int(np.argmin(dists))].label
+        return labels[int(np.argmin(dists))]
     # stable sort: equal distances keep training order, and each label's
     # first neighbour is its nearest
     neighbors = np.argsort(dists, kind="stable")[:model.k].tolist()
-    labels = [instances[i].label for i in neighbors]
-    votes = Counter(labels)
+    nearest = [labels[i] for i in neighbors]
+    votes = Counter(nearest)
     return min(votes, key=lambda label: (
-        -votes[label], dists[neighbors[labels.index(label)]], label))
+        -votes[label], dists[neighbors[nearest.index(label)]], label))

@@ -93,14 +93,13 @@ class InductionGraph:
         return {spec.name: i for i, spec in enumerate(self.attributes)}
 
 
-def _partition(column: list, labels: list[str], idx) -> tuple[dict, dict]:
+def _partition(column: tuple, labels: tuple, idx) -> tuple[dict, dict]:
     """The rows ``idx`` by their value in ``column``, and each part's label
     counts; values, and labels within a part, in order of first appearance."""
     rows = defaultdict(list)
     for i in idx:
         rows[column[i]].append(i)
-    return rows, {v: Counter(map(labels.__getitem__, part))
-                  for v, part in rows.items()}
+    return rows, {v: Counter([labels[i] for i in part]) for v, part in rows.items()}
 
 
 def _score(mode: str, parent: float, counts) -> float:
@@ -120,9 +119,8 @@ def _score(mode: str, parent: float, counts) -> float:
 
 
 def _attribute_score(mode: str, ts: TrainingSet, attribute: str) -> float:
-    labels = [inst.label for inst in ts.instances]
-    _, counts = _partition(ts.column(attribute), labels, range(len(labels)))
-    return _score(mode, entropy(Counter(labels)), counts.values())
+    _, counts = _partition(ts.column(attribute), ts.labels, range(len(ts)))
+    return _score(mode, entropy(Counter(ts.labels)), counts.values())
 
 
 def information_gain(ts: TrainingSet, attribute: str) -> float:
@@ -154,7 +152,7 @@ def grow(ts: TrainingSet, mode: str = GAIN_RATIO, min_leaf: int = 2,
     """
     if mode not in (GAIN_RATIO, INFO_GAIN):
         raise DataError(f"unknown growth mode {mode!r}")
-    if not ts.instances:
+    if not len(ts):
         raise DataError("cannot grow a tree from an empty training set")
     for spec in ts.attributes:
         if spec.kind != NOMINAL:
@@ -163,13 +161,10 @@ def grow(ts: TrainingSet, mode: str = GAIN_RATIO, min_leaf: int = 2,
     if min_leaf < 1:
         raise DataError(f"min_leaf must be >= 1, got {min_leaf}")
 
-    columns = {s.name: ts.column(s.name) for s in ts.attributes}
-    labels = [inst.label for inst in ts.instances]
+    columns = dict(zip(ts.attribute_names, ts.columns))
     domains = {s.name: s.domain for s in ts.attributes}
-
-    all_idx = list(range(len(ts.instances)))
-    root = TreeNode("", dict(Counter(labels)))
-    queue = deque([(root, all_idx, tuple(ts.attribute_names))])
+    root = TreeNode("", dict(Counter(ts.labels)))
+    queue = deque([(root, list(range(len(ts))), ts.attribute_names)])
     while queue:
         node, idx, attrs = queue.popleft()
         if len(node.counts) == 1 or not attrs:
@@ -177,7 +172,7 @@ def grow(ts: TrainingSet, mode: str = GAIN_RATIO, min_leaf: int = 2,
         parent = entropy(node.counts)
         best_score, best = 0.0, None
         for attr in attrs:
-            rows, counts = _partition(columns[attr], labels, idx)
+            rows, counts = _partition(columns[attr], ts.labels, idx)
             s = _score(mode, parent, counts.values())
             if s > best_score:
                 best_score, best = s, (attr, rows, counts)
@@ -237,12 +232,11 @@ def rep_prune(tree: InductionGraph, prune_set: TrainingSet) -> InductionGraph:
     prune instances that reach it. Subtrees no prune instance reaches are
     kept as grown. Node ids are reassigned breadth-first in the pruned tree.
     """
-    if tuple(s.name for s in prune_set.attributes) != \
-            tuple(s.name for s in tree.attributes):
+    if prune_set.attribute_names != tuple(s.name for s in tree.attributes):
         raise DataError("prune set schema does not match the tree schema")
 
-    col = {s.name: prune_set.column(s.name) for s in prune_set.attributes}
-    labels = [inst.label for inst in prune_set.instances]
+    col = dict(zip(prune_set.attribute_names, prune_set.columns))
+    labels = prune_set.labels
 
     def prune(node: TreeNode, idx: list[int]) -> tuple[TreeNode, int]:
         """A pruned copy of ``node`` and its errors on the rows ``idx``."""
@@ -263,7 +257,7 @@ def rep_prune(tree: InductionGraph, prune_set: TrainingSet) -> InductionGraph:
             return leaf, leaf_errors
         return pruned, errors
 
-    root, _ = prune(tree.root, list(range(len(prune_set.instances))))
+    root, _ = prune(tree.root, list(range(len(prune_set))))
     return replace(tree, root=_number(root))
 
 
@@ -284,12 +278,6 @@ def _stratified_thirds(ts: TrainingSet, seed: int) -> tuple[list[int], list[int]
     return sorted(grow_idx), sorted(prune_idx)
 
 
-def _take(ts: TrainingSet, indices: list[int]) -> TrainingSet:
-    # keep the full schema: branch order must follow fit-time domains
-    return TrainingSet(ts.attributes, ts.classes,
-                       tuple(ts.instances[i] for i in indices))
-
-
 def induce(ts: TrainingSet, method: str = J48, min_leaf: int = 2,
            seed: int = 0,
            discretization: DiscretizationMap | None = None) -> InductionGraph:
@@ -302,9 +290,10 @@ def induce(ts: TrainingSet, method: str = J48, min_leaf: int = 2,
         return grow(ts, GAIN_RATIO, min_leaf, discretization)
     if method == REPTREE:
         grow_idx, prune_idx = _stratified_thirds(ts, seed)
-        graph = grow(_take(ts, grow_idx), INFO_GAIN, min_leaf, discretization)
+        # take keeps the full schema: branch order follows fit-time domains
+        graph = grow(ts.take(grow_idx), INFO_GAIN, min_leaf, discretization)
         if prune_idx:
-            graph = rep_prune(graph, _take(ts, prune_idx))
+            graph = rep_prune(graph, ts.take(prune_idx))
         return graph
     raise DataError(f"unknown induction method {method!r}")
 

@@ -582,6 +582,20 @@ def test_eval_writes_report(runs_file, tmp_path, capsys):
     assert "majority,27.27" in body
 
 
+def test_a_set_without_attributes_trains_and_evaluates(tmp_path, capsys):
+    labels = tmp_path / "labels.csv"
+    labels.write_text("class:nominal\nP1\nP2\nP1\n")
+    model = tmp_path / "model.json"
+    assert run(["train", "--in", str(labels), "--out", str(model)]) == 0
+    assert len(model_from_json(json.loads(model.read_text())).nodes()) == 1
+    capsys.readouterr()
+    assert run(["eval", "--in", str(labels), "--methods", "j48,knn,majority",
+                "--modes", "none", "--folds", "2"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split() for row in rows] == [
+        ["j48", "66.67"], ["knn", "66.67"], ["majority", "66.67"]]
+
+
 def test_eval_requires_input(capsys):
     assert run(["eval"]) == 2
 

@@ -2,10 +2,14 @@ import math
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plancell import (DataError, build_training_set, class_distribution,
                       load_csv, save_csv, subset)
-from plancell.dataset import AttributeSpec, Instance, TrainingSet
+from plancell.dataset import (NOMINAL, NUMERIC, AttributeSpec, Instance,
+                              TrainingSet)
+from plancell.discretize import apply_map, encode, fit_map
 
 CSV = """problem:nominal,time:numeric,steps:numeric,class:nominal
 blocks-4,0.5,6,P1
@@ -44,7 +48,7 @@ def test_round_trip_exact():
 
 def test_column_and_value_helpers():
     ts = load_csv(CSV)
-    assert ts.column("steps") == [6.0, 10.0, 6.0]
+    assert ts.column("steps") == (6.0, 10.0, 6.0)
 
 
 def test_class_distribution():
@@ -112,8 +116,8 @@ def test_duplicate_attribute_names_rejected():
     # a set built directly is refused too, not first at compile_tree
     spec = AttributeSpec("x", "nominal", ("a", "b"))
     with pytest.raises(DataError, match="duplicate attribute names"):
-        TrainingSet((spec, spec), ("A", "B"),
-                    (Instance(("a", "a"), "A"), Instance(("b", "b"), "B")))
+        TrainingSet((spec, spec), ("A", "B"), (("a", "b"), ("a", "b")),
+                    ("A", "B"))
 
 
 def test_unknown_kind_rejected():
@@ -175,8 +179,10 @@ def test_subset_schema_equals_building_from_its_rows():
         built = build_training_set(columns, [
             ts.instances[i].values + (ts.instances[i].label,) for i in indices])
         assert sub == built
-        # the subset holds the parent's own instances
-        assert all(s is ts.instances[i] for s, i in zip(sub.instances, indices))
+        # the subset holds the parent's own values
+        for mine, parents in zip(sub.columns + (sub.labels,),
+                                 ts.columns + (ts.labels,)):
+            assert all(v is parents[i] for v, i in zip(mine, indices))
 
 
 def test_subset_of_no_rows_is_refused():
@@ -188,3 +194,71 @@ def test_subset_keeps_instance_order():
     ts = load_csv(CSV)
     sub = subset(ts, [2, 0])
     assert [i.values[1] for i in sub.instances] == [0.125, 0.5]
+
+
+def test_training_set_checks_its_shape(runs11):
+    # one column per attribute ...
+    with pytest.raises(DataError, match="2 columns for 3 attributes"):
+        TrainingSet(runs11.attributes, runs11.classes, runs11.columns[:2],
+                    runs11.labels)
+    # ... each as long as the labels
+    short = runs11.columns[:2] + (runs11.columns[2][:-1],)
+    with pytest.raises(DataError, match="column 'steps': 10 values, 11 labels"):
+        TrainingSet(runs11.attributes, runs11.classes, short, runs11.labels)
+
+
+def test_a_set_without_attributes():
+    text = "class:nominal\nP1\nP2\nP1\n"
+    ts = load_csv(text)
+    assert save_csv(ts) == text
+    assert len(ts) == 3
+    assert ts.instances == (Instance((), "P1"), Instance((), "P2"),
+                            Instance((), "P1"))
+
+
+@pytest.mark.parametrize("bad", ["", " a", "a ", "\ta", "a\n"])
+@pytest.mark.parametrize("column", [0, 1])
+def test_values_csv_cannot_read_back_are_refused(bad, column):
+    # load_csv strips every cell and refuses an empty one, so such a value
+    # would read back as another value, or not at all
+    rows = [("a", "P1"), ("b", "P2")]
+    rows[1] = (bad, "P2") if column == 0 else ("b", bad)
+    what = "attribute 'x': nominal value" if column == 0 else "class label"
+    with pytest.raises(DataError, match=re.escape(f"{what} {bad!r}")):
+        build_training_set([("x", "nominal")], rows)
+
+
+@st.composite
+def row_sets(draw):
+    """0-3 attributes of mixed kinds and 1-20 rows over them."""
+    kinds = draw(st.lists(st.sampled_from([NOMINAL, NUMERIC]), max_size=3))
+    cell = {NOMINAL: st.sampled_from(["a", "b c", "d,e", 'f"g', "b0"]),
+            NUMERIC: st.one_of(st.integers(-5, 5), st.floats(-1e3, 1e3))}
+    rows = draw(st.lists(st.tuples(*[cell[k] for k in kinds],
+                                   st.sampled_from(["P1", "P2", "P3"])),
+                         min_size=1, max_size=20))
+    return [(f"x{i}", k) for i, k in enumerate(kinds)], rows
+
+
+def assert_rows(ts, rows):
+    """The row view of ``ts`` is ``rows``, and each column is its values."""
+    assert ts.instances == tuple(Instance(tuple(r[:-1]), r[-1]) for r in rows)
+    for i, name in enumerate(ts.attribute_names):
+        assert ts.column(name) == tuple(inst.values[i] for inst in ts.instances)
+
+
+@settings(max_examples=150, deadline=None)
+@given(row_sets(), st.data())
+def test_columns_agree_with_the_row_model(case, data):
+    specs, rows = case
+    ts = build_training_set(specs, rows)
+    assert_rows(ts, rows)
+    assert_rows(load_csv(save_csv(ts)), rows)
+    indices = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=25))
+    assert_rows(ts.take(indices), [rows[i] for i in indices])
+    if indices:
+        assert_rows(subset(ts, indices), [rows[i] for i in indices])
+    for mode in ("supervised", "unsupervised"):
+        dmap = fit_map(ts, mode)
+        assert_rows(apply_map(dmap, ts),
+                    [encode(dmap, ts.attributes, r[:-1]) + r[-1:] for r in rows])

@@ -16,9 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plancell.casi import classify_casi, compile_tree, kb_from_json, kb_to_json
-from plancell.dataset import (NOMINAL, NUMERIC, AttributeSpec, Instance,
-                              TrainingSet, build_training_set, load_csv,
-                              save_csv)
+from plancell.dataset import (NOMINAL, NUMERIC, AttributeSpec, TrainingSet,
+                              build_training_set, load_csv, save_csv)
 from plancell.discretize import DiscretizationMap, apply_map, encode, fit_map
 from plancell.errors import UnknownValueError
 from plancell.tree import (classify_tree, grow, induce, model_from_json,
@@ -108,10 +107,9 @@ def mixed_columns(draw):
     specs = (AttributeSpec("x0", NUMERIC, (0, 1)),
              AttributeSpec("x1", NUMERIC, (0, 1)),
              AttributeSpec("tag", NOMINAL, ("t",)))
-    instances = tuple(Instance((a, b, "t"), "K")
-                      for a, b in zip(*columns))
     dmap = DiscretizationMap({"x0": cuts, "x1": cuts[1:]})
-    return dmap, TrainingSet(specs, ("K",), instances)
+    return dmap, TrainingSet(specs, ("K",), (*map(tuple, columns), ("t",) * n),
+                             ("K",) * n)
 
 
 @settings(max_examples=300, deadline=None)

@@ -6,7 +6,7 @@ import pytest
 
 import plancell.evaluation as evaluation
 from plancell.blocksworld import generate_corpus
-from plancell.dataset import Instance, build_training_set, class_members
+from plancell.dataset import build_training_set, class_members
 from plancell.errors import DataError
 from plancell.evaluation import (EvalReport, cross_validate, evaluate_grid,
                                  make_folds, report, report_csv)
@@ -36,7 +36,8 @@ def test_class_grouping_matches_per_class_scans(seed):
 def test_a_label_outside_the_classes_is_refused_not_dropped():
     ts = build_training_set([("x", "nominal")],
                             [(f"v{i % 3}", "AB"[i % 2]) for i in range(12)])
-    stray = replace(ts, instances=ts.instances + (Instance(("v0",), "C"),))
+    stray = replace(ts, columns=(ts.columns[0] + ("v0",),),
+                    labels=ts.labels + ("C",))
     with pytest.raises(DataError, match="instance 12 has label 'C'"):
         class_members(stray)
     with pytest.raises(DataError, match="instance 12 has label 'C'"):

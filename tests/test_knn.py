@@ -1,12 +1,11 @@
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import knn_distance, knn_label
-from plancell.dataset import Instance, build_training_set
+from plancell.dataset import build_training_set
 from plancell.errors import DataError, UnknownValueError
 from plancell.knn import _distances, classify_knn, fit_knn
 
@@ -190,9 +189,3 @@ def test_classify_knn_checks_query_width(runs_knn):
     with pytest.raises(DataError, match="width"):
         classify_knn(runs_knn, ("blocks-4", 0.1, 6.0, 1.0))
 
-
-def test_fit_knn_checks_training_width(runs11):
-    ragged = replace(runs11, instances=runs11.instances[:-1] + (
-        Instance(runs11.instances[-1].values[:2], "P1"),))
-    with pytest.raises(DataError, match="width"):
-        fit_knn(ragged)

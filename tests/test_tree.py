@@ -141,7 +141,7 @@ def test_grow_rejects_bad_input(runs11):
     with pytest.raises(DataError, match="min_leaf"):
         grow(nominal_set(["x"], [("a", "A")]), min_leaf=0)
     with pytest.raises(DataError, match="empty"):
-        grow(TrainingSet((), ("A",), ()))
+        grow(TrainingSet((), ("A",), (), ()))
 
 
 def test_grow_is_deterministic(binned):
@@ -251,7 +251,8 @@ def test_prune_keeps_unvisited_subtree():
 
 def test_prune_with_empty_prune_set_is_identity(binned):
     tree = grow(binned, INFO_GAIN, min_leaf=1)
-    empty = TrainingSet(binned.attributes, binned.classes, ())
+    empty = TrainingSet(binned.attributes, binned.classes,
+                        tuple(() for _ in binned.attributes), ())
     assert model_to_json(rep_prune(tree, empty)) == model_to_json(tree)
 
 

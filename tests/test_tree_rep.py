@@ -52,12 +52,20 @@ def pruning_cases(draw):
     rows = draw(st.lists(
         st.builds(Instance, st.tuples(*[st.sampled_from("abcd")] * width),
                   st.sampled_from("ABCD")), max_size=30))
-    return ts, TrainingSet(ts.attributes, ts.classes, tuple(rows))
+    return ts, with_rows(ts, rows)
+
+
+def with_rows(schema, rows):
+    """A training set of the Instances ``rows`` under the attributes and
+    classes of ``schema``."""
+    columns = tuple(tuple(r.values[i] for r in rows)
+                    for i in range(len(schema.attributes)))
+    return TrainingSet(schema.attributes, schema.classes, columns,
+                       tuple(r.label for r in rows))
 
 
 def subset(ts, rows):
-    return TrainingSet(ts.attributes, ts.classes,
-                       tuple(ts.instances[i] for i in rows))
+    return with_rows(ts, [ts.instances[i] for i in rows])
 
 
 def breadth_first(root):
@@ -176,7 +184,7 @@ def two_level_case():
     """Both children of the root split again: depth-first order differs."""
     rows = [("a", "p", "A"), ("a", "q", "B"), ("b", "p", "C"), ("b", "q", "D")]
     ts = nominal_set(["x", "y"], rows * 2)
-    return ts, TrainingSet(ts.attributes, ts.classes, ())
+    return ts, with_rows(ts, [])
 
 
 @PROPERTY
@@ -196,8 +204,7 @@ def test_ids_follow_breadth_first_order(case, mode, min_leaf):
 def stump_and_prune(rows):
     tree = grow(nominal_set(["x"], [("a", "c1"), ("a", "c1"), ("b", "c2")]),
                 INFO_GAIN, min_leaf=1)
-    return tree, TrainingSet(tree.attributes, tree.classes,
-                             tuple(Instance((x,), y) for x, y in rows))
+    return tree, with_rows(tree, [Instance((x,), y) for x, y in rows])
 
 
 def test_prune_tie_goes_to_the_leaf():
