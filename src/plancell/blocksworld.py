@@ -184,10 +184,6 @@ def apply(state: BlockState, action: Action) -> BlockState:
     return BlockState._packed(names, tuple(succ))
 
 
-def satisfies(state: BlockState, goal) -> bool:
-    return _reached(state.support, _read_goal(state.names, goal))
-
-
 def validate_plan(initial: BlockState, plan, goal) -> tuple[bool, str | None]:
     """Replay a plan; (True, None) iff every step applies and the goal holds.
 

@@ -22,7 +22,7 @@ from .casi import (classify_casi, compile_tree, format_fact_table,
 from .dataset import NUMERIC, class_distribution, load_csv, save_csv
 from .discretize import MODES, apply_map, fit_map
 from .errors import DataError, LimitError, ModelError
-from .evaluation import (UNKNOWN, cross_validate, evaluate_grid, predict,
+from .evaluation import (UNKNOWN, cross_validate, evaluate_grid, label_cases,
                          report, report_csv)
 from .plans import DEFAULT_MAX_PLANS, enumerate_plans, first_plan
 from .project import parse_project
@@ -174,10 +174,10 @@ def _cmd_classify(args) -> int:
 
     lines = ["index,actual,predicted"]
     hits = 0
-    for i, inst in enumerate(cases.instances):
-        predicted = predict(classify, inst.values)
-        hits += predicted == inst.label
-        lines.append(f"{i},{inst.label},{UNKNOWN if predicted is None else predicted}")
+    labels = label_cases(classify, apply_map(model.discretization, cases))
+    for i, (actual, predicted) in enumerate(zip(cases.labels, labels)):
+        hits += predicted == actual
+        lines.append(f"{i},{actual},{UNKNOWN if predicted is None else predicted}")
     body = "\n".join(lines) + "\n"
     if args.out:
         _write_atomic(args.out, body)

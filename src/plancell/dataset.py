@@ -2,9 +2,9 @@
 
 A training set is stored by column: one tuple of values per descriptive
 attribute plus one tuple of class labels, every reader's layout. The rows
-(``instances``) are a view built on first read. Attributes are either
-nominal or numeric; the class column is always the last one and is named
-``class``. Missing cells are a hard parse error.
+(``rows``, and ``instances`` with their labels) are views built on first
+read. Attributes are either nominal or numeric; the class column is always
+the last one and is named ``class``. Missing cells are a hard parse error.
 """
 
 from __future__ import annotations
@@ -86,10 +86,14 @@ class TrainingSet:
         return len(self.labels)
 
     @cached_property
+    def rows(self) -> tuple[tuple, ...]:
+        """The values of each row, one tuple each, built on first read."""
+        return tuple(zip(*self.columns)) if self.columns else ((),) * len(self)
+
+    @cached_property
     def instances(self) -> tuple[Instance, ...]:
         """The rows, one Instance each, built on first read."""
-        rows = zip(*self.columns) if self.columns else [()] * len(self)
-        return tuple(map(Instance, rows, self.labels))
+        return tuple(map(Instance, self.rows, self.labels))
 
     @property
     def attribute_names(self) -> tuple[str, ...]:

@@ -2,15 +2,15 @@
 
 This module alone decides whether and how data is binned: ``fit_map`` takes
 one of ``MODES``, and mode "none" fits no map (``None``), through which
-``apply_map`` and ``encode`` pass values unchanged. Both fitters produce a
+``apply_map`` passes a set unchanged. Both fitters produce a
 DiscretizationMap, a per-attribute list of strictly increasing cut points.
 A value v falls into bin ``count of cuts < v``, so a value equal to a cut
 maps to the bin on its left. ``bin_label`` is the one path from a raw value
-to a model value and ``bin_column`` its form for a whole column; ``encode``
-maps a case through the first, and ``apply_map`` rewrites the numeric
-columns of a training set into nominal bin codes b0, b1, ... through the
-second. ``schema_to_json``/``schema_from_json`` are the one JSON form of a
-model's schema and cut points, shared by tree models and cellular rule bases.
+to a model value and ``bin_column`` its form for a whole column;
+``apply_map`` rewrites the numeric columns of a set, training data or cases
+to classify, into nominal bin codes b0, b1, ... through the second.
+``schema_to_json``/``schema_from_json`` are the one JSON form of a model's
+schema and cut points, shared by tree models and cellular rule bases.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -54,6 +55,14 @@ class DiscretizationMap:
             return f"b{bisect_left(self.cuts[attribute], value)}"
         return value
 
+    @cached_property
+    def _bins(self) -> dict[str, tuple]:
+        """Per attribute, its bin labels b0, b1, ... and its cuts as a float
+        array, or None where a float cannot hold every cut exactly."""
+        return {name: (tuple(f"b{i}" for i in range(len(cs) + 1)),
+                       np.array(cs, dtype=float) if _float_exact(cs) else None)
+                for name, cs in self.cuts.items()}
+
     def bin_column(self, attribute: str, column) -> tuple:
         """``bin_label`` of every value of one column, in order.
 
@@ -62,21 +71,16 @@ class DiscretizationMap:
         holds every value and cut exactly; any other column, and an int
         beyond 2**53, goes value by value.
         """
-        cuts = self.cuts.get(attribute)
-        if cuts is None:
+        if attribute not in self.cuts:
             return tuple(column)
-        if not (_float_exact(column) and _float_exact(cuts)):
+        bins, cuts = self._bins[attribute]
+        if cuts is None or not _float_exact(column):
             return tuple(self.bin_label(attribute, v) for v in column)
         values = np.array(column, dtype=float)
-        bins = [f"b{i}" for i in range(len(cuts) + 1)]
-        out = [bins[i] for i in
-               np.searchsorted(np.array(cuts, dtype=float), values).tolist()]
+        out = [bins[i] for i in np.searchsorted(cuts, values).tolist()]
         for i in np.flatnonzero(np.isnan(values)).tolist():
             out[i] = column[i]
         return tuple(out)
-
-    def bin_count(self, attribute: str) -> int:
-        return len(self.cuts[attribute]) + 1
 
 
 def _float_exact(values) -> bool:
@@ -88,15 +92,6 @@ def _float_exact(values) -> bool:
     types = set(map(type, values))
     return types <= {int, float} and (
         int not in types or -2**53 <= min(values) and max(values) <= 2**53)
-
-
-def encode(dmap: DiscretizationMap | None, attributes, values) -> tuple:
-    """A raw case as model values, one ``bin_label`` per attribute spec; a
-    model without a map (``None``) encodes nothing."""
-    if dmap is None:
-        return tuple(values)
-    return tuple(dmap.bin_label(spec.name, v)
-                 for spec, v in zip(attributes, values))
 
 
 def schema_to_json(attributes, classes, dmap: DiscretizationMap | None) -> dict:
@@ -196,15 +191,6 @@ def entropy(dist) -> float:
     if total == 0:
         raise DataError("entropy of an all-zero distribution")
     return -sum((n / total) * math.log2(n / total) for n in counts if n)
-
-
-def boundary_candidates(pairs: list[tuple[float, str]]) -> list[float]:
-    """Midpoints between consecutive distinct values with differing class sets.
-
-    ``pairs`` are (value, label) rows in any order. These are the only cut
-    positions a best entropy split can occupy.
-    """
-    return _candidates([v for v, _ in pairs], [y for _, y in pairs])[0].tolist()
 
 
 def _midpoint(a, b) -> float:
@@ -371,8 +357,7 @@ def apply_map(dmap: DiscretizationMap | None, ts: TrainingSet) -> TrainingSet:
     columns = tuple(dmap.bin_column(spec.name, column)
                     for spec, column in zip(ts.attributes, ts.columns))
     new_specs = tuple(
-        AttributeSpec(spec.name, NOMINAL,
-                      tuple(f"b{i}" for i in range(dmap.bin_count(spec.name))))
+        AttributeSpec(spec.name, NOMINAL, dmap._bins[spec.name][0])
         if spec.kind == NUMERIC else spec
         for spec in ts.attributes)
     return TrainingSet(new_specs, ts.classes, columns, ts.labels)

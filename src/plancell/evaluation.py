@@ -4,7 +4,10 @@ Folds are stratified by shuffle-then-deal: within each class the instances
 are shuffled (seeded) and dealt onto folds through one rolling pointer, so
 class counts per fold differ by at most one and small datasets spread as
 evenly as possible. Discretization is fit inside each fold on the training
-split only, unless the caller explicitly asks for one global map.
+split only, unless the caller explicitly asks for one global map. Each
+fold's test cases are binned once through that fold's map, and every
+method labels each distinct encoded case once (``label_cases``); the
+counts still cover every case.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 
 from .casi import classify_casi, compile_tree
 from .dataset import NUMERIC, TrainingSet, class_members, subset
-from .discretize import MODES, DiscretizationMap, apply_map, encode, fit_map
+from .discretize import MODES, DiscretizationMap, apply_map, fit_map
 from .errors import DataError, PlancellError, UnknownValueError
 from .knn import classify_knn, fit_knn
 from .tree import classify_tree, induce, majority_label
@@ -86,20 +89,31 @@ def predict(classify, values) -> str | None:
         return None
 
 
+def label_cases(classify, cases: TrainingSet) -> list[str | None]:
+    """``predict``'s label for every case of an encoded set, in case order.
+
+    Each distinct case is labelled once, in order of first appearance, so
+    a failure other than an unknown value stops at the same case as a
+    case-by-case loop would.
+    """
+    labels = {row: predict(classify, row) for row in dict.fromkeys(cases.rows)}
+    return [labels[row] for row in cases.rows]
+
+
 def _fit_predictor(method: str, fitted: TrainingSet,
                    dmap: DiscretizationMap | None, engine: str,
                    seed: int, k: int, min_leaf: int):
-    """Train one fold's classifier; returns a raw values -> label callable.
+    """Train one fold's classifier; returns a values -> label callable.
 
-    Trees and rule bases bin raw values themselves; kNN encodes them first.
+    It is handed cases binned through ``dmap``: kNN reads them as they are,
+    and trees and rule bases pass bin labels through their own map.
     """
     if method == "majority":
         label = majority_label(Counter(fitted.labels))
         return lambda values: label
     if method == "knn":
         model = fit_knn(fitted, k)
-        return lambda values: classify_knn(
-            model, encode(dmap, fitted.attributes, values))
+        return lambda values: classify_knn(model, values)
     graph = induce(fitted, method, min_leaf=min_leaf, seed=seed,
                    discretization=dmap)
     if engine == "casi":
@@ -168,7 +182,8 @@ def _cross_validate_mode(ts: TrainingSet, methods: list[str], mode: str,
                          plan: FoldPlan, k: int, bins: int, min_leaf: int,
                          engine: str, global_discretize: bool) -> list[EvalReport]:
     """One report per method under ``mode``. Each fold is prepared once,
-    then every method is trained on it and tested on the held-out cases."""
+    its held-out cases binned once, then every method is trained on it and
+    labels each distinct held-out case once."""
     global_map = fit_map(ts, mode, bins) if global_discretize else None
     correct = [0] * len(methods)
     errors = [0] * len(methods)
@@ -178,7 +193,7 @@ def _cross_validate_mode(ts: TrainingSet, methods: list[str], mode: str,
         train = subset(ts, plan.train_indices(fold))
         dmap = global_map if global_discretize else fit_map(train, mode, bins)
         fitted = apply_map(dmap, train)
-        test = [ts.instances[i] for i in plan.test_indices(fold)]
+        held = apply_map(dmap, ts.take(plan.test_indices(fold)))
         for row, method in enumerate(methods):
             try:
                 classify = _fit_predictor(method, fitted, dmap, engine,
@@ -186,16 +201,15 @@ def _cross_validate_mode(ts: TrainingSet, methods: list[str], mode: str,
             except PlancellError as exc:
                 raise type(exc)(f"fold {fold}: {exc}") from exc
             fold_correct = 0
-            for inst in test:
-                predicted = predict(classify, inst.values)
+            for actual, predicted in zip(held.labels, label_cases(classify, held)):
                 if predicted is None:
                     errors[row] += 1
                     predicted = UNKNOWN
-                elif predicted == inst.label:
+                elif predicted == actual:
                     fold_correct += 1
-                confusion[row][inst.label, predicted] += 1
+                confusion[row][actual, predicted] += 1
             correct[row] += fold_correct
-            per_fold[row].append(100.0 * fold_correct / len(test))
+            per_fold[row].append(100.0 * fold_correct / len(held))
 
     total = len(ts)
     return [EvalReport(method, mode, plan.seed, plan.folds, total, correct[row],

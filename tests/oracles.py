@@ -12,13 +12,16 @@ from itertools import combinations, product
 
 import numpy as np
 
-from plancell.blocksworld import Action, UnsolvableGoalError, apply, satisfies
-from plancell.casi import NEVER, Configuration
-from plancell.dataset import Instance, case_values
-from plancell.discretize import encode
+from plancell.blocksworld import Action, UnsolvableGoalError, apply
+from plancell.casi import NEVER, Configuration, classify_casi, compile_tree
+from plancell.dataset import Instance, case_values, subset
+from plancell.discretize import apply_map, fit_map
 from plancell.errors import (DataError, LimitError, ModelIntegrityError,
                              UnknownValueError)
-from plancell.tree import InductionGraph, TreeNode
+from plancell.evaluation import EvalReport
+from plancell.knn import classify_knn, fit_knn
+from plancell.tree import (InductionGraph, TreeNode, classify_tree, induce,
+                           majority_label)
 
 
 def _closure(chosen, exit_id):
@@ -158,6 +161,13 @@ def blocks_successors(state):
         yield Action("put-down", (x,))
         for y in clear:
             yield Action("stack", (x, y))
+
+
+def satisfies(state, goal):
+    """Every ("on", x, y) and ("on-table", x) atom of the goal holds."""
+    on, on_table = state.on, state.on_table
+    return all(on.get(atom[1]) == atom[2] if atom[0] == "on"
+               else atom[1] in on_table for atom in goal)
 
 
 def bfs_plan(initial, goal, budget):
@@ -406,6 +416,55 @@ def fold_assignment(ts, folds, seed):
     return tuple(assignment)
 
 
+def cv_case_by_case(ts, method, mode, seed=0, folds=10, k=1, bins=10,
+                    min_leaf=2, engine="tree", global_discretize=False):
+    """``cross_validate``'s report by one classification per raw test case.
+
+    Folds come from ``fold_assignment``. Each fold's model is fit as the
+    package fits it, then every held-out case, repeats included, is
+    classified on its own from its raw values; kNN encodes each one first.
+    """
+    assignment = fold_assignment(ts, folds, seed)
+    global_map = fit_map(ts, mode, bins) if global_discretize else None
+    correct = errors = 0
+    per_fold, confusion = [], Counter()
+    for fold in range(folds):
+        train = subset(ts, [i for i, f in enumerate(assignment) if f != fold])
+        dmap = global_map if global_discretize else fit_map(train, mode, bins)
+        fitted = apply_map(dmap, train)
+        if method == "majority":
+            label = majority_label(Counter(fitted.labels))
+            classify = lambda values: label
+        elif method == "knn":
+            model = fit_knn(fitted, k)
+            classify = lambda values: classify_knn(
+                model, encode(dmap, fitted.attributes, values))
+        elif engine == "casi":
+            kb = compile_tree(induce(fitted, method, min_leaf=min_leaf,
+                                     seed=seed, discretization=dmap))
+            classify = lambda values: classify_casi(kb, values)
+        else:
+            graph = induce(fitted, method, min_leaf=min_leaf, seed=seed,
+                           discretization=dmap)
+            classify = lambda values: classify_tree(graph, values)[0]
+        test = [inst for inst, f in zip(ts.instances, assignment) if f == fold]
+        hits = 0
+        for inst in test:
+            try:
+                predicted = classify(inst.values)
+            except UnknownValueError:
+                errors += 1
+                predicted = "?"
+            else:
+                hits += predicted == inst.label
+            confusion[inst.label, predicted] += 1
+        correct += hits
+        per_fold.append(100.0 * hits / len(test))
+    return EvalReport(method, mode, seed, folds, len(ts), correct,
+                      len(ts) - correct - errors, errors, tuple(per_fold),
+                      tuple(sorted((a, p, n) for (a, p), n in confusion.items())))
+
+
 def stratified_thirds(ts, seed):
     """Grow and prune indices: the first third of each shuffled class prunes."""
     grow, prune = [], []
@@ -484,6 +543,15 @@ def casi_generations(trace):
         return tuple(next((c.generation for c in trace if getattr(c, register)[i]),
                           NEVER) for i in range(count))
     return first("EF", len(trace[0].EF)), first("ER", len(trace[0].ER))
+
+
+def encode(dmap, attributes, values):
+    """A raw case as model values, one ``bin_label`` per attribute spec; a
+    model without a map (None) encodes nothing."""
+    if dmap is None:
+        return tuple(values)
+    return tuple(dmap.bin_label(spec.name, v)
+                 for spec, v in zip(attributes, values))
 
 
 def casi_instance_facts(kb, instance):

@@ -15,15 +15,15 @@ from plancell.blocksworld import all_on_table, generate_corpus, generate_runs, \
 from plancell.casi import classify_casi, compile_tree, established_facts, \
     infer, instance_facts
 from plancell.dataset import build_training_set, class_distribution
-from plancell.discretize import apply_map, boundary_candidates, \
-    discretize_supervised, discretize_unsupervised
+from plancell.discretize import apply_map, discretize_supervised, \
+    discretize_unsupervised
 from plancell.errors import UnknownValueError
 from plancell.evaluation import cross_validate, evaluate_grid, make_folds
 from plancell.plans import enumerate_plans
 from plancell.tree import INFO_GAIN, classify_tree, entropy, grow, \
     information_gain
 
-from oracles import brute_force_plans
+from oracles import _boundary_candidates, brute_force_plans
 
 
 def random_nominal_set(rng):
@@ -147,7 +147,7 @@ def test_discretization_oracle_values():
         rows = list(zip(values, labels))
         cuts = discretize_supervised(
             build_training_set([("x", "numeric")], rows)).cuts["x"]
-        midpoints = set(boundary_candidates(sorted(rows)))
+        midpoints = set(_boundary_candidates(sorted(rows)))
         assert set(cuts) <= midpoints
         checked += len(cuts)
     assert checked > 10

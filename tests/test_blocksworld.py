@@ -14,7 +14,8 @@ from plancell.blocksworld import (Action, BlockState, all_on_table, apply,
                                   UnsolvableGoalError)
 from plancell.errors import DataError, InapplicableActionError, LimitError
 
-from oracles import bfs_blocks, bfs_plan, blocks_successors, greedy_plan
+from oracles import (bfs_blocks, bfs_plan, blocks_successors, greedy_plan,
+                     satisfies)
 
 TOWER_PLAN = ("pick-up b", "stack b a", "pick-up c",
               "stack c b", "pick-up d", "stack d c")
@@ -166,8 +167,6 @@ def test_solve_three_block_double_stack():
 
 
 def test_bfs_matches_independent_oracle():
-    from plancell.blocksworld import satisfies
-
     rng = random.Random(31)
     for _ in range(10):
         initial = random_state(list("abcd"), rng)

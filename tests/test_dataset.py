@@ -9,7 +9,9 @@ from plancell import (DataError, build_training_set, class_distribution,
                       load_csv, save_csv, subset)
 from plancell.dataset import (NOMINAL, NUMERIC, AttributeSpec, Instance,
                               TrainingSet)
-from plancell.discretize import apply_map, encode, fit_map
+from plancell.discretize import apply_map, fit_map
+
+from oracles import encode
 
 CSV = """problem:nominal,time:numeric,steps:numeric,class:nominal
 blocks-4,0.5,6,P1
@@ -241,7 +243,8 @@ def row_sets(draw):
 
 
 def assert_rows(ts, rows):
-    """The row view of ``ts`` is ``rows``, and each column is its values."""
+    """The row views of ``ts`` are ``rows``, and each column is its values."""
+    assert ts.rows == tuple(tuple(r[:-1]) for r in rows)
     assert ts.instances == tuple(Instance(tuple(r[:-1]), r[-1]) for r in rows)
     for i, name in enumerate(ts.attribute_names):
         assert ts.column(name) == tuple(inst.values[i] for inst in ts.instances)

@@ -18,10 +18,12 @@ from hypothesis import strategies as st
 from plancell.casi import classify_casi, compile_tree, kb_from_json, kb_to_json
 from plancell.dataset import (NOMINAL, NUMERIC, AttributeSpec, TrainingSet,
                               build_training_set, load_csv, save_csv)
-from plancell.discretize import DiscretizationMap, apply_map, encode, fit_map
+from plancell.discretize import DiscretizationMap, apply_map, fit_map
 from plancell.errors import UnknownValueError
 from plancell.tree import (classify_tree, grow, induce, model_from_json,
                            model_to_json)
+
+from oracles import encode
 
 NOMINAL_VALUES = ["a", "b", "c"]
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -125,6 +127,15 @@ def test_column_binning_equals_bin_label_value_for_value(case):
         # and strings pass through as they are
         assert all(a is b or (type(a) is type(b) and a == b)
                    for a, b in zip(row.values, expected)), (row, expected)
+
+
+def test_a_cut_no_float_holds_bins_a_float_column_exactly():
+    # 2**53 + 3 rounds to the float 2**53 + 4, which lies above the cut
+    dmap = DiscretizationMap({"x": (float(2**53), 2**53 + 3)})
+    column = (float(2**53 + 4), 1.0, float(2**53))
+    assert dmap.bin_column("x", column) == ("b2", "b0", "b0")
+    assert dmap.bin_column("x", column) == \
+        tuple(dmap.bin_label("x", v) for v in column)
 
 
 def test_encode_bins_only_numbers_with_cuts(runs11):

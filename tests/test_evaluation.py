@@ -3,16 +3,19 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import plancell.evaluation as evaluation
-from plancell.blocksworld import generate_corpus
+from plancell.blocksworld import (corpus_training_set, generate_corpus,
+                                  generate_runs)
 from plancell.dataset import build_training_set, class_members
 from plancell.errors import DataError
-from plancell.evaluation import (EvalReport, cross_validate, evaluate_grid,
-                                 make_folds, report, report_csv)
+from plancell.evaluation import (ENGINES, METHODS, EvalReport, cross_validate,
+                                 evaluate_grid, make_folds, report, report_csv)
 from plancell.tree import _stratified_thirds
 
-from oracles import fold_assignment, stratified_thirds
+from oracles import cv_case_by_case, fold_assignment, stratified_thirds
 
 
 def many_classes(seed, n=1_000, classes=100):
@@ -294,3 +297,114 @@ def test_empty_report_rejected():
 def test_rate_property():
     result = EvalReport("m", "none", 0, 2, 8, 6, 1, 1, (75.0, 75.0), ())
     assert result.rate == 75.0
+
+
+@st.composite
+def mixed_sets(draw):
+    """8-30 rows over 0-3 nominal or numeric attributes and 1-3 classes.
+    Values repeat, and numeric columns mix ints and floats, -0.0 included."""
+    n = draw(st.integers(8, 30))
+    kinds = draw(st.lists(st.sampled_from(["nominal", "numeric"]), max_size=3))
+    values = {"nominal": st.sampled_from(["a", "b", "c"]),
+              "numeric": st.one_of(st.integers(-3, 3),
+                                   st.sampled_from([0.0, -0.0, 1.0, 2.5, -1.5]))}
+    columns = [draw(st.lists(values[kind], min_size=n, max_size=n))
+               for kind in kinds]
+    labels = draw(st.lists(st.sampled_from("ABC"), min_size=n, max_size=n))
+    rows = [(*(column[i] for column in columns), labels[i]) for i in range(n)]
+    return build_training_set([(f"x{i}", kind) for i, kind in enumerate(kinds)],
+                              rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_sets(), st.integers(2, 4), st.integers(0, 9), st.sampled_from([1, 3]),
+       st.sampled_from([2, 10]), st.sampled_from([1, 2]),
+       st.sampled_from(ENGINES), st.booleans())
+def test_grid_equals_one_classification_per_raw_case(ts, folds, seed, k, bins,
+                                                     min_leaf, engine,
+                                                     global_discretize):
+    options = dict(folds=folds, k=k, bins=bins, min_leaf=min_leaf,
+                   engine=engine, global_discretize=global_discretize)
+    modes = ["supervised", "unsupervised"]
+    got = evaluate_grid(ts, METHODS, modes, seed, **options) \
+        + evaluate_grid(ts, ["knn"], ["none"], seed, **options)
+    cells = [(method, mode) for method in METHODS for mode in modes]
+    assert got == [cv_case_by_case(ts, method, mode, seed, **options)
+                   for method, mode in cells + [("knn", "none")]]
+
+
+def test_a_set_without_attributes_reports_as_before():
+    ts = build_training_set([], [("a",), ("b",), ("a",), ("a",), ("b",)] * 4)
+    for method in METHODS:
+        result = cross_validate(ts, method, "supervised", folds=2)
+        assert result == cv_case_by_case(ts, method, "supervised", folds=2)
+        if method == "knn":
+            assert (result.correct, result.per_fold) == (10, (60.0, 40.0))
+        else:
+            assert (result.correct, result.per_fold) == (12, (60.0, 60.0))
+
+
+@pytest.fixture
+def predict_calls(monkeypatch):
+    """The (classify, values) pair of every ``evaluation.predict`` call."""
+    calls = []
+    real = evaluation.predict
+
+    def spy(classify, values):
+        calls.append((classify, values))
+        return real(classify, values)
+
+    monkeypatch.setattr(evaluation, "predict", spy)
+    return calls
+
+
+def test_raw_numbers_that_compare_equal_share_one_knn_label(predict_calls):
+    # 0.0 == -0.0 and 1 == 1.0: under mode none each pair is one case
+    rng = random.Random(5)
+    rows = [(rng.choice([0.0, -0.0, 1, 1.0, 2]), rng.choice("ab"),
+             rng.choice("AB")) for _ in range(40)]
+    ts = build_training_set([("x", "numeric"), ("y", "nominal")], rows)
+    for k in (1, 3):
+        for seed in (0, 1, 2):
+            predict_calls.clear()
+            result = cross_validate(ts, "knn", "none", seed=seed, folds=4, k=k)
+            assert result == cv_case_by_case(ts, "knn", "none", seed, folds=4, k=k)
+            assert len(predict_calls) <= 4 * 6  # at most 3 x 2 distinct cases a fold
+
+
+def test_every_copy_of_an_unplaceable_case_counts_as_an_error(predict_calls):
+    # three copies of one case whose value only occurs in fold 0's test
+    # split: the tree cannot place it, so all three count, labelled once
+    labels = ["A", "B"] * 10
+    plan = make_folds(build_training_set([], [(y,) for y in labels]), 2, 0)
+    copies = plan.test_indices(0)[:3]
+    rows = [("z" if i in copies else y.lower(), y) for i, y in enumerate(labels)]
+    ts = build_training_set([("x", "nominal")], rows)
+    assert make_folds(ts, 2, 0) == plan
+    result = cross_validate(ts, "j48", "none", folds=2, min_leaf=1)
+    assert result == cv_case_by_case(ts, "j48", "none", folds=2, min_leaf=1)
+    assert result.errors == 3
+    assert sum(n for _, predicted, n in result.confusion if predicted == "?") == 3
+    assert [values for _, values in predict_calls].count(("z",)) == 1
+
+
+def benchmark_corpus():
+    """The benchmark's seed-1 2,000-instance corpus: its wall-clock time
+    column is replaced by the benchmark's seeded values."""
+    runs = generate_runs([4, 5, 6, 7, 8], 400, 1, pool=20)
+    rng = random.Random("cpu-time/1")
+    return corpus_training_set([replace(r, cpu_time=round(
+        (2e-4 * len(r.initial.blocks) ** 2 + 5e-5 * len(r.plan))
+        * rng.lognormvariate(0.0, 0.3), 9)) for r in runs])
+
+
+def test_each_distinct_encoded_case_is_labelled_once_per_method_and_fold(
+        predict_calls):
+    ts = benchmark_corpus()
+    assert len(ts) == 2_000
+    for mode, distinct in [("supervised", 405), ("unsupervised", 786)]:
+        predict_calls.clear()
+        evaluate_grid(ts, ["majority", "knn"], [mode], seed=1)
+        # one classifier per method and fold
+        assert len({id(classify) for classify, _ in predict_calls}) == 2 * 10
+        assert len(predict_calls) == 2 * distinct
