@@ -173,10 +173,6 @@ class CellularKnowledgeBase:
                                   if f.startswith(spec.name + "=")})
                      for spec in self.attributes)
 
-    def initial_configuration(self, initial_facts=()) -> Configuration:
-        """All registers clear except IF, IR, and the seeded EF cells."""
-        return infer(self, initial_facts)[0]
-
 
 def compile_tree(tree: InductionGraph) -> CellularKnowledgeBase:
     """Flatten a tree into a fact table and a rule table.
@@ -232,15 +228,11 @@ class Trace(Sequence):
     def rule_gen(self) -> tuple[int, ...]:
         return tuple(self._rule_gen)
 
-    @cached_property
-    def _vectors(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.array(self._fact_gen), np.array(self._rule_gen)
-
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[g] for g in range(self._length)[index]]
         g = range(self._length)[index]
-        facts, rules = self._vectors
+        facts, rules = np.array(self._fact_gen), np.array(self._rule_gen)
         ef, sf, er = map(_frozen, (facts <= g, facts < g, rules <= g))
         ir = _frozen(np.ones(len(self._rule_gen), dtype=bool))
         sr = _frozen(~er) if g else er  # at generation 0, SR is as clear as ER
@@ -418,7 +410,7 @@ def format_fact_table(kb: CellularKnowledgeBase,
                       config: Configuration | None = None) -> str:
     """The fact layer as an aligned table of EF/IF/SF per fact."""
     return _layer_table("Facts", kb.facts, ("EF", "IF", "SF"),
-                        config or kb.initial_configuration())
+                        config or infer(kb, ())[0])
 
 
 def format_rule_table(kb: CellularKnowledgeBase,
@@ -426,7 +418,7 @@ def format_rule_table(kb: CellularKnowledgeBase,
     """The rule layer as an aligned table of ER/IR/SR per rule."""
     names = [f"R{j + 1}: {rule}" for j, rule in enumerate(kb.rules)]
     return _layer_table("Rules", names, ("ER", "IR", "SR"),
-                        config or kb.initial_configuration())
+                        config or infer(kb, ())[0])
 
 
 def format_incidence(kb: CellularKnowledgeBase) -> str:

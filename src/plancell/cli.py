@@ -32,36 +32,46 @@ from .tree import classify_tree, induce, model_from_json, model_to_json
 def _write_atomic(path: str, text: str) -> None:
     """Write via a temp file and rename, so readers never see a torn file.
 
-    The file gets the mode open() would give it, not mkstemp's 0600.
+    The file gets the mode open() would give it, not mkstemp's 0600. A
+    failure names ``path``, not the temp file, which is removed.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".plancell-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(fh.fileno(), 0o666 & ~umask)
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".plancell-")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                umask = os.umask(0)
+                os.umask(umask)
+                os.fchmod(fh.fileno(), 0o666 & ~umask)
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _read_text(path: str) -> str:
+def _read_text(path: str, undecodable=DataError) -> str:
+    """A file's text. An unreadable file is bad data; one that is not
+    UTF-8 raises ``undecodable``."""
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise undecodable(f"cannot read {path}: {exc}") from exc
 
 
 def _load_model_json(path: str) -> dict:
     try:
-        return json.loads(_read_text(path))
+        return json.loads(_read_text(path, ModelError))
     except json.JSONDecodeError as exc:
         raise ModelError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ModelError(f"{path} nests too deeply") from None
 
 
 def _int_list(text: str) -> list[int]:

@@ -189,9 +189,17 @@ def load_csv(text: str) -> TrainingSet:
 
     The header declares each column as ``name:kind``; the last column must
     be ``class:nominal``. Numeric cells must parse as finite floats, and every
-    row must have exactly as many cells as the header.
+    row must have exactly as many cells as the header. A line the csv module
+    cannot read (a cell over its field size limit) is a DataError too.
     """
     reader = csv.reader(io.StringIO(text))
+    try:
+        return _parse_records(reader)
+    except csv.Error as exc:
+        raise DataError(f"row {reader.line_num}: {exc}") from None
+
+
+def _parse_records(reader) -> TrainingSet:
     try:
         header = next(reader)
     except StopIteration:

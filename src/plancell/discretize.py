@@ -52,7 +52,7 @@ class DiscretizationMap:
         if isinstance(value, str):  # an encoded or nominal value: the common case
             return value
         if attribute in self.cuts and is_number(value) and value == value:
-            return f"b{bisect_left(self.cuts[attribute], value)}"
+            return self._bins[attribute][0][bisect_left(self.cuts[attribute], value)]
         return value
 
     @cached_property
@@ -272,8 +272,10 @@ def _mdl_split(values: list, labels: list[str], found: list[float]) -> None:
         if first == last:
             return
         n = hi - lo
-        # a midpoint can overflow to -inf and send no row left, or round
-        # onto the next value and send that group left too: clamp
+        # a midpoint is rounded to a float: between close floats it can land
+        # on the next value and send that group left too, and between ints
+        # beyond 2**53 past either neighbour (2**60 + 100 and 2**60 + 102
+        # give 2**60, which sends no row left): clamp
         here = np.clip(sizes[first:last], lo, hi) - lo
         rows = codes[lo:hi]
         # per row, the rows of its label before it inside the range

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .casi import classify_casi, compile_tree
 from .dataset import NUMERIC, TrainingSet, class_members, subset
-from .discretize import MODES, DiscretizationMap, apply_map, fit_map
+from .discretize import MODES, apply_map, fit_map
 from .errors import DataError, PlancellError, UnknownValueError
 from .knn import classify_knn, fit_knn
 from .tree import classify_tree, induce, majority_label
@@ -100,13 +100,12 @@ def label_cases(classify, cases: TrainingSet) -> list[str | None]:
     return [labels[row] for row in cases.rows]
 
 
-def _fit_predictor(method: str, fitted: TrainingSet,
-                   dmap: DiscretizationMap | None, engine: str,
+def _fit_predictor(method: str, fitted: TrainingSet, engine: str,
                    seed: int, k: int, min_leaf: int):
     """Train one fold's classifier; returns a values -> label callable.
 
-    It is handed cases binned through ``dmap``: kNN reads them as they are,
-    and trees and rule bases pass bin labels through their own map.
+    It is handed cases binned as ``fitted`` was, so trees and rule bases
+    carry no map of their own.
     """
     if method == "majority":
         label = majority_label(Counter(fitted.labels))
@@ -114,8 +113,7 @@ def _fit_predictor(method: str, fitted: TrainingSet,
     if method == "knn":
         model = fit_knn(fitted, k)
         return lambda values: classify_knn(model, values)
-    graph = induce(fitted, method, min_leaf=min_leaf, seed=seed,
-                   discretization=dmap)
+    graph = induce(fitted, method, min_leaf=min_leaf, seed=seed)
     if engine == "casi":
         kb = compile_tree(graph)
         return lambda values: classify_casi(kb, values)
@@ -196,8 +194,8 @@ def _cross_validate_mode(ts: TrainingSet, methods: list[str], mode: str,
         held = apply_map(dmap, ts.take(plan.test_indices(fold)))
         for row, method in enumerate(methods):
             try:
-                classify = _fit_predictor(method, fitted, dmap, engine,
-                                          plan.seed, k, min_leaf)
+                classify = _fit_predictor(method, fitted, engine, plan.seed,
+                                          k, min_leaf)
             except PlancellError as exc:
                 raise type(exc)(f"fold {fold}: {exc}") from exc
             fold_correct = 0

@@ -54,6 +54,8 @@ def parse_project(text: str) -> ProjectGraph:
         raise ProjectParseError(
             f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise ProjectParseError("nested too deeply") from None
 
     if not isinstance(doc, dict):
         raise ProjectParseError("top-level value must be an object")

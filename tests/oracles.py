@@ -170,6 +170,23 @@ def satisfies(state, goal):
                else atom[1] in on_table for atom in goal)
 
 
+def support_cycle(support):
+    """Whether block -> support links ever return to a block, by depth-first
+    search with a set of finished blocks; an entry that is no block index
+    (table, arm, free) ends a chain."""
+    blocks = range(len(support))
+    finished = set()
+    for start in blocks:
+        path, b = set(), start
+        while b in blocks and b not in finished:
+            if b in path:
+                return True
+            path.add(b)
+            b = support[b]
+        finished |= path
+    return False
+
+
 def bfs_plan(initial, goal, budget):
     """The first shortest plan (action strings) by BFS over BlockState objects.
 

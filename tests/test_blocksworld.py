@@ -15,7 +15,7 @@ from plancell.blocksworld import (Action, BlockState, all_on_table, apply,
 from plancell.errors import DataError, InapplicableActionError, LimitError
 
 from oracles import (bfs_blocks, bfs_plan, blocks_successors, greedy_plan,
-                     satisfies)
+                     satisfies, support_cycle)
 
 TOWER_PLAN = ("pick-up b", "stack b a", "pick-up c",
               "stack c b", "pick-up d", "stack d c")
@@ -311,6 +311,27 @@ def test_inconsistent_goals_rejected(goal, message):
         solve(all_on_table("abc"), goal)
     with pytest.raises(UnsolvableGoalError, match=message):
         validate_plan(all_on_table("abc"), (), goal)
+
+
+@st.composite
+def support_vectors(draw):
+    """0-12 entries, each a block index, the table, the arm or free."""
+    n = draw(st.integers(0, 12))
+    entry = st.sampled_from([*range(n), -1, -2, None])
+    return draw(st.lists(entry, min_size=n, max_size=n))
+
+
+@settings(max_examples=500, deadline=None)
+@given(support_vectors())
+def test_cyclic_equals_the_depth_first_oracle(support):
+    assert blocksworld._cyclic(support) == support_cycle(support)
+
+
+@pytest.mark.parametrize("last,cyclic", [(-1, False), (0, True)],
+                         ids=["26-block tower", "26-block loop"])
+def test_cyclic_beyond_the_drawn_sizes(last, cyclic):
+    support = tuple(range(1, 26)) + (last,)
+    assert blocksworld._cyclic(support) is support_cycle(support) is cyclic
 
 
 @pytest.mark.parametrize("reader", ["bfs", "greedy", "validate_plan"])

@@ -89,7 +89,7 @@ def test_fact_index_unknown(stump_kb):
 
 
 def test_initial_configuration(stump_kb):
-    config = stump_kb.initial_configuration(["s0", "x=a"])
+    config = infer(stump_kb, ["s0", "x=a"])[0]
     assert facts_of(stump_kb, config) == {"s0", "x=a"}
     assert not config.SF.any()
     assert not config.ER.any()
@@ -102,7 +102,7 @@ def test_initial_configuration(stump_kb):
 def test_initial_configuration_shares_the_read_only_input_flags(runs_model):
     _, kb, _ = runs_model
     for base in (kb, kb_from_json(kb_to_json(kb))):
-        assert base.initial_configuration().IF is base.input_flags
+        assert infer(base, ())[0].IF is base.input_flags
         assert not base.input_flags.flags.writeable
 
 
@@ -188,7 +188,7 @@ def test_trace_registers_are_read_only(stump_kb, register):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(config, register)[0] = True
     with pytest.raises(ValueError, match="read-only"):
-        getattr(stump_kb.initial_configuration(["s0"]), register)[0] = True
+        getattr(infer(stump_kb, ["s0"])[0], register)[0] = True
 
 
 def test_inference_from_nothing_stops_immediately(stump_kb):
@@ -548,8 +548,7 @@ def test_kb_json_rejects_duplicate_facts(runs_model):
 
 
 def test_fact_table_rendering(stump_kb):
-    table = format_fact_table(stump_kb,
-                              stump_kb.initial_configuration(["s0"]))
+    table = format_fact_table(stump_kb, infer(stump_kb, ["s0"])[0])
     lines = table.splitlines()
     assert lines[0].split() == ["Facts", "EF", "IF", "SF"]
     assert len(lines) == 1 + stump_kb.fact_count

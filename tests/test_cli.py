@@ -138,6 +138,21 @@ def test_output_files_follow_the_umask(umask, mode, project_file, tmp_path,
     assert stat.S_IMODE(out.stat().st_mode) == mode
 
 
+@pytest.mark.parametrize("where,reason", [
+    ("missing/runs.csv", "No such file or directory"),
+    ("a directory", "Is a directory"),
+])
+def test_a_failed_write_names_out_and_leaves_no_temp_file(where, reason,
+                                                          tmp_path, capsys):
+    (tmp_path / "a directory").mkdir()
+    out = str(tmp_path / where)
+    assert run(["bw-gen", "--sizes", "3", "--per-size", "2", "--out", out]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"plancell: cannot write {out}: {reason}\n"
+    assert not list(tmp_path.rglob(".plancell-*"))
+
+
 @pytest.mark.parametrize("sizes", ["30", "4,-1", "0"])
 def test_bw_gen_rejects_block_counts_outside_1_to_26(sizes, tmp_path, capsys):
     out = tmp_path / "runs.csv"

@@ -106,6 +106,15 @@ def test_non_finite_cell_rejected(cell):
         load_csv(f"t:numeric,class:nominal\n1,P1\n{cell},P2\n")
 
 
+@pytest.mark.parametrize("header", [False, True])
+def test_a_cell_over_the_csv_field_limit_names_its_row(header):
+    long = "x" * 200_000
+    text = (f"{long}:nominal,class:nominal\na,P1\n" if header
+            else f"a:nominal,class:nominal\na,P1\n{long},P2\n")
+    with pytest.raises(DataError, match=f"^row {1 if header else 3}: field larger"):
+        load_csv(text)
+
+
 def test_empty_body_rejected():
     with pytest.raises(DataError, match="no instances"):
         load_csv("a:nominal,class:nominal\n")

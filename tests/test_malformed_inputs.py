@@ -4,10 +4,14 @@ Each property mutates one valid input file (a model JSON, a rule-base JSON,
 a project JSON or a corpus CSV) and runs it through every command that
 reads it. Whatever the mutation, a command exits 0, 3 (bad data) or 4 (bad
 model), and a failure prints one ``plancell:`` line, never a traceback.
+The byte-level cases (invalid UTF-8, a NUL byte, an over-long CSV cell,
+deeply nested JSON) also pin the code: 3 for a corpus or project file, 4
+for a model or rule-base file.
 """
 
 import contextlib
 import copy
+import csv
 import io
 import json
 
@@ -61,6 +65,7 @@ def check(argv):
     assert code in (0, 3, 4), (argv, code, err)
     if code:
         assert err.count("\n") == 1 and err.startswith("plancell: "), err
+    return code
 
 
 def _paths(doc, path=()):
@@ -173,3 +178,113 @@ def test_mutated_corpus_csv(files, data):
                  ["classify", "--casi", "--model", files["model.json"],
                   "--in", corpus]):
         check(argv)
+
+
+# Byte-level inputs. Each kind of file maps to the commands that read it
+# and the exit code README gives a malformed one.
+SOURCES = {"csv": "runs.csv", "model": "model.json", "kb": "kb.json",
+           "project": "project.json"}
+NOT_UTF8 = [b"\xff", b"\xfe\xff", b"\x80", b"\xc3", b"\xed\xa0\x80",
+            b"\xf4\x90\x80\x80"]
+
+
+def readers(files, path, kind):
+    """(argv, exit code for a malformed file) of every command reading
+    ``path`` as a ``kind`` file."""
+    if kind == "csv":
+        model = files["model.json"]
+        return [(argv, 3) for argv in (
+            ["dataset-info", "--in", path],
+            ["discretize", "--in", path, "--out", files["out"]],
+            ["train", "--in", path, "--out", files["out"]],
+            ["knn", "--in", path],
+            ["eval", "--in", path],
+            ["classify", "--model", model, "--in", path],
+            ["classify", "--casi", "--model", model, "--in", path])]
+    if kind == "project":
+        return [(["plans", "--project", path], 3),
+                (["plans", "--first", "--project", path], 3)]
+    argvs = [["casi-dump", "--model", path]]
+    if kind == "model":
+        argvs += [["classify", "--model", path, "--in", files["runs.csv"]],
+                  ["classify", "--casi", "--model", path,
+                   "--in", files["runs.csv"]]]
+    return [(argv, 4) for argv in argvs]
+
+
+def _source_bytes(files, kind):
+    with open(files[SOURCES[kind]], "rb") as fh:
+        raw = fh.read()
+    assert raw.isascii()  # so every spliced sequence stays invalid UTF-8
+    return raw
+
+
+def _write_bytes(path, raw):
+    with open(path, "wb") as fh:
+        fh.write(raw)
+    return path
+
+
+def _csv_reads_nul():
+    try:
+        next(csv.reader(["a\0b"]))
+    except csv.Error:
+        return False
+    return True
+
+
+@NET
+@given(kind=st.sampled_from(sorted(SOURCES)), bad=st.sampled_from(NOT_UTF8),
+       data=st.data())
+def test_invalid_utf8_at_any_offset(files, kind, bad, data):
+    raw = _source_bytes(files, kind)
+    at = data.draw(st.integers(0, len(raw)))
+    path = _write_bytes(files["case"], raw[:at] + bad + raw[at:])
+    for argv, code in readers(files, path, kind):
+        assert check(argv) == code, argv
+
+
+@st.composite
+def csv_cell(draw):
+    """The sample corpus's lines, then a row, a column and an offset into
+    that cell; the header is fair game."""
+    rows = sample_runs_text().splitlines()
+    row = draw(st.integers(0, len(rows) - 1))
+    cells = rows[row].split(",")
+    column = draw(st.integers(0, len(cells) - 1))
+    return rows, row, column, draw(st.integers(0, len(cells[column])))
+
+
+def _with_cell(rows, row, column, edit):
+    cells = rows[row].split(",")
+    cells[column] = edit(cells[column])
+    return "\n".join(rows[:row] + [",".join(cells)] + rows[row + 1:]) + "\n"
+
+
+@settings(max_examples=20, deadline=None)
+@given(where=csv_cell())
+def test_a_nul_byte_in_a_cell(files, where):
+    rows, row, column, at = where
+    text = _with_cell(rows, row, column, lambda cell: cell[:at] + "\0" + cell[at:])
+    path = _write(files["case"], text)
+    for argv, _ in readers(files, path, "csv"):
+        assert check(argv) in ((0, 3) if _csv_reads_nul() else (3,)), argv
+
+
+@settings(max_examples=20, deadline=None)
+@given(where=csv_cell())
+def test_a_cell_beyond_the_csv_field_limit(files, where):
+    rows, row, column, _ = where
+    path = _write(files["case"],
+                  _with_cell(rows, row, column, lambda _: "x" * 200_000))
+    for argv, code in readers(files, path, "csv"):
+        assert check(argv) == code, argv
+
+
+@pytest.mark.parametrize("depth", [1_000, 100_000])
+@pytest.mark.parametrize("kind", ["model", "kb", "project"])
+def test_deeply_nested_json(files, kind, depth):
+    raw = _source_bytes(files, kind)
+    path = _write_bytes(files["case"], b"[" * depth + raw + b"]" * depth)
+    for argv, code in readers(files, path, kind):
+        assert check(argv) == code, argv
