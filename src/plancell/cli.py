@@ -54,10 +54,10 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def _read_text(path: str, undecodable=DataError) -> str:
-    """A file's text. An unreadable file is bad data; one that is not
-    UTF-8 raises ``undecodable``."""
+    """A file's text, without a leading byte-order mark. An unreadable file
+    is bad data; one that is not UTF-8 raises ``undecodable``."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc

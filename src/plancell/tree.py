@@ -93,34 +93,54 @@ class InductionGraph:
         return {spec.name: i for i, spec in enumerate(self.attributes)}
 
 
-def _partition(column: tuple, labels: tuple, idx) -> tuple[dict, dict]:
-    """The rows ``idx`` by their value in ``column``, and each part's label
-    counts; values, and labels within a part, in order of first appearance."""
+def _distinct_rows(ts: TrainingSet) -> tuple[dict, tuple, tuple]:
+    """The set's distinct (values, label) rows in order of first appearance,
+    as columns by attribute name, their labels, and how many rows each one
+    stands for."""
+    weighted = Counter(zip(*ts.columns, ts.labels))
+    *columns, labels = zip(*weighted)
+    return (dict(zip(ts.attribute_names, columns)), labels,
+            tuple(weighted.values()))
+
+
+def _partition(column: tuple, labels: tuple, weights: tuple,
+               idx) -> tuple[dict, dict]:
+    """The distinct rows ``idx`` by their value in ``column``, and each
+    part's label counts, row ``i`` counting ``weights[i]`` times; values,
+    and labels within a part, in order of first appearance."""
     rows = defaultdict(list)
+    counts = defaultdict(dict)
     for i in idx:
-        rows[column[i]].append(i)
-    return rows, {v: Counter([labels[i] for i in part]) for v, part in rows.items()}
+        value, label = column[i], labels[i]
+        rows[value].append(i)
+        tally = counts[value]
+        tally[label] = tally.get(label, 0) + weights[i]
+    return rows, counts
 
 
-def _score(mode: str, parent: float, counts) -> float:
+def _score(mode: str, parent: float, counts) -> tuple[float, list, list]:
     """Information gain of a split with per-value label ``counts`` at a
-    node of entropy ``parent``.
+    node of entropy ``parent``, with each part's size and entropy.
 
     Under ``gain_ratio`` the gain is divided by the split's own entropy,
     and a single-valued split scores zero.
     """
     sizes = [sum(c.values()) for c in counts]
+    entropies = [entropy(c) for c in counts]
     n = sum(sizes)
-    gain = parent - sum(m / n * entropy(c) for m, c in zip(sizes, counts))
-    if mode == INFO_GAIN:
-        return gain
-    info = entropy(sizes)
-    return gain / info if info else 0.0
+    gain = parent - sum(m / n * h for m, h in zip(sizes, entropies))
+    if mode == GAIN_RATIO:
+        info = entropy(sizes)
+        gain = gain / info if info else 0.0
+    return gain, sizes, entropies
 
 
 def _attribute_score(mode: str, ts: TrainingSet, attribute: str) -> float:
-    _, counts = _partition(ts.column(attribute), ts.labels, range(len(ts)))
-    return _score(mode, entropy(Counter(ts.labels)), counts.values())
+    parent = entropy(Counter(ts.labels))
+    columns, labels, weights = _distinct_rows(ts)
+    _, counts = _partition(columns[attribute], labels, weights,
+                           range(len(weights)))
+    return _score(mode, parent, counts.values())[0]
 
 
 def information_gain(ts: TrainingSet, attribute: str) -> float:
@@ -145,10 +165,11 @@ def grow(ts: TrainingSet, mode: str = GAIN_RATIO, min_leaf: int = 2,
     than ``min_leaf`` instances. Score ties go to the attribute declared
     first. Branches exist only for values present at the node.
 
-    Each row's label is counted once per candidate attribute: a node's own
-    entropy comes from its ``counts``, each attribute partitions the node's
-    rows by value with per-value label counts, and the winner's parts and
-    counts become the children's rows and ``counts``.
+    Rows are counted, not visited: the set's distinct (values, label) rows
+    are found once, and each attribute partitions a node's distinct rows by
+    value, adding each one's multiplicity to its part's label counts. The
+    winner's parts, counts and part entropies become the children's rows,
+    ``counts`` and node entropies.
     """
     if mode not in (GAIN_RATIO, INFO_GAIN):
         raise DataError(f"unknown growth mode {mode!r}")
@@ -161,34 +182,35 @@ def grow(ts: TrainingSet, mode: str = GAIN_RATIO, min_leaf: int = 2,
     if min_leaf < 1:
         raise DataError(f"min_leaf must be >= 1, got {min_leaf}")
 
-    columns = dict(zip(ts.attribute_names, ts.columns))
+    columns, labels, weights = _distinct_rows(ts)
     domains = {s.name: s.domain for s in ts.attributes}
     root = TreeNode("", dict(Counter(ts.labels)))
-    queue = deque([(root, list(range(len(ts))), ts.attribute_names)])
+    queue = deque([(root, range(len(weights)), ts.attribute_names,
+                    entropy(root.counts))])
     while queue:
-        node, idx, attrs = queue.popleft()
+        node, idx, attrs, parent = queue.popleft()
         if len(node.counts) == 1 or not attrs:
             continue
-        parent = entropy(node.counts)
         best_score, best = 0.0, None
         for attr in attrs:
-            rows, counts = _partition(columns[attr], ts.labels, idx)
-            s = _score(mode, parent, counts.values())
+            rows, counts = _partition(columns[attr], labels, weights, idx)
+            s, sizes, entropies = _score(mode, parent, counts.values())
             if s > best_score:
-                best_score, best = s, (attr, rows, counts)
+                best_score, best = s, (attr, rows, counts, sizes, entropies)
         if best is None:
             continue
-        best_attr, rows, counts = best
-        if min(map(len, rows.values())) < min_leaf:
+        best_attr, rows, counts, sizes, entropies = best
+        if min(sizes) < min_leaf:
             continue
         node.attribute = best_attr
         remaining = tuple(a for a in attrs if a != best_attr)
+        part_entropy = dict(zip(rows, entropies))
         for value in domains[best_attr]:
             if value not in rows:
                 continue
-            child = TreeNode("", dict(counts[value]))
+            child = TreeNode("", counts[value])
             node.children[value] = child
-            queue.append((child, rows[value], remaining))
+            queue.append((child, rows[value], remaining, part_entropy[value]))
     return InductionGraph(_number(root), ts.attributes, ts.classes, mode,
                           discretization)
 

@@ -186,6 +186,20 @@ def test_dataset_info(runs_file, capsys):
     assert "  P1: 3" in out
 
 
+def test_a_byte_order_mark_is_not_part_of_the_first_attribute(
+        runs_file, tmp_path, capsys):
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + Path(runs_file).read_bytes())
+    assert run(["dataset-info", "--in", str(bom)]) == 0
+    assert capsys.readouterr().out.splitlines()[2] == \
+        "  problem: nominal (4 values)"
+    model = tmp_path / "model.json"
+    assert run(["train", "--in", str(bom), "--min-leaf", "1",
+                "--out", str(model)]) == 0
+    assert run(["classify", "--model", str(model), "--in", runs_file]) == 0
+    assert "11/11 cases match" in capsys.readouterr().err
+
+
 def test_discretize_writes_binned_copy(runs_file, tmp_path, capsys):
     out = tmp_path / "binned.csv"
     assert run(["discretize", "--in", runs_file, "--mode", "supervised",

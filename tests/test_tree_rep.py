@@ -5,7 +5,9 @@ their textbook formulas, and every split ``grow`` makes is their first
 argmax over the node's rows; ``rep_prune`` and ``induce(..., "reptree")``
 equal the two-walk REP in ``oracles`` on random nominal sets and prune sets
 (empty ones, and rows whose value has no branch, included); ``grow``
-writes the same model JSON as the recounting growth in ``oracles``; node
+writes the same model JSON as the recounting growth in ``oracles``, also
+on sets of a few distinct rows repeated many times, which ``grow`` counts
+once each with their multiplicity; node
 ids s0, s1, ... follow breadth-first order in grown, pruned and reloaded
 trees.
 """
@@ -156,6 +158,46 @@ def tied_sets(draw):
 def test_grow_equals_the_recounting_oracle(ts, mode, min_leaf):
     assert json.dumps(model_to_json(grow(ts, mode, min_leaf))) == \
         json.dumps(model_to_json(oracles.grow_tree(ts, mode, min_leaf)))
+
+
+@st.composite
+def repeated_rows(draw):
+    """1-8 distinct rows, each repeated 1-5 times and interleaved. Rows
+    draw their values from at most three value tuples, so some rows share
+    values and differ only in their label."""
+    width = draw(st.integers(1, 3))
+    values = draw(st.lists(st.tuples(*[st.sampled_from("abc")] * width),
+                           min_size=1, max_size=3, unique=True))
+    distinct = draw(st.lists(
+        st.tuples(st.sampled_from(values), st.sampled_from("ABC")),
+        min_size=1, max_size=8, unique=True))
+    times = draw(st.lists(st.integers(1, 5), min_size=len(distinct),
+                          max_size=len(distinct)))
+    order = draw(st.permutations(
+        [row for row, k in zip(distinct, times) for _ in range(k)]))
+    return nominal_set([f"x{i}" for i in range(width)],
+                       [(*row, y) for row, y in order])
+
+
+# In the part x0=a, the label B first appears after A, on the row
+# (a, q, B), which stands for three rows.
+LATE_LABEL = nominal_set(["x0", "x1"], [
+    ("a", "p", "A"), ("b", "q", "B"), ("a", "q", "B"), ("a", "q", "B"),
+    ("a", "p", "A"), ("b", "q", "A"), ("a", "q", "B"), ("b", "p", "A")])
+
+
+@settings(max_examples=200, deadline=None)
+@given(repeated_rows(), st.sampled_from([GAIN_RATIO, INFO_GAIN]),
+       st.integers(1, 3))
+@example(LATE_LABEL, GAIN_RATIO, 1)
+@example(LATE_LABEL, INFO_GAIN, 2)
+def test_repeated_rows_grow_and_score_as_the_oracle(ts, mode, min_leaf):
+    assert json.dumps(model_to_json(grow(ts, mode, min_leaf))) == \
+        json.dumps(model_to_json(oracles.grow_tree(ts, mode, min_leaf)))
+    score = information_gain if mode == INFO_GAIN else gain_ratio
+    for name in ts.attribute_names:
+        assert score(ts, name) == \
+            oracles._split_score(mode, ts.column(name), ts.labels)
 
 
 @PROPERTY
