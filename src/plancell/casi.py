@@ -8,10 +8,11 @@ compiled base is a monotone Horn program, so the engine finds it by
 counter propagation (Dowling & Gallier 1984): each rule counts its unmet
 premises, each newly established fact decrements the counters of the rules
 that read it, and a rule fires at zero. Each wave of firings is one
-generation, so two vectors hold the whole run: the generation that
-established each fact (seeds at 0) and the one in which each rule became
-eligible. The registers of generation g are views of them: EF = facts <= g,
-SF = EF of g - 1, ER = rules <= g and SR = not ER (clear at 0).
+generation, so one vector holds the whole run: the generation that
+established each fact (seeds at 0). The registers of generation g are
+views of it: EF = facts <= g, SF = EF of g - 1, ER = the rules none of
+whose premises (R_E) is missing from SF, the assessment pass, and SR = not
+ER (clear at 0).
 """
 
 from __future__ import annotations
@@ -61,7 +62,8 @@ class Configuration:
     EF marks established facts, IF is the fixed input-fact marker, SF echoes
     the previous EF. ER marks eligible rules, IR the (constant) active-rule
     mask, SR the complement of ER after each execution pass. Traces build
-    configurations from their generation vectors, with read-only registers.
+    configurations from their fact generations and R_E, with read-only
+    registers.
     """
 
     EF: np.ndarray
@@ -203,18 +205,18 @@ def compile_tree(tree: InductionGraph) -> CellularKnowledgeBase:
 class Trace(Sequence):
     """The configurations of one inference, generation 0 to the fixed point.
 
-    Holds the engine's lists of the generation of every fact and rule
-    (``NEVER`` for a cell that stays clear) and of the facts established:
-    the first ``seeded`` are the seeds, then come the waves in order. The
-    tuples and each ``Configuration`` are built only when read.
+    Holds the engine's list of the generation that established each fact
+    (``NEVER`` for a fact that stays clear) and its queue of the facts
+    established: the seeds, then the waves in order. The rule registers
+    follow from the facts through R_E. The ``fact_gen`` tuple and each
+    ``Configuration`` are built only when read.
     """
 
     def __init__(self, kb: CellularKnowledgeBase, fact_gen: list[int],
-                 rule_gen: list[int], established: list[int], seeded: int):
-        self.kb, self._fact_gen, self._rule_gen = kb, fact_gen, rule_gen
-        self._established, self._seeded = established, seeded
-        # SF catches up with EF one generation after the last new facts, and
-        # SR leaves its clear start at generation 1.
+                 established: list[int]):
+        self.kb, self._fact_gen, self._established = kb, fact_gen, established
+        # SF, and ER with it, catches up with EF one generation after the
+        # last new facts, and SR leaves its clear start at generation 1.
         self._length = (fact_gen[established[-1]] if established else 0) + 2
 
     def __len__(self) -> int:
@@ -224,17 +226,16 @@ class Trace(Sequence):
     def fact_gen(self) -> tuple[int, ...]:
         return tuple(self._fact_gen)
 
-    @cached_property
-    def rule_gen(self) -> tuple[int, ...]:
-        return tuple(self._rule_gen)
-
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[g] for g in range(self._length)[index]]
         g = range(self._length)[index]
-        facts, rules = np.array(self._fact_gen), np.array(self._rule_gen)
-        ef, sf, er = map(_frozen, (facts <= g, facts < g, rules <= g))
-        ir = _frozen(np.ones(len(self._rule_gen), dtype=bool))
+        facts = np.array(self._fact_gen)
+        ef, sf = _frozen(facts <= g), _frozen(facts < g)
+        # the assessment pass: a rule is eligible when none of its premises
+        # is missing from SF; every rule has one, so ER is clear at 0
+        er = _frozen(~self.kb.premise_matrix[~sf].any(axis=0))
+        ir = _frozen(np.ones(self.kb.rule_count, dtype=bool))
         sr = _frozen(~er) if g else er  # at generation 0, SR is as clear as ER
         return Configuration(ef, self.kb.input_flags, sf, er, ir, sr, g)
 
@@ -250,7 +251,6 @@ def infer(kb: CellularKnowledgeBase, initial_facts) -> Trace:
     readers, counts, concludes = kb._counters
     missing = counts.copy()
     fact_gen = [NEVER] * kb.fact_count
-    rule_gen = [NEVER] * kb.rule_count
     established = []  # the seeds, then each wave: a queue in generation order
     index = kb._fact_indices.get
     for descriptor in initial_facts:
@@ -260,7 +260,6 @@ def infer(kb: CellularKnowledgeBase, initial_facts) -> Trace:
         if fact_gen[f] == NEVER:
             fact_gen[f] = 0
             established.append(f)
-    seeded = len(established)
     # A rule fires one generation after the fact that meets its last
     # premise; the facts it establishes join the queue this loop is reading.
     for f in established:
@@ -268,12 +267,11 @@ def infer(kb: CellularKnowledgeBase, initial_facts) -> Trace:
         for r in readers[f]:
             missing[r] -= 1
             if not missing[r]:
-                rule_gen[r] = g
                 c = concludes[r]
                 if fact_gen[c] == NEVER:
                     fact_gen[c] = g
                     established.append(c)
-    return Trace(kb, fact_gen, rule_gen, established, seeded)
+    return Trace(kb, fact_gen, established)
 
 
 def established_facts(kb: CellularKnowledgeBase,
@@ -311,8 +309,7 @@ def classify_casi(kb: CellularKnowledgeBase, instance) -> str:
     """
     trace = infer(kb, [kb.root] + instance_facts(kb, instance))
     facts = kb.facts
-    # the seeds, the root and attribute facts, are never class facts
-    hits = [facts[f] for f in trace._established[trace._seeded:]
+    hits = [facts[f] for f in trace._established
             if facts[f].startswith(CLASS_PREFIX)]
     if not hits:
         raise UnknownValueError(

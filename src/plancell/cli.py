@@ -10,6 +10,8 @@ data, 4 bad model, 5 resource/limit.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -22,11 +24,12 @@ from .casi import (classify_casi, compile_tree, format_fact_table,
 from .dataset import NUMERIC, class_distribution, load_csv, save_csv
 from .discretize import MODES, apply_map, fit_map
 from .errors import DataError, LimitError, ModelError
-from .evaluation import (UNKNOWN, cross_validate, evaluate_grid, label_cases,
-                         report, report_csv)
+from .evaluation import (ENGINES, UNKNOWN, cross_validate, evaluate_grid,
+                         label_cases, report, report_csv)
 from .plans import DEFAULT_MAX_PLANS, enumerate_plans, first_plan
 from .project import parse_project
-from .tree import classify_tree, induce, model_from_json, model_to_json
+from .tree import (J48, REPTREE, classify_tree, induce, model_from_json,
+                   model_to_json)
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -182,13 +185,15 @@ def _cmd_classify(args) -> int:
             return classify_casi(kb, values)
         return classify_tree(model, values, fallback=args.fallback_majority)[0]
 
-    lines = ["index,actual,predicted"]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")  # quotes only where needed
+    writer.writerow(("index", "actual", "predicted"))
     hits = 0
     labels = label_cases(classify, apply_map(model.discretization, cases))
     for i, (actual, predicted) in enumerate(zip(cases.labels, labels)):
         hits += predicted == actual
-        lines.append(f"{i},{actual},{UNKNOWN if predicted is None else predicted}")
-    body = "\n".join(lines) + "\n"
+        writer.writerow((i, actual, UNKNOWN if predicted is None else predicted))
+    body = out.getvalue()
     if args.out:
         _write_atomic(args.out, body)
     else:
@@ -279,7 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="induce a decision tree model")
     p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--mode", choices=("j48", "reptree"), default="j48")
+    p.add_argument("--mode", choices=(J48, REPTREE), default=J48)
     p.add_argument("--discretize", choices=MODES, default="supervised")
     p.add_argument("--bins", type=int, default=10)
     p.add_argument("--min-leaf", type=int, default=2)
@@ -317,14 +322,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="cross-validate a methods x modes grid")
     p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--methods", type=_name_list, default=["j48", "reptree", "knn"])
+    p.add_argument("--methods", type=_name_list, default=[J48, REPTREE, "knn"])
     p.add_argument("--modes", type=_name_list,
                    default=["supervised", "unsupervised"])
     p.add_argument("--folds", type=int, default=10)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--bins", type=int, default=10)
     p.add_argument("--min-leaf", type=int, default=2)
-    p.add_argument("--engine", choices=("tree", "casi"), default="tree")
+    p.add_argument("--engine", choices=ENGINES, default="tree")
     p.add_argument("--global-discretize", action="store_true",
                    help="fit one discretization on all data instead of per fold")
     p.add_argument("--seed", type=int, default=0)

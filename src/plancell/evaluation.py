@@ -21,9 +21,9 @@ from .dataset import NUMERIC, TrainingSet, class_members, subset
 from .discretize import MODES, apply_map, fit_map
 from .errors import DataError, PlancellError, UnknownValueError
 from .knn import classify_knn, fit_knn
-from .tree import classify_tree, induce, majority_label
+from .tree import J48, REPTREE, classify_tree, induce, majority_label
 
-METHODS = ("j48", "reptree", "knn", "majority")
+METHODS = (J48, REPTREE, "knn", "majority")
 ENGINES = ("tree", "casi")
 
 UNKNOWN = "?"
@@ -130,7 +130,7 @@ def _check(ts: TrainingSet, method: str, mode: str, engine: str) -> None:
     if engine not in ENGINES:
         raise DataError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     has_numeric = any(s.kind == NUMERIC for s in ts.attributes)
-    if mode == "none" and has_numeric and method in ("j48", "reptree"):
+    if mode == "none" and has_numeric and method in (J48, REPTREE):
         raise DataError(f"method {method!r} needs discretized data; "
                         f"mode 'none' leaves numeric attributes raw")
 

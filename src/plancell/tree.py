@@ -43,7 +43,7 @@ class TreeNode:
     def is_leaf(self) -> bool:
         return self.attribute is None
 
-    @property
+    @cached_property  # counts are never changed once a node is built
     def majority(self) -> str:
         return majority_label(self.counts)
 

@@ -1,3 +1,6 @@
+import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -12,8 +15,9 @@ from plancell.casi import kb_from_json
 from plancell.cli import run
 from plancell.dataset import load_csv
 from plancell.errors import ModelIntegrityError
+from plancell.evaluation import ENGINES, METHODS
 from plancell.sample_data import sample_project_text, sample_runs_text
-from plancell.tree import model_from_json
+from plancell.tree import J48, REPTREE, model_from_json
 
 
 @pytest.fixture
@@ -244,6 +248,37 @@ def test_classify_writes_csv(model_file, runs_file, tmp_path, capsys):
     assert run(["classify", "--model", model_file, "--in", runs_file,
                 "--out", str(out)]) == 0
     assert out.read_text().startswith("index,actual,predicted\n0,P1,P1\n")
+
+
+@pytest.mark.parametrize("engine", [[], ["--casi"]])
+def test_classify_quotes_labels_as_csv(engine, tmp_path, capsys):
+    labels = ["P1,x", 'say "hi"', "two\nlines"]
+    train, model, out = (tmp_path / n for n in ("t.csv", "m.json", "p.csv"))
+    train.write_text('x:nominal,class:nominal\n'
+                     'a,"P1,x"\nb,"say ""hi"""\nc,"two\nlines"\n')
+    assert run(["train", "--in", str(train), "--min-leaf", "1",
+                "--out", str(model)]) == 0
+    capsys.readouterr()
+    argv = ["classify", "--model", str(model), "--in", str(train)] + engine
+    assert run(argv) == 0
+    printed = capsys.readouterr().out
+    assert run(argv + ["--out", str(out)]) == 0
+    want = [["index", "actual", "predicted"]] + [
+        [str(i), label, label] for i, label in enumerate(labels)]
+    assert out.read_text() == printed
+    assert list(csv.reader(io.StringIO(printed))) == want
+
+
+def test_option_choices_are_the_library_names():
+    def choices(command, dest):
+        sub = next(a for a in cli._build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        return next(a.choices for a in sub.choices[command]._actions
+                    if a.dest == dest)
+
+    assert choices("train", "mode") == (J48, REPTREE)
+    assert choices("eval", "engine") == ENGINES
+    assert set(choices("train", "mode")) < set(METHODS)
 
 
 def test_classify_rejects_schema_mismatch(model_file, tmp_path, capsys):
