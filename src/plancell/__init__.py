@@ -28,8 +28,7 @@ from .evaluation import (EvalReport, FoldPlan, cross_validate, evaluate_grid,
 from .knn import KnnModel, classify_knn, fit_knn
 from .plans import (Plan, PlanEnumeration, enumerate_plans, first_plan,
                     linearize)
-from .project import (ProjectGraph, ProjectParseError, Task, parse_project,
-                      validate)
+from .project import ProjectGraph, ProjectParseError, Task, parse_project
 from .sample_data import sample_project, sample_runs
 from .tree import (InductionGraph, TreeNode, classify_tree, gain_ratio, grow,
                    induce, information_gain, model_from_json, model_to_json,
@@ -55,5 +54,5 @@ __all__ = [
     "instance_facts", "kb_from_json", "kb_to_json", "linearize", "load_csv",
     "make_folds", "model_from_json", "model_to_json", "parse_project",
     "rep_prune", "report", "report_csv", "sample_project", "sample_runs",
-    "save_csv", "solve", "subset", "validate", "validate_plan",
+    "save_csv", "solve", "subset", "validate_plan",
 ]

@@ -60,8 +60,10 @@ class BlockState:
     block, the ``support`` index it rests on, ``_TABLE`` or ``_HELD``.
 
     ``on``, ``on_table``, ``holding``, ``blocks``, ``clear`` and
-    ``arm_empty`` are views. The constructor rejects a block in two
-    positions or on an unknown block; ``check`` covers the rest.
+    ``arm_empty`` are views. The constructor raises DataError unless the
+    state is a set of towers on the table: every block in one position and
+    on a known block, at most one block on any block, none on the held
+    block, and every chain of supports ending on the table.
     """
 
     __slots__ = ("names", "support")
@@ -71,19 +73,30 @@ class BlockState:
                  holding: str | None = None):
         on = on or {}
         located = [*on, *on_table] + ([holding] if holding else [])
-        self.names = tuple(sorted(set(located)))
-        if len(self.names) < len(located):
+        self.names = names = tuple(sorted(set(located)))
+        if len(names) < len(located):
             b, n = Counter(located).most_common(1)[0]
             raise DataError(f"block {b!r} occupies {n} positions")
-        index = {b: i for i, b in enumerate(self.names)}
+        index = {b: i for i, b in enumerate(names)}
         for b, under in on.items():
             if under not in index:
                 raise DataError(f"block {b!r} rests on unknown block {under!r}")
-        self.support = tuple(index[on[b]] if b in on else _TABLE if b in on_table
-                             else _HELD for b in self.names)
+        self.support = support = tuple(
+            index[on[b]] if b in on else _TABLE if b in on_table else _HELD
+            for b in names)
+        for b, under in zip(names, support):
+            if under >= 0 and support[under] == _HELD:
+                raise DataError(f"block {b!r} rests on the held block {names[under]!r}")
+        stacked = [s for s in support if s >= 0]
+        if len(set(stacked)) < len(stacked):
+            under, n = Counter(stacked).most_common(1)[0]
+            raise DataError(f"{n} blocks rest on block {names[under]!r}")
+        if _cyclic(support):
+            raise DataError("block supports contain a cycle")
 
     @classmethod
     def _packed(cls, names, support) -> "BlockState":
+        """A state from fields that already form towers, unchecked."""
         state = object.__new__(cls)
         state.names, state.support = names, support
         return state
@@ -112,23 +125,6 @@ class BlockState:
     @property
     def arm_empty(self) -> bool:
         return _HELD not in self.support
-
-    def check(self) -> None:
-        """Raise DataError unless the state is a set of towers on the table.
-
-        At most one block rests on any block, none on the held block, and
-        every chain of supports ends on the table.
-        """
-        names, support = self.names, self.support
-        for b, under in zip(names, support):
-            if under >= 0 and support[under] == _HELD:
-                raise DataError(f"block {b!r} rests on the held block {names[under]!r}")
-        stacked = [s for s in support if s >= 0]
-        if len(set(stacked)) < len(stacked):
-            under, n = Counter(stacked).most_common(1)[0]
-            raise DataError(f"{n} blocks rest on block {names[under]!r}")
-        if _cyclic(support):
-            raise DataError("block supports contain a cycle")
 
     def __eq__(self, other):
         return (isinstance(other, BlockState) and self.names == other.names
@@ -189,10 +185,8 @@ def validate_plan(initial: BlockState, plan, goal) -> tuple[bool, str | None]:
 
     ``plan`` is a sequence of action strings or Action objects, such as
     ``solve(...).plan``. As in ``solve`` and before any step is replayed,
-    an initial state that is not a set of towers raises DataError and a
-    goal no state satisfies UnsolvableGoalError.
+    a goal no state satisfies raises UnsolvableGoalError.
     """
-    initial.check()
     target = _read_goal(initial.names, goal)
     state = initial
     for i, step in enumerate(plan):
@@ -223,7 +217,6 @@ def solve(initial: BlockState, goal, budget: int = 500_000,
     ``budget`` caps the number of states expanded (BFS only). The returned
     plan always validates against (initial, goal).
     """
-    initial.check()
     target = _read_goal(initial.names, goal)
     start = time.perf_counter()
     if method == "bfs":

@@ -101,13 +101,11 @@ def _cv_spec(text: str) -> int:
 def _cmd_plans(args) -> int:
     graph = parse_project(_read_text(args.project))
     if args.first:
-        plan = first_plan(graph)
-        plans, truncated = [plan], False
+        plans, truncated = [first_plan(graph)], False
     else:
         result = enumerate_plans(graph, args.max_plans)
         plans, truncated = list(result.plans), result.truncated
-    lines = [f"{p.id}: {'; '.join(p.steps)}" for p in plans]
-    body = "\n".join(lines) + "\n" if lines else ""
+    body = "".join(f"{p.id}: {'; '.join(p.steps)}\n" for p in plans)
     if args.out:
         _write_atomic(args.out, body)
     else:

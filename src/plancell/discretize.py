@@ -31,14 +31,16 @@ MODES = ("supervised", "unsupervised", "none")
 
 @dataclass(frozen=True)
 class DiscretizationMap:
-    """Sorted cut points per numeric attribute."""
+    """Sorted cut points per numeric attribute: finite ints or floats (no
+    bools), strictly increasing, or DataError."""
 
     cuts: dict[str, tuple[float, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
         for name, cs in self.cuts.items():
-            # a NaN cut orders against nothing, so it cannot increase
-            if list(cs) != sorted(set(cs)) or any(c != c for c in cs):
+            if not all(map(is_finite_number, cs)):
+                raise DataError(f"cuts for {name!r} are not finite numbers")
+            if list(cs) != sorted(set(cs)):
                 raise DataError(f"cuts for {name!r} must be strictly increasing")
 
     def bin_label(self, attribute: str, value):
@@ -109,9 +111,8 @@ def schema_from_json(data: dict):
     """Inverse of ``schema_to_json``: (attributes, classes, map or None).
 
     Raises ModelIntegrityError on any malformed part: repeated attribute
-    names, unsorted, non-numeric or non-finite cuts (``json`` reads NaN and
-    Infinity), classes or domains not in lists, classes or nominal values
-    that are not strings.
+    names, cuts the map refuses (``json`` reads NaN and Infinity), classes
+    or domains not in lists, classes or nominal values that are not strings.
     """
     try:
         for value in [data["classes"], *(a["domain"] for a in data["attributes"])]:
@@ -129,9 +130,6 @@ def schema_from_json(data: dict):
         cuts = data.get("discretization")
         if cuts is None:
             return attributes, classes, None
-        for name, cs in cuts.items():
-            if not all(map(is_finite_number, cs)):
-                raise ModelIntegrityError(f"cuts for {name!r} are not finite numbers")
         return attributes, classes, DiscretizationMap(
             {a: tuple(c) for a, c in cuts.items()})
     except (KeyError, TypeError, AttributeError, DataError) as exc:

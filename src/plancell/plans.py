@@ -44,8 +44,7 @@ def enumerate_plans(graph: ProjectGraph, max_plans: int = DEFAULT_MAX_PLANS) -> 
 
     Plans are labelled P1, P2, ... in sorted order. Enumeration stops once
     more than ``max_plans`` distinct sequences have been found, returning
-    the first ``max_plans`` of them with the truncated flag set. An
-    unsolvable graph yields an empty, untruncated enumeration.
+    the first ``max_plans`` of them with the truncated flag set.
     """
     if max_plans < 1:
         raise DataError(f"max_plans must be >= 1, got {max_plans}")
@@ -63,34 +62,27 @@ def enumerate_plans(graph: ProjectGraph, max_plans: int = DEFAULT_MAX_PLANS) -> 
     return PlanEnumeration(plans, truncated)
 
 
-def first_plan(graph: ProjectGraph) -> Plan | None:
-    """The first solution in backward-chaining order, or None if unsolvable."""
-    for steps in _solutions(graph):
-        return Plan("P1", steps)
-    return None
+def first_plan(graph: ProjectGraph) -> Plan:
+    """The first solution in backward-chaining order; a graph that
+    constructs always has one."""
+    return Plan("P1", next(_solutions(graph)))
 
 
 def _solutions(graph: ProjectGraph):
     """Yield each solution's step sequence, backward chaining from the exit.
 
     Tasks are resolved smallest-id first; groups are tried in declaration
-    order, so the yield order is deterministic. Choices whose groups form a
-    cycle, or that reach a task the graph lacks, are discarded.
+    order, so the yield order is deterministic. The graph's constructor
+    refuses cycles and unknown tasks, so every complete choice linearizes.
     """
     stack = [({}, frozenset({graph.exit}))]
     while stack:
         chosen, pending = stack.pop()
         if not pending:
-            try:
-                steps = linearize(chosen)
-            except DataError:
-                continue
-            yield steps
+            yield linearize(chosen)
             continue
         task_id = min(pending)
-        task = graph.tasks.get(task_id)
-        if task is None:
-            continue
+        task = graph.tasks[task_id]
         # pushed last to first, so the first group is popped first
         for group in reversed(task.preconditions or (frozenset(),)):
             now = {**chosen, task_id: group}

@@ -15,7 +15,7 @@ An empty "pre" list marks the entry task.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
 
 from .errors import DataError
@@ -35,11 +35,18 @@ class Task:
 
 @dataclass(frozen=True)
 class ProjectGraph:
-    """Immutable AND/OR graph over tasks; construct via parse_project."""
+    """Immutable AND/OR graph over tasks; the constructor raises
+    ProjectParseError, every violation joined by "; ", unless the graph
+    meets every invariant ``_violations`` checks."""
 
-    tasks: dict[str, Task] = field(default_factory=dict)
-    entry: str = ""
-    exit: str = ""
+    tasks: dict[str, Task]
+    entry: str
+    exit: str
+
+    def __post_init__(self):
+        violations = _violations(self)
+        if violations:
+            raise ProjectParseError("; ".join(violations))
 
     def predecessors(self, task_id: str) -> set[str]:
         """Union of all tasks referenced by any precondition group."""
@@ -90,23 +97,21 @@ def parse_project(text: str) -> ProjectGraph:
     for key in ("entry", "exit"):
         if not isinstance(doc[key], str):
             raise ProjectParseError(f"{key!r} must be a task id")
-    graph = ProjectGraph(tasks=tasks, entry=doc["entry"], exit=doc["exit"])
-    violations = validate(graph)
-    if violations:
-        raise ProjectParseError("; ".join(violations))
-    return graph
+    return ProjectGraph(tasks=tasks, entry=doc["entry"], exit=doc["exit"])
 
 
-def validate(graph: ProjectGraph) -> list[str]:
-    """Check every ProjectGraph invariant; returns one message per violation.
+def _violations(graph: ProjectGraph) -> list[str]:
+    """One message per broken ProjectGraph invariant.
 
-    Entry and exit exist, only the entry lacks precondition groups, every
-    group is non-empty and names known tasks, and the union precedence
-    relation is acyclic. These imply that the exit is reachable: in a
-    topological order every task has a group of earlier, reachable tasks.
+    Each task sits under its own id, entry and exit exist, only the entry
+    lacks precondition groups, every group is non-empty and names known
+    tasks, and the union precedence relation is acyclic. These imply that
+    the exit is reachable: in a topological order every task has a group
+    of earlier, reachable tasks.
     """
-    violations = []
     tasks = graph.tasks
+    violations = [f"task key {key!r} holds task {task.id!r}"
+                  for key, task in tasks.items() if key != task.id]
 
     if graph.entry not in tasks:
         violations.append(f"entry task {graph.entry!r} not found")

@@ -95,22 +95,27 @@ def brute_force_plans(graph):
     return sequences
 
 
-def dfs_find_cycle(graph):
-    """Colour DFS over the union precedence relation; one cycle message or none."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {tid: WHITE for tid in graph.tasks}
+def dfs_find_cycle(tasks):
+    """Colour DFS over the union precedence relation of a mapping from
+    task id to Task; one cycle message or none."""
 
-    for start in graph.tasks:
+    def predecessors(tid):
+        return {ref for group in tasks[tid].preconditions for ref in group}
+
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color = {tid: WHITE for tid in tasks}
+
+    for start in tasks:
         if color[start] != WHITE:
             continue
-        stack = [(start, iter(sorted(graph.predecessors(start))))]
+        stack = [(start, iter(sorted(predecessors(start))))]
         color[start] = GRAY
         path = [start]
         while stack:
             node, it = stack[-1]
             advanced = False
             for pred in it:
-                if pred not in graph.tasks:
+                if pred not in tasks:
                     continue
                 if color[pred] == GRAY:
                     cycle = path[path.index(pred):] + [pred]
@@ -119,7 +124,7 @@ def dfs_find_cycle(graph):
                 if color[pred] == WHITE:
                     color[pred] = GRAY
                     path.append(pred)
-                    stack.append((pred, iter(sorted(graph.predecessors(pred)))))
+                    stack.append((pred, iter(sorted(predecessors(pred)))))
                     advanced = True
                     break
             if not advanced:

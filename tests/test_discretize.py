@@ -1,4 +1,5 @@
 import argparse
+import json
 import math
 import random
 from collections import Counter
@@ -9,12 +10,14 @@ from hypothesis import strategies as st
 
 from oracles import _boundary_candidates, encode, mdl_cuts
 from plancell import cli, evaluation
+from plancell.casi import compile_tree, kb_from_json, kb_to_json
 from plancell.dataset import build_training_set
 from plancell.discretize import (MODES, DiscretizationMap, _candidates,
                                  _mdl_split, apply_map, discretize_supervised,
                                  discretize_unsupervised, fit_map,
                                  schema_from_json)
 from plancell.errors import DataError, ModelIntegrityError
+from plancell.tree import grow, model_from_json, model_to_json
 
 
 def boundary_candidates(pairs):
@@ -178,9 +181,35 @@ def test_cuts_must_be_strictly_increasing():
         DiscretizationMap({"x": (2.0, 2.0)})
     with pytest.raises(DataError, match="strictly increasing"):
         DiscretizationMap({"x": (3.0, 1.0)})
+    # a NaN cut orders against nothing; it is refused as not finite
     for cuts in [(math.nan,), (1.0, math.nan)]:
-        with pytest.raises(DataError, match="strictly increasing"):
+        with pytest.raises(DataError, match="not finite numbers"):
             DiscretizationMap({"x": cuts})
+
+
+@pytest.mark.parametrize("cut", [math.inf, -math.inf, math.nan, 10**400, "8", True],
+                         ids=["inf", "-inf", "nan", "10**400", "'8'", "True"])
+def test_cuts_must_be_finite_numbers(cut):
+    # a map built in code refuses what a model file may not hold
+    with pytest.raises(DataError, match="cuts for 'x' are not finite numbers"):
+        DiscretizationMap({"x": (cut,)})
+
+
+CUT_LISTS = st.lists(
+    st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+              st.integers(-10**308, 10**308)),
+    max_size=5).map(lambda cs: tuple(sorted(set(cs))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.sampled_from(["x", "y", "z"]), CUT_LISTS, max_size=3))
+def test_every_map_the_constructor_accepts_round_trips_through_model_files(cuts):
+    dmap = DiscretizationMap(cuts)
+    ts = build_training_set([("x", "nominal")], [("b0", "A"), ("b1", "B")])
+    tree = grow(ts, min_leaf=1, discretization=dmap)
+    model = model_from_json(json.loads(json.dumps(model_to_json(tree))))
+    kb = kb_from_json(json.loads(json.dumps(kb_to_json(compile_tree(tree)))))
+    assert model.discretization.cuts == kb.discretization.cuts == dmap.cuts
 
 
 def test_apply_map_rewrites_numeric_columns(runs11):
@@ -376,6 +405,8 @@ def schema_doc():
     (lambda doc: doc["classes"].append(5), "class 5 is not a string"),
     (lambda doc: doc["attributes"][0]["domain"].append(1),
      "attribute 'x': nominal value 1 is not a string"),
+    (lambda doc: doc.update(discretization={"x": [1.0, math.inf]}),
+     "malformed schema: cuts for 'x' are not finite numbers"),
 ])
 def test_schema_from_json_refuses_fields_of_the_wrong_type(fault, message):
     doc = schema_doc()

@@ -4,13 +4,13 @@ import random
 import sys
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plancell import enumerate_plans, first_plan, parse_project, validate
+from plancell import enumerate_plans, first_plan, parse_project
 from plancell.errors import DataError
 from plancell.plans import Plan, linearize
-from plancell.project import ProjectGraph, Task
+from plancell.project import ProjectGraph, ProjectParseError, Task
 
 from oracles import brute_force_plans, dfs_find_cycle, wave_linearize
 
@@ -85,14 +85,12 @@ def test_first_plan_is_one_of_the_enumeration(fire):
 
 
 def test_unsolvable_graph_yields_nothing():
-    graph = ProjectGraph(
-        tasks={"t0": Task(id="t0"),
-               "t9": Task(id="t9", preconditions=(frozenset({"ghost"}),))},
-        entry="t0", exit="t9")
-    result = enumerate_plans(graph)
-    assert result.plans == ()
-    assert not result.truncated
-    assert first_plan(graph) is None
+    # a graph without a plan never constructs, so no enumeration sees one
+    with pytest.raises(ProjectParseError, match="unknown task reference 'ghost'"):
+        ProjectGraph(
+            tasks={"t0": Task(id="t0"),
+                   "t9": Task(id="t9", preconditions=(frozenset({"ghost"}),))},
+            entry="t0", exit="t9")
 
 
 def test_linearize_orders_by_wave_then_id():
@@ -182,13 +180,13 @@ def test_random_plans_are_well_formed():
 
 
 @st.composite
-def unvalidated_graphs(draw):
-    """2-6 tasks wired straight from ``Task`` objects, never validated.
+def task_maps(draw, wild):
+    """2-6 tasks wired straight from ``Task`` objects, keyed by id.
 
-    The first task is the entry, the last the exit. Most precondition
-    groups name earlier tasks; the rest may name any task, a later one or
-    the task itself included, or a task the graph lacks, so forward
-    references, cycles and dangling groups occur.
+    The first task is the entry, the last the exit. Precondition groups
+    name earlier tasks, so the graph constructs. With ``wild``, some groups
+    may name any task, a later one or the task itself included, or a task
+    the graph lacks, so forward references, cycles and dangling groups occur.
     """
     ids = [f"t{i}" for i in range(draw(st.integers(2, 6)))]
     anywhere = st.frozensets(st.sampled_from(ids + ["ghost"]), min_size=1,
@@ -197,35 +195,47 @@ def unvalidated_graphs(draw):
     for i, t in enumerate(ids[1:], 1):
         earlier = st.frozensets(st.sampled_from(ids[:i]), min_size=1,
                                 max_size=2)
-        groups = st.lists(st.one_of(earlier, earlier, anywhere), min_size=1,
-                          max_size=3)
-        tasks[t] = Task(t, preconditions=tuple(draw(groups)))
+        group = st.one_of(earlier, earlier, anywhere) if wild else earlier
+        groups = draw(st.lists(group, min_size=1, max_size=3))
+        tasks[t] = Task(t, preconditions=tuple(groups))
+    return tasks
+
+
+def graph_of(tasks):
+    ids = list(tasks)
     return ProjectGraph(tasks=tasks, entry=ids[0], exit=ids[-1])
 
 
-@given(unvalidated_graphs())
+@given(task_maps(wild=False).map(graph_of))
 @settings(max_examples=150, deadline=None)
-def test_unvalidated_graphs_match_brute_force(graph):
+def test_hand_built_graphs_match_brute_force(graph):
     result = enumerate_plans(graph)
     assert not result.truncated
     assert [p.steps for p in result.plans] == sorted(brute_force_plans(graph))
 
 
-@given(unvalidated_graphs())
+@given(task_maps(wild=False).map(graph_of))
 @settings(max_examples=150, deadline=None)
 def test_every_valid_graph_has_a_first_plan(graph):
-    # validate has no reachability check: its other invariants imply one
-    assume(validate(graph) == [])
+    # the constructor has no reachability check: its other invariants imply one
     plan = first_plan(graph)
-    assert plan is not None
     assert plan.steps[0] == graph.entry and plan.steps[-1] == graph.exit
+    assert plan.steps in brute_force_plans(graph)
 
 
-@given(unvalidated_graphs())
+@given(task_maps(wild=True))
 @settings(max_examples=300, deadline=None)
-def test_cycle_message_equals_the_dfs_oracle(graph):
-    cycles = [m for m in validate(graph) if "reachable from itself" in m]
-    assert cycles == dfs_find_cycle(graph)
+def test_cycle_message_equals_the_dfs_oracle(tasks):
+    cycle = dfs_find_cycle(tasks)
+    unknown = {ref for task in tasks.values() for group in task.preconditions
+               for ref in group} - tasks.keys()
+    if not cycle and not unknown:
+        graph_of(tasks)  # constructs: every other invariant holds by the draw
+        return
+    with pytest.raises(ProjectParseError) as error:
+        graph_of(tasks)
+    messages = str(error.value).split("; ")
+    assert [m for m in messages if "reachable from itself" in m] == cycle
 
 
 @st.composite

@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from plancell import parse_project, validate
-from plancell.project import ProjectParseError
+from plancell import parse_project
+from plancell.project import ProjectGraph, ProjectParseError, Task
 
 
 def doc(tasks, entry="t0", exit="t9"):
@@ -114,24 +114,36 @@ def test_cycle_through_and_group():
 
 
 def test_exit_unreachable_reported_on_hand_built_graph():
-    # only reachable by constructing the graph directly: an exit whose
-    # single group names a task that is never derivable
-    from plancell.project import ProjectGraph, Task
-
-    graph = ProjectGraph(
-        tasks={
-            "t0": Task(id="t0"),
-            "t9": Task(id="t9", preconditions=(frozenset({"lost"}),)),
-        },
-        entry="t0",
-        exit="t9",
-    )
-    messages = validate(graph)
-    assert any("unknown task reference" in m for m in messages)
+    # an exit whose single group names a task that is never derivable:
+    # the constructor refuses it as parse_project does
+    with pytest.raises(ProjectParseError, match="unknown task reference 'lost'"):
+        ProjectGraph(
+            tasks={
+                "t0": Task(id="t0"),
+                "t9": Task(id="t9", preconditions=(frozenset({"lost"}),)),
+            },
+            entry="t0",
+            exit="t9",
+        )
 
 
 def test_validate_lists_all_violations(fire):
-    assert validate(fire) == []
+    # a graph that constructs has none; the constructor joins all it finds
+    assert ProjectGraph(fire.tasks, fire.entry, fire.exit) == fire
+    with pytest.raises(ProjectParseError) as error:
+        ProjectGraph({"t0": Task("t0", preconditions=(frozenset(),)),
+                      "t9": Task("t9")}, entry="t0", exit="tx")
+    assert str(error.value) == (
+        "exit task 'tx' not found; task 't0': empty precondition group; "
+        "entry task 't0' must have no preconditions; "
+        "task 't9' has no preconditions but is not the entry")
+
+
+def test_task_filed_under_another_key_is_refused():
+    # enumeration would otherwise plan task 'c' under the name 'b'
+    tasks = {"a": Task("a"), "b": Task("c", preconditions=(frozenset({"a"}),))}
+    with pytest.raises(ProjectParseError, match="^task key 'b' holds task 'c'$"):
+        ProjectGraph(tasks=tasks, entry="a", exit="b")
 
 
 def test_valid_chain_parses():
