@@ -15,8 +15,10 @@ An empty "pre" list marks the entry task.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
+from types import MappingProxyType
 
 from .errors import DataError
 
@@ -37,13 +39,15 @@ class Task:
 class ProjectGraph:
     """Immutable AND/OR graph over tasks; the constructor raises
     ProjectParseError, every violation joined by "; ", unless the graph
-    meets every invariant ``_violations`` checks."""
+    meets every invariant ``_violations`` checks. ``tasks`` is a read-only
+    copy of the mapping given, so the graph stays as checked."""
 
-    tasks: dict[str, Task]
+    tasks: Mapping[str, Task]
     entry: str
     exit: str
 
     def __post_init__(self):
+        object.__setattr__(self, "tasks", MappingProxyType(dict(self.tasks)))
         violations = _violations(self)
         if violations:
             raise ProjectParseError("; ".join(violations))

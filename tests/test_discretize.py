@@ -9,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import _boundary_candidates, encode, mdl_cuts
-from plancell import cli, evaluation
+from plancell import cli, discretize, evaluation
 from plancell.casi import compile_tree, kb_from_json, kb_to_json
 from plancell.dataset import build_training_set
 from plancell.discretize import (MODES, DiscretizationMap, _candidates,
-                                 _mdl_split, apply_map, discretize_supervised,
-                                 discretize_unsupervised, fit_map,
-                                 schema_from_json)
+                                 _coded_labels, _mdl_split, apply_map,
+                                 discretize_supervised,
+                                 discretize_unsupervised, entropy, fit_map,
+                                 schema_from_json, schema_to_json)
 from plancell.errors import DataError, ModelIntegrityError
 from plancell.tree import grow, model_from_json, model_to_json
 
@@ -23,7 +24,8 @@ from plancell.tree import grow, model_from_json, model_to_json
 def boundary_candidates(pairs):
     """The cut candidates the MDL fit finds for (value, label) rows in any
     order."""
-    return _candidates([v for v, _ in pairs], [y for _, y in pairs])[0].tolist()
+    codes = _coded_labels([y for _, y in pairs])[0]
+    return _candidates([v for v, _ in pairs], codes)[0].tolist()
 
 
 def numeric_set(values, labels):
@@ -195,6 +197,21 @@ def test_cuts_must_be_finite_numbers(cut):
         DiscretizationMap({"x": (cut,)})
 
 
+def test_cuts_of_a_built_map_cannot_change():
+    # a cut set after the check would pass it by, and the cached bin
+    # labels would no longer match the cuts
+    cuts = {"x": [1.0]}
+    dmap = DiscretizationMap(cuts)
+    assert dmap.bin_label("x", 2.0) == "b1"
+    with pytest.raises(TypeError):
+        dmap.cuts["x"] = (math.inf, 5.0)
+    cuts["x"].append(3.0)
+    cuts["y"] = (0.0,)
+    assert dmap.cuts == {"x": (1.0,)} and dmap.bin_label("x", 2.0) == "b1"
+    assert dmap == DiscretizationMap({"x": (1.0,)})
+    assert schema_to_json([], [], dmap)["discretization"] == {"x": [1.0]}
+
+
 CUT_LISTS = st.lists(
     st.one_of(st.floats(allow_nan=False, allow_infinity=False),
               st.integers(-10**308, 10**308)),
@@ -299,18 +316,18 @@ def labelled_columns(draw):
     return values, draw_labels(draw, values, k)
 
 
-def draw_labels(draw, values, k):
-    """Labels from the first ``k`` of LABELS: at random, or following the
+def draw_labels(draw, values, k, names=LABELS):
+    """Labels from the first ``k`` of ``names``: at random, or following the
     value's rank (so cuts get accepted) with a few redrawn."""
     n = len(values)
     if draw(st.booleans()):
-        return draw(st.lists(st.sampled_from(LABELS[:k]), min_size=n, max_size=n))
+        return draw(st.lists(st.sampled_from(names[:k]), min_size=n, max_size=n))
     order = sorted(range(n), key=lambda i: values[i])
     labels = [""] * n
     for rank, i in enumerate(order):
-        labels[i] = LABELS[rank * k // n]
+        labels[i] = names[rank * k // n]
     for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
-        labels[i] = draw(st.sampled_from(LABELS[:k]))
+        labels[i] = draw(st.sampled_from(names[:k]))
     return labels
 
 
@@ -385,9 +402,77 @@ def test_tied_splits_keep_the_first_cut():
     pairs = sorted(zip(values, labels))
     assert split_score(pairs, 19.5) == split_score(pairs, 39.5)
     found = []
-    _mdl_split(values, labels, found)
+    _mdl_split(values, *_coded_labels(labels), found)
     assert found == [19.5, 39.5]
     assert tuple(found) == mdl_cuts(values, labels)
+
+
+# --- ranges the screen decides alone, and ranges it leaves to exact scoring -
+
+PLANS = tuple(f"P{i:02d}" for i in range(100))
+
+
+@st.composite
+def benchmark_columns(draw):
+    """A column shaped like those of the benchmark corpus: up to 100 plan
+    labels, and either runs of 1-30 equal values, as ``steps`` has, or
+    near-unique noisy times, as ``time`` has."""
+    k = draw(st.integers(1, len(PLANS)))
+    if draw(st.booleans()):
+        runs = draw(st.lists(st.tuples(st.integers(0, 80), st.integers(1, 30)),
+                             min_size=1, max_size=30))
+        values = [float(v) for v, size in runs for _ in range(size)]
+    else:
+        n = draw(st.integers(2, 200))
+        values = [round(t, 9) for t in draw(st.lists(
+            st.floats(1e-3, 2e-2), min_size=n, max_size=n))]
+    return values, draw_labels(draw, values, k, PLANS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(benchmark_columns())
+def test_mdl_cuts_equal_the_quadratic_oracle_on_benchmark_columns(column):
+    values, labels = column
+    got = discretize_supervised(numeric_set(values, labels)).cuts["x"]
+    assert got == mdl_cuts(values, labels)
+
+
+def counted_entropy(monkeypatch) -> list:
+    """The distributions ``discretize.entropy`` is called on from now."""
+    calls = []
+
+    def counting(dist):
+        calls.append(dist)
+        return entropy(dist)
+
+    monkeypatch.setattr(discretize, "entropy", counting)
+    return calls
+
+
+def test_a_clear_split_is_decided_by_the_screen(monkeypatch):
+    calls = counted_entropy(monkeypatch)
+    values = [float(v) for v in range(40)]
+    labels = ["A"] * 20 + ["B"] * 20
+    assert discretize_supervised(numeric_set(values, labels)).cuts["x"] == \
+        mdl_cuts(values, labels) == (19.5,)
+    assert calls == []
+
+
+@pytest.mark.parametrize("values, labels, cuts", [
+    # the tie of test_tied_splits_keep_the_first_cut: two candidates lie
+    # within the tolerance of the least score
+    ([float(v) for v in range(60)], ["A"] * 20 + ["B"] * 20 + ["A"] * 20,
+     (19.5, 39.5)),
+    # one candidate, whose gain clears the MDL threshold by 1.6e-10 bits:
+    # inside twice the tolerance, 6.1e-10 at 1,966 rows
+    ([0.0] * 12 + [1.0] * 1954, ["A"] * 892 + ["B"] * 1074, (0.5,)),
+], ids=["tie", "near-threshold"])
+def test_near_ties_and_near_threshold_gains_are_scored_exactly(
+        monkeypatch, values, labels, cuts):
+    calls = counted_entropy(monkeypatch)
+    assert discretize_supervised(numeric_set(values, labels)).cuts["x"] == \
+        mdl_cuts(values, labels) == cuts
+    assert calls
 
 
 def schema_doc():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from plancell import parse_project
+from plancell import enumerate_plans, parse_project
 from plancell.project import ProjectGraph, ProjectParseError, Task
 
 
@@ -144,6 +144,18 @@ def test_task_filed_under_another_key_is_refused():
     tasks = {"a": Task("a"), "b": Task("c", preconditions=(frozenset({"a"}),))}
     with pytest.raises(ProjectParseError, match="^task key 'b' holds task 'c'$"):
         ProjectGraph(tasks=tasks, entry="a", exit="b")
+
+
+def test_tasks_of_a_built_graph_cannot_change(fire):
+    # a task added after the check would name a task that does not exist
+    with pytest.raises(TypeError):
+        fire.tasks["police"] = Task("police", preconditions=(frozenset({"ghost"}),))
+    with pytest.raises(TypeError):
+        del fire.tasks["police"]
+    tasks = dict(fire.tasks)
+    graph = ProjectGraph(tasks, fire.entry, fire.exit)
+    tasks["police"] = Task("police", preconditions=(frozenset({"ghost"}),))
+    assert graph == fire and len(enumerate_plans(graph).plans) == 8
 
 
 def test_valid_chain_parses():
