@@ -26,8 +26,7 @@ from .errors import (DataError, InapplicableActionError, LimitError,
 from .evaluation import (EvalReport, FoldPlan, cross_validate, evaluate_grid,
                          make_folds, report, report_csv)
 from .knn import KnnModel, classify_knn, fit_knn
-from .plans import (Plan, PlanEnumeration, enumerate_plans, first_plan,
-                    linearize)
+from .plans import Plan, PlanEnumeration, enumerate_plans, first_plan
 from .project import ProjectGraph, ProjectParseError, Task, parse_project
 from .sample_data import sample_project, sample_runs
 from .tree import (InductionGraph, TreeNode, classify_tree, gain_ratio, grow,
@@ -51,7 +50,7 @@ __all__ = [
     "first_plan", "fit_knn", "fit_map", "format_fact_table",
     "format_incidence", "format_rule_table", "gain_ratio", "generate_corpus",
     "generate_runs", "grow", "induce", "infer", "information_gain",
-    "instance_facts", "kb_from_json", "kb_to_json", "linearize", "load_csv",
+    "instance_facts", "kb_from_json", "kb_to_json", "load_csv",
     "make_folds", "model_from_json", "model_to_json", "parse_project",
     "rep_prune", "report", "report_csv", "sample_project", "sample_runs",
     "save_csv", "solve", "subset", "validate_plan",

@@ -99,16 +99,6 @@ class TrainingSet:
     def attribute_names(self) -> tuple[str, ...]:
         return tuple(a.name for a in self.attributes)
 
-    def attribute(self, name: str) -> AttributeSpec:
-        for spec in self.attributes:
-            if spec.name == name:
-                return spec
-        raise KeyError(name)
-
-    def column(self, name: str) -> tuple:
-        """All values of one attribute, in row order."""
-        return self.columns[self.attribute_names.index(name)]
-
     def take(self, indices: list[int]) -> TrainingSet:
         """The rows ``indices`` under this set's own attributes and classes."""
         return TrainingSet(self.attributes, self.classes,

@@ -79,7 +79,7 @@ def _solutions(graph: ProjectGraph):
     while stack:
         chosen, pending = stack.pop()
         if not pending:
-            yield linearize(chosen)
+            yield _linearize(chosen)
             continue
         task_id = min(pending)
         task = graph.tasks[task_id]
@@ -89,29 +89,25 @@ def _solutions(graph: ProjectGraph):
             stack.append((now, pending - {task_id} | (group - now.keys())))
 
 
-def linearize(chosen: dict[str, frozenset[str]]) -> tuple[str, ...]:
+def _linearize(chosen: dict[str, frozenset[str]]) -> tuple[str, ...]:
     """Order a solution's tasks by readiness wave, then id.
 
     ``chosen`` maps each task of the solution to its chosen precondition
-    group (empty for the entry). A task's wave is one past the latest wave
-    among its chosen predecessors, which makes the ordering a topological
-    sort of the chosen-group precedence relation with ties broken
-    lexicographically. Raises DataError if some task never becomes ready,
-    and LimitError if a precedence chain is deeper than the recursion limit.
+    group (empty for the entry); ``_solutions`` builds only maps that are
+    closed and acyclic. A task's wave is one past the latest wave among its
+    chosen predecessors, which makes the ordering a topological sort of the
+    chosen-group precedence relation with ties broken lexicographically.
+    Raises LimitError if a precedence chain is deeper than the recursion
+    limit.
     """
-    if not chosen.keys() >= set().union(*chosen.values()):
-        raise DataError("solution names a task outside it")
     wave: dict[str, int] = {}
 
     def place(task: str) -> int:
         if task not in wave:
-            wave[task] = -1  # in progress: meeting it again closes a cycle
             level = 0
             for pred in chosen[task]:  # a plain loop: one frame per chain link
                 level = max(level, place(pred) + 1)
             wave[task] = level
-        elif wave[task] < 0:
-            raise DataError("solution contains a precedence cycle")
         return wave[task]
 
     try:

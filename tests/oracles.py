@@ -632,7 +632,7 @@ def _renumber(root):
 
 def rep_prune(tree, prune_set):
     """Collapse every reached subtree that does not beat its majority leaf."""
-    col = {s.name: prune_set.column(s.name) for s in prune_set.attributes}
+    col = dict(zip(prune_set.attribute_names, prune_set.columns))
     labels = [inst.label for inst in prune_set.instances]
 
     def errors(node, idx):
@@ -684,7 +684,7 @@ def _split_score(mode, values, labels):
 def grow_tree(ts, mode, min_leaf):
     """Breadth-first best-attribute growth, scoring each attribute from
     fresh label lists; first strict maximum wins, as in ``tree.grow``."""
-    columns = {s.name: ts.column(s.name) for s in ts.attributes}
+    columns = dict(zip(ts.attribute_names, ts.columns))
     labels = [inst.label for inst in ts.instances]
 
     def new_node(idx):
@@ -712,7 +712,7 @@ def grow_tree(ts, mode, min_leaf):
             continue
         node.attribute = best_attr
         remaining = tuple(a for a in attrs if a != best_attr)
-        for value in ts.attribute(best_attr).domain:
+        for value in ts.attributes[ts.attribute_names.index(best_attr)].domain:
             if value in parts:
                 child = new_node(parts[value])
                 node.children[value] = child

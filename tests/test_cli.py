@@ -212,8 +212,9 @@ def test_discretize_writes_binned_copy(runs_file, tmp_path, capsys):
     assert "steps: [8.0, 11.0]" in printed
     assert "time: []" in printed
     binned = load_csv(out.read_text())
-    assert binned.attribute("steps").kind == "nominal"
-    assert set(binned.column("steps")) == {"b0", "b1", "b2"}
+    assert binned.attribute_names[2] == "steps"
+    assert binned.attributes[2].kind == "nominal"
+    assert set(binned.columns[2]) == {"b0", "b1", "b2"}
 
 
 def test_train_writes_loadable_model(model_file, capsys):

@@ -31,13 +31,13 @@ def test_load_basic():
 
 def test_nominal_domain_first_seen_order():
     ts = load_csv("x:nominal,class:nominal\nc,A\na,A\nb,B\na,B\n")
-    assert ts.attribute("x").domain == ("c", "a", "b")
+    assert ts.attributes[0].domain == ("c", "a", "b")
 
 
 def test_numeric_domain_min_max():
     ts = load_csv(CSV)
-    assert ts.attribute("time").domain == (0.125, 0.5)
-    assert ts.attribute("steps").domain == (6.0, 10.0)
+    assert ts.attributes[1].domain == (0.125, 0.5)
+    assert ts.attributes[2].domain == (6.0, 10.0)
 
 
 def test_round_trip_exact():
@@ -50,7 +50,7 @@ def test_round_trip_exact():
 
 def test_column_and_value_helpers():
     ts = load_csv(CSV)
-    assert ts.column("steps") == (6.0, 10.0, 6.0)
+    assert ts.columns[2] == (6.0, 10.0, 6.0)
 
 
 def test_class_distribution():
@@ -177,8 +177,8 @@ def test_subset_reinfers_domains():
     ts = load_csv(CSV)
     sub = subset(ts, [0, 2])
     assert sub.classes == ("P1",)
-    assert sub.attribute("problem").domain == ("blocks-4",)
-    assert sub.attribute("time").domain == (0.125, 0.5)
+    assert sub.attributes[0].domain == ("blocks-4",)
+    assert sub.attributes[1].domain == (0.125, 0.5)
     assert len(sub.instances) == 2
 
 
@@ -255,8 +255,8 @@ def assert_rows(ts, rows):
     """The row views of ``ts`` are ``rows``, and each column is its values."""
     assert ts.rows == tuple(tuple(r[:-1]) for r in rows)
     assert ts.instances == tuple(Instance(tuple(r[:-1]), r[-1]) for r in rows)
-    for i, name in enumerate(ts.attribute_names):
-        assert ts.column(name) == tuple(inst.values[i] for inst in ts.instances)
+    for i, column in enumerate(ts.columns):
+        assert column == tuple(inst.values[i] for inst in ts.instances)
 
 
 @settings(max_examples=150, deadline=None)

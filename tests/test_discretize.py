@@ -40,7 +40,7 @@ def test_equal_width_cut_spacing(runs11):
     steps = [b - a for a, b in zip(cuts, cuts[1:])]
     for step in steps:
         assert step == pytest.approx(0.0750434, abs=1e-6)
-    lo, hi = runs11.attribute("time").domain
+    lo, hi = runs11.attributes[1].domain
     assert cuts[0] == pytest.approx(lo + (hi - lo) / 10)
 
 
@@ -232,11 +232,12 @@ def test_every_map_the_constructor_accepts_round_trips_through_model_files(cuts)
 def test_apply_map_rewrites_numeric_columns(runs11):
     dmap = discretize_supervised(runs11)
     binned = apply_map(dmap, runs11)
-    steps = binned.attribute("steps")
+    problem, time, steps = binned.attributes
+    assert binned.attribute_names == ("problem", "time", "steps")
     assert steps.kind == "nominal"
     assert steps.domain == ("b0", "b1", "b2")
-    assert binned.attribute("time").domain == ("b0",)
-    assert binned.attribute("problem") == runs11.attribute("problem")
+    assert time.domain == ("b0",)
+    assert problem == runs11.attributes[0]
     assert binned.classes == runs11.classes
     for raw, cooked in zip(runs11.instances, binned.instances):
         assert cooked.label == raw.label
@@ -254,7 +255,7 @@ def test_apply_map_bin_domain_lists_every_bin():
     ts = numeric_set([1, 2, 3], ["A", "B", "A"])
     dmap = DiscretizationMap({"x": (0.0, 10.0, 20.0)})
     binned = apply_map(dmap, ts)
-    assert binned.attribute("x").domain == ("b0", "b1", "b2", "b3")
+    assert binned.attributes[0].domain == ("b0", "b1", "b2", "b3")
     assert [inst.values[0] for inst in binned.instances] == ["b1", "b1", "b1"]
 
 

@@ -55,7 +55,7 @@ def test_distance_is_symmetric(runs11, runs_knn):
 
 
 def test_distance_normalizes_by_training_range(runs11, runs_knn):
-    lo, hi = runs11.attribute("steps").domain
+    lo, hi = runs11.attributes[2].domain
     a = ("blocks-4", 0.1, lo)
     b = ("blocks-4", 0.1, hi)
     assert knn_distance(a, b, runs_knn) == 1.0

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plancell import enumerate_plans, first_plan, parse_project
+from plancell import enumerate_plans, first_plan, parse_project, plans
 from plancell.errors import DataError
-from plancell.plans import Plan, linearize
+from plancell.plans import Plan, _linearize
 from plancell.project import ProjectGraph, ProjectParseError, Task
 
 from oracles import brute_force_plans, dfs_find_cycle, wave_linearize
@@ -96,13 +96,7 @@ def test_unsolvable_graph_yields_nothing():
 def test_linearize_orders_by_wave_then_id():
     chosen = {"a": frozenset(), "c": frozenset({"a"}), "b": frozenset({"c"}),
               "d": frozenset()}
-    assert linearize(chosen) == ("a", "d", "c", "b")
-
-
-def test_linearize_rejects_a_cycle():
-    chosen = {"a": frozenset({"b"}), "b": frozenset({"a"})}
-    with pytest.raises(DataError, match="cycle"):
-        linearize(chosen)
+    assert _linearize(chosen) == ("a", "d", "c", "b")
 
 
 def test_wide_solution_enumerates_without_recursing_per_task():
@@ -238,31 +232,37 @@ def test_cycle_message_equals_the_dfs_oracle(tasks):
     assert [m for m in messages if "reachable from itself" in m] == cycle
 
 
+@given(task_maps(wild=False).map(graph_of))
+@settings(max_examples=150, deadline=None)
+def test_solutions_build_only_closed_acyclic_maps(graph):
+    # the wave oracle raises on a map that names a task outside it or holds
+    # a cycle, the two cases _linearize does not check for
+    def checked(chosen):
+        expected = wave_linearize(chosen)
+        assert _linearize(chosen) == expected
+        return expected
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(plans, "_linearize", checked)
+        result = enumerate_plans(graph)
+    assert [p.steps for p in result.plans] == sorted(brute_force_plans(graph))
+
+
 @st.composite
 def chosen_maps(draw):
-    """1-7 tasks in random order, each mapped to a group.
+    """1-7 tasks in random order, each mapped to a group of earlier tasks.
 
-    Most groups name tasks that come earlier in id order, so many maps
-    are executable; the rest may name any task, the task itself included,
-    or one outside the map, so cycles, self-loops and missing members occur.
+    Groups name only tasks that come earlier in id order, so every map is
+    closed and acyclic, as the maps ``_solutions`` builds are.
     """
     ids = [f"t{i}" for i in range(draw(st.integers(1, 7)))]
-    anywhere = st.frozensets(st.sampled_from(ids + ["ghost"]), max_size=3)
-    chosen = {}
-    for i, t in enumerate(ids):
-        earlier = (st.frozensets(st.sampled_from(ids[:i]), max_size=3) if i
-                   else st.just(frozenset()))
-        chosen[t] = draw(st.one_of(earlier, earlier, earlier, anywhere))
+    chosen = {t: draw(st.frozensets(st.sampled_from(ids[:i]), max_size=3)
+                      if i else st.just(frozenset()))
+              for i, t in enumerate(ids)}
     return {t: chosen[t] for t in draw(st.permutations(ids))}
 
 
 @given(chosen_maps())
 @settings(max_examples=300, deadline=None)
 def test_linearize_equals_the_wave_oracle(chosen):
-    try:
-        expected = wave_linearize(chosen)
-    except DataError:
-        with pytest.raises(DataError):
-            linearize(chosen)
-    else:
-        assert linearize(chosen) == expected
+    assert _linearize(chosen) == wave_linearize(chosen)

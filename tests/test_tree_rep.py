@@ -88,14 +88,14 @@ def check_splits(tree, ts, min_leaf):
         assert node.counts == dict(Counter(i.label for i in here.instances))
         scores = [score(here, a) for a in attrs]
         best = attrs[scores.index(max(scores))] if scores else None
+        col = ts.attribute_names.index(best) if scores else None
         if node.is_leaf:
             if len(node.counts) > 1 and scores and max(scores) > 0:
-                assert min(Counter(here.column(best)).values()) < min_leaf
+                assert min(Counter(here.columns[col]).values()) < min_leaf
             return
         assert max(scores) > 0 and node.attribute == best
-        col = ts.attribute_names.index(best)
-        present = set(here.column(best))
-        assert list(node.children) == [v for v in ts.attribute(best).domain
+        present = set(here.columns[col])
+        assert list(node.children) == [v for v in ts.attributes[col].domain
                                        if v in present]
         remaining = tuple(a for a in attrs if a != best)
         for value, child in node.children.items():
@@ -109,8 +109,7 @@ def check_splits(tree, ts, min_leaf):
 @given(nominal_sets())
 def test_public_scores_follow_their_formulas(ts):
     labels = [i.label for i in ts.instances]
-    for name in ts.attribute_names:
-        values = ts.column(name)
+    for name, values in zip(ts.attribute_names, ts.columns):
         rest = sum(values.count(v) / len(values) * entropy(Counter(
             y for x, y in zip(values, labels) if x == v)) for v in set(values))
         gain = entropy(Counter(labels)) - rest
@@ -195,9 +194,9 @@ def test_repeated_rows_grow_and_score_as_the_oracle(ts, mode, min_leaf):
     assert json.dumps(model_to_json(grow(ts, mode, min_leaf))) == \
         json.dumps(model_to_json(oracles.grow_tree(ts, mode, min_leaf)))
     score = information_gain if mode == INFO_GAIN else gain_ratio
-    for name in ts.attribute_names:
+    for name, values in zip(ts.attribute_names, ts.columns):
         assert score(ts, name) == \
-            oracles._split_score(mode, ts.column(name), ts.labels)
+            oracles._split_score(mode, values, ts.labels)
 
 
 @PROPERTY
