@@ -122,9 +122,11 @@ def is_number(v) -> bool:
 
 
 def is_finite_number(v) -> bool:
-    """A number a float holds finitely: what a numeric attribute or a cut
-    point may be. The comparison is exact, so a huge int does not raise."""
-    return is_number(v) and abs(v) <= sys.float_info.max
+    """What a numeric value or a cut point may be: a finite float, or an int
+    within +-2**53, which a float holds exactly. The comparison is exact, so
+    a huge int does not raise."""
+    return is_number(v) and abs(v) <= (
+        sys.float_info.max if isinstance(v, float) else 2**53)
 
 
 def build_training_set(columns: list[tuple[str, str]], rows: list[tuple]) -> TrainingSet:
@@ -133,7 +135,7 @@ def build_training_set(columns: list[tuple[str, str]], rows: list[tuple]) -> Tra
     Each row is the attribute values followed by the class label: one more
     cell than there are columns, or DataError. Nominal domains are taken in
     first-seen order; numeric domains are the observed min/max, and numeric
-    values must be finite ints or floats. Nominal values and labels must be
+    values must pass ``is_finite_number``. Nominal values and labels must be
     strings ``load_csv`` reads back as they are: neither empty nor padded
     with whitespace. Classes are the sorted set of labels that occur.
     """
@@ -148,7 +150,8 @@ def build_training_set(columns: list[tuple[str, str]], rows: list[tuple]) -> Tra
             for v in column:
                 if not is_finite_number(v):
                     raise DataError(
-                        f"attribute {name!r}: {v!r} is not a finite number")
+                        f"attribute {name!r}: {v!r} is not a finite number "
+                        f"a float holds exactly")
         elif kind == NOMINAL:
             _check_readable(f"attribute {name!r}: nominal value", column)
         else:

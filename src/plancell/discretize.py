@@ -33,8 +33,8 @@ MODES = ("supervised", "unsupervised", "none")
 
 @dataclass(frozen=True)
 class DiscretizationMap:
-    """Sorted cut points per numeric attribute: finite ints or floats (no
-    bools), strictly increasing, or DataError. ``cuts`` is a read-only copy
+    """Sorted cut points per numeric attribute: values ``is_finite_number``
+    accepts, strictly increasing, or DataError. ``cuts`` is a read-only copy
     of the mapping given, each attribute's cuts a tuple, so the cuts and
     their cached bin labels stay as checked."""
 
@@ -44,7 +44,8 @@ class DiscretizationMap:
         cuts = {name: tuple(cs) for name, cs in self.cuts.items()}
         for name, cs in cuts.items():
             if not all(map(is_finite_number, cs)):
-                raise DataError(f"cuts for {name!r} are not finite numbers")
+                raise DataError(
+                    f"cuts for {name!r} are not finite numbers a float holds exactly")
             if list(cs) != sorted(set(cs)):
                 raise DataError(f"cuts for {name!r} must be strictly increasing")
         object.__setattr__(self, "cuts", MappingProxyType(cuts))
@@ -65,41 +66,24 @@ class DiscretizationMap:
 
     @cached_property
     def _bins(self) -> dict[str, tuple]:
-        """Per attribute, its bin labels b0, b1, ... and its cuts as a float
-        array, or None where a float cannot hold every cut exactly."""
+        """Per attribute, its bin labels b0, b1, ... and its cuts as a float array."""
         return {name: (tuple(f"b{i}" for i in range(len(cs) + 1)),
-                       np.array(cs, dtype=float) if _float_exact(cs) else None)
+                       np.array(cs, dtype=float))
                 for name, cs in self.cuts.items()}
 
     def bin_column(self, attribute: str, column) -> tuple:
-        """``bin_label`` of every value of one column, in order.
-
-        A column of ints and floats (NaN included) is binned by one
-        ``np.searchsorted``, which equals ``bisect_left`` as long as a float
-        holds every value and cut exactly; any other column, and an int
-        beyond 2**53, goes value by value.
+        """``bin_label`` of every value of a numeric column of an attribute
+        with cuts, in order: one ``np.searchsorted``, which equals
+        ``bisect_left`` because a float holds every value a checked set may
+        hold (``is_finite_number``) and every cut exactly. A NaN passes
+        through.
         """
-        if attribute not in self.cuts:
-            return tuple(column)
         bins, cuts = self._bins[attribute]
-        if cuts is None or not _float_exact(column):
-            return tuple(self.bin_label(attribute, v) for v in column)
         values = np.array(column, dtype=float)
         out = [bins[i] for i in np.searchsorted(cuts, values).tolist()]
         for i in np.flatnonzero(np.isnan(values)).tolist():
             out[i] = column[i]
         return tuple(out)
-
-
-def _float_exact(values) -> bool:
-    """Only ints and floats (no bools), and no int a float cannot hold.
-
-    NaN compares false, so min and max give either NaN, which fails the
-    bound, or the true bounds of the other values.
-    """
-    types = set(map(type, values))
-    return types <= {int, float} and (
-        int not in types or -2**53 <= min(values) and max(values) <= 2**53)
 
 
 def schema_to_json(attributes, classes, dmap: DiscretizationMap | None) -> dict:
@@ -208,27 +192,15 @@ def entropy(dist) -> float:
     return -sum((n / total) * math.log2(n / total) for n in counts if n)
 
 
-def _midpoint(a, b) -> float:
-    """``(a + b) / 2.0``; where the sum leaves the float range, or an int sum
-    cannot become a float, ``a / 2 + b / 2`` instead."""
-    try:
-        cut = (a + b) / 2.0
-    except OverflowError:
-        return a / 2 + b / 2
-    return a / 2 + b / 2 if math.isinf(cut) else cut
-
-
 def _candidates(values: list, codes: np.ndarray):
     """Sort the rows by value, then label code, and find the boundary
     candidates.
 
     Returns the candidates; the row where the group right of each one
     starts; the rows ``<=`` each one; and per sorted row, its label code
-    and the rows of its label before it. A column a float cannot hold
-    exactly is ranked as Python numbers; every step after the sort is the
-    same for both.
+    and the rows of its label before it.
     """
-    keys = np.array(values, dtype=float if _float_exact(values) else object)
+    keys = np.array(values, dtype=float)
     order = np.lexsort((codes, keys))
     v, lab = keys[order], codes[order]
     n = len(v)
@@ -250,13 +222,10 @@ def _candidates(values: list, codes: np.ndarray):
     left = np.flatnonzero(differ)
     starts = heads[left + 1]
     below, above = v[heads[left]], v[starts]
-    if v.dtype == object:
-        cuts = np.frompyfunc(_midpoint, 2, 1)(below, above)
-    else:
-        with np.errstate(over="ignore"):
-            cuts = (below + above) / 2.0
-        wide = np.isinf(cuts)  # the sum left the float range
-        cuts[wide] = below[wide] / 2 + above[wide] / 2
+    with np.errstate(over="ignore"):
+        cuts = (below + above) / 2.0
+    wide = np.isinf(cuts)  # the sum left the float range
+    cuts[wide] = below[wide] / 2 + above[wide] / 2
     sizes = np.searchsorted(v, cuts, side="right")
     # per row, the rows of its label before it, from one stable sort by label
     by_label = np.argsort(lab, kind="stable")
@@ -300,9 +269,7 @@ def _mdl_split(values: list, codes: np.ndarray, classes: int,
             return
         n = hi - lo
         # a midpoint is rounded to a float: between close floats it can land
-        # on the next value and send that group left too, and between ints
-        # beyond 2**53 past either neighbour (2**60 + 100 and 2**60 + 102
-        # give 2**60, which sends no row left): clamp
+        # on the next value and send that group left too: clamp
         here = np.clip(sizes[first:last], lo, hi) - lo
         rows = codes[lo:hi]
         # per row, the rows of its label inside the range before it, and
@@ -398,7 +365,8 @@ def _tolerance(n: int) -> float:
 def apply_map(dmap: DiscretizationMap | None, ts: TrainingSet) -> TrainingSet:
     """Rewrite numeric attributes as nominal bin codes.
 
-    Nominal attributes, instance order and class labels are untouched. Every
+    Nominal attributes, instance order and class labels are untouched; an
+    encoded attribute is nominal, so encoding twice changes nothing. Every
     numeric attribute of ``ts`` must be covered by the map; no map (``None``)
     returns ``ts`` as it is.
     """
@@ -408,8 +376,8 @@ def apply_map(dmap: DiscretizationMap | None, ts: TrainingSet) -> TrainingSet:
         if spec.kind == NUMERIC and spec.name not in dmap.cuts:
             raise DataError(f"attribute {spec.name!r} missing from discretization map")
 
-    columns = tuple(dmap.bin_column(spec.name, column)
-                    for spec, column in zip(ts.attributes, ts.columns))
+    columns = tuple(dmap.bin_column(spec.name, column) if spec.kind == NUMERIC
+                    else column for spec, column in zip(ts.attributes, ts.columns))
     new_specs = tuple(
         AttributeSpec(spec.name, NOMINAL, dmap._bins[spec.name][0])
         if spec.kind == NUMERIC else spec

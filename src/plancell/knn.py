@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import NUMERIC, TrainingSet, case_values
+from .dataset import NUMERIC, TrainingSet, case_values, is_finite_number
 from .errors import DataError, UnknownValueError
 
 
@@ -64,7 +64,8 @@ def _distances(model: KnnModel, query) -> np.ndarray:
     Squares are added one attribute at a time in attribute order, as a
     scalar sum per row adds them, so equal distances stay equal. A zero
     span adds nothing and an unseen nominal value mismatches every row; a
-    NaN numeric value is near no row and raises UnknownValueError.
+    numeric value ``is_finite_number`` refuses (NaN, an infinity, an int
+    beyond +-2**53) is near no row and raises UnknownValueError.
     """
     values = case_values(query, len(model.columns))
     total = np.zeros(len(model.training))
@@ -74,7 +75,7 @@ def _distances(model: KnnModel, query) -> np.ndarray:
         if codes is not None:
             # a mismatch adds 1.0, its own square
             total += column != codes.get(x, -1)
-        elif x != x:
+        elif not is_finite_number(x):
             raise UnknownValueError(f"value {x!r} of attribute {spec.name!r} "
                                     f"has no distance to the training rows")
         elif span:

@@ -458,6 +458,7 @@ MODEL_FAULTS = {
     "infinite cut": _put("discretization", "steps", value=[8.0, math.inf]),
     "cut beyond the float range": _put("discretization", "steps",
                                        value=[8.0, 10**400]),
+    "int cut beyond 2**53": _put("discretization", "steps", value=[8.0, 2**53 + 1]),
     "top-level array": lambda doc: [doc],
     "repeated attribute name": lambda doc: doc["attributes"].append(
         dict(doc["attributes"][0])),
@@ -502,6 +503,7 @@ KB_FAULTS = {
     "unsorted cuts": _put("discretization", "steps", value=[11.0, 8.0]),
     "NaN cut": _put("discretization", "steps", value=[math.nan]),
     "infinite cut": _put("discretization", "steps", value=[8.0, math.inf]),
+    "int cut beyond 2**53": _put("discretization", "steps", value=[8.0, 2**53 + 1]),
     "list discretization": _put("discretization", value=[[8.0, 11.0]]),
     "rule with empty premises": _put("rules", 0, "premises", value=[]),
     "premise bit x": _bit("R_E", "x"),

@@ -163,12 +163,15 @@ def test_class_labels_must_be_strings(labels):
 
 
 @pytest.mark.parametrize("value", ["a", True, None, math.nan, math.inf,
-                                   pytest.param(10**400, id="10**400")])
+                                   pytest.param(10**400, id="10**400"),
+                                   pytest.param(10**308, id="10**308"),
+                                   pytest.param(2**53 + 1, id="2**53+1"),
+                                   pytest.param(-(2**53 + 1), id="-(2**53+1)")])
 def test_numeric_values_must_be_finite_numbers(value):
     # a numeric column of strings used to get a string domain, and fitting
     # cuts on it a raw TypeError
     with pytest.raises(DataError, match=re.escape(
-            f"attribute 'x': {value!r} is not a finite number")):
+            f"attribute 'x': {value!r} is not a finite number a float holds exactly")):
         build_training_set([("x", "numeric")],
                            [(1.0, "A"), (value, "B"), (3, "A")])
 

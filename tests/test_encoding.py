@@ -19,7 +19,7 @@ from plancell.casi import classify_casi, compile_tree, kb_from_json, kb_to_json
 from plancell.dataset import (NOMINAL, NUMERIC, AttributeSpec, TrainingSet,
                               build_training_set, load_csv, save_csv)
 from plancell.discretize import DiscretizationMap, apply_map, fit_map
-from plancell.errors import UnknownValueError
+from plancell.errors import DataError, UnknownValueError
 from plancell.tree import (classify_tree, grow, induce, model_from_json,
                            model_to_json)
 
@@ -87,25 +87,25 @@ def test_encode_equals_apply_map_and_is_idempotent(case):
         assert encode(None, ts.attributes, raw) == raw
 
 
-# cuts around 2**53, where an int above it has no exact float, plus an int
-# cut a float cannot hold
-COLUMN_CUTS = (-1.5, 0.0, 2.5, float(2**53), 2**53 + 3, 1e300)
-EXACT = [-1.5, 0.0, 2.5, float(2**53), float(2**53 + 4), 1e300, -2**53, 2**53]
-BEYOND = [2**53 + 1, 2**53 + 2, 2**53 + 3, 2**53 + 4, -2**53 - 1, 10**400]
+# cuts up to +-2**53, the largest ints a checked set holds, and a float
+# beyond them
+COLUMN_CUTS = (-2**53, -1.5, 0.0, 2.5, 2**53 - 1, 2**53, 1e300)
+EXACT = [-1.5, 0.0, 2.5, 2**53 - 1, float(2**53), float(2**53 + 4), 1e300,
+         -2**53, 2**53]
 
 
 @st.composite
 def mixed_columns(draw):
-    """A map and a directly built set whose numeric columns hold numbers
-    only, or numbers among bools, NaN, strings and bin labels."""
+    """A map and a directly built set whose numeric columns hold what a
+    checked set holds, floats and ints within +-2**53, and NaN, which a
+    case to classify may hold."""
     cuts = tuple(sorted(draw(st.sets(st.sampled_from(COLUMN_CUTS)))))
-    number = st.one_of(st.integers(-8, 8), st.sampled_from(EXACT),
-                       st.floats(-1e6, 1e6), st.just(math.nan))
-    anything = st.one_of(number, st.sampled_from(BEYOND), st.booleans(),
-                         st.text(max_size=2), st.sampled_from(["b0", "b2"]))
+    number = st.one_of(st.integers(-8, 8), st.integers(-2**53, 2**53),
+                       st.sampled_from(EXACT), st.floats(-1e6, 1e6),
+                       st.floats(allow_nan=False, allow_infinity=False),
+                       st.just(math.nan))
     n = draw(st.integers(0, 12))
-    columns = [draw(st.lists(draw(st.sampled_from([number, anything])),
-                             min_size=n, max_size=n)) for _ in range(2)]
+    columns = [draw(st.lists(number, min_size=n, max_size=n)) for _ in range(2)]
     specs = (AttributeSpec("x0", NUMERIC, (0, 1)),
              AttributeSpec("x1", NUMERIC, (0, 1)),
              AttributeSpec("tag", NOMINAL, ("t",)))
@@ -123,17 +123,20 @@ def test_column_binning_equals_bin_label_value_for_value(case):
     for raw, row in zip(ts.instances, binned.instances):
         expected = tuple(dmap.bin_label(spec.name, v)
                          for spec, v in zip(ts.attributes, raw.values))
-        # the same object or an equal value of the same type: NaN, bools
-        # and strings pass through as they are
+        # the same object or an equal value of the same type: NaN and the
+        # nominal tag pass through as they are
         assert all(a is b or (type(a) is type(b) and a == b)
                    for a, b in zip(row.values, expected)), (row, expected)
 
 
-def test_a_cut_no_float_holds_bins_a_float_column_exactly():
-    # 2**53 + 3 rounds to the float 2**53 + 4, which lies above the cut
-    dmap = DiscretizationMap({"x": (float(2**53), 2**53 + 3)})
-    column = (float(2**53 + 4), 1.0, float(2**53))
-    assert dmap.bin_column("x", column) == ("b2", "b0", "b0")
+def test_a_cut_no_float_holds_is_refused():
+    # 2**53 + 3 would round to the float 2**53 + 4, and a float column
+    # would bin against a cut that is not the one given
+    with pytest.raises(DataError, match="not finite numbers a float holds exactly"):
+        DiscretizationMap({"x": (float(2**53), 2**53 + 3)})
+    dmap = DiscretizationMap({"x": (-2**53, 0, 2**53)})
+    column = (-2**53, 1, 2**53, 2.0**60)
+    assert dmap.bin_column("x", column) == ("b0", "b2", "b2", "b3")
     assert dmap.bin_column("x", column) == \
         tuple(dmap.bin_label("x", v) for v in column)
 

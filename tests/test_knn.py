@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -39,13 +40,17 @@ def test_distance_between_first_and_fifth_runs(runs11, runs_knn):
 @pytest.mark.parametrize("k", [1, 3])
 @pytest.mark.parametrize("at", [1, 2])
 def test_nan_query_value_is_refused(runs11, k, at):
-    # NaN distances to every row used to send argmin to row 0
-    query = ["blocks-4", 0.032237, 6.0]
-    query[at] = math.nan
+    # NaN distances to every row used to send argmin to row 0, as infinite
+    # ones did; 10**400 raised OverflowError and 2**53 + 1 was rounded
+    model = fit_knn(runs11, k)
     name = runs11.attributes[at].name
-    with pytest.raises(UnknownValueError,
-                       match=f"value nan of attribute '{name}'"):
-        classify_knn(fit_knn(runs11, k), tuple(query))
+    for value in (math.nan, math.inf, -math.inf, 10**400, 2**53 + 1):
+        query = ["blocks-4", 0.032237, 6.0]
+        query[at] = value
+        with pytest.raises(UnknownValueError, match=re.escape(
+                f"value {value!r} of attribute '{name}' has no distance "
+                f"to the training rows")):
+            classify_knn(model, tuple(query))
 
 
 def test_distance_is_symmetric(runs11, runs_knn):
