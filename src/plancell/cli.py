@@ -22,7 +22,7 @@ from .casi import (classify_casi, compile_tree, format_fact_table,
                    format_incidence, format_rule_table, kb_from_json,
                    kb_to_json)
 from .dataset import NUMERIC, class_distribution, load_csv, save_csv
-from .discretize import MODES, apply_map, fit_map
+from .discretize import MODES, DiscretizationMap, apply_map, fit_map
 from .errors import DataError, LimitError, ModelError
 from .evaluation import (ENGINES, UNKNOWN, cross_validate, evaluate_grid,
                          label_cases, report, report_csv)
@@ -143,7 +143,7 @@ def _cmd_dataset_info(args) -> int:
 def _cmd_discretize(args) -> int:
     ts = load_csv(_read_text(args.input))
     dmap = fit_map(ts, args.mode, args.bins)
-    for name in sorted(dmap.cuts):
+    for name in sorted(dmap.cuts if dmap else ()):
         cuts = ", ".join(repr(c) for c in dmap.cuts[name])
         print(f"{name}: [{cuts}]")
     _write_atomic(args.out, save_csv(apply_map(dmap, ts)))
@@ -152,8 +152,7 @@ def _cmd_discretize(args) -> int:
 
 def _cmd_train(args) -> int:
     ts = load_csv(_read_text(args.input))
-    numeric = any(s.kind == NUMERIC for s in ts.attributes)
-    dmap = fit_map(ts, args.discretize, args.bins) if numeric else None
+    dmap = fit_map(ts, args.discretize, args.bins)
     ts = apply_map(dmap, ts)
     graph = induce(ts, args.mode, min_leaf=args.min_leaf, seed=args.seed,
                    discretization=dmap)
@@ -170,12 +169,7 @@ def _cmd_classify(args) -> int:
     if cases.attribute_names != model_names:
         raise DataError(f"case attributes {cases.attribute_names} do not match "
                         f"the model's {model_names}")
-    for spec in cases.attributes:
-        if spec.kind == NUMERIC and (
-                model.discretization is None
-                or spec.name not in model.discretization.cuts):
-            raise DataError(f"attribute {spec.name!r} is numeric but the "
-                            f"model has no cut points for it")
+    binned = apply_map(model.discretization or DiscretizationMap(), cases)
     kb = compile_tree(model) if args.casi else None
 
     def classify(values):
@@ -187,7 +181,7 @@ def _cmd_classify(args) -> int:
     writer = csv.writer(out, lineterminator="\n")  # quotes only where needed
     writer.writerow(("index", "actual", "predicted"))
     hits = 0
-    labels = label_cases(classify, apply_map(model.discretization, cases))
+    labels = label_cases(classify, binned)
     for i, (actual, predicted) in enumerate(zip(cases.labels, labels)):
         hits += predicted == actual
         writer.writerow((i, actual, UNKNOWN if predicted is None else predicted))

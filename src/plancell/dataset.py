@@ -30,9 +30,10 @@ class AttributeSpec:
 
     For nominal attributes ``domain`` is the list of values, all strings,
     in first-seen order; for numeric attributes it is the observed
-    ``(min, max)`` pair. The name may not be ``class`` nor contain ``=``:
-    rule bases spell a fact ``name=value`` and the class fact
-    ``class=label``, so either would let two facts share one descriptor.
+    ``(min, max)`` pair, of values ``is_finite_number`` accepts. The name
+    may not be ``class`` nor contain ``=``: rule bases spell a fact
+    ``name=value`` and the class fact ``class=label``, so either would let
+    two facts share one descriptor.
     """
 
     name: str
@@ -52,6 +53,11 @@ class AttributeSpec:
             if not isinstance(value, str):
                 raise DataError(
                     f"attribute {self.name!r}: nominal value {value!r} is not a string")
+        if self.kind == NUMERIC and not (
+                len(self.domain) == 2 and all(map(is_finite_number, self.domain))
+                and self.domain[0] <= self.domain[1]):
+            raise DataError(f"attribute {self.name!r}: numeric domain "
+                            f"{self.domain!r} is not a finite (min, max) pair")
 
 
 @dataclass(frozen=True)

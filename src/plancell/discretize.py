@@ -1,8 +1,9 @@
 """Numeric-attribute discretization: equal-width and entropy/MDL binning.
 
 This module alone decides whether and how data is binned: ``fit_map`` takes
-one of ``MODES``, and mode "none" fits no map (``None``), through which
-``apply_map`` passes a set unchanged. Both fitters produce a
+one of ``MODES`` and fits no map (``None``) where it would bin nothing;
+``apply_map`` passes a set unchanged through ``None`` and is the one check
+that a map covers every numeric attribute. Both fitters produce a
 DiscretizationMap, a per-attribute list of strictly increasing cut points.
 A value v falls into bin ``count of cuts < v``, so a value equal to a cut
 maps to the bin on its left. ``bin_label`` is the one path from a raw value
@@ -367,14 +368,14 @@ def apply_map(dmap: DiscretizationMap | None, ts: TrainingSet) -> TrainingSet:
 
     Nominal attributes, instance order and class labels are untouched; an
     encoded attribute is nominal, so encoding twice changes nothing. Every
-    numeric attribute of ``ts`` must be covered by the map; no map (``None``)
-    returns ``ts`` as it is.
+    numeric attribute of ``ts`` must be covered by the map (the one such
+    check); no map (``None``) returns ``ts`` as it is.
     """
     if dmap is None:
         return ts
     for spec in ts.attributes:
         if spec.kind == NUMERIC and spec.name not in dmap.cuts:
-            raise DataError(f"attribute {spec.name!r} missing from discretization map")
+            raise DataError(f"attribute {spec.name!r} is numeric but has no cut points")
 
     columns = tuple(dmap.bin_column(spec.name, column) if spec.kind == NUMERIC
                     else column for spec, column in zip(ts.attributes, ts.columns))
@@ -386,11 +387,14 @@ def apply_map(dmap: DiscretizationMap | None, ts: TrainingSet) -> TrainingSet:
 
 
 def fit_map(ts: TrainingSet, mode: str, bins: int = 10) -> DiscretizationMap | None:
-    """The map ``mode`` fits on ``ts``; mode "none" fits none (``None``)."""
+    """The map ``mode`` fits on ``ts``; ``None`` where it would bin nothing:
+    mode "none", or a set without numeric attributes (bins still checked)."""
     if mode == "supervised":
-        return discretize_supervised(ts)
-    if mode == "unsupervised":
-        return discretize_unsupervised(ts, bins)
-    if mode == "none":
+        dmap = discretize_supervised(ts)
+    elif mode == "unsupervised":
+        dmap = discretize_unsupervised(ts, bins)
+    elif mode == "none":
         return None
-    raise DataError(f"unknown discretization mode {mode!r}; expected one of {MODES}")
+    else:
+        raise DataError(f"unknown discretization mode {mode!r}; expected one of {MODES}")
+    return dmap if dmap.cuts else None

@@ -63,9 +63,10 @@ def _distances(model: KnnModel, query) -> np.ndarray:
 
     Squares are added one attribute at a time in attribute order, as a
     scalar sum per row adds them, so equal distances stay equal. A zero
-    span adds nothing and an unseen nominal value mismatches every row; a
-    numeric value ``is_finite_number`` refuses (NaN, an infinity, an int
-    beyond +-2**53) is near no row and raises UnknownValueError.
+    span adds nothing and an unseen nominal value, unhashable or not,
+    mismatches every row; a numeric value ``is_finite_number`` refuses
+    (NaN, an infinity, an int beyond +-2**53) is near no row and raises
+    UnknownValueError.
     """
     values = case_values(query, len(model.columns))
     total = np.zeros(len(model.training))
@@ -73,8 +74,12 @@ def _distances(model: KnnModel, query) -> np.ndarray:
                                             model.columns, model.spans,
                                             model.codes, values):
         if codes is not None:
+            try:
+                code = codes.get(x, -1)
+            except TypeError:  # an unhashable value, which no row holds
+                code = -1
             # a mismatch adds 1.0, its own square
-            total += column != codes.get(x, -1)
+            total += column != code
         elif not is_finite_number(x):
             raise UnknownValueError(f"value {x!r} of attribute {spec.name!r} "
                                     f"has no distance to the training rows")

@@ -221,9 +221,10 @@ def classify_tree(tree: InductionGraph, instance,
 
     ``instance`` is an Instance or a plain value sequence over the tree's
     schema, raw or encoded: each tested value goes through the tree's map,
-    if it has one, and is looked up once. A value without a branch raises
-    UnknownValueError naming the value as given, unless ``fallback``
-    routes it to the current node's majority class.
+    if it has one, and is looked up once. A value without a branch, an
+    unhashable one included, raises UnknownValueError naming the value as
+    given, unless ``fallback`` routes it to the current node's majority
+    class.
     """
     values = case_values(instance, len(tree.attributes))
     dmap = tree.discretization
@@ -231,8 +232,11 @@ def classify_tree(tree: InductionGraph, instance,
     path = [node.node_id]
     while not node.is_leaf:
         value = values[tree.attribute_index[node.attribute]]
-        child = node.children.get(
-            value if dmap is None else dmap.bin_label(node.attribute, value))
+        key = value if dmap is None else dmap.bin_label(node.attribute, value)
+        try:
+            child = node.children.get(key)
+        except TypeError:  # an unhashable value, which no branch carries
+            child = None
         if child is None:
             if fallback:
                 return node.majority, tuple(path)
@@ -363,6 +367,8 @@ def model_from_json(data: dict) -> InductionGraph:
     domains = {s.name: s.domain for s in attributes}
     try:
         mode, raw_nodes = data["mode"], data["nodes"]
+        if mode not in (GAIN_RATIO, INFO_GAIN):
+            raise ModelIntegrityError(f"unknown growth mode {mode!r}")
         if not raw_nodes:
             raise ModelIntegrityError("model has no nodes")
         nodes: dict[str, TreeNode] = {}

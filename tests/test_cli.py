@@ -289,6 +289,21 @@ def test_classify_rejects_schema_mismatch(model_file, tmp_path, capsys):
     assert "do not match" in capsys.readouterr().err
 
 
+def test_nominal_corpus_trains_without_a_map(tmp_path, capsys):
+    corpus, model, binned = (tmp_path / n for n in ("c.csv", "m.json", "b.csv"))
+    corpus.write_text("x:nominal,class:nominal\n1,A\n2,B\n1,A\n2,B\n")
+    assert run(["train", "--in", str(corpus), "--out", str(model)]) == 0
+    assert json.loads(model.read_text())["discretization"] is None
+    capsys.readouterr()
+    assert run(["discretize", "--in", str(corpus), "--out", str(binned)]) == 0
+    assert capsys.readouterr().out == ""
+    assert binned.read_text() == corpus.read_text()
+    # a bad bin count is refused, as eval and knn refuse it
+    assert run(["train", "--in", str(corpus), "--discretize", "unsupervised",
+                "--bins", "0", "--out", str(model)]) == 3
+    assert "bins must be >= 1" in capsys.readouterr().err
+
+
 def test_classify_rejects_numeric_column_without_cut_points(tmp_path, capsys):
     train, cases, model = (tmp_path / n for n in ("t.csv", "c.csv", "m.json"))
     train.write_text("x:nominal,class:nominal\n1,A\n2,B\n1,A\n2,B\n")
@@ -472,6 +487,11 @@ MODEL_FAULTS = {
     "classes string": _put("classes", value="P1P2P3P4P5"),
     "class 5": lambda doc: doc["classes"].append(5),
     "nominal value 1": lambda doc: doc["attributes"][0]["domain"].append(1),
+    "unknown growth mode": _put("mode", value="bogus"),
+    "growth mode object": _put("mode", value={"x": [1]}),
+    "numeric domain not a finite pair": _put(
+        "attributes", 1, value={"name": "time", "kind": "numeric",
+                                "domain": ["a", None, 3]}),
 }
 
 
@@ -522,6 +542,9 @@ KB_FAULTS = {
     "root swapped with a child": _swap_first_two_facts,
     "input fact outside the domain": _rename_fact("steps=b0", "steps=b9"),
     "input fact outside the schema": _rename_fact("steps=b0", "colour=red"),
+    "numeric domain not a finite pair": _put(
+        "attributes", 1, value={"name": "time", "kind": "numeric",
+                                "domain": ["a", None, 3]}),
 }
 
 

@@ -153,6 +153,17 @@ def test_nominal_values_must_be_strings(domain):
         build_training_set([("x", "nominal")], [(v, "A") for v in domain])
 
 
+@pytest.mark.parametrize("domain", [
+    ("a", None, 3), (), (1.0,), (0.0, 1.0, 2.0), ("0", "1"), (True, 1),
+    (2.0, 1.0), (0.0, math.inf), (math.nan, 1.0), (0, 2**53 + 1)])
+def test_numeric_domain_must_be_a_finite_min_max_pair(domain):
+    with pytest.raises(DataError, match=re.escape(
+            f"attribute 'x': numeric domain {domain!r} is not a finite "
+            f"(min, max) pair")):
+        AttributeSpec("x", "numeric", domain)
+    assert AttributeSpec("x", "numeric", (-2**53, 2.5)).domain == (-2**53, 2.5)
+
+
 @pytest.mark.parametrize("labels", [(1, 2), ("A", 1), ("A", None)])
 def test_class_labels_must_be_strings(labels):
     bad = next(v for v in labels if not isinstance(v, str))

@@ -270,6 +270,12 @@ def test_fit_map_dispatch(runs11):
         discretize_unsupervised(runs11, 5).cuts
     with pytest.raises(DataError, match="mode"):
         fit_map(runs11, "semi")
+    # a set without numeric attributes gets no map, but bins are still checked
+    nominal = build_training_set([("x", "nominal")], [("a", "A"), ("b", "B")])
+    assert fit_map(nominal, "supervised") is None
+    assert fit_map(nominal, "unsupervised") is None
+    with pytest.raises(DataError, match="bins"):
+        fit_map(nominal, "unsupervised", bins=0)
 
 
 def test_mode_none_fits_no_map_and_applying_it_changes_nothing(runs11):

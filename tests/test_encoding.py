@@ -168,15 +168,18 @@ def test_cellular_engine_on_raw_cases_equals_tree_on_encoded(case, method, seed)
 
 @pytest.mark.parametrize("domain,value", [
     (("1", "2"), 1), (("1", "2"), 1.0), (("1", "2"), True), (("1", "2"), "1"),
-    (("1", "2"), "3"), (("True", "False"), True)],
-    ids=["1", "1.0", "True", "'1'", "'3'", "True on 'True'"])
+    (("1", "2"), "3"), (("True", "False"), True), (("1", "2"), ["1"])],
+    ids=["1", "1.0", "True", "'1'", "'3'", "True on 'True'", "['1']"])
 def test_both_engines_place_only_equal_values(domain, value):
-    # a non-string value never takes the branch its spelling names
+    # a non-string value never takes the branch its spelling names; an
+    # unhashable one takes no branch at all
     tree = grow(build_training_set([("x", NOMINAL)],
                                    [(v, c) for v, c in zip(domain, "AB")]),
                 min_leaf=1)
     expected = "A" if value == domain[0] and isinstance(value, str) else "?"
     assert outcome(lambda v: classify_tree(tree, v)[0], (value,)) == expected
+    assert classify_tree(tree, (value,), fallback=True)[0] == (
+        tree.root.majority if expected == "?" else expected)
     assert outcome(lambda v: classify_casi(compile_tree(tree), v),
                    (value,)) == expected
 

@@ -182,10 +182,11 @@ def test_classify_knn_equals_the_scalar_oracle(problem):
 
 
 def test_unseen_nominal_value_is_distance_one_to_every_row(runs11, runs_knn):
-    query = ("blocks-9", 0.1, 6.0)
-    for got, inst in zip(_distances(runs_knn, query), runs11.instances):
-        assert got == knn_distance(query, inst, runs_knn)
-        assert got >= 1.0
+    for problem in ("blocks-9", ["blocks-4"]):  # an unhashable value is unseen
+        query = (problem, 0.1, 6.0)
+        for got, inst in zip(_distances(runs_knn, query), runs11.instances):
+            assert got == knn_distance(query, inst, runs_knn)
+            assert got >= 1.0
 
 
 def test_classify_knn_checks_query_width(runs_knn):
