@@ -16,6 +16,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 from .errors import DataError
 
@@ -107,9 +108,12 @@ class TrainingSet:
 
     def take(self, indices: list[int]) -> TrainingSet:
         """The rows ``indices`` under this set's own attributes and classes."""
+        if len(indices) > 1:
+            pick = itemgetter(*indices)
+        else:  # itemgetter returns a bare value for one index, and needs one
+            pick = lambda seq: tuple([seq[i] for i in indices])
         return TrainingSet(self.attributes, self.classes,
-                           tuple(tuple([c[i] for i in indices]) for c in self.columns),
-                           tuple([self.labels[i] for i in indices]))
+                           tuple(map(pick, self.columns)), pick(self.labels))
 
 
 def case_values(case, width: int) -> tuple:

@@ -15,6 +15,9 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .casi import classify_casi, compile_tree
 from .dataset import NUMERIC, TrainingSet, class_members, subset
@@ -37,11 +40,15 @@ class FoldPlan:
     folds: int
     seed: int
 
+    @cached_property
+    def _folds(self) -> np.ndarray:
+        return np.array(self.assignment, dtype=np.intp)
+
     def test_indices(self, fold: int) -> list[int]:
-        return [i for i, f in enumerate(self.assignment) if f == fold]
+        return np.flatnonzero(self._folds == fold).tolist()
 
     def train_indices(self, fold: int) -> list[int]:
-        return [i for i, f in enumerate(self.assignment) if f != fold]
+        return np.flatnonzero(self._folds != fold).tolist()
 
 
 def make_folds(ts: TrainingSet, folds: int = 10, seed: int = 0) -> FoldPlan:

@@ -2,10 +2,19 @@
 
 Distances are Euclidean over per-attribute differences: numeric values are
 range-normalized against the training data, nominal values contribute 0 or
-1. A query is compared with every training row at once, one attribute
-column at a time. All tie-breaking is pinned down so results are
-reproducible: equal distances keep training order, vote ties go to the
-label with the nearest member and then lexicographically.
+1. A query is compared with every stored row at once, one attribute column
+at a time. All tie-breaking is pinned down so results are reproducible:
+equal distances keep training order, vote ties go to the label with the
+nearest member and then lexicographically.
+
+When every attribute is nominal, as in every binned CV fold, only the
+distinct rows are stored, in order of first appearance, each with its
+first copy's label. A distance is then the square root of a mismatch
+count, so copies are equally near and the first is the nearest. At k = 1 a
+query equal to a stored row is answered by a dict lookup, as that row alone
+is at distance 0; for k > 1 the distances are expanded to every training
+row before the vote. A set with a numeric attribute stores every row, since
+a square that underflows can put a row that is not a copy at distance 0.
 """
 
 from __future__ import annotations
@@ -21,13 +30,17 @@ from .errors import DataError, UnknownValueError
 
 @dataclass(frozen=True)
 class KnnModel:
-    """The stored training data, column by column.
+    """The stored training rows, column by column.
 
     Per attribute, ``columns`` holds the raw values of a numeric column as
     floats, or the integer codes of a nominal one; ``spans`` holds the
     numeric normalization range (hi - lo of the domain), None for a nominal
     attribute, and ``codes`` the nominal value-to-code map, None for a
-    numeric attribute.
+    numeric attribute. ``labels`` holds each stored row's label. For an
+    all-nominal set the stored rows are the distinct ones: ``positions``
+    maps each one's values to its place, and ``inverse`` gives each
+    training row the place of its values. Both are None when every row is
+    stored.
     """
 
     training: TrainingSet
@@ -35,6 +48,9 @@ class KnnModel:
     columns: tuple[np.ndarray, ...] = field(repr=False, compare=False)
     spans: tuple[float | None, ...] = field(repr=False, compare=False)
     codes: tuple[dict | None, ...] = field(repr=False, compare=False)
+    labels: tuple[str, ...] = field(repr=False, compare=False)
+    positions: dict | None = field(repr=False, compare=False)
+    inverse: np.ndarray | None = field(repr=False, compare=False)
 
 
 def fit_knn(ts: TrainingSet, k: int = 1) -> KnnModel:
@@ -43,8 +59,18 @@ def fit_knn(ts: TrainingSet, k: int = 1) -> KnnModel:
         raise DataError(f"k must be >= 1, got {k}")
     if k > len(ts):
         raise DataError(f"k={k} exceeds the {len(ts)} training instances")
+    if any(spec.kind == NUMERIC for spec in ts.attributes):
+        stored, labels, positions, inverse = ts.columns, ts.labels, None, None
+    else:
+        positions = {}
+        places = [positions.setdefault(row, len(positions)) for row in ts.rows]
+        # reversed, the last label written for a place is its first copy's
+        first = dict(zip(reversed(places), reversed(ts.labels)))
+        labels = tuple(first[p] for p in range(len(positions)))
+        stored = tuple(zip(*positions))
+        inverse = np.array(places, dtype=np.intp)
     columns, spans, codes = [], [], []
-    for spec, raw in zip(ts.attributes, ts.columns):
+    for spec, raw in zip(ts.attributes, stored):
         if spec.kind == NUMERIC:
             columns.append(np.array(raw, dtype=float))
             spans.append(float(spec.domain[1]) - float(spec.domain[0]))
@@ -55,11 +81,12 @@ def fit_knn(ts: TrainingSet, k: int = 1) -> KnnModel:
             columns.append(np.array(coded, dtype=np.intp))
             spans.append(None)
             codes.append(index)
-    return KnnModel(ts, k, tuple(columns), tuple(spans), tuple(codes))
+    return KnnModel(ts, k, tuple(columns), tuple(spans), tuple(codes), labels,
+                    positions, inverse)
 
 
-def _distances(model: KnnModel, query) -> np.ndarray:
-    """The distance from the query to every training row, in training order.
+def _stored_distances(model: KnnModel, values: tuple) -> np.ndarray:
+    """The distance from a query's values to every stored row, in order.
 
     Squares are added one attribute at a time in attribute order, as a
     scalar sum per row adds them, so equal distances stay equal. A zero
@@ -68,8 +95,7 @@ def _distances(model: KnnModel, query) -> np.ndarray:
     (NaN, an infinity, an int beyond +-2**53) is near no row and raises
     UnknownValueError.
     """
-    values = case_values(query, len(model.columns))
-    total = np.zeros(len(model.training))
+    total = np.zeros(len(model.labels))
     for spec, column, span, codes, x in zip(model.training.attributes,
                                             model.columns, model.spans,
                                             model.codes, values):
@@ -89,12 +115,26 @@ def _distances(model: KnnModel, query) -> np.ndarray:
     return np.sqrt(total)
 
 
+def _distances(model: KnnModel, query) -> np.ndarray:
+    """The distance from the query to every training row, in training order."""
+    dists = _stored_distances(model, case_values(query, len(model.columns)))
+    return dists if model.inverse is None else dists[model.inverse]
+
+
 def classify_knn(model: KnnModel, query) -> str:
     """Majority label among the k nearest training instances."""
-    dists = _distances(model, query)
-    labels = model.training.labels
+    values = case_values(query, len(model.columns))
     if model.k == 1:
-        return labels[int(np.argmin(dists))]
+        if model.positions is not None:
+            try:
+                place = model.positions.get(values)
+            except TypeError:  # an unhashable value, which no row holds
+                place = None
+            if place is not None:
+                return model.labels[place]
+        return model.labels[int(np.argmin(_stored_distances(model, values)))]
+    dists = _distances(model, values)
+    labels = model.training.labels
     # stable sort: equal distances keep training order, and each label's
     # first neighbour is its nearest
     neighbors = np.argsort(dists, kind="stable")[:model.k].tolist()

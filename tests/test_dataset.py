@@ -271,6 +271,7 @@ def assert_rows(ts, rows):
     assert ts.instances == tuple(Instance(tuple(r[:-1]), r[-1]) for r in rows)
     for i, column in enumerate(ts.columns):
         assert column == tuple(inst.values[i] for inst in ts.instances)
+    assert all(type(column) is tuple for column in ts.columns + (ts.labels,))
 
 
 @settings(max_examples=150, deadline=None)

@@ -9,13 +9,16 @@ from hypothesis import strategies as st
 import plancell.evaluation as evaluation
 from plancell.blocksworld import (corpus_training_set, generate_corpus,
                                   generate_runs)
-from plancell.dataset import build_training_set, class_members
+from plancell.dataset import build_training_set, class_members, subset
+from plancell.discretize import apply_map, fit_map
 from plancell.errors import DataError
 from plancell.evaluation import (ENGINES, METHODS, EvalReport, cross_validate,
                                  evaluate_grid, make_folds, report, report_csv)
+from plancell.knn import classify_knn, fit_knn
 from plancell.tree import _stratified_thirds
 
-from oracles import cv_case_by_case, fold_assignment, stratified_thirds
+from oracles import (cv_case_by_case, fold_assignment, knn_label,
+                     stratified_thirds)
 
 
 def many_classes(seed, n=1_000, classes=100):
@@ -106,6 +109,13 @@ def test_train_and_test_indices_partition(runs11):
         train = set(plan.train_indices(fold))
         assert test | train == set(range(11))
         assert not test & train
+    # on a larger plan, the exact lists: ascending Python ints
+    plan = make_folds(many_classes(3, n=2_000), folds=10, seed=1)
+    for fold in range(10):
+        test, train = plan.test_indices(fold), plan.train_indices(fold)
+        assert test == [i for i, f in enumerate(plan.assignment) if f == fold]
+        assert train == [i for i, f in enumerate(plan.assignment) if f != fold]
+        assert all(type(i) is int for i in test + train)
 
 
 def test_every_instance_tested_exactly_once(runs11):
@@ -396,6 +406,24 @@ def benchmark_corpus():
     return corpus_training_set([replace(r, cpu_time=round(
         (2e-4 * len(r.initial.blocks) ** 2 + 5e-5 * len(r.plan))
         * rng.lognormvariate(0.0, 0.3), 9)) for r in runs])
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_knn_cells_of_the_benchmark_corpus_match_case_by_case(k):
+    # binned folds are all-nominal, so kNN stores their distinct rows and
+    # answers copies by lookup; the case-by-case loop labels every case
+    ts = benchmark_corpus()
+    plan = make_folds(ts, 10, seed=1)
+    for mode in ("supervised", "unsupervised"):
+        result = cross_validate(ts, "knn", mode, seed=1, k=k)
+        assert result == cv_case_by_case(ts, "knn", mode, seed=1, k=k)
+        # and fold 0's distinct cases against the scalar vote
+        train = subset(ts, plan.train_indices(0))
+        dmap = fit_map(train, mode)
+        fitted = apply_map(dmap, train)
+        model = fit_knn(fitted, k)
+        for case in set(apply_map(dmap, ts.take(plan.test_indices(0))).rows):
+            assert classify_knn(model, case) == knn_label(fitted, k, case)
 
 
 def test_each_distinct_encoded_case_is_labelled_once_per_method_and_fold(

@@ -138,14 +138,19 @@ def test_vote_ties_at_equal_distance_break_lexicographically():
 
 @st.composite
 def knn_problems(draw):
-    """A mixed training set, k, and queries with seen and unseen values.
+    """A training set, k, and queries with seen and unseen values.
 
-    Few distinct values make equal distances and vote ties common; a
-    constant numeric column has a zero span.
+    Half the sets are all-nominal, as every binned CV fold is, and store
+    only their distinct rows. Their queries add copies of training rows,
+    which k = 1 answers by lookup, and a copy holding a list, which no row
+    holds. Few distinct values make equal distances and vote ties common;
+    a constant numeric column has a zero span.
     """
     n = draw(st.integers(1, 25))
-    kinds = draw(st.lists(st.sampled_from(["numeric", "constant", "nominal"]),
-                          min_size=1, max_size=4))
+    nominal = draw(st.booleans())
+    kinds = draw(st.lists(st.sampled_from(
+        ["nominal"] if nominal else ["numeric", "constant", "nominal"]),
+        min_size=1, max_size=4))
     columns, cells = [], []
     for j, kind in enumerate(kinds):
         if kind == "nominal":
@@ -165,20 +170,39 @@ def knn_problems(draw):
                    st.sampled_from([-3.0, 0.0, 0.2, 1.0, 2.5, 9.0])
                    for kind in kinds]
     queries = draw(st.lists(st.tuples(*query_pools), min_size=1, max_size=5))
+    if nominal:
+        queries += draw(st.lists(st.sampled_from(ts.rows), min_size=1,
+                                 max_size=4))
+        row = draw(st.sampled_from(ts.rows))
+        at = draw(st.integers(0, len(row) - 1))
+        queries.append(row[:at] + ([row[at]],) + row[at + 1:])
     return ts, k, queries
 
 
 @settings(max_examples=300, deadline=None)
 @given(knn_problems())
 def test_classify_knn_equals_the_scalar_oracle(problem):
-    ts, k, queries = problem
-    model = fit_knn(ts, k)
-    for query in queries:
-        assert classify_knn(model, query) == knn_label(ts, k, query)
-        assert _distances(model, query).tolist() == \
-            [knn_distance(query, inst, model) for inst in ts.instances]
-        with pytest.raises(DataError, match="width"):
-            classify_knn(model, query + query[:1])
+    ts, drawn_k, queries = problem
+    for k in {1, min(3, len(ts)), drawn_k}:
+        model = fit_knn(ts, k)
+        for query in queries:
+            assert classify_knn(model, query) == knn_label(ts, k, query)
+            assert _distances(model, query).tolist() == \
+                [knn_distance(query, inst, model) for inst in ts.instances]
+            with pytest.raises(DataError, match="width"):
+                classify_knn(model, query + query[:1])
+
+
+def test_an_underflowing_square_puts_an_earlier_row_at_distance_zero():
+    # 1e-170 squared underflows to 0.0, so row 0 ties the query's exact
+    # copy, row 1, and wins by training order: a set with a numeric
+    # attribute cannot answer a copy by lookup
+    ts = build_training_set([("x", "numeric"), ("y", "nominal")],
+                            [(1e-170, "a", "A"), (0.0, "a", "B"),
+                             (1.0, "b", "C")])
+    model = fit_knn(ts)
+    assert _distances(model, (0.0, "a")).tolist() == [0.0, 0.0, math.sqrt(2)]
+    assert classify_knn(model, (0.0, "a")) == knn_label(ts, 1, (0.0, "a")) == "A"
 
 
 def test_unseen_nominal_value_is_distance_one_to_every_row(runs11, runs_knn):
