@@ -18,8 +18,9 @@ from .casi import (CellularKnowledgeBase, ClassificationRule, Configuration,
 from .dataset import (AttributeSpec, Instance, TrainingSet,
                       build_training_set, class_distribution, load_csv,
                       save_csv, subset)
-from .discretize import (DiscretizationMap, apply_map, discretize_supervised,
-                         discretize_unsupervised, entropy, fit_map)
+from .discretize import (DiscretizationMap, Schema, apply_map,
+                         discretize_supervised, discretize_unsupervised,
+                         entropy, fit_map)
 from .errors import (DataError, InapplicableActionError, LimitError,
                      ModelError, ModelIntegrityError, PlancellError,
                      UnknownValueError)
@@ -41,17 +42,17 @@ __all__ = [
     "DiscretizationMap", "EvalReport", "FoldPlan", "InapplicableActionError",
     "InductionGraph", "Instance", "KnnModel", "LimitError", "ModelError",
     "ModelIntegrityError", "Plan", "PlanEnumeration", "PlancellError",
-    "ProjectGraph", "ProjectParseError", "SolveResult", "Task", "TrainingSet",
-    "TreeNode", "UnknownValueError", "all_on_table", "apply", "apply_map",
-    "build_training_set", "class_distribution", "classify_casi",
+    "ProjectGraph", "ProjectParseError", "Schema", "SolveResult", "Task",
+    "TrainingSet", "TreeNode", "UnknownValueError", "all_on_table", "apply",
+    "apply_map", "build_training_set", "class_distribution", "classify_casi",
     "classify_knn", "classify_tree", "compile_tree", "corpus_training_set",
     "cross_validate", "discretize_supervised", "discretize_unsupervised",
     "entropy", "enumerate_plans", "established_facts", "evaluate_grid",
     "first_plan", "fit_knn", "fit_map", "format_fact_table",
     "format_incidence", "format_rule_table", "gain_ratio", "generate_corpus",
     "generate_runs", "grow", "induce", "infer", "information_gain",
-    "instance_facts", "kb_from_json", "kb_to_json", "load_csv",
-    "make_folds", "model_from_json", "model_to_json", "parse_project",
-    "rep_prune", "report", "report_csv", "sample_project", "sample_runs",
-    "save_csv", "solve", "subset", "validate_plan",
+    "instance_facts", "kb_from_json", "kb_to_json", "load_csv", "make_folds",
+    "model_from_json", "model_to_json", "parse_project", "rep_prune", "report",
+    "report_csv", "sample_project", "sample_runs", "save_csv", "solve",
+    "subset", "validate_plan",
 ]

@@ -24,8 +24,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .dataset import CLASS_ATTRIBUTE, AttributeSpec, case_values
-from .discretize import DiscretizationMap, schema_to_json, schema_from_json
+from .dataset import CLASS_ATTRIBUTE, case_values
+from .discretize import Schema
 from .errors import DataError, ModelIntegrityError, UnknownValueError
 from .tree import InductionGraph
 
@@ -77,7 +77,7 @@ class Configuration:
 
 @dataclass(frozen=True)
 class CellularKnowledgeBase:
-    """Immutable compiled rule base: a fact table and a rule table.
+    """Immutable compiled rule base: a fact table, a rule table, a Schema.
 
     Construction checks that both tables are non-empty, that no descriptor
     repeats and that every premise and conclusion names a fact. The root,
@@ -89,9 +89,7 @@ class CellularKnowledgeBase:
 
     facts: tuple[str, ...]
     rules: tuple[ClassificationRule, ...]
-    attributes: tuple[AttributeSpec, ...]
-    classes: tuple[str, ...]
-    discretization: DiscretizationMap | None = None
+    schema: Schema
 
     def __post_init__(self):
         if not self.facts:
@@ -173,7 +171,7 @@ class CellularKnowledgeBase:
         mapped to its fact descriptor."""
         return tuple((spec.name, {f[len(spec.name) + 1:]: f for f in self.facts
                                   if f.startswith(spec.name + "=")})
-                     for spec in self.attributes)
+                     for spec in self.schema.attributes)
 
 
 def compile_tree(tree: InductionGraph) -> CellularKnowledgeBase:
@@ -195,11 +193,10 @@ def compile_tree(tree: InductionGraph) -> CellularKnowledgeBase:
             test = f"{node.attribute}={value}"
             tested.add(test)
             rules.append(ClassificationRule((node.node_id, test), child.node_id))
-    facts += [f"{spec.name}={value}" for spec in tree.attributes
+    facts += [f"{spec.name}={value}" for spec in tree.schema.attributes
               for value in spec.domain if f"{spec.name}={value}" in tested]
-    facts += [CLASS_PREFIX + c for c in tree.classes if c in labels]
-    return CellularKnowledgeBase(tuple(facts), tuple(rules), tree.attributes,
-                                 tree.classes, tree.discretization)
+    facts += [CLASS_PREFIX + c for c in tree.schema.classes if c in labels]
+    return CellularKnowledgeBase(tuple(facts), tuple(rules), tree.schema)
 
 
 class Trace(Sequence):
@@ -289,8 +286,8 @@ def instance_facts(kb: CellularKnowledgeBase, instance) -> list[str]:
     tests are dropped, which at worst starves the inference and surfaces
     as an unknown-value error.
     """
-    values = case_values(instance, len(kb.attributes))
-    dmap = kb.discretization
+    values = case_values(instance, len(kb.schema.attributes))
+    dmap = kb.schema.discretization
     seeds = []
     for (name, table), value in zip(kb._input_tables, values):
         if dmap is not None:
@@ -335,7 +332,7 @@ def kb_to_json(kb: CellularKnowledgeBase) -> dict:
                   for r in kb.rules],
         "R_E": _bitrows(kb.premise_matrix),
         "R_S": _bitrows(kb.conclusion_matrix),
-        **schema_to_json(kb.attributes, kb.classes, kb.discretization),
+        **kb.schema.to_json(),
     }
 
 
@@ -346,7 +343,7 @@ def kb_from_json(data: dict) -> CellularKnowledgeBase:
     root: the only node fact no rule concludes."""
     if not isinstance(data, dict) or data.get("format") != "cellular-kb":
         raise ModelIntegrityError("not a cellular-kb file")
-    attributes, classes, dmap = schema_from_json(data)
+    schema = Schema.from_json(data)
     try:
         flags = [entry["input"] for entry in data["facts"]]
         if any(type(flag) is not int or flag not in (0, 1) for flag in flags):
@@ -366,14 +363,14 @@ def kb_from_json(data: dict) -> CellularKnowledgeBase:
                 raise ModelIntegrityError(
                     f"rule {j}: conclusion must be a string, not {conclusion!r}")
             rules.append(ClassificationRule(tuple(premises), conclusion))
-        kb = CellularKnowledgeBase(facts, tuple(rules), attributes, classes, dmap)
+        kb = CellularKnowledgeBase(facts, tuple(rules), schema)
         for fact, flag, wired in zip(kb.facts, flags, kb.input_flags):
             if flag != wired:
                 raise ModelIntegrityError(
                     f"input flag {flag} of fact {fact!r} disagrees with "
                     f"its descriptor")
-        known = {f"{s.name}={v}" for s in attributes for v in s.domain}
-        known.update(CLASS_PREFIX + c for c in classes)
+        known = {f"{s.name}={v}" for s in schema.attributes for v in s.domain}
+        known.update(CLASS_PREFIX + c for c in schema.classes)
         for fact in kb.facts:
             if "=" in fact and fact not in known:
                 raise ModelIntegrityError(

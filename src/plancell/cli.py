@@ -165,11 +165,11 @@ def _cmd_train(args) -> int:
 def _cmd_classify(args) -> int:
     model = model_from_json(_load_model_json(args.model))
     cases = load_csv(_read_text(args.input))
-    model_names = tuple(s.name for s in model.attributes)
+    model_names = tuple(model.schema.index)
     if cases.attribute_names != model_names:
         raise DataError(f"case attributes {cases.attribute_names} do not match "
                         f"the model's {model_names}")
-    binned = apply_map(model.discretization or DiscretizationMap(), cases)
+    binned = apply_map(model.schema.discretization or DiscretizationMap(), cases)
     kb = compile_tree(model) if args.casi else None
 
     def classify(values):

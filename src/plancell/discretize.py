@@ -10,8 +10,8 @@ maps to the bin on its left. ``bin_label`` is the one path from a raw value
 to a model value and ``bin_column`` its form for a whole column;
 ``apply_map`` rewrites the numeric columns of a set, training data or cases
 to classify, into nominal bin codes b0, b1, ... through the second.
-``schema_to_json``/``schema_from_json`` are the one JSON form of a model's
-schema and cut points, shared by tree models and cellular rule bases.
+A ``Schema`` holds a model's attributes, classes and cut points, checked to
+agree, and is their one JSON form, for tree models and cellular rule bases.
 """
 
 from __future__ import annotations
@@ -87,44 +87,69 @@ class DiscretizationMap:
         return tuple(out)
 
 
-def schema_to_json(attributes, classes, dmap: DiscretizationMap | None) -> dict:
-    """The attributes, classes and cut points of a model, JSON-ready."""
-    return {
-        "attributes": [{"name": s.name, "kind": s.kind, "domain": list(s.domain)}
-                       for s in attributes],
-        "classes": list(classes),
-        "discretization": None if dmap is None
-        else {a: list(c) for a, c in dmap.cuts.items()},
-    }
+@dataclass(frozen=True)
+class Schema:
+    """A model's attributes, classes and cut points, checked together.
 
-
-def schema_from_json(data: dict):
-    """Inverse of ``schema_to_json``: (attributes, classes, map or None).
-
-    Raises ModelIntegrityError on any malformed part: repeated attribute
-    names, cuts the map refuses (``json`` reads NaN and Infinity), classes
-    or domains not in lists, classes or nominal values that are not strings.
+    Attribute names are unique and classes are strings. The map cuts only
+    attributes of the schema, and each attribute it cuts is nominal with
+    domain exactly the bin labels ``apply_map`` writes for it, b0, b1, ...
+    in order, so a model bins a case as its training data was binned.
+    DataError otherwise.
     """
-    try:
-        for value in [data["classes"], *(a["domain"] for a in data["attributes"])]:
-            if not isinstance(value, list):
-                raise ModelIntegrityError(
-                    f"classes and domains must be lists, not {value!r}")
-        attributes = tuple(AttributeSpec(a["name"], a["kind"], tuple(a["domain"]))
-                           for a in data["attributes"])
-        if len({a.name for a in attributes}) != len(attributes):
-            raise ModelIntegrityError("attribute names repeat")
-        classes = tuple(data["classes"])
-        for label in classes:
+
+    attributes: tuple[AttributeSpec, ...]
+    classes: tuple[str, ...]
+    discretization: DiscretizationMap | None = None
+
+    def __post_init__(self):
+        if len(self.index) != len(self.attributes):
+            raise DataError("attribute names repeat")
+        for label in self.classes:
             if not isinstance(label, str):
-                raise ModelIntegrityError(f"class {label!r} is not a string")
-        cuts = data.get("discretization")
-        if cuts is None:
-            return attributes, classes, None
-        return attributes, classes, DiscretizationMap(
-            {a: tuple(c) for a, c in cuts.items()})
-    except (KeyError, TypeError, AttributeError, DataError) as exc:
-        raise ModelIntegrityError(f"malformed schema: {exc}") from exc
+                raise DataError(f"class {label!r} is not a string")
+        dmap = self.discretization
+        for name, (bins, _) in dmap._bins.items() if dmap is not None else ():
+            if name not in self.index:
+                raise DataError(f"cut points for {name!r}, which the schema lacks")
+            spec = self.attributes[self.index[name]]
+            if spec.kind != NOMINAL or tuple(spec.domain) != bins:
+                raise DataError(f"attribute {name!r}: domain {spec.domain!r} "
+                                f"is not its bins {bins!r}")
+
+    @cached_property
+    def index(self) -> dict[str, int]:
+        """Each attribute's position in the schema, by name."""
+        return {spec.name: i for i, spec in enumerate(self.attributes)}
+
+    def to_json(self) -> dict:
+        """The attributes, classes and cut points, JSON-ready."""
+        return {
+            "attributes": [{"name": s.name, "kind": s.kind, "domain": list(s.domain)}
+                           for s in self.attributes],
+            "classes": list(self.classes),
+            "discretization": self.discretization and {
+                a: list(c) for a, c in self.discretization.cuts.items()},
+        }
+
+    @classmethod
+    def from_json(cls, data: dict) -> Schema:
+        """Inverse of ``to_json``; ModelIntegrityError on classes or domains
+        not in lists, or on whatever the constructors refuse (``json`` reads
+        NaN and Infinity)."""
+        try:
+            for value in [data["classes"], *(a["domain"] for a in data["attributes"])]:
+                if not isinstance(value, list):
+                    raise ModelIntegrityError(
+                        f"classes and domains must be lists, not {value!r}")
+            cuts = data.get("discretization")
+            return cls(tuple(AttributeSpec(a["name"], a["kind"], tuple(a["domain"]))
+                             for a in data["attributes"]),
+                       tuple(data["classes"]),
+                       None if cuts is None
+                       else DiscretizationMap({a: tuple(c) for a, c in cuts.items()}))
+        except (KeyError, TypeError, AttributeError, DataError) as exc:
+            raise ModelIntegrityError(f"malformed schema: {exc}") from exc
 
 
 def discretize_unsupervised(ts: TrainingSet, bins: int = 10) -> DiscretizationMap:

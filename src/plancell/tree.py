@@ -14,10 +14,8 @@ from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
-from .dataset import (NOMINAL, AttributeSpec, TrainingSet, case_values,
-                      class_members)
-from .discretize import (DiscretizationMap, entropy, schema_from_json,
-                         schema_to_json)
+from .dataset import NOMINAL, TrainingSet, case_values, class_members
+from .discretize import DiscretizationMap, Schema, entropy
 from .errors import DataError, ModelIntegrityError, UnknownValueError
 
 GAIN_RATIO = "gain_ratio"
@@ -64,13 +62,11 @@ def _number(root: TreeNode) -> TreeNode:
 
 @dataclass(frozen=True)
 class InductionGraph:
-    """A grown tree plus the schema and discretization it was fit under."""
+    """A grown tree plus the schema it was fit under."""
 
     root: TreeNode
-    attributes: tuple[AttributeSpec, ...]
-    classes: tuple[str, ...]
+    schema: Schema
     mode: str
-    discretization: DiscretizationMap | None = None
 
     def nodes(self) -> list[TreeNode]:
         """All nodes in breadth-first order (the id order)."""
@@ -86,11 +82,6 @@ class InductionGraph:
                 return d
             return max(walk(c, d + 1) for c in node.children.values())
         return walk(self.root, 0)
-
-    @cached_property
-    def attribute_index(self) -> dict[str, int]:
-        """Each attribute's position in the schema, by name."""
-        return {spec.name: i for i, spec in enumerate(self.attributes)}
 
 
 def _distinct_rows(ts: TrainingSet) -> tuple[dict, tuple, tuple]:
@@ -163,7 +154,8 @@ def grow(ts: TrainingSet, mode: str = GAIN_RATIO, min_leaf: int = 2,
     A node becomes a leaf when it is pure, no attributes remain, the best
     split scores zero, or some branch of the best split would receive fewer
     than ``min_leaf`` instances. Score ties go to the attribute declared
-    first. Branches exist only for values present at the node.
+    first. Branches exist only for values present at the node. The set must
+    be binned by ``discretization``, the map its ``Schema`` keeps.
 
     Rows are counted, not visited: the set's distinct (values, label) rows
     are found once, and each attribute partitions a node's distinct rows by
@@ -181,6 +173,7 @@ def grow(ts: TrainingSet, mode: str = GAIN_RATIO, min_leaf: int = 2,
                 f"attribute {spec.name!r} is numeric; discretize before growing")
     if min_leaf < 1:
         raise DataError(f"min_leaf must be >= 1, got {min_leaf}")
+    schema = Schema(ts.attributes, ts.classes, discretization)
 
     columns, labels, weights = _distinct_rows(ts)
     domains = {s.name: s.domain for s in ts.attributes}
@@ -211,8 +204,7 @@ def grow(ts: TrainingSet, mode: str = GAIN_RATIO, min_leaf: int = 2,
             child = TreeNode("", counts[value])
             node.children[value] = child
             queue.append((child, rows[value], remaining, part_entropy[value]))
-    return InductionGraph(_number(root), ts.attributes, ts.classes, mode,
-                          discretization)
+    return InductionGraph(_number(root), schema, mode)
 
 
 def classify_tree(tree: InductionGraph, instance,
@@ -226,12 +218,12 @@ def classify_tree(tree: InductionGraph, instance,
     given, unless ``fallback`` routes it to the current node's majority
     class.
     """
-    values = case_values(instance, len(tree.attributes))
-    dmap = tree.discretization
+    values = case_values(instance, len(tree.schema.attributes))
+    dmap, index = tree.schema.discretization, tree.schema.index
     node = tree.root
     path = [node.node_id]
     while not node.is_leaf:
-        value = values[tree.attribute_index[node.attribute]]
+        value = values[index[node.attribute]]
         key = value if dmap is None else dmap.bin_label(node.attribute, value)
         try:
             child = node.children.get(key)
@@ -258,7 +250,7 @@ def rep_prune(tree: InductionGraph, prune_set: TrainingSet) -> InductionGraph:
     prune instances that reach it. Subtrees no prune instance reaches are
     kept as grown. Node ids are reassigned breadth-first in the pruned tree.
     """
-    if prune_set.attribute_names != tuple(s.name for s in tree.attributes):
+    if prune_set.attribute_names != tuple(tree.schema.index):
         raise DataError("prune set schema does not match the tree schema")
 
     col = dict(zip(prune_set.attribute_names, prune_set.columns))
@@ -336,7 +328,7 @@ def model_to_json(tree: InductionGraph) -> dict:
             entry["children"] = {v: c.node_id for v, c in node.children.items()}
         nodes.append(entry)
     return {"format": "induction-graph", "mode": tree.mode,
-            **schema_to_json(tree.attributes, tree.classes, tree.discretization),
+            **tree.schema.to_json(),
             "nodes": nodes}
 
 
@@ -363,8 +355,8 @@ def model_from_json(data: dict) -> InductionGraph:
     """
     if not isinstance(data, dict) or data.get("format") != "induction-graph":
         raise ModelIntegrityError("not an induction-graph model file")
-    attributes, classes, dmap = schema_from_json(data)
-    domains = {s.name: s.domain for s in attributes}
+    schema = Schema.from_json(data)
+    domains = {s.name: s.domain for s in schema.attributes}
     try:
         mode, raw_nodes = data["mode"], data["nodes"]
         if mode not in (GAIN_RATIO, INFO_GAIN):
@@ -373,7 +365,7 @@ def model_from_json(data: dict) -> InductionGraph:
             raise ModelIntegrityError("model has no nodes")
         nodes: dict[str, TreeNode] = {}
         for entry in raw_nodes:
-            node = _read_node(entry, classes)
+            node = _read_node(entry, schema.classes)
             if node.node_id in nodes:
                 raise ModelIntegrityError(f"duplicate node id {node.node_id!r}")
             nodes[node.node_id] = node
@@ -401,7 +393,7 @@ def model_from_json(data: dict) -> InductionGraph:
         raise ModelIntegrityError(f"malformed model file: {exc}") from exc
     if root_id in linked:
         raise ModelIntegrityError("first node is not the root")
-    graph = InductionGraph(nodes[root_id], attributes, classes, mode, dmap)
+    graph = InductionGraph(nodes[root_id], schema, mode)
     if len(graph.nodes()) != len(nodes):
         raise ModelIntegrityError("model contains unreachable nodes")
     return graph

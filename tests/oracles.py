@@ -15,7 +15,7 @@ import numpy as np
 from plancell.blocksworld import Action, UnsolvableGoalError, apply
 from plancell.casi import NEVER, Configuration, classify_casi, compile_tree
 from plancell.dataset import Instance, case_values, subset
-from plancell.discretize import apply_map, fit_map
+from plancell.discretize import Schema, apply_map, fit_map
 from plancell.errors import (DataError, LimitError, ModelIntegrityError,
                              UnknownValueError)
 from plancell.evaluation import EvalReport
@@ -580,9 +580,10 @@ def casi_instance_facts(kb, instance):
     """A case's input descriptors as first written: encode the whole case,
     spell every string value ``name=value`` and keep the spellings that
     are facts of the base."""
-    values = case_values(instance, len(kb.attributes))
+    attributes = kb.schema.attributes
+    values = case_values(instance, len(attributes))
     descriptors = (f"{spec.name}={value}" for spec, value in zip(
-        kb.attributes, encode(kb.discretization, kb.attributes, values))
+        attributes, encode(kb.schema.discretization, attributes, values))
         if isinstance(value, str))
     return [d for d in descriptors if d in kb.facts]
 
@@ -590,12 +591,13 @@ def casi_instance_facts(kb, instance):
 def casi_label(kb, instance):
     """Seed the root and the case's known descriptors, read the class fact."""
     values = instance.values if isinstance(instance, Instance) else tuple(instance)
-    if len(values) != len(kb.attributes):
+    attributes = kb.schema.attributes
+    if len(values) != len(attributes):
         raise DataError(
-            f"instance has {len(values)} values, schema has {len(kb.attributes)}")
+            f"instance has {len(values)} values, schema has {len(attributes)}")
     known = set(kb.facts)
     descriptors = [f"{spec.name}={value}" for spec, value in zip(
-        kb.attributes, encode(kb.discretization, kb.attributes, values))]
+        attributes, encode(kb.schema.discretization, attributes, values))]
     seeds = [kb.facts[0]] + [d for d in descriptors if d in known]
     final = casi_infer(kb, seeds)[-1]
     hits = [f for i, f in enumerate(kb.facts)
@@ -717,4 +719,4 @@ def grow_tree(ts, mode, min_leaf):
                 child = new_node(parts[value])
                 node.children[value] = child
                 queue.append((child, parts[value], remaining))
-    return InductionGraph(_renumber(root), ts.attributes, ts.classes, mode)
+    return InductionGraph(_renumber(root), Schema(ts.attributes, ts.classes), mode)

@@ -14,7 +14,7 @@ from plancell.casi import (classify_casi, compile_tree, established_facts,
                            format_rule_table, infer, instance_facts,
                            kb_from_json, kb_to_json)
 from plancell.dataset import build_training_set
-from plancell.discretize import apply_map, discretize_supervised
+from plancell.discretize import Schema, apply_map, discretize_supervised
 from plancell.errors import (DataError, ModelIntegrityError,
                              UnknownValueError)
 from plancell.tree import (INFO_GAIN, InductionGraph, TreeNode, classify_tree,
@@ -210,7 +210,7 @@ def chain_tree(depth):
     attrs = tuple(build_training_set(
         [(f"a{i}", "nominal") for i in range(depth)],
         [tuple(["u"] * depth) + ("C",)]).attributes)
-    return InductionGraph(root, attrs, ("C",), INFO_GAIN)
+    return InductionGraph(root, Schema(attrs, ("C",)), INFO_GAIN)
 
 
 @pytest.mark.parametrize("depth", [1, 2, 4, 7])
@@ -426,7 +426,7 @@ def test_kb_json_round_trip(runs_model):
     assert np.array_equal(rebuilt.premise_matrix, kb.premise_matrix)
     assert np.array_equal(rebuilt.conclusion_matrix, kb.conclusion_matrix)
     assert list(rebuilt.input_flags) == list(kb.input_flags)
-    assert rebuilt.discretization.cuts == kb.discretization.cuts
+    assert rebuilt.schema == kb.schema
     assert classify_casi(rebuilt, ("blocks-4", 0.032237, 6.0)) == "P1"
 
 

@@ -21,9 +21,9 @@ import oracles
 from plancell.casi import (CellularKnowledgeBase, ClassificationRule,
                            classify_casi, compile_tree, infer, instance_facts,
                            kb_from_json)
-from plancell.dataset import (NOMINAL, NUMERIC, AttributeSpec,
+from plancell.dataset import (NOMINAL, NUMERIC, AttributeSpec, TrainingSet,
                               build_training_set)
-from plancell.discretize import DiscretizationMap
+from plancell.discretize import DiscretizationMap, Schema, apply_map
 from plancell.errors import ModelIntegrityError, PlancellError
 from plancell.tree import induce
 from test_encoding import fitted, trained
@@ -54,7 +54,7 @@ def table_kb(facts, rules):
     """A base from descriptors and (premises, conclusion) pairs, no schema."""
     return CellularKnowledgeBase(
         tuple(facts), tuple(ClassificationRule(tuple(p), c) for p, c in rules),
-        attributes=(), classes=())
+        Schema((), ()))
 
 
 @st.composite
@@ -157,13 +157,20 @@ SPELLINGS = ["a", "b", "a=b", "=", "b0", "b1", "b2", "1", "1.5", "True",
 CASE_STRINGS = SPELLINGS + ["unseen", "a=b=c", "x0=a", ""]
 
 
+def binned_spec(dmap, spec):
+    """The spec ``apply_map`` writes for a numeric attribute ``dmap`` cuts."""
+    one_row = TrainingSet((spec,), ("K",), ((0.0,),), ("K",))
+    return apply_map(dmap, one_row).attributes[0]
+
+
 @st.composite
 def input_bases(draw):
     """A base over 1-4 attributes whose facts spell some values of each,
     and raw cases for it.
 
     The base has no map, or a map that cuts some numeric attributes (some
-    with no cuts at all) and leaves the others out. Case values are ints,
+    with no cuts at all) and leaves the others out; an attribute it cuts
+    carries the nominal spec of bins ``apply_map`` writes. Case values are ints,
     halves and quarters (on and between cuts), bools, NaN, infinities and
     strings, a fact's own among them.
     """
@@ -179,11 +186,13 @@ def input_bases(draw):
     specs = tuple(AttributeSpec(name, kind, (-5.0, 5.0) if kind == NUMERIC
                                 else tuple(draw(domain)))
                   for name, kind in zip(names, kinds))
+    if dmap is not None:
+        specs = tuple(binned_spec(dmap, s) if s.name in cuts else s for s in specs)
     facts = ["s0"] + [f"{name}={value}" for name in names for value in
                       draw(st.lists(st.sampled_from(SPELLINGS), unique=True))]
     kb = CellularKnowledgeBase(
         tuple(facts + ["class=K"]), (ClassificationRule(("s0",), "class=K"),),
-        specs, ("K",), dmap)
+        Schema(specs, ("K",), dmap))
     value = st.one_of(st.integers(-6, 6),
                       st.integers(-24, 24).map(lambda k: k / 4), st.booleans(),
                       st.sampled_from([math.nan, math.inf, -math.inf]),

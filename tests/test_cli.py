@@ -220,7 +220,7 @@ def test_discretize_writes_binned_copy(runs_file, tmp_path, capsys):
 def test_train_writes_loadable_model(model_file, capsys):
     model = model_from_json(json.loads(Path(model_file).read_text()))
     assert model.node_count == 12
-    assert model.discretization.cuts["steps"] == (8.0, 11.0)
+    assert model.schema.discretization.cuts["steps"] == (8.0, 11.0)
 
 
 def test_train_reports_shape(tmp_path, runs_file, capsys):
@@ -350,7 +350,7 @@ def test_supervised_cut_between_values_beyond_half_the_float_range(tmp_path):
     assert run(["train", "--in", str(data), "--discretize", "supervised",
                 "--out", str(model)]) == 0
     graph = model_from_json(json.loads(model.read_text()))
-    assert graph.discretization.cuts["x"] == (1.35e308,)
+    assert graph.schema.discretization.cuts["x"] == (1.35e308,)
     assert graph.depth() == 1
 
 
@@ -474,6 +474,10 @@ MODEL_FAULTS = {
     "cut beyond the float range": _put("discretization", "steps",
                                        value=[8.0, 10**400]),
     "int cut beyond 2**53": _put("discretization", "steps", value=[8.0, 2**53 + 1]),
+    "cuts drop a bin": _put("discretization", "steps", value=[8.0]),
+    "cuts add a bin": _put("discretization", "steps", value=[8.0, 11.0, 15.0]),
+    "cuts for an attribute the schema lacks": _put("discretization", "ghost",
+                                                   value=[1.0]),
     "top-level array": lambda doc: [doc],
     "repeated attribute name": lambda doc: doc["attributes"].append(
         dict(doc["attributes"][0])),
@@ -524,6 +528,10 @@ KB_FAULTS = {
     "NaN cut": _put("discretization", "steps", value=[math.nan]),
     "infinite cut": _put("discretization", "steps", value=[8.0, math.inf]),
     "int cut beyond 2**53": _put("discretization", "steps", value=[8.0, 2**53 + 1]),
+    "cuts drop a bin": _put("discretization", "steps", value=[8.0]),
+    "cuts add a bin": _put("discretization", "steps", value=[8.0, 11.0, 15.0]),
+    "cuts for an attribute the schema lacks": _put("discretization", "ghost",
+                                                   value=[1.0]),
     "list discretization": _put("discretization", value=[[8.0, 11.0]]),
     "rule with empty premises": _put("rules", 0, "premises", value=[]),
     "premise bit x": _bit("R_E", "x"),

@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 from oracles import _boundary_candidates, encode, mdl_cuts
 from plancell import cli, discretize, evaluation
 from plancell.casi import compile_tree, kb_from_json, kb_to_json
-from plancell.dataset import build_training_set
-from plancell.discretize import (MODES, DiscretizationMap, _candidates,
+from plancell.dataset import (NOMINAL, AttributeSpec, TrainingSet,
+                              build_training_set)
+from plancell.discretize import (MODES, DiscretizationMap, Schema, _candidates,
                                  _coded_labels, _mdl_split, apply_map,
                                  discretize_supervised,
-                                 discretize_unsupervised, entropy, fit_map,
-                                 schema_from_json, schema_to_json)
+                                 discretize_unsupervised, entropy, fit_map)
 from plancell.errors import DataError, ModelIntegrityError
 from plancell.tree import grow, model_from_json, model_to_json
 
@@ -214,7 +214,8 @@ def test_cuts_of_a_built_map_cannot_change():
     cuts["y"] = (0.0,)
     assert dmap.cuts == {"x": (1.0,)} and dmap.bin_label("x", 2.0) == "b1"
     assert dmap == DiscretizationMap({"x": (1.0,)})
-    assert schema_to_json([], [], dmap)["discretization"] == {"x": [1.0]}
+    schema = Schema((AttributeSpec("x", NOMINAL, ("b0", "b1")),), (), dmap)
+    assert schema.to_json()["discretization"] == {"x": [1.0]}
 
 
 CUT_LISTS = st.lists(
@@ -223,15 +224,42 @@ CUT_LISTS = st.lists(
     max_size=5).map(lambda cs: tuple(sorted(set(cs))))
 
 
+def json_copy(doc):
+    return json.loads(json.dumps(doc))
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.dictionaries(st.sampled_from(["x", "y", "z"]), CUT_LISTS, max_size=3))
-def test_every_map_the_constructor_accepts_round_trips_through_model_files(cuts):
+@given(st.dictionaries(st.sampled_from(["x", "y", "z"]), CUT_LISTS, max_size=3),
+       st.lists(st.sampled_from(["b0", "b1", "b2", "b3", "c"]), min_size=1,
+                unique=True))
+def test_every_map_the_constructor_accepts_round_trips_through_model_files(
+        cuts, domain):
     dmap = DiscretizationMap(cuts)
-    ts = build_training_set([("x", "nominal")], [("b0", "A"), ("b1", "B")])
+    raw = build_training_set([("n", "nominal"), *((a, "numeric") for a in cuts)],
+                             [("u", *[0.0] * len(cuts), "A"),
+                              ("v", *[1.0] * len(cuts), "B")])
+    ts = apply_map(dmap, raw)
     tree = grow(ts, min_leaf=1, discretization=dmap)
-    model = model_from_json(json.loads(json.dumps(model_to_json(tree))))
-    kb = kb_from_json(json.loads(json.dumps(kb_to_json(compile_tree(tree)))))
-    assert model.discretization.cuts == kb.discretization.cuts == dmap.cuts
+    model_doc, kb_doc = model_to_json(tree), kb_to_json(compile_tree(tree))
+    model = model_from_json(json_copy(model_doc))
+    kb = kb_from_json(json_copy(kb_doc))
+    assert model.schema == kb.schema == tree.schema
+    assert model.schema.discretization.cuts == dmap.cuts
+    # a drawn domain in place of the first binned attribute's bins b0..bk:
+    # the set, the model file and the rule-base file are refused unless the
+    # domain is exactly those bins
+    if not cuts or domain == list(ts.attributes[1].domain):
+        return
+    specs = list(ts.attributes)
+    specs[1] = AttributeSpec(specs[1].name, NOMINAL, tuple(domain))
+    with pytest.raises(DataError, match="is not its bins"):
+        grow(TrainingSet(tuple(specs), ts.classes, ts.columns, ts.labels),
+             min_leaf=1, discretization=dmap)
+    for doc, load in ((model_doc, model_from_json), (kb_doc, kb_from_json)):
+        doc = json_copy(doc)
+        doc["attributes"][1]["domain"] = domain
+        with pytest.raises(ModelIntegrityError, match="is not its bins"):
+            load(doc)
 
 
 def test_apply_map_rewrites_numeric_columns(runs11):
@@ -505,9 +533,13 @@ def schema_doc():
      "attribute 'x': nominal value 1 is not a string"),
     (lambda doc: doc.update(discretization={"x": [1.0, math.inf]}),
      "malformed schema: cuts for 'x' are not finite numbers"),
+    (lambda doc: doc.update(discretization={"y": []}),
+     "malformed schema: cut points for 'y', which the schema lacks"),
+    (lambda doc: doc.update(discretization={"x": [1.0]}),
+     r"malformed schema: attribute 'x': domain \('a', 'b'\) is not its bins"),
 ])
 def test_schema_from_json_refuses_fields_of_the_wrong_type(fault, message):
     doc = schema_doc()
     fault(doc)
     with pytest.raises(ModelIntegrityError, match=message):
-        schema_from_json(doc)
+        Schema.from_json(doc)

@@ -193,7 +193,7 @@ def test_model_and_rule_base_json_round_trips(case, method):
     doc = model_to_json(tree)
     rebuilt = model_from_json(json.loads(json.dumps(doc)))
     assert json.dumps(model_to_json(rebuilt)) == json.dumps(doc)
-    assert rebuilt.discretization == dmap
+    assert rebuilt.schema.discretization == dmap
     kb_doc = kb_to_json(kb)
     rebuilt_kb = kb_from_json(json.loads(json.dumps(kb_doc)))
     assert json.dumps(kb_to_json(rebuilt_kb)) == json.dumps(kb_doc)

@@ -167,6 +167,20 @@ def test_cellular_engine_reports_match_tree_walks():
     assert via_cells == via_tree
 
 
+def test_every_held_out_case_of_a_bw_gen_corpus_has_a_copy_in_training():
+    # bw-gen --sizes 4,5,6,7 --per-size 50 --pool 5 --seed 1: every draw of
+    # a pool problem shares its values, the solver's time included, and its
+    # label, so the grid measures recall of rows seen in training
+    ts = generate_corpus([4, 5, 6, 7], 50, seed=1, pool=5)
+    plan = make_folds(ts, 10, 1)
+    rows = list(zip(ts.rows, ts.labels))
+    copies = 0
+    for fold in range(plan.folds):
+        seen = {rows[i] for i in plan.train_indices(fold)}
+        copies += sum(rows[i] in seen for i in plan.test_indices(fold))
+    assert (copies, len(ts)) == (200, 200)
+
+
 def test_unknown_values_count_as_errors():
     # a unique-valued attribute: every test instance shows the classifier
     # a value it has never seen, so nothing can be placed

@@ -173,13 +173,32 @@ def test_classify_unknown_value_and_fallback():
 
 
 def test_unknown_value_message_names_the_raw_value():
-    ts = nominal_set(["x"], [("b0", "c1"), ("b2", "c2")])
-    tree = grow(ts, min_leaf=1, discretization=DiscretizationMap({"x": (0.0, 1.0)}))
+    dmap = DiscretizationMap({"x": (0.0, 1.0)})
+    ts = apply_map(dmap, build_training_set([("x", "numeric")],
+                                            [(-1.0, "c1"), (1.5, "c2")]))
+    assert ts.attributes[0].domain == ("b0", "b1", "b2")
+    assert ts.columns[0] == ("b0", "b2")
+    tree = grow(ts, min_leaf=1, discretization=dmap)
     assert classify_tree(tree, (1.5,))[0] == "c2"
     # 0.5 falls in b1, which no branch of s0 takes
     with pytest.raises(UnknownValueError) as error:
         classify_tree(tree, (0.5,))
     assert str(error.value) == "value 0.5 of attribute 'x' has no branch at node s0"
+
+
+@pytest.mark.parametrize("cuts,message", [
+    ({"steps": (8.0,)}, r"attribute 'steps': domain \('b0', 'b1', 'b2'\) is not "
+                        r"its bins \('b0', 'b1'\)"),
+    ({"steps": (8.0, 11.0, 15.0)}, "attribute 'steps': domain .* is not its bins"),
+    ({"ghost": (1.0,)}, "cut points for 'ghost', which the schema lacks"),
+    ({"problem": ()}, "attribute 'problem': domain .* is not its bins"),
+])
+def test_grow_refuses_a_map_that_disagrees_with_its_set(runs11, cuts, message):
+    dmap = discretize_supervised(runs11)
+    binned = apply_map(dmap, runs11)
+    with pytest.raises(DataError, match=message):
+        grow(binned, min_leaf=1,
+             discretization=DiscretizationMap({**dmap.cuts, **cuts}))
 
 
 def test_classify_refuses_nan_where_its_attribute_is_tested(runs11):
@@ -321,7 +340,7 @@ def test_model_json_round_trip(runs11):
     doc = full_model(runs11)
     rebuilt = model_from_json(json.loads(json.dumps(doc)))
     assert model_to_json(rebuilt) == doc
-    assert rebuilt.discretization.cuts["steps"] == (8.0, 11.0)
+    assert rebuilt.schema.discretization.cuts["steps"] == (8.0, 11.0)
 
 
 def test_model_rejects_wrong_format():

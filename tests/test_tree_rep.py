@@ -245,7 +245,7 @@ def test_ids_follow_breadth_first_order(case, mode, min_leaf):
 def stump_and_prune(rows):
     tree = grow(nominal_set(["x"], [("a", "c1"), ("a", "c1"), ("b", "c2")]),
                 INFO_GAIN, min_leaf=1)
-    return tree, with_rows(tree, [Instance((x,), y) for x, y in rows])
+    return tree, with_rows(tree.schema, [Instance((x,), y) for x, y in rows])
 
 
 def test_prune_tie_goes_to_the_leaf():
