@@ -47,26 +47,54 @@ class TreeNode:
 
 
 def _breadth_first(root: TreeNode) -> list[TreeNode]:
-    order = [root]
+    """The nodes under ``root`` breadth-first; DataError on meeting one twice."""
+    order, seen = [root], set()
     for node in order:
+        if id(node) in seen:
+            raise DataError(f"node {node.node_id!r} has two parents or is on a cycle")
+        seen.add(id(node))
         order.extend(node.children.values())
     return order
 
 
-def _number(root: TreeNode) -> TreeNode:
-    """Assign ids s0, s1, ... in breadth-first order, in place."""
-    for i, node in enumerate(_breadth_first(root)):
-        node.node_id = f"s{i}"
-    return root
-
-
 @dataclass(frozen=True)
 class InductionGraph:
-    """A grown tree plus the schema it was fit under."""
+    """A grown tree plus the schema it was fit under.
+
+    The graph numbers the nodes it is given s0, s1, ... breadth-first, so no
+    node fact spells an attribute or class fact. DataError on an unknown
+    mode, a node met twice, counts that are not non-negative ints of schema
+    classes, a split on no nominal attribute of the schema, without
+    children or with a branch outside the domain, or a leaf with children.
+    """
 
     root: TreeNode
     schema: Schema
     mode: str
+
+    def __post_init__(self):
+        if self.mode not in (GAIN_RATIO, INFO_GAIN):
+            raise DataError(f"unknown growth mode {self.mode!r}")
+        classes = set(self.schema.classes)
+        domains = {s.name: set(s.domain) for s in self.schema.attributes
+                   if s.kind == NOMINAL}
+        for i, node in enumerate(_breadth_first(self.root)):
+            node.node_id = nid = f"s{i}"
+            attr, counts, children = node.attribute, node.counts, node.children
+            if not (counts and counts.keys() <= classes and all(
+                    type(n) is int and n >= 0 for n in counts.values())):
+                raise DataError(f"node {nid} counts are not non-negative "
+                                f"integers over the schema's classes")
+            if attr is None and children:
+                raise DataError(f"leaf {nid} has children")
+            if attr is not None and attr not in domains:
+                raise DataError(f"node {nid} splits on {attr!r}, not a nominal attribute")
+            if attr is not None and not children:
+                raise DataError(f"split node {nid} has no children")
+            for value in children:
+                if value not in domains[attr]:
+                    raise DataError(f"node {nid} branch {value!r} is not in "
+                                    f"the domain of {attr!r}")
 
     def nodes(self) -> list[TreeNode]:
         """All nodes in breadth-first order (the id order)."""
@@ -77,11 +105,9 @@ class InductionGraph:
         return len(self.nodes())
 
     def depth(self) -> int:
-        def walk(node, d):
-            if node.is_leaf:
-                return d
-            return max(walk(c, d + 1) for c in node.children.values())
-        return walk(self.root, 0)
+        def walk(node):
+            return max((1 + walk(c) for c in node.children.values()), default=0)
+        return walk(self.root)
 
 
 def _distinct_rows(ts: TrainingSet) -> tuple[dict, tuple, tuple]:
@@ -163,8 +189,6 @@ def grow(ts: TrainingSet, mode: str = GAIN_RATIO, min_leaf: int = 2,
     winner's parts, counts and part entropies become the children's rows,
     ``counts`` and node entropies.
     """
-    if mode not in (GAIN_RATIO, INFO_GAIN):
-        raise DataError(f"unknown growth mode {mode!r}")
     if not len(ts):
         raise DataError("cannot grow a tree from an empty training set")
     for spec in ts.attributes:
@@ -204,7 +228,7 @@ def grow(ts: TrainingSet, mode: str = GAIN_RATIO, min_leaf: int = 2,
             child = TreeNode("", counts[value])
             node.children[value] = child
             queue.append((child, rows[value], remaining, part_entropy[value]))
-    return InductionGraph(_number(root), schema, mode)
+    return InductionGraph(root, schema, mode)
 
 
 def classify_tree(tree: InductionGraph, instance,
@@ -276,7 +300,7 @@ def rep_prune(tree: InductionGraph, prune_set: TrainingSet) -> InductionGraph:
         return pruned, errors
 
     root, _ = prune(tree.root, list(range(len(prune_set))))
-    return replace(tree, root=_number(root))
+    return replace(tree, root=root)
 
 
 J48 = "j48"
@@ -332,68 +356,43 @@ def model_to_json(tree: InductionGraph) -> dict:
             "nodes": nodes}
 
 
-def _read_node(entry: dict, classes: tuple) -> TreeNode:
-    """One node-table entry without its children: id, counts and split."""
-    nid, counts, split = entry["id"], entry["counts"], entry.get("split")
-    if not isinstance(nid, str):
-        raise ModelIntegrityError(f"node id {nid!r} is not a string")
-    if not counts or not all(type(n) is int and n >= 0 for n in counts.values()):
-        raise ModelIntegrityError(f"node {nid} counts are not non-negative integers")
-    if not set(counts) <= set(classes):
-        raise ModelIntegrityError(f"node {nid} counts a class the model lacks")
-    if "leaf_class" in entry and entry["leaf_class"] != majority_label(counts):
-        raise ModelIntegrityError(
-            f"leaf {nid} class {entry['leaf_class']!r} disagrees with its counts")
-    return TreeNode(nid, dict(counts), split)
-
-
 def model_from_json(data: dict) -> InductionGraph:
-    """Rebuild a tree from its JSON form, checking structural integrity.
-
-    Every branch must carry a value of its split attribute's domain, so the
-    tree walk and the compiled rule base see the same edges.
-    """
+    """Rebuild a tree from its JSON form: parse the node table, link it, and
+    check what only the file holds (repeated or unknown ids, nodes the root,
+    the first node, does not reach, ids other than the graph's breadth-first
+    numbering, leaf classes that disagree with their counts). The graph
+    checks the rest; every fault is a ModelIntegrityError."""
     if not isinstance(data, dict) or data.get("format") != "induction-graph":
         raise ModelIntegrityError("not an induction-graph model file")
     schema = Schema.from_json(data)
-    domains = {s.name: s.domain for s in schema.attributes}
     try:
-        mode, raw_nodes = data["mode"], data["nodes"]
-        if mode not in (GAIN_RATIO, INFO_GAIN):
-            raise ModelIntegrityError(f"unknown growth mode {mode!r}")
+        raw_nodes = data["nodes"]
         if not raw_nodes:
             raise ModelIntegrityError("model has no nodes")
         nodes: dict[str, TreeNode] = {}
         for entry in raw_nodes:
-            node = _read_node(entry, schema.classes)
-            if node.node_id in nodes:
-                raise ModelIntegrityError(f"duplicate node id {node.node_id!r}")
-            nodes[node.node_id] = node
-        linked: set[str] = set()
-        for entry in raw_nodes:
-            node = nodes[entry["id"]]
-            if node.attribute is None:
-                continue
-            for value, child_id in entry["children"].items():
-                if value not in domains[node.attribute]:
-                    raise ModelIntegrityError(
-                        f"node {node.node_id} branch {value!r} is not in the "
-                        f"domain of {node.attribute!r}")
+            nid = entry["id"]
+            if nid in nodes:
+                raise ModelIntegrityError(f"duplicate node id {nid!r}")
+            nodes[nid] = TreeNode(nid, entry["counts"], entry.get("split"))
+        for entry, node in zip(raw_nodes, nodes.values()):
+            for value, child_id in entry.get("children", {}).items():
                 if child_id not in nodes:
                     raise ModelIntegrityError(f"unknown child node {child_id!r}")
-                if child_id in linked:
-                    raise ModelIntegrityError(f"node {child_id!r} has two parents")
-                linked.add(child_id)
                 node.children[value] = nodes[child_id]
-            if not node.children:
-                raise ModelIntegrityError(
-                    f"split node {node.node_id} has no children")
-        root_id = raw_nodes[0]["id"]
+        graph = InductionGraph(nodes[raw_nodes[0]["id"]], schema, data["mode"])
+    except DataError as exc:
+        raise ModelIntegrityError(str(exc)) from exc
     except (KeyError, TypeError, AttributeError) as exc:
         raise ModelIntegrityError(f"malformed model file: {exc}") from exc
-    if root_id in linked:
-        raise ModelIntegrityError("first node is not the root")
-    graph = InductionGraph(nodes[root_id], schema, mode)
-    if len(graph.nodes()) != len(nodes):
-        raise ModelIntegrityError("model contains unreachable nodes")
+    if graph.node_count != len(nodes):
+        raise ModelIntegrityError(
+            "model contains nodes unreachable from the first node, the root")
+    for (nid, node), entry in zip(nodes.items(), raw_nodes):
+        if node.node_id != nid:
+            raise ModelIntegrityError(
+                f"node {nid!r} is node {node.node_id} in breadth-first order")
+        if "leaf_class" in entry and entry["leaf_class"] != node.majority:
+            raise ModelIntegrityError(f"leaf {nid} class {entry['leaf_class']!r} "
+                                      f"disagrees with its counts")
     return graph

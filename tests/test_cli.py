@@ -11,13 +11,13 @@ from pathlib import Path
 import pytest
 
 from plancell import cli
-from plancell.casi import kb_from_json
+from plancell.casi import classify_casi, compile_tree, kb_from_json
 from plancell.cli import run
 from plancell.dataset import load_csv
-from plancell.errors import ModelIntegrityError
+from plancell.errors import ModelIntegrityError, UnknownValueError
 from plancell.evaluation import ENGINES, METHODS
 from plancell.sample_data import sample_project_text, sample_runs_text
-from plancell.tree import J48, REPTREE, model_from_json
+from plancell.tree import J48, REPTREE, classify_tree, model_from_json
 
 
 @pytest.fixture
@@ -452,6 +452,18 @@ def _branch_outside_domain(doc):
     children["b9"] = children.pop("b2")
 
 
+def _rename_nodes(names):
+    """A fault that renames nodes, old id to new in ``names``, in the node
+    table's ids and child references."""
+    def fault(doc):
+        for node in doc["nodes"]:
+            node["id"] = names.get(node["id"], node["id"])
+            if "children" in node:
+                node["children"] = {value: names.get(child, child)
+                                    for value, child in node["children"].items()}
+    return fault
+
+
 def _rename_time(name):
     """A fault that renames the never-split ``time`` attribute and its cuts."""
     def fault(doc):
@@ -465,6 +477,9 @@ MODEL_FAULTS = {
     "node without counts": _put("nodes", 1, "counts", drop=True),
     "non-integer count": _put("nodes", 0, "counts", "P1", value="many"),
     "split without children": _put("nodes", 0, "children", drop=True),
+    "leaf with children": _put("nodes", 3, "children", value={"b0": "s4"}),
+    "node id spelling a fact": _rename_nodes({"s2": "problem=blocks-9"}),
+    "node ids out of breadth-first order": _rename_nodes({"s1": "s2", "s2": "s1"}),
     "list discretization": _put("discretization", value=[[8.0, 11.0]]),
     "scalar cut list": _put("discretization", "steps", value=8.0),
     "unsorted cuts": _put("discretization", "steps", value=[11.0, 8.0]),
@@ -572,6 +587,27 @@ def test_malformed_model_exits_4(fault, model_file, runs_file, tmp_path, capsys)
     for argv in (["classify", "--in", runs_file], ["classify", "--casi", "--in",
                  runs_file], ["casi-dump"]):
         _assert_model_error(argv + ["--model", str(bad)], capsys)
+
+
+def test_node_id_spelling_an_input_fact_does_not_load(tmp_path, capsys):
+    quick = Path(__file__).parent / "golden" / "inputs" / "quick.csv"
+    path = tmp_path / "quick.json"
+    assert run(["train", "--in", str(quick), "--out", str(path)]) == 0
+    capsys.readouterr()
+    doc = json.loads(path.read_text())
+    renamed = json.loads(path.read_text())
+    _rename_nodes({"s2": "problem=blocks-9"})(renamed)
+    with pytest.raises(ModelIntegrityError, match="breadth-first"):
+        model_from_json(renamed)
+    # Loaded as it is, the file's node fact would double as the input fact
+    # problem=blocks-9: that value would seed node s2 mid-tree, and CASI
+    # would answer a case the tree walk refuses.
+    tree = model_from_json(doc)
+    tree.nodes()[2].node_id = "problem=blocks-9"
+    case = ("blocks-9", "b1", "b3")
+    with pytest.raises(UnknownValueError):
+        classify_tree(tree, case)
+    assert classify_casi(compile_tree(tree), case) == "P3"
 
 
 def _faulty_kb(fault, model_file, tmp_path, capsys):

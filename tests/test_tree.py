@@ -1,17 +1,20 @@
 import json
 import math
 import random
+import re
 
 import pytest
 
 from plancell.casi import ClassificationRule, compile_tree
-from plancell.dataset import TrainingSet, build_training_set, class_distribution
-from plancell.discretize import (DiscretizationMap, apply_map,
+from plancell.dataset import (AttributeSpec, TrainingSet, build_training_set,
+                              class_distribution)
+from plancell.discretize import (DiscretizationMap, Schema, apply_map,
                                  discretize_supervised)
 from plancell.errors import DataError, ModelIntegrityError, UnknownValueError
-from plancell.tree import (INFO_GAIN, GAIN_RATIO, classify_tree, entropy,
-                           gain_ratio, grow, induce, information_gain,
-                           model_from_json, model_to_json, rep_prune)
+from plancell.tree import (INFO_GAIN, GAIN_RATIO, InductionGraph, TreeNode,
+                           classify_tree, entropy, gain_ratio, grow, induce,
+                           information_gain, model_from_json, model_to_json,
+                           rep_prune)
 
 
 def nominal_set(columns, rows):
@@ -94,6 +97,74 @@ def test_grow_runs_tree_shape(binned):
 def test_node_ids_are_breadth_first(binned):
     tree = grow(binned, INFO_GAIN, min_leaf=1)
     assert [n.node_id for n in tree.nodes()] == [f"s{i}" for i in range(12)]
+
+
+HAND_SCHEMA = Schema((AttributeSpec("x", "nominal", ("a", "b")),
+                      AttributeSpec("y", "nominal", ("p", "q")),
+                      AttributeSpec("z", "numeric", (0.0, 1.0))), ("c1", "c2"))
+
+
+def hand_tree():
+    """x=a leads to a split on y, x=b to a leaf; every id is a placeholder."""
+    under_a = TreeNode("?", {"c1": 2, "c2": 1}, "y", {
+        "p": TreeNode("?", {"c1": 2}), "q": TreeNode("?", {"c2": 1})})
+    return TreeNode("?", {"c1": 2, "c2": 2}, "x",
+                    {"a": under_a, "b": TreeNode("?", {"c2": 1})})
+
+
+def test_graph_numbers_the_nodes_it_is_given():
+    graph = InductionGraph(hand_tree(), HAND_SCHEMA, INFO_GAIN)
+    assert [n.node_id for n in graph.nodes()] == ["s0", "s1", "s2", "s3", "s4"]
+    assert graph.root.children["b"].node_id == "s2"
+
+
+def _set(path, **fields):
+    """A fault that sets ``fields`` on the node the branch values ``path``
+    lead to from the root; a callable field value is called on the root."""
+    def fault(args):
+        node = root = args["root"]
+        for value in path:
+            node = node.children[value]
+        for name, value in fields.items():
+            setattr(node, name, value(root) if callable(value) else value)
+    return fault
+
+
+CODE_BUILT_FAULTS = {
+    "split outside the schema": (_set((), attribute="colour"), "'colour'"),
+    "split on a numeric attribute": (_set(("a",), attribute="z"), "'z'"),
+    "branch outside the domain": (
+        _set((), children=lambda root: {"a": root.children["a"],
+                                        "r": root.children["b"]}),
+        "branch 'r' is not in the domain of 'x'"),
+    "child shared by two parents": (
+        _set((), children=lambda root: {"a": root.children["a"],
+                                        "b": root.children["a"].children["p"]}),
+        "two parents"),
+    "child linking back to the root": (
+        _set(("a",), children=lambda root: {"p": root}), "cycle"),
+    "split without children": (_set(("a",), children={}), "no children"),
+    "leaf with children": (_set(("b",), children={"p": TreeNode("?", {"c1": 1})}),
+                           "leaf s2 has children"),
+    "negative count": (_set(("b",), counts={"c2": -1}), "node s2 counts"),
+    "count that is not an int": (_set(("b",), counts={"c2": 1.0}),
+                                 "node s2 counts"),
+    "boolean count": (_set(("b",), counts={"c2": True}), "node s2 counts"),
+    "no counts": (_set(("b",), counts={}), "node s2 counts"),
+    "counted class the schema lacks": (_set(("a", "p"), counts={"c9": 1}),
+                                       "node s3 counts"),
+    "unknown mode": (lambda args: args.update(mode="gini"),
+                     "unknown growth mode 'gini'"),
+}
+
+
+@pytest.mark.parametrize("fault", CODE_BUILT_FAULTS)
+def test_graph_refuses_a_code_built_fault(fault):
+    change, message = CODE_BUILT_FAULTS[fault]
+    args = {"root": hand_tree(), "schema": HAND_SCHEMA, "mode": INFO_GAIN}
+    change(args)
+    with pytest.raises(DataError, match=re.escape(message)):
+        InductionGraph(**args)
 
 
 def test_perfect_training_accuracy_with_min_leaf_one(binned):
