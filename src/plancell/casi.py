@@ -81,10 +81,11 @@ class CellularKnowledgeBase:
 
     Construction checks that both tables are non-empty, that no descriptor
     repeats and that every premise and conclusion names a fact. The root,
-    the input flags, the incidence matrices and the engine's counters are
-    views of the tables, built on first use and cached; the arrays are
-    read-only. ``root`` checks the first fact: classification and loading
-    read it, ``infer`` does not, so hand-wired bases may seed any fact.
+    the input flags, the incidence matrices, the engine's counters and the
+    class each fact assigns are views of the tables, built on first use and
+    cached; the arrays are read-only. ``root`` checks the first fact:
+    classification and loading read it, ``infer`` does not, so hand-wired
+    bases may seed any fact.
     """
 
     facts: tuple[str, ...]
@@ -172,6 +173,12 @@ class CellularKnowledgeBase:
         return tuple((spec.name, {f[len(spec.name) + 1:]: f for f in self.facts
                                   if f.startswith(spec.name + "=")})
                      for spec in self.schema.attributes)
+
+    @cached_property
+    def _class_of(self) -> tuple[str | None, ...]:
+        """Per fact, the class it assigns, or None."""
+        return tuple(f[len(CLASS_PREFIX):] if f.startswith(CLASS_PREFIX) else None
+                     for f in self.facts)
 
 
 def compile_tree(tree: InductionGraph) -> CellularKnowledgeBase:
@@ -262,8 +269,8 @@ def infer(kb: CellularKnowledgeBase, initial_facts) -> Trace:
     for f in established:
         g = fact_gen[f] + 1
         for r in readers[f]:
-            missing[r] -= 1
-            if not missing[r]:
+            missing[r] = left = missing[r] - 1
+            if not left:
                 c = concludes[r]
                 if fact_gen[c] == NEVER:
                     fact_gen[c] = g
@@ -279,21 +286,23 @@ def established_facts(kb: CellularKnowledgeBase,
 def instance_facts(kb: CellularKnowledgeBase, instance) -> list[str]:
     """The attribute=value descriptors an instance contributes.
 
-    Each value goes through the base's map, if it has one, as in the tree
-    walk. Each attribute's input table then looks it up: only string
-    values match, as the tree walk matches only equal values (1 or True
-    never takes a "1" or "True" branch), and values the rule base never
-    tests are dropped, which at worst starves the inference and surfaces
-    as an unknown-value error.
+    Each value that is not a string goes through the base's map, if it has
+    one, as in the tree walk; a string (a bin label or a nominal value) is
+    taken as it is. Each attribute's input table then looks it up once:
+    only string values match, as the tree walk matches only equal values (1
+    or True never takes a "1" or "True" branch), and values the rule base
+    never tests are dropped, which at worst starves the inference and
+    surfaces as an unknown-value error.
     """
     values = case_values(instance, len(kb.schema.attributes))
     dmap = kb.schema.discretization
     seeds = []
     for (name, table), value in zip(kb._input_tables, values):
-        if dmap is not None:
+        if dmap is not None and not isinstance(value, str):
             value = dmap.bin_label(name, value)
-        if isinstance(value, str) and value in table:
-            seeds.append(table[value])
+        fact = table.get(value) if isinstance(value, str) else None
+        if fact is not None:
+            seeds.append(fact)
     return seeds
 
 
@@ -303,19 +312,19 @@ def classify_casi(kb: CellularKnowledgeBase, instance) -> str:
     Exactly one class fact among the facts the inference established is a
     classification; zero means the instance fell off the known paths
     (unknown value), more than one means the rule base is inconsistent.
+    The case is read by ``instance_facts``, which bins only values that are
+    not strings; each established fact's class comes from a per-fact table.
     """
-    trace = infer(kb, [kb.root] + instance_facts(kb, instance))
-    facts = kb.facts
-    hits = [facts[f] for f in trace._established
-            if facts[f].startswith(CLASS_PREFIX)]
+    trace = infer(kb, [kb.root, *instance_facts(kb, instance)])
+    class_of = kb._class_of
+    hits = [f for f in trace._established if class_of[f] is not None]
     if not hits:
         raise UnknownValueError(
             "no class fact established; instance values leave the known paths")
     if len(hits) > 1:
-        hits.sort(key=kb._fact_indices.__getitem__)
-        raise ModelIntegrityError(
-            f"multiple class facts established: {', '.join(hits)}")
-    return hits[0].removeprefix(CLASS_PREFIX)
+        raise ModelIntegrityError("multiple class facts established: "
+                                  + ", ".join(kb.facts[f] for f in sorted(hits)))
+    return class_of[hits[0]]
 
 
 def _bitrows(matrix: np.ndarray) -> list[str]:

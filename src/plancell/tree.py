@@ -236,19 +236,23 @@ def classify_tree(tree: InductionGraph, instance,
     """Walk the splits; return (class, visited node ids).
 
     ``instance`` is an Instance or a plain value sequence over the tree's
-    schema, raw or encoded: each tested value goes through the tree's map,
-    if it has one, and is looked up once. A value without a branch, an
-    unhashable one included, raises UnknownValueError naming the value as
-    given, unless ``fallback`` routes it to the current node's majority
-    class.
+    schema, raw or encoded: each tested value that is not a string goes
+    through the tree's map, if it has one, and is looked up once. A string
+    (a bin label or a nominal value) is looked up as it is. A value without
+    a branch, an unhashable one included, raises UnknownValueError naming
+    the value as given, unless ``fallback`` routes it to the current node's
+    majority class.
     """
     values = case_values(instance, len(tree.schema.attributes))
     dmap, index = tree.schema.discretization, tree.schema.index
     node = tree.root
     path = [node.node_id]
-    while not node.is_leaf:
-        value = values[index[node.attribute]]
-        key = value if dmap is None else dmap.bin_label(node.attribute, value)
+    attribute = node.attribute
+    while attribute is not None:
+        value = key = values[index[attribute]]
+        # bin_label returns strings unchanged, so only other values need it
+        if dmap is not None and not isinstance(value, str):
+            key = dmap.bin_label(attribute, value)
         try:
             child = node.children.get(key)
         except TypeError:  # an unhashable value, which no branch carries
@@ -257,10 +261,11 @@ def classify_tree(tree: InductionGraph, instance,
             if fallback:
                 return node.majority, tuple(path)
             raise UnknownValueError(
-                f"value {value!r} of attribute {node.attribute!r} "
+                f"value {value!r} of attribute {attribute!r} "
                 f"has no branch at node {node.node_id}")
         node = child
         path.append(node.node_id)
+        attribute = node.attribute
     return node.majority, tuple(path)
 
 

@@ -576,6 +576,32 @@ def encode(dmap, attributes, values):
                  for spec, v in zip(attributes, values))
 
 
+def tree_walk(tree, values, fallback=False):
+    """The tree walk as first written: ask ``is_leaf`` at every level and
+    put every tested value through the map's ``bin_label``."""
+    attributes = tree.schema.attributes
+    values = case_values(values, len(attributes))
+    names = [spec.name for spec in attributes]
+    dmap = tree.schema.discretization
+    node, path = tree.root, [tree.root.node_id]
+    while not node.is_leaf:
+        value = values[names.index(node.attribute)]
+        key = value if dmap is None else dmap.bin_label(node.attribute, value)
+        try:
+            child = node.children.get(key)
+        except TypeError:
+            child = None
+        if child is None:
+            if fallback:
+                return node.majority, tuple(path)
+            raise UnknownValueError(
+                f"value {value!r} of attribute {node.attribute!r} "
+                f"has no branch at node {node.node_id}")
+        node = child
+        path.append(node.node_id)
+    return node.majority, tuple(path)
+
+
 def casi_instance_facts(kb, instance):
     """A case's input descriptors as first written: encode the whole case,
     spell every string value ``name=value`` and keep the spellings that

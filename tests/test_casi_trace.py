@@ -245,9 +245,18 @@ def hand_built(facts, rules, attributes=()):
                 [(["s0", "x=u"], "s1"), (["s1"], "class=A"),
                  (["s1"], "class=C"), (["s0"], "class=B")],
                 [("x", ["u", "v"])]), ("u",)),
+    (hand_built(["s0", "s1", "class=P=1", "class=P=2"],
+                [(["s0"], "s1"), (["s1"], "class=P=1"), (["s0"], "class=P=2")]),
+     ()),
 ])
 def test_inconsistent_bases_fail_as_the_oracle_does(kb, values):
     got = outcome(classify_casi, kb, values)
     assert got[0] is ModelIntegrityError
     assert "multiple class facts" in got[1]
     assert got == outcome(oracles.casi_label, kb, values)
+
+
+def test_a_class_label_holding_an_equals_sign_is_read_whole():
+    # the class is all that follows the first "class=", later "=" included
+    kb = hand_built(["s0", "class=P=1", "class=P=2"], [(["s0"], "class=P=1")])
+    assert classify_casi(kb, ()) == oracles.casi_label(kb, ()) == "P=1"

@@ -4,8 +4,9 @@ Property tests: encoding a case equals the row ``apply_map`` writes and is
 idempotent; binning a whole column equals ``bin_label`` value by value; the
 tree walk (with and without its majority fallback) and the cellular engine
 answer on raw cases as the tree walk does on encoded ones, out-of-range and
-unseen values included; models, rule bases and CSV files survive their
-round trips unchanged.
+unseen values included; the tree walk answers, paths and errors included, as
+the walk as first written in ``oracles`` does; models, rule bases and CSV
+files survive their round trips unchanged.
 """
 
 import json
@@ -23,7 +24,7 @@ from plancell.errors import DataError, UnknownValueError
 from plancell.tree import (classify_tree, grow, induce, model_from_json,
                            model_to_json)
 
-from oracles import encode
+from oracles import encode, tree_walk
 
 NOMINAL_VALUES = ["a", "b", "c"]
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -166,13 +167,46 @@ def test_cellular_engine_on_raw_cases_equals_tree_on_encoded(case, method, seed)
             classify_tree(tree, encoded, fallback=True)
 
 
+def walked(walk, tree, values, fallback):
+    """A walk's (class, path), or the message of its UnknownValueError."""
+    try:
+        return walk(tree, values, fallback)
+    except UnknownValueError as exc:
+        return str(exc)
+
+
+@PROPERTY
+@given(fitted(), st.sampled_from(["j48", "reptree"]), st.integers(0, 3))
+def test_tree_walk_equals_the_walk_as_first_written(case, method, seed):
+    ts, dmap, cases = case
+    tree, _ = trained(ts, dmap, method, seed)
+    rows = [inst.values for inst in ts.instances]
+    # each training row with its nominal values unseen and its numbers one
+    # training range above the maximum, as the benchmark's out-of-domain copy
+    beyond = [tuple(v + (spec.domain[1] - spec.domain[0]) + 1.0
+                    if spec.kind == NUMERIC else f"{v}-unseen"
+                    for spec, v in zip(ts.attributes, values)) for values in rows]
+    for raw in cases + rows + beyond:
+        for values in (raw, encode(dmap, ts.attributes, raw)):
+            for fallback in (False, True):
+                assert walked(classify_tree, tree, values, fallback) == \
+                    walked(tree_walk, tree, values, fallback)
+
+
+class Text(str):
+    """A string of a str subclass, as numpy's ``str_`` is."""
+
+
 @pytest.mark.parametrize("domain,value", [
     (("1", "2"), 1), (("1", "2"), 1.0), (("1", "2"), True), (("1", "2"), "1"),
-    (("1", "2"), "3"), (("True", "False"), True), (("1", "2"), ["1"])],
-    ids=["1", "1.0", "True", "'1'", "'3'", "True on 'True'", "['1']"])
+    (("1", "2"), "3"), (("True", "False"), True), (("1", "2"), ["1"]),
+    (("1", "2"), Text("1"))],
+    ids=["1", "1.0", "True", "'1'", "'3'", "True on 'True'", "['1']",
+         "str subclass '1'"])
 def test_both_engines_place_only_equal_values(domain, value):
     # a non-string value never takes the branch its spelling names; an
-    # unhashable one takes no branch at all
+    # unhashable one takes no branch at all; a string of a str subclass
+    # takes the branch of the equal str
     tree = grow(build_training_set([("x", NOMINAL)],
                                    [(v, c) for v, c in zip(domain, "AB")]),
                 min_leaf=1)
