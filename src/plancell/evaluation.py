@@ -4,10 +4,10 @@ Folds are stratified by shuffle-then-deal: within each class the instances
 are shuffled (seeded) and dealt onto folds through one rolling pointer, so
 class counts per fold differ by at most one and small datasets spread as
 evenly as possible. Discretization is fit inside each fold on the training
-split only, unless the caller explicitly asks for one global map. Each
-fold's test cases are binned once through that fold's map, and every
-method labels each distinct encoded case once (``label_cases``); the
-counts still cover every case.
+split only, unless the caller explicitly asks for one global map. One
+loop, fold then mode then method, serves one cell and a whole grid: each
+mode bins a fold's rows once, and every method labels each distinct
+encoded case once (``label_cases``); the counts still cover every case.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 
 import numpy as np
 
@@ -153,8 +154,8 @@ def cross_validate(ts: TrainingSet, method: str, mode: str = "supervised",
     discretization and only suits classifiers that accept numeric values.
     """
     _check(ts, method, mode, engine)
-    return _cross_validate_mode(ts, [method], mode, make_folds(ts, folds, seed),
-                                k, bins, min_leaf, engine, global_discretize)[0]
+    return _cross_validate(ts, [method], [mode], make_folds(ts, folds, seed),
+                           k, bins, min_leaf, engine, global_discretize)[0]
 
 
 def evaluate_grid(ts: TrainingSet, methods, modes, seed: int = 0, *,
@@ -163,66 +164,62 @@ def evaluate_grid(ts: TrainingSet, methods, modes, seed: int = 0, *,
                   global_discretize: bool = False) -> list[EvalReport]:
     """cross_validate over the full methods x modes grid, in given order.
 
-    Every cell is checked before anything is fit. Each fold is prepared
-    (training subset, map, binned set) once per mode and shared by every
-    method; with one method there is nothing to share, and each cell is a
-    cross_validate call.
+    Every cell is checked before anything is fit, and an empty grid fits
+    nothing. All cells share one fold loop (``_cross_validate``).
     """
     methods, modes = list(methods), list(modes)
-    for method in methods:
-        for mode in modes:
-            _check(ts, method, mode, engine)
-    if len(methods) < 2:
+    for method, mode in product(methods, modes):
+        _check(ts, method, mode, engine)
+    if len(methods) * len(modes) < 2:
+        # the same loop, but bench/spans.py times a one-cell grid and its
+        # folds by the cross_validate span and the subset spans inside it
         return [cross_validate(ts, method, mode, seed, folds, k, bins,
                                min_leaf, engine, global_discretize)
                 for method in methods for mode in modes]
-    plan = make_folds(ts, folds, seed)
-    by_mode = {mode: _cross_validate_mode(ts, methods, mode, plan, k, bins,
-                                          min_leaf, engine, global_discretize)
-               for mode in modes}
-    return [by_mode[mode][row] for row in range(len(methods)) for mode in modes]
+    return _cross_validate(ts, methods, modes, make_folds(ts, folds, seed),
+                           k, bins, min_leaf, engine, global_discretize)
 
 
-def _cross_validate_mode(ts: TrainingSet, methods: list[str], mode: str,
-                         plan: FoldPlan, k: int, bins: int, min_leaf: int,
-                         engine: str, global_discretize: bool) -> list[EvalReport]:
-    """One report per method under ``mode``. Each fold is prepared once,
-    its held-out cases binned once, then every method is trained on it and
-    labels each distinct held-out case once."""
-    global_map = fit_map(ts, mode, bins) if global_discretize else None
-    correct = [0] * len(methods)
-    errors = [0] * len(methods)
-    per_fold: list[list[float]] = [[] for _ in methods]
-    confusion = [Counter() for _ in methods]
+def _cross_validate(ts: TrainingSet, methods: list[str], modes: list[str],
+                    plan: FoldPlan, k: int, bins: int, min_leaf: int,
+                    engine: str, global_discretize: bool) -> list[EvalReport]:
+    """One report per cell, in methods x modes order. A fold's rows are taken
+    once and binned once per mode for every method; a repeated method or
+    mode is a cell of its own and runs again."""
+    maps = ({mode: fit_map(ts, mode, bins) for mode in modes}
+            if global_discretize else None)
+    cells = list(product(methods, modes))
+    correct, errors = [0] * len(cells), [0] * len(cells)
+    per_fold: list[list[float]] = [[] for _ in cells]
+    confusion = [Counter() for _ in cells]
     for fold in range(plan.folds):
         train = subset(ts, plan.train_indices(fold))
-        dmap = global_map if global_discretize else fit_map(train, mode, bins)
-        fitted = apply_map(dmap, train)
-        held = apply_map(dmap, ts.take(plan.test_indices(fold)))
-        for row, method in enumerate(methods):
-            try:
-                classify = _fit_predictor(method, fitted, engine, plan.seed,
-                                          k, min_leaf)
-            except PlancellError as exc:
-                raise type(exc)(f"fold {fold}: {exc}") from exc
-            fold_correct = 0
-            for actual, predicted in zip(held.labels, label_cases(classify, held)):
-                if predicted is None:
-                    errors[row] += 1
-                    predicted = UNKNOWN
-                elif predicted == actual:
-                    fold_correct += 1
-                confusion[row][actual, predicted] += 1
-            correct[row] += fold_correct
-            per_fold[row].append(100.0 * fold_correct / len(held))
+        test = ts.take(plan.test_indices(fold))
+        for col, mode in enumerate(modes):
+            dmap = maps[mode] if maps else fit_map(train, mode, bins)
+            fitted, held = apply_map(dmap, train), apply_map(dmap, test)
+            for row, method in enumerate(methods):
+                cell = row * len(modes) + col
+                try:
+                    classify = _fit_predictor(method, fitted, engine,
+                                              plan.seed, k, min_leaf)
+                except PlancellError as exc:
+                    raise type(exc)(f"fold {fold}: {exc}") from exc
+                predicted = label_cases(classify, held)
+                hits = sum(a == p for a, p in zip(held.labels, predicted))
+                errors[cell] += predicted.count(None)
+                confusion[cell].update(zip(held.labels, [
+                    UNKNOWN if p is None else p for p in predicted]))
+                correct[cell] += hits
+                per_fold[cell].append(100.0 * hits / len(held))
 
     total = len(ts)
-    return [EvalReport(method, mode, plan.seed, plan.folds, total, correct[row],
-                       total - correct[row] - errors[row], errors[row],
-                       tuple(per_fold[row]),
+    return [EvalReport(method, mode, plan.seed, plan.folds, total, correct[c],
+                       total - correct[c] - errors[c], errors[c],
+                       tuple(per_fold[c]),
                        tuple(sorted((a, p, n)
-                                    for (a, p), n in confusion[row].items())))
-            for row, method in enumerate(methods)]
+                                    for (a, p), n in confusion[c].items())))
+            for c, (method, mode) in enumerate(cells)]
 
 
 def _mode_heading(mode: str) -> str:

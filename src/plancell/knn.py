@@ -7,18 +7,19 @@ at a time. All tie-breaking is pinned down so results are reproducible:
 equal distances keep training order, vote ties go to the label with the
 nearest member and then lexicographically.
 
-When every attribute is nominal, as in every binned CV fold, only the
-distinct rows are stored, in order of first appearance, each with its
-first copy's label. A distance is then the square root of a mismatch
-count, so copies are equally near and the first is the nearest. At k = 1 a
-query equal to a stored row is answered by a dict lookup, as that row alone
-is at distance 0; for k > 1 the distances are expanded to every training
-row before the vote. A set with a numeric attribute stores every row, since
-a square that underflows can put a row that is not a copy at distance 0.
+Only the distinct rows are stored, in order of first appearance, each with
+its first copy's label: copies are at bit-identical distances, so the first
+distinct row at the least distance is the first training row there. For
+k > 1 the distances are expanded to every training row before the vote.
+When every attribute is nominal, as in every binned CV fold, a k = 1 query
+equal to a stored row is answered by a dict lookup; with a numeric
+attribute an underflowing square can put a row that is not a copy at
+distance 0, so such a set always measures.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -36,11 +37,10 @@ class KnnModel:
     floats, or the integer codes of a nominal one; ``spans`` holds the
     numeric normalization range (hi - lo of the domain), None for a nominal
     attribute, and ``codes`` the nominal value-to-code map, None for a
-    numeric attribute. ``labels`` holds each stored row's label. For an
-    all-nominal set the stored rows are the distinct ones: ``positions``
-    maps each one's values to its place, and ``inverse`` gives each
-    training row the place of its values. Both are None when every row is
-    stored.
+    numeric attribute. ``labels`` holds each distinct row's label, and
+    ``inverse`` each training row's place among them. ``positions`` maps a
+    distinct row's values to its place when every attribute is nominal, and
+    is None otherwise.
     """
 
     training: TrainingSet
@@ -50,7 +50,7 @@ class KnnModel:
     codes: tuple[dict | None, ...] = field(repr=False, compare=False)
     labels: tuple[str, ...] = field(repr=False, compare=False)
     positions: dict | None = field(repr=False, compare=False)
-    inverse: np.ndarray | None = field(repr=False, compare=False)
+    inverse: np.ndarray = field(repr=False, compare=False)
 
 
 def fit_knn(ts: TrainingSet, k: int = 1) -> KnnModel:
@@ -59,16 +59,12 @@ def fit_knn(ts: TrainingSet, k: int = 1) -> KnnModel:
         raise DataError(f"k must be >= 1, got {k}")
     if k > len(ts):
         raise DataError(f"k={k} exceeds the {len(ts)} training instances")
-    if any(spec.kind == NUMERIC for spec in ts.attributes):
-        stored, labels, positions, inverse = ts.columns, ts.labels, None, None
-    else:
-        positions = {}
-        places = [positions.setdefault(row, len(positions)) for row in ts.rows]
-        # reversed, the last label written for a place is its first copy's
-        first = dict(zip(reversed(places), reversed(ts.labels)))
-        labels = tuple(first[p] for p in range(len(positions)))
-        stored = tuple(zip(*positions))
-        inverse = np.array(places, dtype=np.intp)
+    positions = {}
+    places = [positions.setdefault(row, len(positions)) for row in ts.rows]
+    # reversed, the last label written for a place is its first copy's
+    first = dict(zip(reversed(places), reversed(ts.labels)))
+    labels = tuple(first[p] for p in range(len(positions)))
+    stored = tuple(zip(*positions))
     columns, spans, codes = [], [], []
     for spec, raw in zip(ts.attributes, stored):
         if spec.kind == NUMERIC:
@@ -82,7 +78,8 @@ def fit_knn(ts: TrainingSet, k: int = 1) -> KnnModel:
             spans.append(None)
             codes.append(index)
     return KnnModel(ts, k, tuple(columns), tuple(spans), tuple(codes), labels,
-                    positions, inverse)
+                    positions if all(s is None for s in spans) else None,
+                    np.array(places, dtype=np.intp))
 
 
 def _stored_distances(model: KnnModel, values: tuple) -> np.ndarray:
@@ -93,7 +90,8 @@ def _stored_distances(model: KnnModel, values: tuple) -> np.ndarray:
     span adds nothing and an unseen nominal value, unhashable or not,
     mismatches every row; a numeric value ``is_finite_number`` refuses
     (NaN, an infinity, an int beyond +-2**53) is near no row and raises
-    UnknownValueError.
+    UnknownValueError. A span or difference beyond the float range is taken
+    between halves of the values, which leaves every finite quotient as is.
     """
     total = np.zeros(len(model.labels))
     for spec, column, span, codes, x in zip(model.training.attributes,
@@ -110,15 +108,19 @@ def _stored_distances(model: KnnModel, values: tuple) -> np.ndarray:
             raise UnknownValueError(f"value {x!r} of attribute {spec.name!r} "
                                     f"has no distance to the training rows")
         elif span:
-            d = np.abs(column - float(x)) / span
+            lo, hi, x = float(spec.domain[0]), float(spec.domain[1]), float(x)
+            if math.isinf(span) or math.isinf(hi - x) or math.isinf(x - lo):
+                d = np.abs(column / 2 - x / 2) / (hi / 2 - lo / 2)
+            else:
+                d = np.abs(column - x) / span
             total += d * d
     return np.sqrt(total)
 
 
 def _distances(model: KnnModel, query) -> np.ndarray:
     """The distance from the query to every training row, in training order."""
-    dists = _stored_distances(model, case_values(query, len(model.columns)))
-    return dists if model.inverse is None else dists[model.inverse]
+    return _stored_distances(model, case_values(query, len(model.columns)))[
+        model.inverse]
 
 
 def classify_knn(model: KnnModel, query) -> str:

@@ -369,6 +369,22 @@ def mdl_cuts(values, labels):
     return tuple(sorted(found))
 
 
+def scaled_difference(x, y, lo, hi):
+    """|x - y| over the range hi - lo, 0.0 for a zero range.
+
+    Where the range or the difference would leave the float range, both
+    are taken between halves of the values: the quotient is the same, and
+    every finite difference over a finite range keeps its bits.
+    """
+    x, y, lo, hi = float(x), float(y), float(lo), float(hi)
+    span = hi - lo
+    if span == 0:
+        return 0.0
+    if math.isinf(span) or math.isinf(x - y):
+        return abs(x / 2 - y / 2) / (hi / 2 - lo / 2)
+    return abs(x - y) / span
+
+
 def knn_distance(a, b, model):
     """Range-normalized Euclidean distance between two instances.
 
@@ -378,9 +394,9 @@ def knn_distance(a, b, model):
     specs = model.training.attributes
     va, vb = case_values(a, len(specs)), case_values(b, len(specs))
     total = 0.0
-    for spec, span, x, y in zip(specs, model.spans, va, vb):
+    for spec, x, y in zip(specs, va, vb):
         if spec.kind == "numeric":
-            d = 0.0 if span == 0 else abs(float(x) - float(y)) / span
+            d = scaled_difference(x, y, *spec.domain)
         else:
             d = 0.0 if x == y else 1.0
         total += d * d
@@ -402,8 +418,7 @@ def knn_label(ts, k, query):
         total = 0.0
         for spec, x, y in zip(ts.attributes, query, values):
             if spec.kind == "numeric":
-                span = float(spec.domain[1]) - float(spec.domain[0])
-                d = 0.0 if span == 0 else abs(float(x) - float(y)) / span
+                d = scaled_difference(x, y, *spec.domain)
             else:
                 d = 0.0 if x == y else 1.0
             total += d * d

@@ -257,10 +257,58 @@ def test_grid_reports_equal_one_cross_validate_per_cell(engine,
                    global_discretize=global_discretize)
     for methods, modes in [(["j48", "reptree", "knn", "majority"],
                             ["supervised", "unsupervised"]),
-                           (["knn", "majority"], ["none", "supervised"])]:
+                           (["knn", "majority"], ["none", "supervised"]),
+                           (["j48", "j48"], ["supervised"]),
+                           (["j48", "knn", "j48"], ["unsupervised"] * 2),
+                           (["reptree"], ["supervised", "supervised"]),
+                           (["knn"], ["none"]),
+                           ([], ["supervised"]), (["j48", "knn"], []),
+                           ([], [])]:
         grid = evaluate_grid(ts, methods, modes, seed=3, **options)
         assert grid == [cross_validate(ts, method, mode, 3, **options)
                         for method in methods for mode in modes]
+
+
+def test_an_empty_grid_fits_nothing(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("an empty grid took a fold")
+
+    monkeypatch.setattr(evaluation, "subset", boom)
+    ts = build_training_set([("x", "nominal")], [("a", "A"), ("b", "B")])
+    for methods, modes in [([], ["supervised"]), (["j48", "knn"], []), ([], [])]:
+        assert evaluate_grid(ts, methods, modes) == []
+
+
+@pytest.mark.parametrize("methods", [["j48", "reptree", "knn"], ["knn"]])
+def test_a_grid_takes_each_folds_training_rows_once(runs11, monkeypatch,
+                                                    methods):
+    calls = []
+    real = evaluation.subset
+
+    def spy(ts, indices):
+        calls.append(len(indices))
+        return real(ts, indices)
+
+    monkeypatch.setattr(evaluation, "subset", spy)
+    evaluate_grid(runs11, methods, ["supervised", "unsupervised"], seed=0)
+    assert sorted(calls) == [9] + [10] * 9  # 10 folds, not 10 x 2 modes
+
+
+def test_a_one_cell_grid_is_one_cross_validate_call(runs11, monkeypatch):
+    calls = []
+    real = evaluation.cross_validate
+
+    def spy(*args, **kwargs):
+        calls.append(args[1:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "cross_validate", spy)
+    assert evaluate_grid(runs11, ["knn"], ["unsupervised"], seed=0) == \
+        [real(runs11, "knn", "unsupervised", 0)]
+    assert calls == [("knn", "unsupervised")]
+    calls.clear()
+    evaluate_grid(runs11, ["knn", "majority"], ["supervised"], seed=0)
+    assert calls == []
 
 
 def test_grid_checks_every_cell_before_fitting(runs11, monkeypatch):

@@ -140,39 +140,44 @@ def test_vote_ties_at_equal_distance_break_lexicographically():
 def knn_problems(draw):
     """A training set, k, and queries with seen and unseen values.
 
-    Half the sets are all-nominal, as every binned CV fold is, and store
-    only their distinct rows. Their queries add copies of training rows,
-    which k = 1 answers by lookup, and a copy holding a list, which no row
-    holds. Few distinct values make equal distances and vote ties common;
-    a constant numeric column has a zero span.
+    Half the sets are all-nominal, as every binned CV fold is, and k = 1
+    answers their copies of training rows by lookup; their queries add a
+    copy holding a list, which no row holds. Every set repeats some rows,
+    with labels of their own, and every set stores its distinct rows. Few
+    distinct values make equal distances and vote ties common; a constant
+    numeric column has a zero span, 0.0 and -0.0 are one row value, and a
+    wide column's ranges and differences leave the float range.
     """
     n = draw(st.integers(1, 25))
     nominal = draw(st.booleans())
     kinds = draw(st.lists(st.sampled_from(
-        ["nominal"] if nominal else ["numeric", "constant", "nominal"]),
+        ["nominal"] if nominal else ["numeric", "constant", "wide", "nominal"]),
         min_size=1, max_size=4))
-    columns, cells = [], []
+    wide = [-1e308, -9e307, 0.0, 9e307, 1e308]
+    columns, cells, query_pools = [], [], []
     for j, kind in enumerate(kinds):
         if kind == "nominal":
             pool = st.sampled_from("abc")
-        elif kind == "constant":
-            pool = st.just(2.5)
+            query_pools.append(st.sampled_from(["a", "b", "c", "unseen"]))
+        elif kind == "wide":
+            pool = st.sampled_from(wide)
+            query_pools.append(st.sampled_from(wide))
         else:
-            pool = st.sampled_from([0.0, 0.1, 0.3, 1.0, 7.5])
+            pool = st.just(2.5) if kind == "constant" else \
+                st.sampled_from([0.0, -0.0, 0.1, 0.3, 1.0, 7.5])
+            query_pools.append(st.sampled_from([-3.0, 0.0, 0.2, 1.0, 2.5, 9.0]))
         columns.append((f"a{j}", "nominal" if kind == "nominal" else "numeric"))
         cells.append(draw(st.lists(pool, min_size=n, max_size=n)))
-    labels = draw(st.lists(st.sampled_from("PQR"), min_size=n, max_size=n))
+    rows = list(zip(*cells))
+    rows += [rows[i] for i in draw(st.lists(st.integers(0, n - 1), max_size=n))]
+    labels = draw(st.lists(st.sampled_from("PQR"), min_size=len(rows),
+                           max_size=len(rows)))
     ts = build_training_set(columns, [row + (y,) for row, y in
-                                      zip(zip(*cells), labels)])
-    k = draw(st.integers(1, n))
-    query_pools = [st.sampled_from(["a", "b", "c", "unseen"])
-                   if kind == "nominal" else
-                   st.sampled_from([-3.0, 0.0, 0.2, 1.0, 2.5, 9.0])
-                   for kind in kinds]
+                                      zip(rows, labels)])
+    k = draw(st.integers(1, len(ts)))
     queries = draw(st.lists(st.tuples(*query_pools), min_size=1, max_size=5))
+    queries += draw(st.lists(st.sampled_from(ts.rows), min_size=1, max_size=4))
     if nominal:
-        queries += draw(st.lists(st.sampled_from(ts.rows), min_size=1,
-                                 max_size=4))
         row = draw(st.sampled_from(ts.rows))
         at = draw(st.integers(0, len(row) - 1))
         queries.append(row[:at] + ([row[at]],) + row[at + 1:])
@@ -203,6 +208,49 @@ def test_an_underflowing_square_puts_an_earlier_row_at_distance_zero():
     model = fit_knn(ts)
     assert _distances(model, (0.0, "a")).tolist() == [0.0, 0.0, math.sqrt(2)]
     assert classify_knn(model, (0.0, "a")) == knn_label(ts, 1, (0.0, "a")) == "A"
+
+
+def test_a_range_beyond_the_float_range_is_halved():
+    # the span 1e308 - -1e308 overflows: it used to give the distances
+    # [0, nan, 0], and argmin answered the farthest row, HIGH
+    ts = build_training_set([("x", "numeric")],
+                            [(-1e308, "LOW"), (1e308, "HIGH"), (0.0, "MID")])
+    model = fit_knn(ts)
+    assert model.spans == (math.inf,)
+    assert _distances(model, (-1e308,)).tolist() == [0.0, 1.0, 0.5]
+    assert classify_knn(model, (-1e308,)) == knn_label(ts, 1, (-1e308,)) == "LOW"
+
+
+def test_a_difference_beyond_the_float_range_is_halved():
+    # 1e308 - -1e308 and 9e307 - -1e308 both overflow: the distances used
+    # to be [inf, inf], and the tie went to A although B is nearer
+    ts = build_training_set([("x", "numeric"), ("y", "nominal")],
+                            [(1e308, "a", "A"), (9e307, "b", "B")])
+    model = fit_knn(ts, k=1)
+    query = (-1e308, "b")
+    dists = _distances(model, query).tolist()
+    assert dists == [knn_distance(query, inst, model) for inst in ts.instances]
+    assert dists == pytest.approx([math.sqrt(20.0 ** 2 + 1), 19.0])
+    assert classify_knn(model, query) == knn_label(ts, 1, query) == "B"
+    # inside the float range nothing is halved
+    span = 1e308 - 9e307
+    d = [abs(5e307 - 1e308) / span, abs(5e307 - 9e307) / span]
+    assert _distances(model, (5e307, "a")).tolist() == [
+        math.sqrt(d[0] * d[0]), math.sqrt(d[1] * d[1] + 1.0)]
+
+
+def test_mixed_sets_store_their_distinct_rows():
+    # 0.0 and -0.0 are one row value: every distance to them is the same
+    ts = build_training_set([("x", "numeric"), ("y", "nominal")],
+                            [(0.0, "a", "A"), (1.0, "a", "B"), (-0.0, "a", "C"),
+                             (1.0, "a", "D"), (0.0, "b", "E")])
+    for k in (1, 3):
+        model = fit_knn(ts, k)
+        assert model.labels == ("A", "B", "E")
+        assert model.inverse.tolist() == [0, 1, 0, 1, 2]
+        assert model.positions is None  # measured, never looked up
+        for query in [(0.0, "a"), (-0.0, "b"), (1.0, "a"), (0.5, "c")]:
+            assert classify_knn(model, query) == knn_label(ts, k, query)
 
 
 def test_unseen_nominal_value_is_distance_one_to_every_row(runs11, runs_knn):
