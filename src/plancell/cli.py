@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -89,13 +90,12 @@ def _name_list(text: str) -> list[str]:
 
 
 def _cv_spec(text: str) -> int:
-    if not text.startswith("cv"):
-        raise argparse.ArgumentTypeError(f"expected cvN (e.g. cv10), got {text!r}")
     try:
-        folds = int(text[2:])
+        if text.startswith("cv"):
+            return int(text[2:])
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected cvN (e.g. cv10), got {text!r}")
-    return folds
+        pass
+    raise argparse.ArgumentTypeError(f"expected cvN (e.g. cv10), got {text!r}")
 
 
 def _cmd_plans(args) -> int:
@@ -233,6 +233,7 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="plancell",
@@ -249,7 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_plans)
 
     p = sub.add_parser("bw-gen", help="generate a solved Blocksworld corpus")
-    p.add_argument("--sizes", type=_int_list, default=[4, 5, 6, 7],
+    p.add_argument("--sizes", type=_int_list, default=(4, 5, 6, 7),
                    help="comma-separated block counts (default 4,5,6,7)")
     p.add_argument("--per-size", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
@@ -314,9 +315,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="cross-validate a methods x modes grid")
     p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--methods", type=_name_list, default=[J48, REPTREE, "knn"])
+    p.add_argument("--methods", type=_name_list, default=(J48, REPTREE, "knn"))
     p.add_argument("--modes", type=_name_list,
-                   default=["supervised", "unsupervised"])
+                   default=("supervised", "unsupervised"))
     p.add_argument("--folds", type=int, default=10)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--bins", type=int, default=10)
@@ -331,7 +332,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    """Parse and dispatch; returns the process exit code."""
+    """Parse and dispatch; returns the process exit code. The parser is
+    built once per process; its defaults are immutable, so calls share it."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -5,13 +5,14 @@ from the exit task and chaining backwards; the solution's task set is
 exactly the backward closure of the exit under those choices. Each solution
 is linearized into a deterministic step sequence: tasks are emitted in
 waves of readiness (all chosen predecessors already emitted), smallest id
-first inside a wave.
+first inside a wave, all waves found in one pass over a topological order.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from graphlib import TopologicalSorter
 
 from .errors import DataError, LimitError
 from .project import ProjectGraph
@@ -50,16 +51,13 @@ def enumerate_plans(graph: ProjectGraph, max_plans: int = DEFAULT_MAX_PLANS) -> 
         raise DataError(f"max_plans must be >= 1, got {max_plans}")
 
     sequences: set[tuple[str, ...]] = set()
-    truncated = False
     for steps in _solutions(graph):
         sequences.add(steps)
         if len(sequences) > max_plans:
-            truncated = True
             break
-
     ordered = sorted(sequences)[:max_plans]
     plans = tuple(Plan(f"P{i + 1}", steps) for i, steps in enumerate(ordered))
-    return PlanEnumeration(plans, truncated)
+    return PlanEnumeration(plans, len(sequences) > max_plans)
 
 
 def first_plan(graph: ProjectGraph) -> Plan:
@@ -71,47 +69,46 @@ def first_plan(graph: ProjectGraph) -> Plan:
 def _solutions(graph: ProjectGraph):
     """Yield each solution's step sequence, backward chaining from the exit.
 
-    Tasks are resolved smallest-id first; groups are tried in declaration
-    order, so the yield order is deterministic. The graph's constructor
-    refuses cycles and unknown tasks, so every complete choice linearizes.
+    Tasks are resolved smallest-id first and groups tried in declaration
+    order; only a task with two or more groups stacks partial solutions.
+    The graph has no cycle or unknown task, so every choice linearizes.
     """
-    stack = [({}, frozenset({graph.exit}))]
+    order = TopologicalSorter({t: graph.predecessors(t) for t in graph.tasks})
+    rank = {task: i for i, task in enumerate(order.static_order())}
+    stack = [({}, {graph.exit})]
     while stack:
         chosen, pending = stack.pop()
-        if not pending:
-            yield _linearize(chosen)
-            continue
-        task_id = min(pending)
-        task = graph.tasks[task_id]
-        # pushed last to first, so the first group is popped first
-        for group in reversed(task.preconditions or (frozenset(),)):
-            now = {**chosen, task_id: group}
-            stack.append((now, pending - {task_id} | (group - now.keys())))
+        while pending:
+            task_id = min(pending)
+            pending.remove(task_id)
+            if task_id in chosen:  # a later group named it again
+                continue
+            groups = graph.tasks[task_id].preconditions or (frozenset(),)
+            for group in groups[:0:-1]:  # last to first: the second pops next
+                stack.append(({**chosen, task_id: group}, pending | group))
+            chosen[task_id] = groups[0]
+            pending |= groups[0]
+        yield _linearize(chosen, rank)
 
 
-def _linearize(chosen: dict[str, frozenset[str]]) -> tuple[str, ...]:
+def _linearize(chosen: dict[str, frozenset[str]],
+               rank: dict[str, int]) -> tuple[str, ...]:
     """Order a solution's tasks by readiness wave, then id.
 
     ``chosen`` maps each task of the solution to its chosen precondition
     group (empty for the entry); ``_solutions`` builds only maps that are
-    closed and acyclic. A task's wave is one past the latest wave among its
-    chosen predecessors, which makes the ordering a topological sort of the
-    chosen-group precedence relation with ties broken lexicographically.
-    Raises LimitError if a precedence chain is deeper than the recursion
-    limit.
+    closed and acyclic. ``rank`` is a topological order of the graph, so
+    one pass over the tasks in rank order finds every wave. Raises
+    LimitError if a precedence chain is as deep as the recursion limit.
     """
     wave: dict[str, int] = {}
-
-    def place(task: str) -> int:
-        if task not in wave:
-            level = 0
-            for pred in chosen[task]:  # a plain loop: one frame per chain link
-                level = max(level, place(pred) + 1)
-            wave[task] = level
-        return wave[task]
-
-    try:
-        return tuple(sorted(chosen, key=lambda t: (place(t), t)))
-    except RecursionError:
+    for task in sorted(chosen, key=rank.__getitem__):
+        level = 0
+        for pred in chosen[task]:
+            if wave[pred] >= level:
+                level = wave[pred] + 1
+        wave[task] = level
+    if max(wave.values()) >= sys.getrecursionlimit():
         raise LimitError(f"a precedence chain is deeper than the recursion "
-                         f"limit ({sys.getrecursionlimit()})") from None
+                         f"limit ({sys.getrecursionlimit()})")
+    return tuple(sorted(sorted(chosen), key=wave.__getitem__))

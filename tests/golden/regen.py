@@ -72,6 +72,8 @@ STEPS = [
                            "--mode", "supervised"]),
     ("plans", ["plans", "--project", "fire.json"]),
     ("plans-first", ["plans", "--project", "fire.json", "--first"]),
+    ("plans-truncated", ["plans", "--project", "fire.json",
+                         "--max-plans", "3"]),
 ]
 
 

@@ -6,6 +6,7 @@ package's own search/ordering code, so agreement is meaningful.
 
 import math
 import random
+import sys
 from collections import Counter, deque
 from dataclasses import replace
 from itertools import combinations, product
@@ -150,6 +151,54 @@ def wave_linearize(chosen):
         if not progressed:
             raise DataError("solution contains a precedence cycle")
     return tuple(sorted(chosen, key=lambda t: (wave[t], t)))
+
+
+def reference_solutions(graph):
+    """The earlier ``plans._solutions``, kept verbatim as the reference
+    yield order: every partial solution goes through the stack, and each
+    complete one linearizes by memoized recursion."""
+    stack = [({}, frozenset({graph.exit}))]
+    while stack:
+        chosen, pending = stack.pop()
+        if not pending:
+            yield _recursive_linearize(chosen)
+            continue
+        task_id = min(pending)
+        task = graph.tasks[task_id]
+        # pushed last to first, so the first group is popped first
+        for group in reversed(task.preconditions or (frozenset(),)):
+            now = {**chosen, task_id: group}
+            stack.append((now, pending - {task_id} | (group - now.keys())))
+
+
+def _recursive_linearize(chosen):
+    wave = {}
+
+    def place(task):
+        if task not in wave:
+            level = 0
+            for pred in chosen[task]:  # a plain loop: one frame per chain link
+                level = max(level, place(pred) + 1)
+            wave[task] = level
+        return wave[task]
+
+    try:
+        return tuple(sorted(chosen, key=lambda t: (place(t), t)))
+    except RecursionError:
+        raise LimitError(f"a precedence chain is deeper than the recursion "
+                         f"limit ({sys.getrecursionlimit()})") from None
+
+
+def reference_truncation(graph, max_plans):
+    """The first ``max_plans`` distinct sequences in sorted order, and
+    whether more exist, read off the reference yield order the way
+    ``enumerate_plans`` stops its search."""
+    sequences = set()
+    for steps in reference_solutions(graph):
+        sequences.add(steps)
+        if len(sequences) > max_plans:
+            return sorted(sequences)[:max_plans], True
+    return sorted(sequences), False
 
 
 def blocks_successors(state):

@@ -282,6 +282,33 @@ def test_option_choices_are_the_library_names():
     assert set(choices("train", "mode")) < set(METHODS)
 
 
+def test_the_shared_parser_leaves_no_state_between_calls(
+        project_file, runs_file, capsys, monkeypatch):
+    # run() reuses one parser per process: each call must print what a
+    # freshly built parser would, whatever ran before it
+    calls = [["plans", "--project", project_file, "--first"],
+             ["plans", "--project", project_file],
+             ["eval", "--in", runs_file, "--methods", "j48"],
+             ["eval", "--in", runs_file]]
+
+    def outputs():
+        return [(run(argv), capsys.readouterr()) for argv in calls]
+
+    assert cli._build_parser() is cli._build_parser()
+    shared = outputs()
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        fresh = outputs()
+    assert shared == fresh
+    assert [code for code, _ in shared] == [0, 0, 0, 0]
+    assert [len(out.splitlines()) for _, (out, _) in shared[:2]] == [1, 8]
+    j48_only, grid = shared[2][1].out, shared[3][1].out
+    assert "reptree" not in j48_only and "reptree" in grid and "knn" in grid
+    defaults = cli._build_parser().parse_args(["eval", "--in", runs_file])
+    assert defaults.methods == (J48, REPTREE, "knn")
+    assert defaults.modes == ("supervised", "unsupervised")
+
+
 def test_classify_rejects_schema_mismatch(model_file, tmp_path, capsys):
     other = tmp_path / "other.csv"
     other.write_text("foo:nominal,class:nominal\na,P1\n")

@@ -1,7 +1,9 @@
 import inspect
 import json
+import math
 import random
 import sys
+from graphlib import TopologicalSorter
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,8 @@ from plancell.errors import DataError
 from plancell.plans import Plan, _linearize
 from plancell.project import ProjectGraph, ProjectParseError, Task
 
-from oracles import brute_force_plans, dfs_find_cycle, wave_linearize
+from oracles import (brute_force_plans, dfs_find_cycle, reference_solutions,
+                     reference_truncation, wave_linearize)
 
 FIRE_P1 = ("Begin", "FU1", "PU1", "FU(L0,L1)", "PU(L0,L1)",
            "fireman", "police", "extinguish_fire")
@@ -20,6 +23,12 @@ FIRE_P1 = ("Begin", "FU1", "PU1", "FU(L0,L1)", "PU(L0,L1)",
 
 def build(tasks, entry, exit):
     return parse_project(json.dumps({"entry": entry, "exit": exit, "tasks": tasks}))
+
+
+def ranked(chosen):
+    """A topological rank of a closed, acyclic choice map."""
+    order = TopologicalSorter(chosen).static_order()
+    return {task: i for i, task in enumerate(order)}
 
 
 def test_fire_has_eight_plans(fire):
@@ -96,7 +105,7 @@ def test_unsolvable_graph_yields_nothing():
 def test_linearize_orders_by_wave_then_id():
     chosen = {"a": frozenset(), "c": frozenset({"a"}), "b": frozenset({"c"}),
               "d": frozenset()}
-    assert _linearize(chosen) == ("a", "d", "c", "b")
+    assert _linearize(chosen, ranked(chosen)) == ("a", "d", "c", "b")
 
 
 def test_wide_solution_enumerates_without_recursing_per_task():
@@ -112,7 +121,7 @@ def test_wide_solution_enumerates_without_recursing_per_task():
 
 
 def test_chain_within_the_recursion_limit_enumerates():
-    # placing a task costs one frame per precedence link, no more
+    # the limit is a chain depth, and this chain stays under it
     n = sys.getrecursionlimit() - len(inspect.stack(0)) - 20
     tasks = [{"id": "c0000", "pre": []}]
     tasks += [{"id": f"c{i:04d}", "pre": [[f"c{i - 1:04d}"]]} for i in range(1, n)]
@@ -237,15 +246,19 @@ def test_cycle_message_equals_the_dfs_oracle(tasks):
 def test_solutions_build_only_closed_acyclic_maps(graph):
     # the wave oracle raises on a map that names a task outside it or holds
     # a cycle, the two cases _linearize does not check for
-    def checked(chosen):
+    seen = []
+
+    def checked(chosen, rank):
         expected = wave_linearize(chosen)
-        assert _linearize(chosen) == expected
+        assert _linearize(chosen, rank) == expected
+        seen.append(expected)
         return expected
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(plans, "_linearize", checked)
         result = enumerate_plans(graph)
     assert [p.steps for p in result.plans] == sorted(brute_force_plans(graph))
+    assert seen == list(reference_solutions(graph))  # one call per solution
 
 
 @st.composite
@@ -265,4 +278,52 @@ def chosen_maps(draw):
 @given(chosen_maps())
 @settings(max_examples=300, deadline=None)
 def test_linearize_equals_the_wave_oracle(chosen):
-    assert _linearize(chosen) == wave_linearize(chosen)
+    assert _linearize(chosen, ranked(chosen)) == wave_linearize(chosen)
+
+
+def layered_graph(widths):
+    """Layers of OR alternatives, each closed by a join that accepts any
+    one of them; the exit needs the last join and a side permit. Built as
+    the benchmark's layered project, so it has prod(widths) plans."""
+    tasks = [{"id": "Begin", "pre": []}, {"id": "Permit", "pre": [["Begin"]]}]
+    previous = "Begin"
+    for i, width in enumerate(widths, start=1):
+        options = [f"L{i}.{j}" for j in range(width)]
+        tasks += [{"id": t, "pre": [[previous]]} for t in options]
+        previous = f"J{i}"
+        tasks.append({"id": previous, "pre": [[t] for t in options]})
+    tasks.append({"id": "Done", "pre": [[previous, "Permit"]]})
+    return build(tasks, "Begin", "Done")
+
+
+def assert_reference_order(graph):
+    """Same solutions in the same order as the reference search, so the
+    first plan and every truncation agree with it too."""
+    want = list(reference_solutions(graph))
+    assert list(plans._solutions(graph)) == want
+    assert first_plan(graph).steps == want[0]
+    for max_plans in range(1, len(set(want)) + 1):
+        result = enumerate_plans(graph, max_plans)
+        steps, truncated = reference_truncation(graph, max_plans)
+        assert [p.steps for p in result.plans] == steps
+        assert result.truncated == truncated
+
+
+@pytest.mark.parametrize("widths", [(2, 3, 3, 4), (1,), (4, 1, 2)])
+def test_layered_projects_keep_the_reference_order(widths):
+    graph = layered_graph(widths)
+    assert len(enumerate_plans(graph).plans) == math.prod(widths)
+    assert_reference_order(graph)
+
+
+def test_fire_and_random_graphs_keep_the_reference_order(fire):
+    assert_reference_order(fire)
+    rng = random.Random(36)
+    for _ in range(12):
+        assert_reference_order(random_layered_graph(rng, layers=4, width=3))
+
+
+@given(task_maps(wild=False).map(graph_of))
+@settings(max_examples=150, deadline=None)
+def test_hand_built_graphs_keep_the_reference_order(graph):
+    assert_reference_order(graph)
