@@ -34,19 +34,17 @@ class KnnModel:
     """The stored training rows, column by column.
 
     Per attribute, ``columns`` holds the raw values of a numeric column as
-    floats, or the integer codes of a nominal one; ``spans`` holds the
-    numeric normalization range (hi - lo of the domain), None for a nominal
-    attribute, and ``codes`` the nominal value-to-code map, None for a
-    numeric attribute. ``labels`` holds each distinct row's label, and
-    ``inverse`` each training row's place among them. ``positions`` maps a
-    distinct row's values to its place when every attribute is nominal, and
-    is None otherwise.
+    floats, or the integer codes of a nominal one, and ``codes`` the
+    nominal value-to-code map, None for a numeric attribute; a numeric
+    range is read from the schema's domain. ``labels`` holds each distinct
+    row's label, and ``inverse`` each training row's place among them.
+    ``positions`` maps a distinct row's values to its place when every
+    attribute is nominal, and is None otherwise.
     """
 
     training: TrainingSet
     k: int
     columns: tuple[np.ndarray, ...] = field(repr=False, compare=False)
-    spans: tuple[float | None, ...] = field(repr=False, compare=False)
     codes: tuple[dict | None, ...] = field(repr=False, compare=False)
     labels: tuple[str, ...] = field(repr=False, compare=False)
     positions: dict | None = field(repr=False, compare=False)
@@ -65,20 +63,18 @@ def fit_knn(ts: TrainingSet, k: int = 1) -> KnnModel:
     first = dict(zip(reversed(places), reversed(ts.labels)))
     labels = tuple(first[p] for p in range(len(positions)))
     stored = tuple(zip(*positions))
-    columns, spans, codes = [], [], []
+    columns, codes = [], []
     for spec, raw in zip(ts.attributes, stored):
         if spec.kind == NUMERIC:
             columns.append(np.array(raw, dtype=float))
-            spans.append(float(spec.domain[1]) - float(spec.domain[0]))
             codes.append(None)
         else:
             index: dict = {}
             coded = [index.setdefault(v, len(index)) for v in raw]
             columns.append(np.array(coded, dtype=np.intp))
-            spans.append(None)
             codes.append(index)
-    return KnnModel(ts, k, tuple(columns), tuple(spans), tuple(codes), labels,
-                    positions if all(s is None for s in spans) else None,
+    return KnnModel(ts, k, tuple(columns), tuple(codes), labels,
+                    positions if None not in codes else None,
                     np.array(places, dtype=np.intp))
 
 
@@ -87,16 +83,18 @@ def _stored_distances(model: KnnModel, values: tuple) -> np.ndarray:
 
     Squares are added one attribute at a time in attribute order, as a
     scalar sum per row adds them, so equal distances stay equal. A zero
-    span adds nothing and an unseen nominal value, unhashable or not,
+    range adds nothing and an unseen nominal value, unhashable or not,
     mismatches every row; a numeric value ``is_finite_number`` refuses
     (NaN, an infinity, an int beyond +-2**53) is near no row and raises
-    UnknownValueError. A span or difference beyond the float range is taken
-    between halves of the values, which leaves every finite quotient as is.
+    UnknownValueError. A range or difference beyond the float range is
+    taken between halves of the values, which leaves every finite quotient
+    as is. A quotient or square beyond it is +inf, without a warning: every
+    term is the IEEE value the scalar reference computes, so rows at +inf
+    tie and keep training order, as equal distances always do.
     """
     total = np.zeros(len(model.labels))
-    for spec, column, span, codes, x in zip(model.training.attributes,
-                                            model.columns, model.spans,
-                                            model.codes, values):
+    for spec, column, codes, x in zip(model.training.attributes, model.columns,
+                                      model.codes, values):
         if codes is not None:
             try:
                 code = codes.get(x, -1)
@@ -107,13 +105,14 @@ def _stored_distances(model: KnnModel, values: tuple) -> np.ndarray:
         elif not is_finite_number(x):
             raise UnknownValueError(f"value {x!r} of attribute {spec.name!r} "
                                     f"has no distance to the training rows")
-        elif span:
+        elif spec.domain[0] != spec.domain[1]:
             lo, hi, x = float(spec.domain[0]), float(spec.domain[1]), float(x)
-            if math.isinf(span) or math.isinf(hi - x) or math.isinf(x - lo):
-                d = np.abs(column / 2 - x / 2) / (hi / 2 - lo / 2)
-            else:
-                d = np.abs(column - x) / span
-            total += d * d
+            with np.errstate(over="ignore"):
+                if math.isinf(hi - lo) or math.isinf(hi - x) or math.isinf(x - lo):
+                    d = np.abs(column / 2 - x / 2) / (hi / 2 - lo / 2)
+                else:
+                    d = np.abs(column - x) / (hi - lo)
+                total += d * d
     return np.sqrt(total)
 
 

@@ -145,15 +145,18 @@ def knn_problems(draw):
     copy holding a list, which no row holds. Every set repeats some rows,
     with labels of their own, and every set stores its distinct rows. Few
     distinct values make equal distances and vote ties common; a constant
-    numeric column has a zero span, 0.0 and -0.0 are one row value, and a
-    wide column's ranges and differences leave the float range.
+    numeric column has a zero span, 0.0 and -0.0 are one row value, a
+    wide column's ranges and differences leave the float range, and a tiny
+    column's quotients and squares do.
     """
     n = draw(st.integers(1, 25))
     nominal = draw(st.booleans())
     kinds = draw(st.lists(st.sampled_from(
-        ["nominal"] if nominal else ["numeric", "constant", "wide", "nominal"]),
+        ["nominal"] if nominal else
+        ["numeric", "constant", "wide", "tiny", "nominal"]),
         min_size=1, max_size=4))
     wide = [-1e308, -9e307, 0.0, 9e307, 1e308]
+    tiny = [0.0, 5e-324, 1e-300, 2e-300]
     columns, cells, query_pools = [], [], []
     for j, kind in enumerate(kinds):
         if kind == "nominal":
@@ -162,6 +165,10 @@ def knn_problems(draw):
         elif kind == "wide":
             pool = st.sampled_from(wide)
             query_pools.append(st.sampled_from(wide))
+        elif kind == "tiny":
+            pool = st.sampled_from(tiny)
+            query_pools.append(st.sampled_from(
+                tiny + [-1e10, -1.0, 1.0, 1e10, -1e200, 1e200]))
         else:
             pool = st.just(2.5) if kind == "constant" else \
                 st.sampled_from([0.0, -0.0, 0.1, 0.3, 1.0, 7.5])
@@ -216,7 +223,6 @@ def test_a_range_beyond_the_float_range_is_halved():
     ts = build_training_set([("x", "numeric")],
                             [(-1e308, "LOW"), (1e308, "HIGH"), (0.0, "MID")])
     model = fit_knn(ts)
-    assert model.spans == (math.inf,)
     assert _distances(model, (-1e308,)).tolist() == [0.0, 1.0, 0.5]
     assert classify_knn(model, (-1e308,)) == knn_label(ts, 1, (-1e308,)) == "LOW"
 
@@ -237,6 +243,23 @@ def test_a_difference_beyond_the_float_range_is_halved():
     d = [abs(5e307 - 1e308) / span, abs(5e307 - 9e307) / span]
     assert _distances(model, (5e307, "a")).tolist() == [
         math.sqrt(d[0] * d[0]), math.sqrt(d[1] * d[1] + 1.0)]
+
+
+@pytest.mark.parametrize("train, query", [
+    ([(0.0, "A"), (1e-300, "B")], (1e10,)),  # 1e10 / 1e-300 overflows
+    ([(0.0, "A"), (1.0, "B")], (1e200,)),    # (1e200 / 1.0) ** 2 overflows
+])
+def test_a_quotient_or_square_beyond_the_float_range_ties_at_inf(train, query):
+    # in float arithmetic 1e10 - 1e-300 is 1e10 and 1e200 - 1 is 1e200, so
+    # both rows are at +inf, as in the scalar reference: the tie keeps
+    # training order, and numpy warns of no overflow
+    ts = build_training_set([("x", "numeric")], train)
+    for k in (1, 2):
+        model = fit_knn(ts, k)
+        dists = _distances(model, query).tolist()
+        assert dists == [knn_distance(query, inst, model)
+                         for inst in ts.instances] == [math.inf, math.inf]
+        assert classify_knn(model, query) == knn_label(ts, k, query) == "A"
 
 
 def test_mixed_sets_store_their_distinct_rows():
