@@ -4,15 +4,16 @@ The tree's rules become two cell layers: one per fact (tree nodes,
 attribute=value tests, class assignments) and one per rule; the rule table
 wires them. Classification seeds the root and the instance's
 attribute-value facts and runs the automaton to its first fixed point. A
-compiled base is a monotone Horn program, so the engine finds it by
-counter propagation (Dowling & Gallier 1984): each rule counts its unmet
-premises, each newly established fact decrements the counters of the rules
-that read it, and a rule fires at zero. Each wave of firings is one
-generation, so one vector holds the whole run: the generation that
-established each fact (seeds at 0). The registers of generation g are
-views of it: EF = facts <= g, SF = EF of g - 1, ER = the rules none of
-whose premises (R_E) is missing from SF, the assessment pass, and SR = not
-ER (clear at 0).
+compiled base is a monotone Horn program, so the engine finds it by forward
+chaining over watch lists fixed per base: a fact that no rule concludes can
+only be a seed, so a rule waits only on its premises that some rule
+concludes (on its first premise if none is), and a fact of generation g
+fires each rule waiting on it whose premises all date from g or earlier.
+Each wave of firings is one generation, so one vector holds the whole run:
+the generation that established each fact (seeds at 0). The registers of
+generation g are views of it: EF = facts <= g, SF = EF of g - 1, ER = the
+rules none of whose premises (R_E) is missing from SF, the assessment pass,
+and SR = not ER (clear at 0).
 """
 
 from __future__ import annotations
@@ -81,11 +82,11 @@ class CellularKnowledgeBase:
 
     Construction checks that both tables are non-empty, that no descriptor
     repeats and that every premise and conclusion names a fact. The root,
-    the input flags, the incidence matrices, the engine's counters and the
-    class each fact assigns are views of the tables, built on first use and
-    cached; the arrays are read-only. ``root`` checks the first fact:
-    classification and loading read it, ``infer`` does not, so hand-wired
-    bases may seed any fact.
+    the input flags, the incidence matrices, the engine's watch lists and
+    the class each fact assigns are views of the tables, built on first
+    use and cached; the arrays are read-only. ``root`` checks the first
+    fact: classification and loading read it, ``infer`` does not, so
+    hand-wired bases may seed any fact.
     """
 
     facts: tuple[str, ...]
@@ -154,17 +155,24 @@ class CellularKnowledgeBase:
         return self._incidence(lambda rule: (rule.conclusion,))
 
     @cached_property
-    def _counters(self) -> tuple[list, list, list]:
-        """Per fact the rules reading it; per rule its number of distinct
-        premises and the index of its conclusion."""
-        index = self._fact_indices
-        premises = [{index[p] for p in rule.premises} for rule in self.rules]
-        readers = [[] for _ in self.facts]
-        for r, facts in enumerate(premises):
-            for f in facts:
-                readers[f].append(r)
-        return (readers, [len(facts) for facts in premises],
-                [index[rule.conclusion] for rule in self.rules])
+    def _watches(self) -> list[list[tuple]]:
+        """Per fact, the rules waiting on it as (premise, further premises,
+        conclusion): the rule's other premises, or the fact itself if none.
+        A rule waits on its premises that some rule concludes, if any."""
+        at = self._fact_indices.__getitem__
+        concludes = [at(rule.conclusion) for rule in self.rules]
+        derived, watches = set(concludes), [[] for _ in self.facts]
+        for rule, c in zip(self.rules, concludes):
+            w, *others = map(at, rule.premises)
+            if derived.isdisjoint(others):  # the first premise is the watch
+                watches[w].append((others.pop() if others else w, others or (), c))
+                continue
+            premises = [w, *others]
+            for w in derived.intersection(premises):
+                others = premises.copy()
+                others.remove(w)
+                watches[w].append((others.pop(), others or (), c))
+        return watches
 
     @cached_property
     def _input_tables(self) -> tuple[tuple[str, dict[str, str]], ...]:
@@ -247,13 +255,14 @@ class Trace(Sequence):
 def infer(kb: CellularKnowledgeBase, initial_facts) -> Trace:
     """Run to the first fixed point; return every configuration on the way.
 
-    The trace starts at generation 0 and ends at the first configuration
-    that reproduces itself. Each rule fires at most once and every wave
-    fires at least one rule, so a trace never exceeds rule_count + 2
-    configurations (a tree base stabilizes within depth + 2 generations).
+    A case keeps no per-rule state: its cost follows the facts it
+    establishes and the rules waiting on them. The trace starts at
+    generation 0 and ends at the first configuration that reproduces
+    itself. Each rule fires at most once and every wave fires at least one
+    rule, so a trace never exceeds rule_count + 2 configurations (a tree
+    base stabilizes within depth + 2 generations).
     """
-    readers, counts, concludes = kb._counters
-    missing = counts.copy()
+    watches = kb._watches
     fact_gen = [NEVER] * kb.fact_count
     established = []  # the seeds, then each wave: a queue in generation order
     index = kb._fact_indices.get
@@ -264,17 +273,15 @@ def infer(kb: CellularKnowledgeBase, initial_facts) -> Trace:
         if fact_gen[f] == NEVER:
             fact_gen[f] = 0
             established.append(f)
-    # A rule fires one generation after the fact that meets its last
-    # premise; the facts it establishes join the queue this loop is reading.
+    # A rule fires one generation after its latest premise is dequeued; the
+    # facts it establishes join the queue this loop is reading.
     for f in established:
-        g = fact_gen[f] + 1
-        for r in readers[f]:
-            missing[r] = left = missing[r] - 1
-            if not left:
-                c = concludes[r]
-                if fact_gen[c] == NEVER:
-                    fact_gen[c] = g
-                    established.append(c)
+        g = fact_gen[f]
+        for o, more, c in watches[f]:
+            if (fact_gen[o] <= g and fact_gen[c] == NEVER
+                    and (not more or all(fact_gen[p] <= g for p in more))):
+                fact_gen[c] = g + 1
+                established.append(c)
     return Trace(kb, fact_gen, established)
 
 

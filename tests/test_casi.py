@@ -344,6 +344,27 @@ def test_repeated_premise_counts_once():
     assert infer(kb, ["a"]).fact_gen == (0, casi.NEVER, casi.NEVER)
 
 
+@pytest.mark.parametrize("premises", [["p", "q2"], ["q2", "p"]])
+def test_two_derived_premises_fire_after_the_later_wave(premises):
+    # p lands in wave 1 and q2 in wave 2, so the rule reading both fires
+    # at 3, whichever premise it lists first
+    kb = table_kb(["s", "p", "q1", "q2", "r"],
+                  [(["s"], "p"), (["s"], "q1"), (["q1"], "q2"), (premises, "r")])
+    assert infer(kb, ["s"]).fact_gen == (0, 1, 1, 2, 3)
+    assert infer(kb, ["s", "q2"]).fact_gen == (0, 1, 1, 0, 2)
+
+
+def test_an_unseeded_premise_no_rule_concludes_blocks_its_rule():
+    # no rule concludes x=u or y=v: only a seed sets them
+    kb = table_kb(["s", "p", "x=u", "y=v", "r", "t"],
+                  [(["s"], "p"), (["p", "x=u"], "r"), (["x=u", "y=v"], "t")])
+    never = casi.NEVER
+    assert infer(kb, ["s"]).fact_gen == (0, 1, never, never, never, never)
+    assert infer(kb, ["s", "y=v"]).fact_gen == (0, 1, never, 0, never, never)
+    assert infer(kb, ["s", "x=u"]).fact_gen == (0, 1, 0, never, 2, never)
+    assert infer(kb, ["y=v", "x=u", "s"]).fact_gen == (0, 1, 0, 0, 2, 1)
+
+
 def test_runaway_inference_is_capped():
     # a chain f0 -> f1 -> f2 -> f3 of three rules reaches the bound of
     # rule_count + 2 configurations: three waves, then the echo catches up

@@ -59,24 +59,29 @@ def table_kb(facts, rules):
 
 @st.composite
 def wirings(draw):
-    """A random rule table and seeds (some repeated) over 4-10 facts.
+    """A random rule table and seeds (some repeated) over 6-12 facts.
 
     Some facts carry an input flag. Every draw has a two-rule cycle between
     two facts, a fact that several rules conclude, a rule with a repeated
-    premise and a fact that no rule reads, among 3-10 rules in random order.
+    premise, a rule with two premises that other rules conclude, rules with
+    premises that no rule concludes (first, or all of them), a fact that no
+    rule reads and a seed that some rule concludes, among 6-13 rules in
+    random order.
     """
-    l = draw(st.integers(4, 10))
+    l = draw(st.integers(6, 12))
     facts = [f"x=v{i}" if draw(st.booleans()) else f"f{i}" for i in range(l)]
-    a, b, c, unread = draw(st.permutations(facts))[:4]
+    a, b, c, d, free, unread = draw(st.permutations(facts))[:6]
     readable = [f for f in facts if f != unread]
-    rules = [([a], b), ([b], a), ([c, c], b)]
+    rules = [([a], b), ([b], a), ([c, c], b), ([a, b], d), ([free, c], d),
+             ([c, a], d)]
     for _ in range(draw(st.integers(0, 7))):
-        conclusion = draw(st.sampled_from(facts))
+        conclusion = draw(st.sampled_from([f for f in facts if f not in (c, free)]))
         rules.append((draw(st.lists(
             st.sampled_from([f for f in readable if f != conclusion]),
             min_size=1, max_size=3)), conclusion))
     kb = table_kb(facts, draw(st.permutations(rules)))
     seeds = draw(st.lists(st.sampled_from(facts), max_size=2 * l))
+    seeds.insert(draw(st.integers(0, len(seeds))), draw(st.sampled_from([a, b, d])))
     return kb, seeds
 
 
