@@ -177,10 +177,15 @@ class CellularKnowledgeBase:
     @cached_property
     def _input_tables(self) -> tuple[tuple[str, dict[str, str]], ...]:
         """Per attribute: its name, and each string value the base tests,
-        mapped to its fact descriptor."""
-        return tuple((spec.name, {f[len(spec.name) + 1:]: f for f in self.facts
-                                  if f.startswith(spec.name + "=")})
-                     for spec in self.schema.attributes)
+        mapped to its fact descriptor. One pass splits each fact at its
+        first ``=``: attribute names hold none, so the part before it is
+        the attribute a fact tests."""
+        tables = {spec.name: {} for spec in self.schema.attributes}
+        for f in self.facts:
+            name, eq, value = f.partition("=")
+            if eq and name in tables:  # a node fact may spell an attribute name
+                tables[name][value] = f
+        return tuple(tables.items())
 
     @cached_property
     def _class_of(self) -> tuple[str | None, ...]:

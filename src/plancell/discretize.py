@@ -31,6 +31,9 @@ from .errors import DataError, ModelIntegrityError
 
 MODES = ("supervised", "unsupervised", "none")
 
+# the float epsilon of ``_tolerance``, looked up once
+_EPSILON = np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class DiscretizationMap:
@@ -74,15 +77,15 @@ class DiscretizationMap:
 
     def bin_column(self, attribute: str, column) -> tuple:
         """``bin_label`` of every value of a numeric column of an attribute
-        with cuts, in order: one ``np.searchsorted``, which equals
+        with cuts, in order: one ``searchsorted``, which equals
         ``bisect_left`` because a float holds every value a checked set may
         hold (``is_finite_number``) and every cut exactly. A NaN passes
         through.
         """
         bins, cuts = self._bins[attribute]
         values = np.array(column, dtype=float)
-        out = [bins[i] for i in np.searchsorted(cuts, values).tolist()]
-        for i in np.flatnonzero(np.isnan(values)).tolist():
+        out = [bins[i] for i in cuts.searchsorted(values).tolist()]
+        for i in np.isnan(values).nonzero()[0].tolist():
             out[i] = column[i]
         return tuple(out)
 
@@ -234,29 +237,29 @@ def _candidates(values: list, codes: np.ndarray):
         empty = np.zeros(0, np.intp)
         return v, empty, empty, empty, empty
     new = v[1:] != v[:-1]  # row i + 1 starts a group of equal values
-    heads = np.concatenate(([0], np.flatnonzero(new) + 1))  # groups' first rows
-    group = np.concatenate(([0], np.cumsum(new)))
+    heads = np.concatenate(([0], new.nonzero()[0] + 1))  # groups' first rows
+    group = np.concatenate(([0], new.cumsum()))
     # the distinct (group, label) pairs: each group's class set, sorted
     first = np.concatenate(([True], new | (lab[1:] != lab[:-1])))
     pair_group, pair_label = group[first], lab[first]
     width = np.bincount(pair_group)  # labels per group
     differ = width[:-1] != width[1:]
     # equally wide neighbours: each pair's counterpart lies ``width`` pairs on
-    j = np.flatnonzero(~differ[pair_group[:len(pair_group) - width[-1]]])
+    j = (~differ[pair_group[:len(pair_group) - width[-1]]]).nonzero()[0]
     mismatch = pair_label[j] != pair_label[j + width[pair_group[j]]]
     differ[pair_group[j[mismatch]]] = True
-    left = np.flatnonzero(differ)
+    left = differ.nonzero()[0]
     starts = heads[left + 1]
     below, above = v[heads[left]], v[starts]
     with np.errstate(over="ignore"):
         cuts = (below + above) / 2.0
     wide = np.isinf(cuts)  # the sum left the float range
     cuts[wide] = below[wide] / 2 + above[wide] / 2
-    sizes = np.searchsorted(v, cuts, side="right")
+    sizes = v.searchsorted(cuts, side="right")
     # per row, the rows of its label before it, from one stable sort by label
-    by_label = np.argsort(lab, kind="stable")
+    by_label = lab.argsort(kind="stable")
     ranks = np.empty(n, np.intp)
-    ranks[by_label] = np.arange(n) - np.searchsorted(lab[by_label], lab[by_label])
+    ranks[by_label] = np.arange(n) - lab[by_label].searchsorted(lab[by_label])
     return cuts, starts, sizes, lab, ranks
 
 
@@ -287,7 +290,7 @@ def _mdl_split(values: list, codes: np.ndarray, classes: int,
     """
     cuts, starts, sizes, codes, ranks = _candidates(values, codes)
     cuts, starts = cuts.tolist(), starts.tolist()
-    steps = np.diff(table)  # F(x + 1) - F(x)
+    steps = table[1:] - table[:-1]  # F(x + 1) - F(x)
 
     def split(lo: int, hi: int) -> None:
         first, last = bisect_right(starts, lo), bisect_left(starts, hi)
@@ -296,7 +299,7 @@ def _mdl_split(values: list, codes: np.ndarray, classes: int,
         n = hi - lo
         # a midpoint is rounded to a float: between close floats it can land
         # on the next value and send that group left too: clamp
-        here = np.clip(sizes[first:last], lo, hi) - lo
+        here = np.minimum(np.maximum(sizes[first:last], lo), hi) - lo
         rows = codes[lo:hi]
         # per row, the rows of its label inside the range before it, and
         # from it on
@@ -306,11 +309,11 @@ def _mdl_split(values: list, codes: np.ndarray, classes: int,
         total_f = table[counts].sum()
         # a candidate that sends no row left reads both sums after the last
         # row, which add up to S_L(0) + S_R(0) all the same
-        s_left = np.cumsum(steps[seen])[here - 1]
-        s_right = total_f - np.cumsum(steps[after - 1])[here - 1]
+        s_left = steps[seen].cumsum()[here - 1]
+        s_right = total_f - steps[after - 1].cumsum()[here - 1]
         screened = (table[here] - s_left + table[n - here] - s_right) / n
         tolerance = _tolerance(n)
-        near = np.flatnonzero(screened <= screened.min() + tolerance)
+        near = (screened <= screened.min() + tolerance).nonzero()[0]
         i, nl = near[0], int(here[near[0]])
         margin = 0.0  # undecided: score exactly below
         if len(near) == 1 and 0 < nl < n:
@@ -385,7 +388,7 @@ def _tolerance(n: int) -> float:
     value. The exact margin is within 17eT of its own true value. 64e(1 + T)
     covers 42eT, and twice that covers 68eT.
     """
-    return 64 * np.finfo(float).eps * (1.0 + n * math.log2(max(n, 2)))
+    return 64 * _EPSILON * (1.0 + n * math.log2(max(n, 2)))
 
 
 def apply_map(dmap: DiscretizationMap | None, ts: TrainingSet) -> TrainingSet:

@@ -13,6 +13,7 @@ import random
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from math import log2
 
 from .dataset import NOMINAL, TrainingSet, case_values, class_members
 from .discretize import DiscretizationMap, Schema, entropy
@@ -140,14 +141,19 @@ def _score(mode: str, parent: float, counts) -> tuple[float, list, list]:
     node of entropy ``parent``, with each part's size and entropy.
 
     Under ``gain_ratio`` the gain is divided by the split's own entropy,
-    and a single-valued split scores zero.
+    and a single-valued split scores zero. One loop over the parts sums
+    each one's size once and its entropy from the terms ``entropy`` sums,
+    in its order, so every score is the one ``entropy`` gives.
     """
-    sizes = [sum(c.values()) for c in counts]
-    entropies = [entropy(c) for c in counts]
+    sizes, entropies = [], []
+    for tally in counts:
+        m = sum(tally.values())
+        sizes.append(m)
+        entropies.append(-sum([c / m * log2(c / m) for c in tally.values()]))
     n = sum(sizes)
-    gain = parent - sum(m / n * h for m, h in zip(sizes, entropies))
+    gain = parent - sum([m / n * h for m, h in zip(sizes, entropies)])
     if mode == GAIN_RATIO:
-        info = entropy(sizes)
+        info = -sum([m / n * log2(m / n) for m in sizes])
         gain = gain / info if info else 0.0
     return gain, sizes, entropies
 

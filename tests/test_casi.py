@@ -9,11 +9,12 @@ import pytest
 
 import oracles
 from plancell import casi
-from plancell.casi import (classify_casi, compile_tree, established_facts,
+from plancell.casi import (CellularKnowledgeBase, ClassificationRule,
+                           classify_casi, compile_tree, established_facts,
                            format_fact_table, format_incidence,
                            format_rule_table, infer, instance_facts,
                            kb_from_json, kb_to_json)
-from plancell.dataset import build_training_set
+from plancell.dataset import AttributeSpec, build_training_set
 from plancell.discretize import Schema, apply_map, discretize_supervised
 from plancell.errors import (DataError, ModelIntegrityError,
                              UnknownValueError)
@@ -81,6 +82,24 @@ def test_input_flags_mark_non_node_facts(runs_model):
     _, kb, _ = runs_model
     for fact, flag in zip(kb.facts, kb.input_flags):
         assert flag == ("=" in fact)
+
+
+def test_input_tables_equal_the_per_attribute_scan():
+    # attribute names that prefix each other (a, ab), one spelled like a
+    # node fact (s1), and values that hold "="
+    domain = ("x", "y=z", "=")
+    schema = Schema(tuple(AttributeSpec(name, "nominal", domain)
+                          for name in ("a", "ab", "s1")), ("C",))
+    facts = ("s0", "s1", "a=x", "ab=x", "a=y=z", "ab==", "s1=x", "ab=y=z",
+             "a==", "class=C")
+    kb = CellularKnowledgeBase(
+        facts, (ClassificationRule(("s0",), "class=C"),), schema)
+    scan = [(spec.name, [(f[len(spec.name) + 1:], f) for f in facts
+                         if f.startswith(spec.name + "=")])
+            for spec in schema.attributes]
+    assert [(name, list(table.items())) for name, table in kb._input_tables] \
+        == scan
+    assert scan[0][1] == [("x", "a=x"), ("y=z", "a=y=z"), ("=", "a==")]
 
 
 def test_fact_index_unknown(stump_kb):

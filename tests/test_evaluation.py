@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 from dataclasses import replace
@@ -15,10 +16,11 @@ from plancell.errors import DataError
 from plancell.evaluation import (ENGINES, METHODS, EvalReport, cross_validate,
                                  evaluate_grid, make_folds, report, report_csv)
 from plancell.knn import classify_knn, fit_knn
-from plancell.tree import _stratified_thirds
+from plancell.tree import (GAIN_RATIO, INFO_GAIN, _stratified_thirds, grow,
+                           induce, model_to_json)
 
-from oracles import (cv_case_by_case, fold_assignment, knn_label,
-                     stratified_thirds)
+from oracles import (cv_case_by_case, fold_assignment, grow_tree, knn_label,
+                     rep_prune, stratified_thirds)
 
 
 def many_classes(seed, n=1_000, classes=100):
@@ -486,6 +488,28 @@ def test_knn_cells_of_the_benchmark_corpus_match_case_by_case(k):
         model = fit_knn(fitted, k)
         for case in set(apply_map(dmap, ts.take(plan.test_indices(0))).rows):
             assert classify_knn(model, case) == knn_label(fitted, k, case)
+
+
+def test_tree_fits_of_a_benchmark_fold_equal_the_oracles():
+    # 100 classes and distinct rows that stand for up to hundreds of rows:
+    # growth's counts and scores far past the property tests' draws
+    ts = benchmark_corpus()
+    train = subset(ts, make_folds(ts, 10, seed=1).train_indices(0))
+
+    def model(graph):
+        return json.dumps(model_to_json(graph))
+
+    for mode in ("supervised", "unsupervised"):
+        binned = apply_map(fit_map(train, mode), train)
+        assert max(Counter(binned.rows).values()) >= 100
+        for growth in (GAIN_RATIO, INFO_GAIN):
+            assert model(grow(binned, growth)) == \
+                model(grow_tree(binned, growth, 2))
+        grow_idx, prune_idx = stratified_thirds(binned, 1)
+        # take keeps the fit-time domains, as induce does
+        assert model(induce(binned, "reptree", seed=1)) == model(rep_prune(
+            grow_tree(binned.take(grow_idx), INFO_GAIN, 2),
+            binned.take(prune_idx)))
 
 
 def test_each_distinct_encoded_case_is_labelled_once_per_method_and_fold(

@@ -157,6 +157,15 @@ def tied_sets(draw):
 def test_grow_equals_the_recounting_oracle(ts, mode, min_leaf):
     assert json.dumps(model_to_json(grow(ts, mode, min_leaf))) == \
         json.dumps(model_to_json(oracles.grow_tree(ts, mode, min_leaf)))
+    assert_scores_as_the_oracle(ts, mode)
+
+
+def assert_scores_as_the_oracle(ts, mode):
+    """Every attribute's score equals the oracle's bit for bit."""
+    score = information_gain if mode == INFO_GAIN else gain_ratio
+    for name, values in zip(ts.attribute_names, ts.columns):
+        assert score(ts, name) == \
+            oracles._split_score(mode, values, ts.labels)
 
 
 @st.composite
@@ -193,10 +202,7 @@ LATE_LABEL = nominal_set(["x0", "x1"], [
 def test_repeated_rows_grow_and_score_as_the_oracle(ts, mode, min_leaf):
     assert json.dumps(model_to_json(grow(ts, mode, min_leaf))) == \
         json.dumps(model_to_json(oracles.grow_tree(ts, mode, min_leaf)))
-    score = information_gain if mode == INFO_GAIN else gain_ratio
-    for name, values in zip(ts.attribute_names, ts.columns):
-        assert score(ts, name) == \
-            oracles._split_score(mode, values, ts.labels)
+    assert_scores_as_the_oracle(ts, mode)
 
 
 @PROPERTY
