@@ -158,20 +158,16 @@ class CellularKnowledgeBase:
     def _watches(self) -> list[list[tuple]]:
         """Per fact, the rules waiting on it as (premise, further premises,
         conclusion): the rule's other premises, or the fact itself if none.
-        A rule waits on its premises that some rule concludes, if any."""
+        A rule waits on the premises some rule concludes, else on its first."""
         at = self._fact_indices.__getitem__
         concludes = [at(rule.conclusion) for rule in self.rules]
         derived, watches = set(concludes), [[] for _ in self.facts]
         for rule, c in zip(self.rules, concludes):
-            w, *others = map(at, rule.premises)
-            if derived.isdisjoint(others):  # the first premise is the watch
-                watches[w].append((others.pop() if others else w, others or (), c))
-                continue
-            premises = [w, *others]
-            for w in derived.intersection(premises):
+            premises = list(map(at, rule.premises))
+            for w in derived.intersection(premises) or premises[:1]:
                 others = premises.copy()
                 others.remove(w)
-                watches[w].append((others.pop(), others or (), c))
+                watches[w].append((others.pop() if others else w, others or (), c))
         return watches
 
     @cached_property

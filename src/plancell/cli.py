@@ -22,11 +22,11 @@ from . import blocksworld
 from .casi import (classify_casi, compile_tree, format_fact_table,
                    format_incidence, format_rule_table, kb_from_json,
                    kb_to_json)
-from .dataset import NUMERIC, class_distribution, load_csv, save_csv
+from .dataset import NUMERIC, UNKNOWN, class_distribution, load_csv, save_csv
 from .discretize import MODES, DiscretizationMap, apply_map, fit_map
 from .errors import DataError, LimitError, ModelError
-from .evaluation import (ENGINES, UNKNOWN, cross_validate, evaluate_grid,
-                         label_cases, report, report_csv)
+from .evaluation import (ENGINES, cross_validate, evaluate_grid, label_cases,
+                         report, report_csv)
 from .plans import DEFAULT_MAX_PLANS, enumerate_plans, first_plan
 from .project import parse_project
 from .tree import (J48, REPTREE, classify_tree, induce, model_from_json,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import random
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -23,6 +24,7 @@ from .errors import DataError
 NOMINAL = "nominal"
 NUMERIC = "numeric"
 CLASS_ATTRIBUTE = "class"
+UNKNOWN = "?"  # the answer for a case no classifier can place, never a class
 
 
 @dataclass(frozen=True)
@@ -264,15 +266,20 @@ def class_distribution(ts: TrainingSet) -> dict[str, int]:
     return dict(Counter(ts.labels))
 
 
-def class_members(ts: TrainingSet) -> dict[str, list[int]]:
-    """Instance indices per class, in ``ts.classes`` and index order (one pass)."""
+def shuffled_classes(ts: TrainingSet, seed: int) -> list[list[int]]:
+    """Each class's instance indices, in ``ts.classes`` order, each list
+    shuffled in that order by one ``random.Random(seed)``; DataError for an
+    instance whose label is not one of the classes."""
     members: dict[str, list[int]] = {label: [] for label in ts.classes}
     for i, label in enumerate(ts.labels):
         if label not in members:
             raise DataError(f"instance {i} has label {label!r}, "
                             f"which is not one of the classes")
         members[label].append(i)
-    return members
+    rng = random.Random(seed)
+    for indices in members.values():
+        rng.shuffle(indices)
+    return list(members.values())
 
 
 def subset(ts: TrainingSet, indices: list[int]) -> TrainingSet:

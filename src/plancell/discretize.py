@@ -25,7 +25,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .dataset import (NOMINAL, NUMERIC, AttributeSpec, TrainingSet,
+from .dataset import (NOMINAL, NUMERIC, UNKNOWN, AttributeSpec, TrainingSet,
                       is_finite_number, is_number)
 from .errors import DataError, ModelIntegrityError
 
@@ -62,8 +62,6 @@ class DiscretizationMap:
         bin labels included, passes through, so encoding twice changes
         nothing and a NaN matches no branch.
         """
-        if isinstance(value, str):  # an encoded or nominal value: the common case
-            return value
         if attribute in self.cuts and is_number(value) and value == value:
             return self._bins[attribute][0][bisect_left(self.cuts[attribute], value)]
         return value
@@ -94,11 +92,11 @@ class DiscretizationMap:
 class Schema:
     """A model's attributes, classes and cut points, checked together.
 
-    Attribute names are unique and classes are strings. The map cuts only
-    attributes of the schema, and each attribute it cuts is nominal with
-    domain exactly the bin labels ``apply_map`` writes for it, b0, b1, ...
-    in order, so a model bins a case as its training data was binned.
-    DataError otherwise.
+    Attribute names are unique and classes are strings other than
+    ``UNKNOWN``. The map cuts only attributes of the schema, and each
+    attribute it cuts is nominal with domain exactly the bin labels
+    ``apply_map`` writes for it, b0, b1, ... in order, so a model bins a
+    case as its training data was binned. DataError otherwise.
     """
 
     attributes: tuple[AttributeSpec, ...]
@@ -111,6 +109,8 @@ class Schema:
         for label in self.classes:
             if not isinstance(label, str):
                 raise DataError(f"class {label!r} is not a string")
+            if label == UNKNOWN:
+                raise DataError(f"class {UNKNOWN!r} marks an unplaceable case")
         dmap = self.discretization
         for name, (bins, _) in dmap._bins.items() if dmap is not None else ():
             if name not in self.index:

@@ -12,16 +12,15 @@ encoded case once (``label_cases``); the counts still cover every case.
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 
 from .casi import classify_casi, compile_tree
-from .dataset import NUMERIC, TrainingSet, class_members, subset
+from .dataset import NUMERIC, UNKNOWN, TrainingSet, shuffled_classes, subset
 from .discretize import MODES, apply_map, fit_map
 from .errors import DataError, PlancellError, UnknownValueError
 from .knn import classify_knn, fit_knn
@@ -29,8 +28,6 @@ from .tree import J48, REPTREE, classify_tree, induce, majority_label
 
 METHODS = (J48, REPTREE, "knn", "majority")
 ENGINES = ("tree", "casi")
-
-UNKNOWN = "?"
 
 
 @dataclass(frozen=True)
@@ -58,14 +55,9 @@ def make_folds(ts: TrainingSet, folds: int = 10, seed: int = 0) -> FoldPlan:
         raise DataError(f"need at least 2 folds, got {folds}")
     if len(ts) < folds:
         raise DataError(f"{len(ts)} instances cannot fill {folds} folds")
-    rng = random.Random(seed)
     assignment = [0] * len(ts)
-    pointer = 0
-    for members in class_members(ts).values():
-        rng.shuffle(members)
-        for m in members:
-            assignment[m] = pointer % folds
-            pointer += 1
+    for pointer, m in enumerate(chain.from_iterable(shuffled_classes(ts, seed))):
+        assignment[m] = pointer % folds
     return FoldPlan(tuple(assignment), folds, seed)
 
 
@@ -129,7 +121,8 @@ def _fit_predictor(method: str, fitted: TrainingSet, engine: str,
 
 
 def _check(ts: TrainingSet, method: str, mode: str, engine: str) -> None:
-    """Refuse a cell whose method, mode or engine is unknown, or a tree
+    """Refuse a cell whose method, mode or engine is unknown, a set with the
+    class ``UNKNOWN``, which kNN and majority would never refuse, or a tree
     method on raw numeric values."""
     if method not in METHODS:
         raise DataError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -137,6 +130,8 @@ def _check(ts: TrainingSet, method: str, mode: str, engine: str) -> None:
         raise DataError(f"unknown mode {mode!r}; expected one of {MODES}")
     if engine not in ENGINES:
         raise DataError(f"unknown engine {engine!r}; expected one of {ENGINES}")
+    if UNKNOWN in ts.classes:
+        raise DataError(f"class {UNKNOWN!r} marks an unplaceable case")
     has_numeric = any(s.kind == NUMERIC for s in ts.attributes)
     if mode == "none" and has_numeric and method in (J48, REPTREE):
         raise DataError(f"method {method!r} needs discretized data; "

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from graphlib import TopologicalSorter
 
 from .errors import DataError, LimitError
 from .project import ProjectGraph
@@ -73,8 +72,7 @@ def _solutions(graph: ProjectGraph):
     order; only a task with two or more groups stacks partial solutions.
     The graph has no cycle or unknown task, so every choice linearizes.
     """
-    order = TopologicalSorter({t: graph.predecessors(t) for t in graph.tasks})
-    rank = {task: i for i, task in enumerate(order.static_order())}
+    rank = graph.rank
     stack = [({}, {graph.exit})]
     while stack:
         chosen, pending = stack.pop()

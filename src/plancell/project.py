@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
 from types import MappingProxyType
 
@@ -55,6 +56,20 @@ class ProjectGraph:
     def predecessors(self, task_id: str) -> set[str]:
         """Union of all tasks referenced by any precondition group."""
         return {t for group in self.tasks[task_id].preconditions for t in group}
+
+    @cached_property
+    def rank(self) -> dict[str, int]:
+        """Each task's place in a topological order of the union precedence
+        relation, predecessors first, the same under every hash seed;
+        CycleError on a cycle. The constructor's cycle check caches it."""
+        # Edges run task -> predecessor, so graphlib reports a cycle as x <- y <- x.
+        sorter = TopologicalSorter()
+        for tid in self.tasks:
+            sorter.add(tid)
+            for pred in sorted(self.predecessors(tid)):
+                if pred in self.tasks:
+                    sorter.add(pred, tid)
+        return {task: i for i, task in enumerate(reversed([*sorter.static_order()]))}
 
 
 def parse_project(text: str) -> ProjectGraph:
@@ -136,22 +151,10 @@ def _violations(graph: ProjectGraph) -> list[str]:
         if task.id != graph.entry and not task.preconditions:
             violations.append(f"task {task.id!r} has no preconditions but is not the entry")
 
-    violations.extend(_find_cycle(graph))
-    return violations
-
-
-def _find_cycle(graph: ProjectGraph) -> list[str]:
-    """Report one cycle of the union precedence relation, if it has one."""
-    # Edges run task -> predecessor, so graphlib reports a cycle as x <- y <- x.
-    sorter = TopologicalSorter()
-    for tid in graph.tasks:
-        sorter.add(tid)
-        for pred in sorted(graph.predecessors(tid)):
-            if pred in graph.tasks:
-                sorter.add(pred, tid)
     try:
-        sorter.prepare()
+        graph.rank
     except CycleError as exc:
         cycle = exc.args[1]
-        return [f"task {cycle[0]!r} is reachable from itself: " + " <- ".join(cycle)]
-    return []
+        violations.append(
+            f"task {cycle[0]!r} is reachable from itself: " + " <- ".join(cycle))
+    return violations

@@ -9,13 +9,12 @@ breadth-first, so the root is always s0. Trees classify by walking splits;
 
 from __future__ import annotations
 
-import random
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from math import log2
 
-from .dataset import NOMINAL, TrainingSet, case_values, class_members
+from .dataset import NOMINAL, TrainingSet, case_values, shuffled_classes
 from .discretize import DiscretizationMap, Schema, entropy
 from .errors import DataError, ModelIntegrityError, UnknownValueError
 
@@ -320,11 +319,9 @@ REPTREE = "reptree"
 
 def _stratified_thirds(ts: TrainingSet, seed: int) -> tuple[list[int], list[int]]:
     """Per-class seeded shuffle; every third instance goes to the prune side."""
-    rng = random.Random(seed)
     grow_idx: list[int] = []
     prune_idx: list[int] = []
-    for members in class_members(ts).values():
-        rng.shuffle(members)
+    for members in shuffled_classes(ts, seed):
         take = len(members) // 3
         prune_idx.extend(members[:take])
         grow_idx.extend(members[take:])

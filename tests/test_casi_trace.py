@@ -11,6 +11,7 @@ is the dense assessment and execution passes applied to its predecessor;
 
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -106,6 +107,25 @@ def test_each_generation_is_the_dense_passes_of_its_predecessor(drawn):
         executed = oracles.casi_delta_rule(kb, assessed)
         assert np.array_equal(executed.EF, succ.EF)
         assert np.array_equal(executed.SR, succ.SR)
+
+
+@given(wirings())
+@PROPERTY
+def test_each_rule_waits_on_its_concluded_premises_or_its_first(drawn):
+    # a premise no rule concludes can only be a seed, so only a rule none
+    # of whose premises is concluded needs a watch of its own: its first
+    kb, _ = drawn
+    concluded = {rule.conclusion for rule in kb.rules}
+    want = Counter()
+    for rule in kb.rules:
+        watched = {p for p in rule.premises if p in concluded}
+        for w in watched or {rule.premises[0]}:
+            want[w, frozenset(rule.premises), rule.conclusion] += 1
+    name = kb.facts.__getitem__
+    got = Counter((name(w), frozenset(map(name, (w, other, *more))), name(c))
+                  for w, entries in enumerate(kb._watches)
+                  for other, more, c in entries)
+    assert got == want
 
 
 @st.composite

@@ -433,6 +433,33 @@ def test_unplaced_case_never_matches_its_label(engine, model_file, tmp_path,
     assert "1/2 cases match" in captured.err
 
 
+def test_a_class_named_like_an_unplaced_case_is_refused(tmp_path, capsys):
+    # classify writes "?" for a case it cannot place, so no class may be "?";
+    # a case file may still record "?" as a case's label (test above)
+    corpus = tmp_path / "question.csv"
+    corpus.write_text("x:nominal,class:nominal\na,?\na,?\nb,P\nb,P\n")
+    refused = "plancell: class '?' marks an unplaceable case\n"
+    for argv in (["train", "--min-leaf", "1", "--out", str(tmp_path / "m.json")],
+                 ["eval", "--methods", "knn"], ["knn"]):
+        assert run(argv + ["--in", str(corpus)]) == 3
+        assert capsys.readouterr().err == refused
+    # the same model and rule base with a class renamed to "?" do not load
+    corpus.write_text(corpus.read_text().replace("?", "Q"))
+    model, kb = tmp_path / "m.json", tmp_path / "kb.json"
+    assert run(["train", "--min-leaf", "1", "--in", str(corpus),
+                "--out", str(model)]) == 0
+    assert run(["casi-dump", "--model", str(model), "--out", str(kb)]) == 0
+    capsys.readouterr()
+    for path in (model, kb):
+        path.write_text(path.read_text().replace('"Q"', '"?"')
+                        .replace('class=Q"', 'class=?"'))
+    for argv in (["classify", "--in", str(corpus), "--model", str(model)],
+                 ["classify", "--casi", "--in", str(corpus), "--model", str(model)],
+                 ["casi-dump", "--model", str(model)],
+                 ["casi-dump", "--model", str(kb)]):
+        _assert_model_error(argv, capsys)
+
+
 @pytest.mark.parametrize("engine", ["classify_tree", "classify_casi"])
 def test_classify_integrity_fault_exits_4(model_file, runs_file, capsys,
                                           monkeypatch, engine):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import plancell.evaluation as evaluation
 from plancell.blocksworld import (corpus_training_set, generate_corpus,
                                   generate_runs)
-from plancell.dataset import build_training_set, class_members, subset
+from plancell.dataset import build_training_set, shuffled_classes, subset
 from plancell.discretize import apply_map, fit_map
 from plancell.errors import DataError
 from plancell.evaluation import (ENGINES, METHODS, EvalReport, cross_validate,
@@ -47,11 +47,25 @@ def test_a_label_outside_the_classes_is_refused_not_dropped():
     stray = replace(ts, columns=(ts.columns[0] + ("v0",),),
                     labels=ts.labels + ("C",))
     with pytest.raises(DataError, match="instance 12 has label 'C'"):
-        class_members(stray)
+        shuffled_classes(stray, 0)
     with pytest.raises(DataError, match="instance 12 has label 'C'"):
         make_folds(stray, folds=2)
     with pytest.raises(DataError, match="instance 12 has label 'C'"):
         _stratified_thirds(stray, 0)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_a_class_named_like_an_unplaced_case_is_refused(method):
+    # kNN and majority build no Schema, so the grid's own check refuses it;
+    # a confusion ('?', '?', n) would hide n unplaceable cases
+    ts = build_training_set([("x", "nominal")],
+                            [("a", "?"), ("a", "?"), ("b", "P"), ("b", "P")])
+    assert evaluation.UNKNOWN == "?"
+    for cell in (lambda: cross_validate(ts, method, "none", folds=2),
+                 lambda: evaluate_grid(ts, [method, "majority"], ["none"],
+                                       folds=2)):
+        with pytest.raises(DataError, match=r"class '\?' marks an unplaceable"):
+            cell()
 
 
 def test_fold_sizes_eleven_over_ten(runs11):

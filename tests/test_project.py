@@ -1,9 +1,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings
 
 from plancell import enumerate_plans, parse_project
 from plancell.project import ProjectGraph, ProjectParseError, Task
+from test_plans import graph_of, layered_graph, task_maps
 
 
 def doc(tasks, entry="t0", exit="t9"):
@@ -161,3 +163,24 @@ def test_tasks_of_a_built_graph_cannot_change(fire):
 def test_valid_chain_parses():
     graph = parse_project(doc(chain("t0", "t5", "t9")))
     assert list(graph.tasks) == ["t0", "t5", "t9"]
+
+
+def assert_ranked(graph):
+    """``rank`` numbers every task once and puts each after its predecessors."""
+    rank = graph.rank
+    assert rank.keys() == graph.tasks.keys()
+    assert sorted(rank.values()) == list(range(len(graph.tasks)))
+    for tid in graph.tasks:
+        assert all(rank[pred] < rank[tid] for pred in graph.predecessors(tid))
+
+
+@pytest.mark.parametrize("widths", [(2, 3, 3, 4), (1,), (4, 1, 2)])
+def test_rank_puts_predecessors_first(fire, widths):
+    assert_ranked(fire)
+    assert_ranked(layered_graph(widths))
+
+
+@given(task_maps(wild=False).map(graph_of))
+@settings(max_examples=150, deadline=None)
+def test_rank_of_hand_built_graphs_puts_predecessors_first(graph):
+    assert_ranked(graph)
