@@ -11,7 +11,7 @@ from plancell import cross_validate, evaluate_grid, generate_corpus, report
 
 start = time.perf_counter()
 ts = generate_corpus(sizes=[4, 5, 6, 7], per_size=50, seed=11)
-print(f"corpus: {len(ts.instances)} instances, "
+print(f"corpus: {len(ts)} instances, "
       f"{len(ts.classes)} plan classes "
       f"({time.perf_counter() - start:.2f}s to generate)")
 print()

@@ -26,6 +26,5 @@ ts = corpus_training_set(runs)
 print("training set columns:",
       ", ".join(f"{a.name} ({a.kind})" for a in ts.attributes))
 print("first rows:")
-for inst in ts.instances[:5]:
-    problem, cpu, steps = inst.values
-    print(f"  {problem}  time={cpu:.6f}  steps={steps:.0f}  -> {inst.label}")
+for (problem, cpu, steps), label in zip(ts.rows[:5], ts.labels):
+    print(f"  {problem}  time={cpu:.6f}  steps={steps:.0f}  -> {label}")

@@ -44,6 +44,6 @@ def show(node, indent="  "):
 show(tree.root)
 print()
 
-hits = sum(classify_tree(tree, inst)[0] == inst.label
-           for inst in cooked.instances)
-print(f"training accuracy: {hits}/{len(cooked.instances)}")
+hits = sum(classify_tree(tree, row)[0] == label
+           for row, label in zip(cooked.rows, cooked.labels))
+print(f"training accuracy: {hits}/{len(cooked)}")

@@ -180,6 +180,18 @@ def test_bw_gen_reruns_identically_except_time(tmp_path, capsys):
     assert stable(a) == stable(b)
 
 
+def test_bw_gen_solves_by_breadth_first_search(tmp_path, capsys):
+    out = tmp_path / "bfs.csv"
+    assert run(["bw-gen", "--method", "bfs", "--sizes", "3,4", "--per-size", "4",
+                "--seed", "1", "--out", str(out)]) == 0
+    assert capsys.readouterr() == (
+        f"wrote 8 instances (7 plan classes) to {out}\n", "")
+    ts = load_csv(out.read_text())
+    assert ts.columns[0] == ("blocks-3",) * 4 + ("blocks-4",) * 4
+    assert ts.columns[2] == (0.0, 2.0, 4.0, 2.0, 4.0, 6.0, 6.0, 6.0)
+    assert ts.labels == ("P1", "P2", "P3", "P2", "P4", "P5", "P6", "P7")
+
+
 def test_dataset_info(runs_file, capsys):
     assert run(["dataset-info", "--in", runs_file]) == 0
     out = capsys.readouterr().out
@@ -399,6 +411,31 @@ def test_classify_prints_unknown_values_as_question_marks(model_file,
     assert capsys.readouterr().out.splitlines()[1] == "0,P1,?"
 
 
+def test_unseen_and_out_of_range_values_by_tree_casi_and_fallback(tmp_path,
+                                                                capsys):
+    # both engines bin only values that are not strings: a row with an unseen
+    # nominal value is "?" by tree and CASI alike, numbers beyond the training
+    # range land in the end bins, and the majority fallback labels every row
+    train, cases, model = (tmp_path / n for n in ("mixed.csv", "odd.csv",
+                                                  "mixed.json"))
+    train.write_text("problem:nominal,steps:numeric,class:nominal\n"
+                     "a,1,P1\na,2,P1\na,8,P2\na,9,P2\n"
+                     "b,1,P3\nb,2,P3\nb,8,P3\nb,9,P3\n")
+    cases.write_text("problem:nominal,steps:numeric,class:nominal\n"
+                     "a,1,P1\na,9,P2\nb,2,P3\nc,1,P1\na,1000,P2\na,-50,P1\n")
+    assert run(["train", "--in", str(train), "--min-leaf", "1", "--discretize",
+                "unsupervised", "--bins", "2", "--out", str(model)]) == 0
+    capsys.readouterr()
+    predictions = ("index,actual,predicted\n0,P1,P1\n1,P2,P2\n2,P3,P3\n"
+                   "3,P1,{}\n4,P2,P2\n5,P1,P1\n")
+    for engine, unseen in (([], "?"), (["--casi"], "?"),
+                           (["--fallback-majority"], "P3")):
+        assert run(["classify", "--model", str(model), "--in", str(cases)]
+                   + engine) == 0
+        assert capsys.readouterr() == (
+            predictions.format(unseen), "5/6 cases match their recorded labels\n")
+
+
 def test_classify_fallback_majority_places_unknown_values(model_file, tmp_path,
                                                          capsys):
     cases = tmp_path / "unseen.csv"
@@ -533,6 +570,8 @@ MODEL_FAULTS = {
     "split without children": _put("nodes", 0, "children", drop=True),
     "leaf with children": _put("nodes", 3, "children", value={"b0": "s4"}),
     "node id spelling a fact": _rename_nodes({"s2": "problem=blocks-9"}),
+    "node id spelling an unseen value's fact": _rename_nodes(
+        {"s1": "problem=ghost"}),
     "node ids out of breadth-first order": _rename_nodes({"s1": "s2", "s2": "s1"}),
     "list discretization": _put("discretization", value=[[8.0, 11.0]]),
     "scalar cut list": _put("discretization", "steps", value=8.0),
@@ -723,12 +762,13 @@ def test_casi_dump_prints_layers(model_file, capsys):
 def test_casi_dump_round_trips_through_kb_file(model_file, tmp_path, capsys):
     kb_path = tmp_path / "kb.json"
     assert run(["casi-dump", "--model", model_file, "--out", str(kb_path)]) == 0
-    capsys.readouterr()
+    from_tree = capsys.readouterr().out
     kb = kb_from_json(json.loads(kb_path.read_text()))
     assert kb.fact_count == 24
-    # the dump command accepts its own output as a model
+    # the dump command accepts its own output as a model, and prints the same
     assert run(["casi-dump", "--model", str(kb_path)]) == 0
-    assert "facts: 24  rules: 20" in capsys.readouterr().out
+    assert capsys.readouterr().out == from_tree
+    assert "facts: 24  rules: 20" in from_tree
 
 
 def test_knn_subcommand(runs_file, capsys):
@@ -736,6 +776,27 @@ def test_knn_subcommand(runs_file, capsys):
     out = capsys.readouterr().out
     assert out.startswith("knn (k=1, none, 10-fold):")
     assert "/11" in out
+
+
+WIDE = ("x:numeric,y:nominal,class:nominal\n"
+        + "-1e308,a,LOW\n1e308,a,HIGH\n0.0,b,MID\n" * 4)
+TINY = "x:numeric,class:nominal\n" + "0.0,A\n1e-300,B\n" * 5 + "1e10,C\n"
+
+
+@pytest.mark.parametrize("corpus,k,score", [
+    (WIDE, 1, "100.00% (12/12)"), (WIDE, 3, "100.00% (12/12)"),
+    (TINY, 1, "36.36% (4/11)"), (TINY, 3, "27.27% (3/11)"),
+], ids=["wide, k 1", "wide, k 3", "tiny, k 1", "tiny, k 3"])
+def test_knn_over_values_at_the_float_range_ends(corpus, k, score, tmp_path,
+                                                 capsys):
+    # the span 1e308 - -1e308 overflows; kNN takes it, and any difference that
+    # would overflow, between halves, so no distance is NaN. Over the span
+    # 1e-300 the query 1e10 puts every row at +inf, as the scalar reference
+    # does: the rows tie in training order. numpy warns on neither corpus.
+    path = tmp_path / "corpus.csv"
+    path.write_text(corpus)
+    assert run(["knn", "--in", str(path), "--k", str(k)]) == 0
+    assert capsys.readouterr() == (f"knn (k={k}, none, 10-fold): {score}\n", "")
 
 
 def test_knn_rejects_bad_cv_spec(runs_file, capsys):

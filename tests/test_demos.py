@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+import plancell
+
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
@@ -17,9 +19,11 @@ def test_demos_are_found():
 
 
 def run_python(args, cwd):
-    src = str(ROOT / "src")
+    """Run ``python args`` in ``cwd`` against the plancell this test process
+    imported: the checkout's ``src/``, or site-packages when installed."""
+    home = str(Path(plancell.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    env = dict(os.environ, PYTHONPATH=home + (os.pathsep + path if path else ""))
     return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
 

@@ -23,3 +23,14 @@ def test_cli_step_reproduces_golden_bytes(step, produced):
     assert sorted(got) == sorted(want)
     for name in want:
         assert got[name].decode() == want[name].decode(), name
+
+
+@pytest.mark.parametrize("tree,casi", [
+    ("classify-j48", "classify-j48-casi"),
+    ("classify-reptree", "classify-reptree-casi"),
+    ("classify-bfs", "classify-bfs-casi"),
+    ("eval-tree", "eval-casi"),
+])
+def test_casi_steps_give_the_tree_steps_bytes(tree, casi, produced):
+    # the exit code, stdout, stderr and written file; only the file's name differs
+    assert sorted(produced[tree].values()) == sorted(produced[casi].values())
