@@ -15,9 +15,8 @@ from .casi import (CellularKnowledgeBase, ClassificationRule, Configuration,
                    classify_casi, compile_tree, established_facts,
                    format_fact_table, format_incidence, format_rule_table,
                    infer, instance_facts, kb_from_json, kb_to_json)
-from .dataset import (AttributeSpec, Instance, TrainingSet,
-                      build_training_set, class_distribution, load_csv,
-                      save_csv, subset)
+from .dataset import (AttributeSpec, TrainingSet, build_training_set,
+                      class_distribution, load_csv, save_csv, subset)
 from .discretize import (DiscretizationMap, Schema, apply_map,
                          discretize_supervised, discretize_unsupervised,
                          entropy, fit_map)
@@ -40,7 +39,7 @@ __all__ = [
     "Action", "AttributeSpec", "BlockState", "CellularKnowledgeBase",
     "ClassificationRule", "Configuration", "CorpusRun", "DataError",
     "DiscretizationMap", "EvalReport", "FoldPlan", "InapplicableActionError",
-    "InductionGraph", "Instance", "KnnModel", "LimitError", "ModelError",
+    "InductionGraph", "KnnModel", "LimitError", "ModelError",
     "ModelIntegrityError", "Plan", "PlanEnumeration", "PlancellError",
     "ProjectGraph", "ProjectParseError", "Schema", "SolveResult", "Task",
     "TrainingSet", "TreeNode", "UnknownValueError", "all_on_table", "apply",

@@ -183,16 +183,15 @@ def apply(state: BlockState, action: Action) -> BlockState:
 def validate_plan(initial: BlockState, plan, goal) -> tuple[bool, str | None]:
     """Replay a plan; (True, None) iff every step applies and the goal holds.
 
-    ``plan`` is a sequence of action strings or Action objects, such as
-    ``solve(...).plan``. As in ``solve`` and before any step is replayed,
-    a goal no state satisfies raises UnsolvableGoalError.
+    ``plan`` is a sequence of action strings, such as ``solve(...).plan``.
+    As in ``solve`` and before any step is replayed, a goal no state
+    satisfies raises UnsolvableGoalError.
     """
     target = _read_goal(initial.names, goal)
     state = initial
     for i, step in enumerate(plan):
-        action = step if isinstance(step, Action) else Action.parse(step)
         try:
-            state = apply(state, action)
+            state = apply(state, Action.parse(step))
         except InapplicableActionError as exc:
             return False, f"step {i + 1} inapplicable: {exc}"
     for atom in goal:

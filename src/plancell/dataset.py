@@ -1,10 +1,10 @@
 """Training-set data model and CSV I/O.
 
 A training set is stored by column: one tuple of values per descriptive
-attribute plus one tuple of class labels, every reader's layout. The rows
-(``rows``, and ``instances`` with their labels) are views built on first
-read. Attributes are either nominal or numeric; the class column is always
-the last one and is named ``class``. Missing cells are a hard parse error.
+attribute plus one tuple of class labels, every reader's layout. A case is
+a value sequence; ``rows``, one per row, is a view built on first read.
+Attributes are either nominal or numeric; the class column is always the
+last one and is named ``class``. Missing cells are a hard parse error.
 """
 
 from __future__ import annotations
@@ -65,7 +65,8 @@ class AttributeSpec:
 
 @dataclass(frozen=True)
 class Instance:
-    """One labelled case: a value per attribute plus its class."""
+    """One labelled row of ``TrainingSet.instances``, kept for the benchmark
+    only: no engine reads one, as a case is a value sequence."""
 
     values: tuple
     label: str
@@ -101,7 +102,8 @@ class TrainingSet:
 
     @cached_property
     def instances(self) -> tuple[Instance, ...]:
-        """The rows, one Instance each, built on first read."""
+        """The rows, one Instance each: the benchmark's view, built on
+        first read; nothing in this package reads it."""
         return tuple(map(Instance, self.rows, self.labels))
 
     @property
@@ -119,9 +121,9 @@ class TrainingSet:
 
 
 def case_values(case, width: int) -> tuple:
-    """The values of an Instance or a plain value sequence, as a tuple;
-    DataError unless there are ``width`` of them, one per attribute."""
-    values = case.values if isinstance(case, Instance) else tuple(case)
+    """The values of a case, a value sequence, as a tuple; DataError unless
+    there are ``width`` of them, one per attribute."""
+    values = tuple(case)
     if len(values) != width:
         raise DataError(
             f"case has {len(values)} values, the schema width is {width}")

@@ -10,10 +10,9 @@ first inside a wave, all waves found in one pass over a topological order.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
-from .errors import DataError, LimitError
+from .errors import DataError
 from .project import ProjectGraph
 
 DEFAULT_MAX_PLANS = 10_000
@@ -96,8 +95,7 @@ def _linearize(chosen: dict[str, frozenset[str]],
     ``chosen`` maps each task of the solution to its chosen precondition
     group (empty for the entry); ``_solutions`` builds only maps that are
     closed and acyclic. ``rank`` is a topological order of the graph, so
-    one pass over the tasks in rank order finds every wave. Raises
-    LimitError if a precedence chain is as deep as the recursion limit.
+    one pass over the tasks in rank order finds every wave.
     """
     wave: dict[str, int] = {}
     for task in sorted(chosen, key=rank.__getitem__):
@@ -106,7 +104,4 @@ def _linearize(chosen: dict[str, frozenset[str]],
             if wave[pred] >= level:
                 level = wave[pred] + 1
         wave[task] = level
-    if max(wave.values()) >= sys.getrecursionlimit():
-        raise LimitError(f"a precedence chain is deeper than the recursion "
-                         f"limit ({sys.getrecursionlimit()})")
     return tuple(sorted(sorted(chosen), key=wave.__getitem__))

@@ -240,13 +240,13 @@ def classify_tree(tree: InductionGraph, instance,
                   fallback: bool = False) -> tuple[str, tuple[str, ...]]:
     """Walk the splits; return (class, visited node ids).
 
-    ``instance`` is an Instance or a plain value sequence over the tree's
-    schema, raw or encoded: each tested value that is not a string goes
-    through the tree's map, if it has one, and is looked up once. A string
-    (a bin label or a nominal value) is looked up as it is. A value without
-    a branch, an unhashable one included, raises UnknownValueError naming
-    the value as given, unless ``fallback`` routes it to the current node's
-    majority class.
+    ``instance`` is a value sequence over the tree's schema, raw or
+    encoded: each tested value that is not a string goes through the
+    tree's map, if it has one, and is looked up once. A string (a bin label
+    or a nominal value) is looked up as it is. A value without a branch, an
+    unhashable one included, raises UnknownValueError naming the value as
+    given, unless ``fallback`` routes it to the current node's majority
+    class.
     """
     values = case_values(instance, len(tree.schema.attributes))
     dmap, index = tree.schema.discretization, tree.schema.index

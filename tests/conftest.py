@@ -19,6 +19,6 @@ def runs11():
 def runs11_nominal(runs11):
     """The same corpus reduced to problem + steps, both nominal."""
     cols = [("problem", "nominal"), ("steps", "nominal")]
-    rows = [(inst.values[0], str(int(inst.values[2])), inst.label)
-            for inst in runs11.instances]
+    rows = [(row[0], str(int(row[2])), label)
+            for row, label in zip(runs11.rows, runs11.labels)]
     return build_training_set(cols, rows)

@@ -15,7 +15,7 @@ import numpy as np
 
 from plancell.blocksworld import Action, UnsolvableGoalError, apply
 from plancell.casi import NEVER, Configuration, classify_casi, compile_tree
-from plancell.dataset import Instance, case_values, subset
+from plancell.dataset import case_values, subset
 from plancell.discretize import Schema, apply_map, fit_map
 from plancell.errors import (DataError, LimitError, ModelIntegrityError,
                              UnknownValueError)
@@ -435,7 +435,7 @@ def scaled_difference(x, y, lo, hi):
 
 
 def knn_distance(a, b, model):
-    """Range-normalized Euclidean distance between two instances.
+    """Range-normalized Euclidean distance between two cases.
 
     The scalar reference for ``knn._distances``, which computes the same
     sums for every training row at once.
@@ -473,27 +473,27 @@ def knn_label(ts, k, query):
             total += d * d
         return math.sqrt(total)
 
-    dists = [dist(inst.values) for inst in ts.instances]
+    dists = [dist(row) for row in ts.rows]
     order = sorted(range(len(dists)), key=lambda i: dists[i])[:k]
-    votes = Counter(ts.instances[i].label for i in order)
+    votes = Counter(ts.labels[i] for i in order)
     top = max(votes.values())
     tied = [label for label, n in votes.items() if n == top]
     nearest = {label: min(dists[i] for i in order
-                          if ts.instances[i].label == label) for label in tied}
+                          if ts.labels[i] == label) for label in tied}
     return min(tied, key=lambda label: (nearest[label], label))
 
 
 def _shuffled_classes(ts, rng):
     """Each class's members, found by one scan per class, then shuffled."""
     for label in ts.classes:
-        members = [i for i, inst in enumerate(ts.instances) if inst.label == label]
+        members = [i for i, y in enumerate(ts.labels) if y == label]
         rng.shuffle(members)
         yield members
 
 
 def fold_assignment(ts, folds, seed):
     """Stratified shuffle-then-deal fold of every instance, per-class scans."""
-    assignment = [0] * len(ts.instances)
+    assignment = [0] * len(ts)
     pointer = 0
     for members in _shuffled_classes(ts, random.Random(seed)):
         for m in members:
@@ -533,17 +533,18 @@ def cv_case_by_case(ts, method, mode, seed=0, folds=10, k=1, bins=10,
             graph = induce(fitted, method, min_leaf=min_leaf, seed=seed,
                            discretization=dmap)
             classify = lambda values: classify_tree(graph, values)[0]
-        test = [inst for inst, f in zip(ts.instances, assignment) if f == fold]
+        test = [(row, actual) for row, actual, f
+                in zip(ts.rows, ts.labels, assignment) if f == fold]
         hits = 0
-        for inst in test:
+        for row, actual in test:
             try:
-                predicted = classify(inst.values)
+                predicted = classify(row)
             except UnknownValueError:
                 errors += 1
                 predicted = "?"
             else:
-                hits += predicted == inst.label
-            confusion[inst.label, predicted] += 1
+                hits += predicted == actual
+            confusion[actual, predicted] += 1
         correct += hits
         per_fold.append(100.0 * hits / len(test))
     return EvalReport(method, mode, seed, folds, len(ts), correct,
@@ -680,7 +681,7 @@ def casi_instance_facts(kb, instance):
 
 def casi_label(kb, instance):
     """Seed the root and the case's known descriptors, read the class fact."""
-    values = instance.values if isinstance(instance, Instance) else tuple(instance)
+    values = tuple(instance)
     attributes = kb.schema.attributes
     if len(values) != len(attributes):
         raise DataError(
@@ -725,7 +726,7 @@ def _renumber(root):
 def rep_prune(tree, prune_set):
     """Collapse every reached subtree that does not beat its majority leaf."""
     col = dict(zip(prune_set.attribute_names, prune_set.columns))
-    labels = [inst.label for inst in prune_set.instances]
+    labels = prune_set.labels
 
     def errors(node, idx):
         if node.is_leaf:
@@ -754,7 +755,7 @@ def rep_prune(tree, prune_set):
         return pruned
 
     return replace(tree, root=_renumber(
-        prune(tree.root, list(range(len(prune_set.instances))))))
+        prune(tree.root, list(range(len(prune_set))))))
 
 
 # Growth as first written: every attribute counts the node's labels again,
@@ -777,12 +778,12 @@ def grow_tree(ts, mode, min_leaf):
     """Breadth-first best-attribute growth, scoring each attribute from
     fresh label lists; first strict maximum wins, as in ``tree.grow``."""
     columns = dict(zip(ts.attribute_names, ts.columns))
-    labels = [inst.label for inst in ts.instances]
+    labels = ts.labels
 
     def new_node(idx):
         return TreeNode("", dict(Counter(labels[i] for i in idx)))
 
-    all_idx = list(range(len(ts.instances)))
+    all_idx = list(range(len(ts)))
     root = new_node(all_idx)
     queue = deque([(root, all_idx, tuple(ts.attribute_names))])
     while queue:

@@ -97,8 +97,8 @@ def test_unpruned_tree_reproduces_its_training_data(runs11):
     dmap = discretize_supervised(runs11)
     cooked = apply_map(dmap, runs11)
     tree = grow(cooked, INFO_GAIN, min_leaf=1)
-    hits = sum(classify_tree(tree, inst)[0] == inst.label
-               for inst in cooked.instances)
+    hits = sum(classify_tree(tree, row)[0] == label
+               for row, label in zip(cooked.rows, cooked.labels))
     assert hits == 11
     print(f"PASS training-accuracy identity: {hits}/11 on the solved-runs "
           f"corpus ({tree.node_count} nodes)")
@@ -170,7 +170,7 @@ def test_cross_validation_integrity(runs11):
     for ts in (runs11, corpus):
         plan = make_folds(ts, 10, seed=0)
         seen = sorted(i for fold in range(10) for i in plan.test_indices(fold))
-        assert seen == list(range(len(ts.instances)))
+        assert seen == list(range(len(ts)))
 
     rates = []
     for seed in (0, 3, 17):
@@ -186,7 +186,7 @@ def test_cross_validation_integrity(runs11):
 def test_generated_corpus_benchmark_grid():
     start = time.perf_counter()
     ts = generate_corpus([4, 5, 6, 7], 50, seed=11)
-    assert len(ts.instances) == 200
+    assert len(ts) == 200
 
     baseline = cross_validate(ts, "majority", "supervised", seed=0).rate
     results = evaluate_grid(ts, ["j48", "reptree", "knn"],

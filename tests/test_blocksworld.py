@@ -422,14 +422,14 @@ def test_corpus_schema():
     assert ts.attribute_names == ("problem", "time", "steps")
     assert [a.kind for a in ts.attributes] == ["nominal", "numeric", "numeric"]
     assert len(ts) == 5
-    for inst in ts.instances:
-        assert inst.values[0] == "blocks-4"
-        assert inst.values[2] == float(int(inst.values[2]))
+    for row in ts.rows:
+        assert row[0] == "blocks-4"
+        assert row[2] == float(int(row[2]))
 
 
 def test_corpus_steps_column_matches_plan_length():
     runs = generate_runs([4, 5], 8, seed=2)
     ts = corpus_training_set(runs)
-    for run, inst in zip(runs, ts.instances):
-        assert inst.values[2] == float(len(run.plan))
-        assert inst.label == run.label
+    for run, row, label in zip(runs, ts.rows, ts.labels):
+        assert row[2] == float(len(run.plan))
+        assert label == run.label

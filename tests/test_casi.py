@@ -248,10 +248,10 @@ def test_inference_length_tracks_tree_depth(depth):
 
 def test_classification_matches_tree_on_training_data(runs_model):
     tree, kb, cooked = runs_model
-    for inst in cooked.instances:
-        expected, path = classify_tree(tree, inst)
-        assert classify_casi(kb, inst) == expected == inst.label
-        final = infer(kb, [kb.facts[0]] + instance_facts(kb, inst))[-1]
+    for row, label in zip(cooked.rows, cooked.labels):
+        expected, path = classify_tree(tree, row)
+        assert classify_casi(kb, row) == expected == label
+        final = infer(kb, [kb.facts[0]] + instance_facts(kb, row))[-1]
         node_facts = {f for f in facts_of(kb, final) if "=" not in f}
         assert node_facts == set(path)
 
@@ -316,7 +316,7 @@ def test_classification_runs_module_infer_once_per_case(runs_model,
                                                         monkeypatch):
     # a traced run reads generations from the calls of the module-level name
     _, kb, cooked = runs_model
-    cases = [inst.values for inst in cooked.instances]
+    cases = list(cooked.rows)
     cases += [("blocks-9", 0.5, 6.0), ("blocks-4", 0.032237, 99.0)]
     seeds = []
     real = casi.infer
@@ -536,11 +536,11 @@ def test_classify_refuses_a_base_whose_first_fact_is_not_the_root(runs_model,
     # and label 6 of the 11 runs differently from the tree walk
     _, kb, _ = runs_model
     swapped = replace(kb, facts=(kb.facts[1], kb.facts[0], *kb.facts[2:]))
-    for inst in runs11.instances:
+    for row in runs11.rows:
         with pytest.raises(ModelIntegrityError, match=re.escape(
                 "the first fact, 's1', must be the only node fact no rule "
                 "concludes; those are ['s0']")):
-            classify_casi(swapped, inst)
+            classify_casi(swapped, row)
 
 
 @pytest.mark.parametrize("old,new", [("problem=blocks-4", "problem=zzz"),

@@ -134,7 +134,7 @@ def tree_bases(draw):
     ts, dmap, cases = draw(fitted())
     _, kb = trained(ts, dmap, draw(st.sampled_from(["j48", "reptree"])),
                     draw(st.integers(0, 3)))
-    return kb, cases + [inst.values for inst in ts.instances]
+    return kb, cases + list(ts.rows)
 
 
 @given(tree_bases())

@@ -22,11 +22,11 @@ blocks-4,0.125,6,P1
 
 def test_load_basic():
     ts = load_csv(CSV)
-    assert len(ts.instances) == 3
+    assert len(ts) == 3
     assert ts.attribute_names == ("problem", "time", "steps")
     assert ts.classes == ("P1", "P2")
-    assert ts.instances[1].values == ("blocks-5", 0.25, 10.0)
-    assert ts.instances[1].label == "P2"
+    assert ts.rows[1] == ("blocks-5", 0.25, 10.0)
+    assert ts.labels[1] == "P2"
 
 
 def test_nominal_domain_first_seen_order():
@@ -193,7 +193,7 @@ def test_subset_reinfers_domains():
     assert sub.classes == ("P1",)
     assert sub.attributes[0].domain == ("blocks-4",)
     assert sub.attributes[1].domain == (0.125, 0.5)
-    assert len(sub.instances) == 2
+    assert len(sub) == 2
 
 
 def test_subset_schema_equals_building_from_its_rows():
@@ -202,7 +202,7 @@ def test_subset_schema_equals_building_from_its_rows():
     for indices in ([0], [1, 3], [4, 2, 0], [3, 1, 4, 2], list(range(5))):
         sub = subset(ts, indices)
         built = build_training_set(columns, [
-            ts.instances[i].values + (ts.instances[i].label,) for i in indices])
+            ts.rows[i] + (ts.labels[i],) for i in indices])
         assert sub == built
         # the subset holds the parent's own values
         for mine, parents in zip(sub.columns + (sub.labels,),
@@ -218,7 +218,7 @@ def test_subset_of_no_rows_is_refused():
 def test_subset_keeps_instance_order():
     ts = load_csv(CSV)
     sub = subset(ts, [2, 0])
-    assert [i.values[1] for i in sub.instances] == [0.125, 0.5]
+    assert [row[1] for row in sub.rows] == [0.125, 0.5]
 
 
 def test_training_set_checks_its_shape(runs11):
@@ -270,7 +270,7 @@ def assert_rows(ts, rows):
     assert ts.rows == tuple(tuple(r[:-1]) for r in rows)
     assert ts.instances == tuple(Instance(tuple(r[:-1]), r[-1]) for r in rows)
     for i, column in enumerate(ts.columns):
-        assert column == tuple(inst.values[i] for inst in ts.instances)
+        assert column == tuple(row[i] for row in ts.rows)
     assert all(type(column) is tuple for column in ts.columns + (ts.labels,))
 
 

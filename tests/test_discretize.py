@@ -272,10 +272,10 @@ def test_apply_map_rewrites_numeric_columns(runs11):
     assert time.domain == ("b0",)
     assert problem == runs11.attributes[0]
     assert binned.classes == runs11.classes
-    for raw, cooked in zip(runs11.instances, binned.instances):
-        assert cooked.label == raw.label
-        assert cooked.values[0] == raw.values[0]
-        assert cooked.values[2] == dmap.bin_label("steps", raw.values[2])
+    assert binned.labels == runs11.labels
+    for raw, cooked in zip(runs11.rows, binned.rows):
+        assert cooked[0] == raw[0]
+        assert cooked[2] == dmap.bin_label("steps", raw[2])
 
 
 def test_apply_map_requires_full_coverage(runs11):
@@ -289,7 +289,7 @@ def test_apply_map_bin_domain_lists_every_bin():
     dmap = DiscretizationMap({"x": (0.0, 10.0, 20.0)})
     binned = apply_map(dmap, ts)
     assert binned.attributes[0].domain == ("b0", "b1", "b2", "b3")
-    assert [inst.values[0] for inst in binned.instances] == ["b1", "b1", "b1"]
+    assert [row[0] for row in binned.rows] == ["b1", "b1", "b1"]
 
 
 def test_fit_map_dispatch(runs11):
@@ -309,7 +309,7 @@ def test_fit_map_dispatch(runs11):
 def test_mode_none_fits_no_map_and_applying_it_changes_nothing(runs11):
     assert fit_map(runs11, "none") is None
     assert apply_map(None, runs11) is runs11
-    values = runs11.instances[0].values
+    values = runs11.rows[0]
     assert encode(None, runs11.attributes, values) == values
 
 

@@ -79,9 +79,9 @@ def trained(ts, dmap, method, seed):
 def test_encode_equals_apply_map_and_is_idempotent(case):
     ts, dmap, cases = case
     binned = apply_map(dmap, ts)
-    for raw, row in zip(ts.instances, binned.instances):
-        assert encode(dmap, ts.attributes, raw.values) == row.values
-        assert encode(dmap, ts.attributes, row.values) == row.values
+    for raw, row in zip(ts.rows, binned.rows):
+        assert encode(dmap, ts.attributes, raw) == row
+        assert encode(dmap, ts.attributes, row) == row
     for raw in cases:
         once = encode(dmap, ts.attributes, raw)
         assert encode(dmap, ts.attributes, once) == once
@@ -120,14 +120,14 @@ def mixed_columns(draw):
 def test_column_binning_equals_bin_label_value_for_value(case):
     dmap, ts = case
     binned = apply_map(dmap, ts)
-    assert len(binned.instances) == len(ts.instances)
-    for raw, row in zip(ts.instances, binned.instances):
+    assert len(binned.rows) == len(ts.rows)
+    for raw, row in zip(ts.rows, binned.rows):
         expected = tuple(dmap.bin_label(spec.name, v)
-                         for spec, v in zip(ts.attributes, raw.values))
+                         for spec, v in zip(ts.attributes, raw))
         # the same object or an equal value of the same type: NaN and the
         # nominal tag pass through as they are
         assert all(a is b or (type(a) is type(b) and a == b)
-                   for a, b in zip(row.values, expected)), (row, expected)
+                   for a, b in zip(row, expected)), (row, expected)
 
 
 def test_a_cut_no_float_holds_is_refused():
@@ -158,7 +158,7 @@ def test_encode_bins_only_numbers_with_cuts(runs11):
 def test_cellular_engine_on_raw_cases_equals_tree_on_encoded(case, method, seed):
     ts, dmap, cases = case
     tree, kb = trained(ts, dmap, method, seed)
-    for raw in cases + [inst.values for inst in ts.instances]:
+    for raw in cases + list(ts.rows):
         encoded = encode(dmap, ts.attributes, raw)
         expected = outcome(lambda v: classify_tree(tree, v)[0], encoded)
         assert outcome(lambda v: classify_tree(tree, v)[0], raw) == expected
@@ -180,7 +180,7 @@ def walked(walk, tree, values, fallback):
 def test_tree_walk_equals_the_walk_as_first_written(case, method, seed):
     ts, dmap, cases = case
     tree, _ = trained(ts, dmap, method, seed)
-    rows = [inst.values for inst in ts.instances]
+    rows = list(ts.rows)
     # each training row with its nominal values unseen and its numbers one
     # training range above the maximum, as the benchmark's out-of-domain copy
     beyond = [tuple(v + (spec.domain[1] - spec.domain[0]) + 1.0
@@ -233,7 +233,7 @@ def test_model_and_rule_base_json_round_trips(case, method):
     assert json.dumps(kb_to_json(rebuilt_kb)) == json.dumps(kb_doc)
     assert json.dumps(kb_to_json(compile_tree(rebuilt))) == json.dumps(kb_doc)
 
-    for raw in cases + [inst.values for inst in ts.instances]:
+    for raw in cases + list(ts.rows):
         encoded = encode(dmap, ts.attributes, raw)
         assert outcome(lambda v: classify_tree(rebuilt, v), encoded) == \
             outcome(lambda v: classify_tree(tree, v), encoded)

@@ -80,7 +80,7 @@ def test_fold_zero_gets_the_two_three_member_leftovers(runs11):
     for seed in (0, 1, 7, 123):
         plan = make_folds(runs11, folds=10, seed=seed)
         doubled = [i for i in plan.test_indices(0)]
-        labels = sorted(runs11.instances[i].label for i in doubled)
+        labels = sorted(runs11.labels[i] for i in doubled)
         assert labels == ["P1", "P5"]
 
 
@@ -92,7 +92,7 @@ def test_even_split_when_divisible():
     sizes = Counter(plan.assignment)
     assert sorted(sizes.values()) == [2] * 5
     for fold in range(5):
-        labels = [ts.instances[i].label for i in plan.test_indices(fold)]
+        labels = [ts.labels[i] for i in plan.test_indices(fold)]
         assert sorted(labels) == ["A", "B"]
 
 
@@ -100,8 +100,7 @@ def test_per_class_fold_spread_is_at_most_one(runs11):
     plan = make_folds(runs11, folds=5, seed=2)
     for label in runs11.classes:
         counts = Counter(plan.assignment[i]
-                         for i, inst in enumerate(runs11.instances)
-                         if inst.label == label)
+                         for i, y in enumerate(runs11.labels) if y == label)
         per_fold = [counts.get(f, 0) for f in range(5)]
         assert max(per_fold) - min(per_fold) <= 1
 
@@ -213,7 +212,7 @@ def test_discretization_is_fit_per_fold(runs11, monkeypatch):
     real = evaluation.fit_map
 
     def spy(ts, mode, bins=10):
-        calls.append(len(ts.instances))
+        calls.append(len(ts))
         return real(ts, mode, bins)
 
     monkeypatch.setattr(evaluation, "fit_map", spy)
@@ -227,7 +226,7 @@ def test_global_discretization_fits_once(runs11, monkeypatch):
     real = evaluation.fit_map
 
     def spy(ts, mode, bins=10):
-        calls.append(len(ts.instances))
+        calls.append(len(ts))
         return real(ts, mode, bins)
 
     monkeypatch.setattr(evaluation, "fit_map", spy)

@@ -17,9 +17,9 @@ def runs_knn(runs11):
 
 
 def test_distance_to_self_is_zero(runs11, runs_knn):
-    for i, inst in enumerate(runs11.instances):
-        assert knn_distance(inst, inst, runs_knn) == 0.0
-        assert _distances(runs_knn, inst)[i] == 0.0
+    for i, row in enumerate(runs11.rows):
+        assert knn_distance(row, row, runs_knn) == 0.0
+        assert _distances(runs_knn, row)[i] == 0.0
 
 
 def test_single_nominal_difference_is_one(runs_knn):
@@ -30,7 +30,7 @@ def test_single_nominal_difference_is_one(runs_knn):
 
 def test_distance_between_first_and_fifth_runs(runs11, runs_knn):
     # both blocks-4 with 6 steps; only the solve time differs
-    a, b = runs11.instances[0], runs11.instances[4]
+    a, b = runs11.rows[0], runs11.rows[4]
     d = knn_distance(a, b, runs_knn)
     assert d == pytest.approx(0.000621, abs=1e-6)
     assert d == pytest.approx(0.0006209739963807624)
@@ -54,8 +54,8 @@ def test_nan_query_value_is_refused(runs11, k, at):
 
 
 def test_distance_is_symmetric(runs11, runs_knn):
-    for a in runs11.instances[:4]:
-        for b in runs11.instances[:4]:
+    for a in runs11.rows[:4]:
+        for b in runs11.rows[:4]:
             assert knn_distance(a, b, runs_knn) == knn_distance(b, a, runs_knn)
 
 
@@ -91,8 +91,8 @@ def test_k_bounds(runs11):
 
 
 def test_training_instances_classify_as_themselves(runs11, runs_knn):
-    for inst in runs11.instances:
-        assert classify_knn(runs_knn, inst) == inst.label
+    for row, label in zip(runs11.rows, runs11.labels):
+        assert classify_knn(runs_knn, row) == label
 
 
 def test_nearby_query(runs_knn):
@@ -200,7 +200,7 @@ def test_classify_knn_equals_the_scalar_oracle(problem):
         for query in queries:
             assert classify_knn(model, query) == knn_label(ts, k, query)
             assert _distances(model, query).tolist() == \
-                [knn_distance(query, inst, model) for inst in ts.instances]
+                [knn_distance(query, row, model) for row in ts.rows]
             with pytest.raises(DataError, match="width"):
                 classify_knn(model, query + query[:1])
 
@@ -235,7 +235,7 @@ def test_a_difference_beyond_the_float_range_is_halved():
     model = fit_knn(ts, k=1)
     query = (-1e308, "b")
     dists = _distances(model, query).tolist()
-    assert dists == [knn_distance(query, inst, model) for inst in ts.instances]
+    assert dists == [knn_distance(query, row, model) for row in ts.rows]
     assert dists == pytest.approx([math.sqrt(20.0 ** 2 + 1), 19.0])
     assert classify_knn(model, query) == knn_label(ts, 1, query) == "B"
     # inside the float range nothing is halved
@@ -257,8 +257,8 @@ def test_a_quotient_or_square_beyond_the_float_range_ties_at_inf(train, query):
     for k in (1, 2):
         model = fit_knn(ts, k)
         dists = _distances(model, query).tolist()
-        assert dists == [knn_distance(query, inst, model)
-                         for inst in ts.instances] == [math.inf, math.inf]
+        assert dists == [knn_distance(query, row, model)
+                         for row in ts.rows] == [math.inf, math.inf]
         assert classify_knn(model, query) == knn_label(ts, k, query) == "A"
 
 
@@ -279,8 +279,8 @@ def test_mixed_sets_store_their_distinct_rows():
 def test_unseen_nominal_value_is_distance_one_to_every_row(runs11, runs_knn):
     for problem in ("blocks-9", ["blocks-4"]):  # an unhashable value is unseen
         query = (problem, 0.1, 6.0)
-        for got, inst in zip(_distances(runs_knn, query), runs11.instances):
-            assert got == knn_distance(query, inst, runs_knn)
+        for got, row in zip(_distances(runs_knn, query), runs11.rows):
+            assert got == knn_distance(query, row, runs_knn)
             assert got >= 1.0
 
 

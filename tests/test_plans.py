@@ -1,4 +1,3 @@
-import inspect
 import json
 import math
 import random
@@ -120,13 +119,15 @@ def test_wide_solution_enumerates_without_recursing_per_task():
     assert len(plans[0].steps) == n + 2
 
 
-def test_chain_within_the_recursion_limit_enumerates():
-    # the limit is a chain depth, and this chain stays under it
-    n = sys.getrecursionlimit() - len(inspect.stack(0)) - 20
+def test_chain_beyond_the_recursion_limit_enumerates():
+    # neither the ranking nor the wave pass recurses
+    n = sys.getrecursionlimit() + 100
     tasks = [{"id": "c0000", "pre": []}]
     tasks += [{"id": f"c{i:04d}", "pre": [[f"c{i - 1:04d}"]]} for i in range(1, n)]
-    plan = first_plan(build(tasks, "c0000", f"c{n - 1:04d}"))
+    graph = build(tasks, "c0000", f"c{n - 1:04d}")
+    plan = first_plan(graph)
     assert plan.steps == tuple(t["id"] for t in tasks)
+    assert enumerate_plans(graph).plans == (plan,)
 
 
 def test_plan_rejects_empty_steps():

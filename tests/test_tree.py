@@ -169,9 +169,8 @@ def test_graph_refuses_a_code_built_fault(fault):
 
 def test_perfect_training_accuracy_with_min_leaf_one(binned):
     tree = grow(binned, INFO_GAIN, min_leaf=1)
-    for inst in binned.instances:
-        label, _ = classify_tree(tree, inst)
-        assert label == inst.label
+    for row, label in zip(binned.rows, binned.labels):
+        assert classify_tree(tree, row)[0] == label
 
 
 def test_min_leaf_blocks_best_split_without_fallback():
@@ -223,7 +222,7 @@ def test_grow_is_deterministic(binned):
 
 def test_classify_returns_root_to_leaf_path(binned):
     tree = grow(binned, INFO_GAIN, min_leaf=1)
-    label, path = classify_tree(tree, binned.instances[3])
+    label, path = classify_tree(tree, binned.rows[3])
     assert label == "P3"
     assert path[0] == "s0"
     assert len(path) == 2  # steps=b2 is pure one level down
@@ -354,13 +353,13 @@ def test_prune_requires_matching_schema(stump):
 
 def error_count(tree, ts):
     wrong = 0
-    for inst in ts.instances:
+    for row, label in zip(ts.rows, ts.labels):
         try:
-            label, _ = classify_tree(tree, inst)
+            got, _ = classify_tree(tree, row)
         except UnknownValueError:
             wrong += 1
             continue
-        if label != inst.label:
+        if got != label:
             wrong += 1
     return wrong
 
@@ -386,8 +385,8 @@ def test_induce_reptree(binned):
     assert tree.mode == INFO_GAIN
     assert [n.node_id for n in tree.nodes()] == \
         [f"s{i}" for i in range(tree.node_count)]
-    for inst in binned.instances:
-        classify_tree(tree, inst, fallback=True)
+    for row in binned.rows:
+        classify_tree(tree, row, fallback=True)
 
 
 def test_induce_is_seed_deterministic(binned):

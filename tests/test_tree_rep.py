@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from plancell.dataset import Instance, TrainingSet, build_training_set
+from plancell.dataset import TrainingSet, build_training_set
 from plancell.tree import (GAIN_RATIO, INFO_GAIN, entropy, gain_ratio, grow,
                            induce, information_gain, model_from_json,
                            model_to_json, rep_prune)
@@ -52,22 +52,22 @@ def pruning_cases(draw):
     ts = draw(nominal_sets())
     width = len(ts.attributes)
     rows = draw(st.lists(
-        st.builds(Instance, st.tuples(*[st.sampled_from("abcd")] * width),
+        st.tuples(st.tuples(*[st.sampled_from("abcd")] * width),
                   st.sampled_from("ABCD")), max_size=30))
     return ts, with_rows(ts, rows)
 
 
 def with_rows(schema, rows):
-    """A training set of the Instances ``rows`` under the attributes and
-    classes of ``schema``."""
-    columns = tuple(tuple(r.values[i] for r in rows)
+    """A training set of the ``(values, label)`` pairs ``rows`` under the
+    attributes and classes of ``schema``."""
+    columns = tuple(tuple(values[i] for values, _ in rows)
                     for i in range(len(schema.attributes)))
     return TrainingSet(schema.attributes, schema.classes, columns,
-                       tuple(r.label for r in rows))
+                       tuple(label for _, label in rows))
 
 
 def subset(ts, rows):
-    return with_rows(ts, [ts.instances[i] for i in rows])
+    return with_rows(ts, [(ts.rows[i], ts.labels[i]) for i in rows])
 
 
 def breadth_first(root):
@@ -85,7 +85,7 @@ def check_splits(tree, ts, min_leaf):
 
     def visit(node, rows, attrs):
         here = subset(ts, rows)
-        assert node.counts == dict(Counter(i.label for i in here.instances))
+        assert node.counts == dict(Counter(here.labels))
         scores = [score(here, a) for a in attrs]
         best = attrs[scores.index(max(scores))] if scores else None
         col = ts.attribute_names.index(best) if scores else None
@@ -99,16 +99,16 @@ def check_splits(tree, ts, min_leaf):
                                        if v in present]
         remaining = tuple(a for a in attrs if a != best)
         for value, child in node.children.items():
-            visit(child, [i for i in rows if ts.instances[i].values[col] == value],
+            visit(child, [i for i in rows if ts.rows[i][col] == value],
                   remaining)
 
-    visit(tree.root, list(range(len(ts.instances))), ts.attribute_names)
+    visit(tree.root, list(range(len(ts))), ts.attribute_names)
 
 
 @PROPERTY
 @given(nominal_sets())
 def test_public_scores_follow_their_formulas(ts):
-    labels = [i.label for i in ts.instances]
+    labels = ts.labels
     for name, values in zip(ts.attribute_names, ts.columns):
         rest = sum(values.count(v) / len(values) * entropy(Counter(
             y for x, y in zip(values, labels) if x == v)) for v in set(values))
@@ -251,7 +251,7 @@ def test_ids_follow_breadth_first_order(case, mode, min_leaf):
 def stump_and_prune(rows):
     tree = grow(nominal_set(["x"], [("a", "c1"), ("a", "c1"), ("b", "c2")]),
                 INFO_GAIN, min_leaf=1)
-    return tree, with_rows(tree.schema, [Instance((x,), y) for x, y in rows])
+    return tree, with_rows(tree.schema, [((x,), y) for x, y in rows])
 
 
 def test_prune_tie_goes_to_the_leaf():
