@@ -99,7 +99,7 @@ def _cv_spec(text: str) -> int:
 
 
 def _cmd_plans(args) -> int:
-    graph = parse_project(_read_text(args.project))
+    graph = parse_project(_read_text(args.project), args.project)
     if args.first:
         plans, truncated = [first_plan(graph)], False
     else:

@@ -271,16 +271,22 @@ def class_distribution(ts: TrainingSet) -> dict[str, int]:
 def shuffled_classes(ts: TrainingSet, seed: int) -> list[list[int]]:
     """Each class's instance indices, in ``ts.classes`` order, each list
     shuffled in that order by one ``random.Random(seed)``; DataError for an
-    instance whose label is not one of the classes."""
+    instance whose label is not one of the classes. The shuffle is
+    ``Random.shuffle``'s Fisher-Yates written out, with the same draws."""
     members: dict[str, list[int]] = {label: [] for label in ts.classes}
     for i, label in enumerate(ts.labels):
         if label not in members:
             raise DataError(f"instance {i} has label {label!r}, "
                             f"which is not one of the classes")
         members[label].append(i)
-    rng = random.Random(seed)
-    for indices in members.values():
-        rng.shuffle(indices)
+    getrandbits = random.Random(seed).getrandbits
+    for x in members.values():
+        for i in reversed(range(1, len(x))):
+            k = (i + 1).bit_length()
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            x[i], x[j] = x[j], x[i]
     return list(members.values())
 
 

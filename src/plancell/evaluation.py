@@ -24,7 +24,8 @@ from .dataset import NUMERIC, UNKNOWN, TrainingSet, shuffled_classes, subset
 from .discretize import MODES, apply_map, fit_map
 from .errors import DataError, PlancellError, UnknownValueError
 from .knn import classify_knn, fit_knn
-from .tree import J48, REPTREE, classify_tree, induce, majority_label
+from .tree import (J48, REPTREE, _stratified_thirds, classify_tree, induce,
+                   majority_label)
 
 METHODS = (J48, REPTREE, "knn", "majority")
 ENGINES = ("tree", "casi")
@@ -101,11 +102,11 @@ def label_cases(classify, cases: TrainingSet) -> list[str | None]:
 
 
 def _fit_predictor(method: str, fitted: TrainingSet, engine: str,
-                   seed: int, k: int, min_leaf: int):
+                   seed: int, k: int, min_leaf: int, split):
     """Train one fold's classifier; returns a values -> label callable.
 
     It is handed cases binned as ``fitted`` was, so trees and rule bases
-    carry no map of their own.
+    carry no map of their own. ``reptree`` takes the fold's REP ``split``.
     """
     if method == "majority":
         label = majority_label(Counter(fitted.labels))
@@ -113,7 +114,7 @@ def _fit_predictor(method: str, fitted: TrainingSet, engine: str,
     if method == "knn":
         model = fit_knn(fitted, k)
         return lambda values: classify_knn(model, values)
-    graph = induce(fitted, method, min_leaf=min_leaf, seed=seed)
+    graph = induce(fitted, method, min_leaf=min_leaf, seed=seed, split=split)
     if engine == "casi":
         kb = compile_tree(graph)
         return lambda values: classify_casi(kb, values)
@@ -180,7 +181,8 @@ def _cross_validate(ts: TrainingSet, methods: list[str], modes: list[str],
                     engine: str, global_discretize: bool) -> list[EvalReport]:
     """One report per cell, in methods x modes order. A fold's rows are taken
     once and binned once per mode for every method; a repeated method or
-    mode is a cell of its own and runs again."""
+    mode is a cell of its own and runs again. Binning keeps the labels, so
+    one REP split of the fold serves ``reptree`` in every mode."""
     maps = ({mode: fit_map(ts, mode, bins) for mode in modes}
             if global_discretize else None)
     cells = list(product(methods, modes))
@@ -190,6 +192,7 @@ def _cross_validate(ts: TrainingSet, methods: list[str], modes: list[str],
     for fold in range(plan.folds):
         train = subset(ts, plan.train_indices(fold))
         test = ts.take(plan.test_indices(fold))
+        split = _stratified_thirds(train, plan.seed) if REPTREE in methods else None
         for col, mode in enumerate(modes):
             dmap = maps[mode] if maps else fit_map(train, mode, bins)
             fitted, held = apply_map(dmap, train), apply_map(dmap, test)
@@ -197,7 +200,7 @@ def _cross_validate(ts: TrainingSet, methods: list[str], modes: list[str],
                 cell = row * len(modes) + col
                 try:
                     classify = _fit_predictor(method, fitted, engine,
-                                              plan.seed, k, min_leaf)
+                                              plan.seed, k, min_leaf, split)
                 except PlancellError as exc:
                     raise type(exc)(f"fold {fold}: {exc}") from exc
                 predicted = label_cases(classify, held)

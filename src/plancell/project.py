@@ -72,8 +72,8 @@ class ProjectGraph:
         return {task: i for i, task in enumerate(reversed([*sorter.static_order()]))}
 
 
-def parse_project(text: str) -> ProjectGraph:
-    """Parse and validate a project file; raises ProjectParseError on any fault."""
+def parse_project(text: str, name: str = "project") -> ProjectGraph:
+    """Parse and validate the project file ``name``; raises ProjectParseError on any fault."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -81,7 +81,7 @@ def parse_project(text: str) -> ProjectGraph:
             f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
     except RecursionError:
-        raise ProjectParseError("nested too deeply") from None
+        raise ProjectParseError(f"{name} nests too deeply") from None
 
     if not isinstance(doc, dict):
         raise ProjectParseError("top-level value must be an object")

@@ -10,7 +10,7 @@ breadth-first, so the root is always s0. Trees classify by walking splits;
 from __future__ import annotations
 
 from collections import Counter, defaultdict, deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import log2
 
@@ -66,6 +66,7 @@ class InductionGraph:
     mode, a node met twice, counts that are not non-negative ints of schema
     classes, a split on no nominal attribute of the schema, without
     children or with a branch outside the domain, or a leaf with children.
+    ``grow`` and ``rep_prune`` skip these checks through ``_numbered``.
     """
 
     root: TreeNode
@@ -110,6 +111,20 @@ class InductionGraph:
         return walk(self.root)
 
 
+def _numbered(root: TreeNode, schema: Schema, mode: str) -> InductionGraph:
+    """The graph of a tree ``grow`` or ``rep_prune`` built once per node from
+    a checked set, numbered as the constructor numbers it, without its checks."""
+    order = [root]
+    for i, node in enumerate(order):
+        node.node_id = f"s{i}"
+        order.extend(node.children.values())
+    graph = object.__new__(InductionGraph)
+    # as the frozen constructor sets them: vars() would slow every later read
+    for name, value in (("root", root), ("schema", schema), ("mode", mode)):
+        object.__setattr__(graph, name, value)
+    return graph
+
+
 def _distinct_rows(ts: TrainingSet) -> tuple[dict, tuple, tuple]:
     """The set's distinct (values, label) rows in order of first appearance,
     as columns by attribute name, their labels, and how many rows each one
@@ -120,19 +135,16 @@ def _distinct_rows(ts: TrainingSet) -> tuple[dict, tuple, tuple]:
             tuple(weighted.values()))
 
 
-def _partition(column: tuple, labels: tuple, weights: tuple,
-               idx) -> tuple[dict, dict]:
-    """The distinct rows ``idx`` by their value in ``column``, and each
-    part's label counts, row ``i`` counting ``weights[i]`` times; values,
+def _partition(column: tuple, labels: tuple, weights: tuple, idx) -> dict:
+    """The label counts of each part of the distinct rows ``idx`` by their
+    value in ``column``, row ``i`` counting ``weights[i]`` times; values,
     and labels within a part, in order of first appearance."""
-    rows = defaultdict(list)
     counts = defaultdict(dict)
     for i in idx:
-        value, label = column[i], labels[i]
-        rows[value].append(i)
-        tally = counts[value]
+        tally = counts[column[i]]
+        label = labels[i]
         tally[label] = tally.get(label, 0) + weights[i]
-    return rows, counts
+    return counts
 
 
 def _score(mode: str, parent: float, counts) -> tuple[float, list, list]:
@@ -160,8 +172,8 @@ def _score(mode: str, parent: float, counts) -> tuple[float, list, list]:
 def _attribute_score(mode: str, ts: TrainingSet, attribute: str) -> float:
     parent = entropy(Counter(ts.labels))
     columns, labels, weights = _distinct_rows(ts)
-    _, counts = _partition(columns[attribute], labels, weights,
-                           range(len(weights)))
+    counts = _partition(columns[attribute], labels, weights,
+                        range(len(weights)))
     return _score(mode, parent, counts.values())[0]
 
 
@@ -189,11 +201,14 @@ def grow(ts: TrainingSet, mode: str = GAIN_RATIO, min_leaf: int = 2,
     be binned by ``discretization``, the map its ``Schema`` keeps.
 
     Rows are counted, not visited: the set's distinct (values, label) rows
-    are found once, and each attribute partitions a node's distinct rows by
-    value, adding each one's multiplicity to its part's label counts. The
-    winner's parts, counts and part entropies become the children's rows,
-    ``counts`` and node entropies.
+    are found once, and each attribute sums a node's label counts per value,
+    each row counting its multiplicity; one with a single value scores 0.0
+    and is skipped. Only the winner's parts are listed as rows; they, its
+    counts and part entropies become the children's rows, ``counts`` and
+    node entropies. An unknown mode is refused before anything grows.
     """
+    if mode not in (GAIN_RATIO, INFO_GAIN):
+        raise DataError(f"unknown growth mode {mode!r}")
     if not len(ts):
         raise DataError("cannot grow a tree from an empty training set")
     for spec in ts.attributes:
@@ -215,25 +230,30 @@ def grow(ts: TrainingSet, mode: str = GAIN_RATIO, min_leaf: int = 2,
             continue
         best_score, best = 0.0, None
         for attr in attrs:
-            rows, counts = _partition(columns[attr], labels, weights, idx)
+            counts = _partition(columns[attr], labels, weights, idx)
+            if len(counts) < 2:  # gain 0.0: the part's entropy is the node's
+                continue
             s, sizes, entropies = _score(mode, parent, counts.values())
             if s > best_score:
-                best_score, best = s, (attr, rows, counts, sizes, entropies)
+                best_score, best = s, (attr, counts, sizes, entropies)
         if best is None:
             continue
-        best_attr, rows, counts, sizes, entropies = best
+        best_attr, counts, sizes, entropies = best
         if min(sizes) < min_leaf:
             continue
         node.attribute = best_attr
         remaining = tuple(a for a in attrs if a != best_attr)
-        part_entropy = dict(zip(rows, entropies))
+        column, rows = columns[best_attr], {value: [] for value in counts}
+        for i in idx:
+            rows[column[i]].append(i)
+        part_entropy = dict(zip(counts, entropies))
         for value in domains[best_attr]:
             if value not in rows:
                 continue
             child = TreeNode("", counts[value])
             node.children[value] = child
             queue.append((child, rows[value], remaining, part_entropy[value]))
-    return InductionGraph(root, schema, mode)
+    return _numbered(root, schema, mode)
 
 
 def classify_tree(tree: InductionGraph, instance,
@@ -281,36 +301,49 @@ def rep_prune(tree: InductionGraph, prune_set: TrainingSet) -> InductionGraph:
     counts the errors of the pruned subtree as it goes; an instance whose
     value has no branch counts as an error. A subtree is replaced by its
     (training-)majority leaf unless it makes strictly fewer errors on the
-    prune instances that reach it. Subtrees no prune instance reaches are
-    kept as grown. Node ids are reassigned breadth-first in the pruned tree.
+    prune instances that reach it; errors only grow, so a subtree collapses
+    as soon as its summed errors reach its leaf's. Subtrees no prune
+    instance reaches are kept as grown. Only kept nodes are copied, so the
+    input is unchanged and shares no node with the result, numbered anew.
     """
     if prune_set.attribute_names != tuple(tree.schema.index):
         raise DataError("prune set schema does not match the tree schema")
 
     col = dict(zip(prune_set.attribute_names, prune_set.columns))
     labels = prune_set.labels
+    collapsed: set[int] = set()
 
-    def prune(node: TreeNode, idx: list[int]) -> tuple[TreeNode, int]:
-        """A pruned copy of ``node`` and its errors on the rows ``idx``."""
-        leaf = TreeNode("", dict(node.counts))
+    def prune(node: TreeNode, idx: list[int]) -> int:
+        """The errors of ``node``'s pruned subtree on the rows ``idx``,
+        noting in ``collapsed`` each split it makes a leaf."""
         leaf_errors = len(idx) - [labels[i] for i in idx].count(node.majority)
-        if node.is_leaf:
-            return leaf, leaf_errors
+        if node.is_leaf or not idx:
+            return leaf_errors
         parts: dict = {}
+        column = col[node.attribute]
         for i in idx:
-            parts.setdefault(col[node.attribute][i], []).append(i)
+            parts.setdefault(column[i], []).append(i)
         errors = sum(len(rows) for value, rows in parts.items()
                      if value not in node.children)
-        pruned = TreeNode("", dict(node.counts), node.attribute)
         for value, child in node.children.items():
-            pruned.children[value], wrong = prune(child, parts.get(value, []))
-            errors += wrong
-        if idx and leaf_errors <= errors:
-            return leaf, leaf_errors
-        return pruned, errors
+            if errors >= leaf_errors:
+                break
+            if value in parts:
+                errors += prune(child, parts[value])
+        if errors >= leaf_errors:
+            collapsed.add(id(node))
+            return leaf_errors
+        return errors
 
-    root, _ = prune(tree.root, list(range(len(prune_set))))
-    return replace(tree, root=root)
+    def copy(node: TreeNode) -> TreeNode:
+        if node.is_leaf or id(node) in collapsed:
+            return TreeNode("", dict(node.counts))
+        return TreeNode("", dict(node.counts), node.attribute,
+                        {value: copy(child)
+                         for value, child in node.children.items()})
+
+    prune(tree.root, list(range(len(prune_set))))
+    return _numbered(copy(tree.root), tree.schema, tree.mode)
 
 
 J48 = "j48"
@@ -329,17 +362,18 @@ def _stratified_thirds(ts: TrainingSet, seed: int) -> tuple[list[int], list[int]
 
 
 def induce(ts: TrainingSet, method: str = J48, min_leaf: int = 2,
-           seed: int = 0,
-           discretization: DiscretizationMap | None = None) -> InductionGraph:
+           seed: int = 0, discretization: DiscretizationMap | None = None,
+           split: tuple[list[int], list[int]] | None = None) -> InductionGraph:
     """Train with a named method: gain-ratio growth, or info-gain plus REP.
 
     ``reptree`` holds out a stratified third of the data (seeded) for
-    reduced-error pruning and grows on the rest.
+    reduced-error pruning and grows on the rest, or takes that ``split``
+    (``_stratified_thirds(ts, seed)``) from a caller that already made it.
     """
     if method == J48:
         return grow(ts, GAIN_RATIO, min_leaf, discretization)
     if method == REPTREE:
-        grow_idx, prune_idx = _stratified_thirds(ts, seed)
+        grow_idx, prune_idx = split or _stratified_thirds(ts, seed)
         # take keeps the full schema: branch order follows fit-time domains
         graph = grow(ts.take(grow_idx), INFO_GAIN, min_leaf, discretization)
         if prune_idx:

@@ -58,7 +58,7 @@ FAILURES = [
     (["dataset-info", "--in", "not_utf8.csv"], 3,
      "cannot read not_utf8.csv: 'utf-8' codec can't decode byte 0xff in "
      "position 28: invalid start byte"),
-    (["plans", "--project", "nested.json"], 3, "nested too deeply"),
+    (["plans", "--project", "nested.json"], 3, "nested.json nests too deeply"),
     (["plans", "--project", "missing.json"], 3,
      "task 't9': unknown task reference 'ghost'"),
     (["plans", "--project", "cycle.json"], 3,

@@ -1,14 +1,15 @@
 import math
+import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plancell import (DataError, build_training_set, class_distribution,
                       load_csv, save_csv, subset)
 from plancell.dataset import (NOMINAL, NUMERIC, AttributeSpec, Instance,
-                              TrainingSet)
+                              TrainingSet, shuffled_classes)
 from plancell.discretize import apply_map, fit_map
 
 from oracles import encode
@@ -289,3 +290,44 @@ def test_columns_agree_with_the_row_model(case, data):
         dmap = fit_map(ts, mode)
         assert_rows(apply_map(dmap, ts),
                     [encode(dmap, ts.attributes, r[:-1]) + r[-1:] for r in rows])
+
+
+def class_sizes_set(sizes, order=None):
+    """A one-attribute set with ``sizes[c]`` rows of class ``c`` (none for
+    size 0), its rows in the class order ``order``, or dealt round-robin."""
+    if order is None:
+        order = [c for k in range(max(sizes)) for c, n in enumerate(sizes)
+                 if k < n]
+    classes = tuple(f"c{c}" for c in range(len(sizes)))
+    labels = tuple(classes[c] for c in order)
+    return TrainingSet((AttributeSpec("x", NOMINAL, ("a",)),), classes,
+                       (("a",) * len(labels),), labels)
+
+
+@st.composite
+def labelled_sets(draw):
+    """Up to four classes of 0-140 rows each, rows in any class order."""
+    sizes = draw(st.lists(st.integers(0, 140), min_size=1, max_size=4))
+    order = draw(st.permutations(
+        [c for c, n in enumerate(sizes) for _ in range(n)]))
+    return class_sizes_set(sizes, order)
+
+
+def stdlib_shuffled_classes(ts, seed):
+    rng = random.Random(seed)
+    members = []
+    for label in ts.classes:
+        indices = [i for i, y in enumerate(ts.labels) if y == label]
+        rng.shuffle(indices)
+        members.append(indices)
+    return members
+
+
+# Classes of 0, 1, 2, 64 and 65 members: a size just above a power of two
+# makes the redraw loop run.
+@settings(max_examples=150, deadline=None)
+@given(labelled_sets(), st.integers(0, 2**40))
+@example(class_sizes_set([0, 1, 2, 64, 65]), 0)
+@example(class_sizes_set([65, 64, 2, 1, 0]), 17)
+def test_shuffled_classes_is_the_stdlib_shuffle(ts, seed):
+    assert shuffled_classes(ts, seed) == stdlib_shuffled_classes(ts, seed)

@@ -214,6 +214,18 @@ def test_grow_rejects_bad_input(runs11):
         grow(TrainingSet((), ("A",), (), ()))
 
 
+def test_grow_refuses_an_unknown_mode_before_it_grows(monkeypatch):
+    import plancell.tree as tree
+
+    def no_growth(ts):
+        raise AssertionError("grew under an unknown mode")
+
+    monkeypatch.setattr(tree, "_distinct_rows", no_growth)
+    two_classes = nominal_set(["x"], [("a", "A"), ("b", "B")] * 2)
+    with pytest.raises(DataError, match="^unknown growth mode 'gini'$"):
+        grow(two_classes, mode="gini", min_leaf=1)
+
+
 def test_grow_is_deterministic(binned):
     one = model_to_json(grow(binned, GAIN_RATIO))
     two = model_to_json(grow(binned, GAIN_RATIO))

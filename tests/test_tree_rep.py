@@ -9,23 +9,30 @@ writes the same model JSON as the recounting growth in ``oracles``, also
 on sets of a few distinct rows repeated many times, which ``grow`` counts
 once each with their multiplicity; node
 ids s0, s1, ... follow breadth-first order in grown, pruned and reloaded
-trees.
+trees, and the ids ``grow`` and ``rep_prune`` give without the constructor's
+checks are the ones the checked constructor gives, which accepts their
+trees. ``rep_prune`` shares no node with its input, also where it stops
+early or where no prune row reaches a subtree.
 """
 
+import copy
 import json
 from collections import Counter, deque
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from plancell.dataset import TrainingSet, build_training_set
-from plancell.tree import (GAIN_RATIO, INFO_GAIN, entropy, gain_ratio, grow,
-                           induce, information_gain, model_from_json,
-                           model_to_json, rep_prune)
+from plancell.dataset import TrainingSet, build_training_set, load_csv
+from plancell.discretize import apply_map, fit_map
+from plancell.tree import (GAIN_RATIO, INFO_GAIN, InductionGraph, entropy,
+                           gain_ratio, grow, induce, information_gain,
+                           model_from_json, model_to_json, rep_prune)
 
 PROPERTY = settings(max_examples=80, deadline=None)
+GOLDEN = Path(__file__).resolve().parent / "golden" / "inputs"
 
 
 def nominal_set(columns, rows):
@@ -205,15 +212,46 @@ def test_repeated_rows_grow_and_score_as_the_oracle(ts, mode, min_leaf):
     assert_scores_as_the_oracle(ts, mode)
 
 
+def split_subtree_case(prune_rows, a_rows=2, b_p_rows=2):
+    """x splits the root; its b branch splits again on y (p -> B, q -> C),
+    and its a branch is a leaf A. ``prune_rows`` are (x, y, label)."""
+    rows = ([("a", "pq"[i % 2], "A") for i in range(a_rows)]
+            + [("b", "p", "B")] * b_p_rows + [("b", "q", "C")] * 2)
+    ts = nominal_set(["x", "y"], rows)
+    return ts, with_rows(ts, [((x, y), label) for x, y, label in prune_rows])
+
+
+# Node b (majority B) errs once; its first child p already errs once too,
+# so b is a leaf before its child q is visited.
+EARLY_EXIT = split_subtree_case([("b", "p", "C"), ("b", "q", "B")])
+# The root (majority B) errs on the one prune row, its leaf a does not; no
+# row reaches b's subtree, which stays as grown.
+UNREACHED = split_subtree_case([("a", "p", "A")], b_p_rows=3)
+
+
 @PROPERTY
 @given(pruning_cases(), st.sampled_from([1, 2]))
+@example(EARLY_EXIT, 1)
+@example(UNREACHED, 1)
 def test_rep_prune_equals_the_two_walk_oracle(case, min_leaf):
     ts, prune_set = case
     tree = grow(ts, INFO_GAIN, min_leaf)
     before = model_to_json(tree)
-    assert model_to_json(rep_prune(tree, prune_set)) == \
+    pruned = rep_prune(tree, prune_set)
+    assert model_to_json(pruned) == \
         model_to_json(oracles.rep_prune(tree, prune_set))
     assert model_to_json(tree) == before
+    assert not {id(n) for n in pruned.nodes()} & {id(n) for n in tree.nodes()}
+
+
+def test_the_examples_prune_as_described():
+    ts, prune_set = EARLY_EXIT
+    pruned = rep_prune(grow(ts, INFO_GAIN, 1), prune_set)
+    assert [n.is_leaf for n in pruned.nodes()] == [False, True, True]
+    ts, prune_set = UNREACHED
+    grown = grow(ts, INFO_GAIN, 1)
+    assert model_to_json(rep_prune(grown, prune_set)) == model_to_json(grown)
+    assert grown.node_count == 5
 
 
 @PROPERTY
@@ -246,6 +284,48 @@ def test_ids_follow_breadth_first_order(case, mode, min_leaf):
         nodes = tree.nodes()
         assert [id(n) for n in nodes] == [id(n) for n in breadth_first(tree.root)]
         assert [n.node_id for n in nodes] == [f"s{i}" for i in range(len(nodes))]
+
+
+def renumbered_by_the_constructor(tree):
+    """A deep copy of ``tree`` with its ids blanked, numbered and checked by
+    the ``InductionGraph`` constructor."""
+    root = copy.deepcopy(tree.root)
+    for node in breadth_first(root):
+        node.node_id = ""
+    return InductionGraph(root, tree.schema, tree.mode)
+
+
+def assert_numbered_as_checked(tree):
+    checked = renumbered_by_the_constructor(tree)
+    assert [n.node_id for n in checked.nodes()] == \
+        [n.node_id for n in tree.nodes()]
+    assert model_to_json(checked) == model_to_json(tree)
+
+
+@PROPERTY
+@given(pruning_cases(), st.sampled_from([GAIN_RATIO, INFO_GAIN]),
+       st.sampled_from([1, 2]))
+@example(EARLY_EXIT, INFO_GAIN, 1)
+@example(UNREACHED, INFO_GAIN, 1)
+def test_built_trees_pass_the_checked_constructor(case, mode, min_leaf):
+    ts, prune_set = case
+    grown = grow(ts, mode, min_leaf)
+    assert_numbered_as_checked(grown)
+    assert_numbered_as_checked(rep_prune(grown, prune_set))
+
+
+@pytest.mark.parametrize("corpus", ["quick.csv", "bfs.csv"])
+@pytest.mark.parametrize("mode", ["supervised", "unsupervised"])
+def test_golden_corpus_trees_pass_the_checked_constructor(corpus, mode):
+    ts = load_csv((GOLDEN / corpus).read_text())
+    dmap = fit_map(ts, mode)
+    binned = apply_map(dmap, ts)
+    for min_leaf in (1, 2, 3):
+        assert_numbered_as_checked(grow(binned, GAIN_RATIO, min_leaf, dmap))
+        grown = grow(binned, INFO_GAIN, min_leaf, dmap)
+        assert_numbered_as_checked(grown)
+        assert_numbered_as_checked(rep_prune(grown, binned))
+        assert_numbered_as_checked(induce(binned, "reptree", min_leaf, 1, dmap))
 
 
 def stump_and_prune(rows):
