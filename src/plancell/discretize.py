@@ -68,24 +68,27 @@ class DiscretizationMap:
 
     @cached_property
     def _bins(self) -> dict[str, tuple]:
-        """Per attribute, its bin labels b0, b1, ... and its cuts as a float array."""
-        return {name: (tuple(f"b{i}" for i in range(len(cs) + 1)),
-                       np.array(cs, dtype=float))
+        """Per attribute, its bin labels b0, b1, ..., its cuts as a float
+        array, and the same labels in an object array."""
+        bins = {name: tuple(f"b{i}" for i in range(len(cs) + 1))
+                for name, cs in self.cuts.items()}
+        return {name: (bins[name], np.array(cs, dtype=float),
+                       np.array(bins[name], dtype=object))
                 for name, cs in self.cuts.items()}
 
     def bin_column(self, attribute: str, column) -> tuple:
         """``bin_label`` of every value of a numeric column of an attribute
         with cuts, in order: one ``searchsorted``, which equals
         ``bisect_left`` because a float holds every value a checked set may
-        hold (``is_finite_number``) and every cut exactly. A NaN passes
-        through.
+        hold (``is_finite_number``) and every cut exactly, then one ``take``
+        of the map's own label strings. A NaN passes through.
         """
-        bins, cuts = self._bins[attribute]
-        values = np.array(column, dtype=float)
-        out = [bins[i] for i in cuts.searchsorted(values).tolist()]
+        _, cuts, labels = self._bins[attribute]
+        values = np.fromiter(column, float, len(column))
+        out = labels.take(cuts.searchsorted(values))
         for i in np.isnan(values).nonzero()[0].tolist():
             out[i] = column[i]
-        return tuple(out)
+        return tuple(out.tolist())
 
 
 @dataclass(frozen=True)
@@ -112,7 +115,7 @@ class Schema:
             if label == UNKNOWN:
                 raise DataError(f"class {UNKNOWN!r} marks an unplaceable case")
         dmap = self.discretization
-        for name, (bins, _) in dmap._bins.items() if dmap is not None else ():
+        for name, (bins, *_) in dmap._bins.items() if dmap is not None else ():
             if name not in self.index:
                 raise DataError(f"cut points for {name!r}, which the schema lacks")
             spec = self.attributes[self.index[name]]
@@ -190,24 +193,27 @@ def discretize_supervised(ts: TrainingSet) -> DiscretizationMap:
     attribute's candidates are found once, by array operations over its
     column (``_candidates``).
     """
-    codes, classes, table = _coded_labels(ts.labels)
+    codes, firsts, table = _coded_labels(ts.labels)
     cuts: dict[str, tuple[float, ...]] = {}
     for spec, column in zip(ts.attributes, ts.columns):
         if spec.kind != NUMERIC:
             continue
         found: list[float] = []
-        _mdl_split(column, codes, classes, table, found)
+        _mdl_split(column, codes, firsts, table, found)
         cuts[spec.name] = tuple(sorted(found))
     return DiscretizationMap(cuts)
 
 
-def _coded_labels(labels) -> tuple[np.ndarray, int, np.ndarray]:
-    """Each label's rank among the sorted distinct labels, the number of
-    distinct labels, and x log2 x for x = 0, 1, ..., len(labels)."""
+def _coded_labels(labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each label's rank among the sorted distinct labels, in the smallest
+    unsigned type that holds them; each label's first row in the rows
+    sorted by label; and x log2 x for x = 0, 1, ..., len(labels)."""
     names = {y: i for i, y in enumerate(sorted(set(labels)))}
-    codes = np.fromiter(map(names.__getitem__, labels), np.intp, len(labels))
+    codes = np.fromiter(map(names.__getitem__, labels),
+                        np.min_scalar_type(max(len(names) - 1, 0)), len(labels))
+    rows = np.bincount(codes, minlength=len(names))
     x = np.arange(len(labels) + 1, dtype=float)
-    return codes, len(names), x * np.log2(np.maximum(x, 1))
+    return codes, rows.cumsum() - rows, x * np.log2(np.maximum(x, 1))
 
 
 def entropy(dist) -> float:
@@ -221,117 +227,141 @@ def entropy(dist) -> float:
     return -sum((n / total) * math.log2(n / total) for n in counts if n)
 
 
-def _candidates(values: list, codes: np.ndarray):
-    """Sort the rows by value, then label code, and find the boundary
+def _candidates(values: list, codes: np.ndarray, firsts: np.ndarray):
+    """The column's distinct (value, label) pairs in order, and its boundary
     candidates.
 
-    Returns the candidates; the row where the group right of each one
-    starts; the rows ``<=`` each one; and per sorted row, its label code
-    and the rows of its label before it.
+    ``codes`` are the rows' label codes, in the smallest unsigned type that
+    holds them, and ``firsts`` each label's first row in the rows sorted by
+    label. One argsort of the values, in any order among equal ones, numbers
+    the groups of equal values; one sort of the integers group * labels +
+    label then orders each group by label, and its runs are the pairs, in
+    the order of a stable sort by value, then label. Returns the candidates;
+    the first pair of the group right of each one; the pairs whose values
+    are ``<=`` each one; per pair, its label code; the rows before each
+    pair, then all the rows; per pair, the rows of its label in the pairs
+    before it, counted from ``firsts`` in a stable (radix) sort of the pairs
+    by their small label codes; and per sorted row, its label code.
     """
-    keys = np.array(values, dtype=float)
-    order = np.lexsort((codes, keys))
-    v, lab = keys[order], codes[order]
-    n = len(v)
-    if n == 0:
+    keys = np.fromiter(values, float, len(values))
+    if not len(keys):
         empty = np.zeros(0, np.intp)
-        return v, empty, empty, empty, empty
+        return keys, empty, empty, empty, np.zeros(1, np.intp), empty, empty
+    order = keys.argsort()
+    v = keys[order]
     new = v[1:] != v[:-1]  # row i + 1 starts a group of equal values
-    heads = np.concatenate(([0], new.nonzero()[0] + 1))  # groups' first rows
-    group = np.concatenate(([0], new.cumsum()))
-    # the distinct (group, label) pairs: each group's class set, sorted
-    first = np.concatenate(([True], new | (lab[1:] != lab[:-1])))
-    pair_group, pair_label = group[first], lab[first]
+    classes = len(firsts)
+    key = np.concatenate(([0], new.cumsum())) * classes + codes[order]
+    key.sort()
+    # each distinct (value, label) pair: its group and label, and the rows
+    # before it
+    offsets = np.concatenate(
+        ([0], (key[1:] != key[:-1]).nonzero()[0] + 1, [len(key)]))
+    pair_group, label = np.divmod(key[offsets[:-1]], classes)
     width = np.bincount(pair_group)  # labels per group
     differ = width[:-1] != width[1:]
     # equally wide neighbours: each pair's counterpart lies ``width`` pairs on
     j = (~differ[pair_group[:len(pair_group) - width[-1]]]).nonzero()[0]
-    mismatch = pair_label[j] != pair_label[j + width[pair_group[j]]]
+    mismatch = label[j] != label[j + width[pair_group[j]]]
     differ[pair_group[j[mismatch]]] = True
-    left = differ.nonzero()[0]
-    starts = heads[left + 1]
-    below, above = v[heads[left]], v[starts]
+    left = differ.nonzero()[0]  # the groups left of the candidates
+    ends = width.cumsum()  # each group's end: the first pair of the next
+    starts = ends[left]
+    right = offsets[starts]  # the first row right of each candidate
+    below, above = v[right - 1], v[right]
     with np.errstate(over="ignore"):
         cuts = (below + above) / 2.0
     wide = np.isinf(cuts)  # the sum left the float range
     cuts[wide] = below[wide] / 2 + above[wide] / 2
-    sizes = v.searchsorted(cuts, side="right")
-    # per row, the rows of its label before it, from one stable sort by label
-    by_label = lab.argsort(kind="stable")
-    ranks = np.empty(n, np.intp)
-    ranks[by_label] = np.arange(n) - lab[by_label].searchsorted(lab[by_label])
-    return cuts, starts, sizes, lab, ranks
+    # a midpoint rounded onto the value above sends that group left too
+    sizes = ends[left + (cuts == above)]
+    weights = offsets[1:] - offsets[:-1]
+    by_label = label.astype(codes.dtype).argsort(kind="stable")
+    counted = weights[by_label]
+    ranks = np.empty_like(counted)
+    ranks[by_label] = counted.cumsum() - counted - firsts[label[by_label]]
+    return cuts, starts, sizes, label, offsets, ranks, key % classes
 
 
-def _mdl_split(values: list, codes: np.ndarray, classes: int,
+def _mdl_split(values: list, codes: np.ndarray, firsts: np.ndarray,
                table: np.ndarray, found: list[float]) -> None:
     """Fayyad-Irani recursion over one numeric column and its coded labels.
 
     A candidate cut sends the values ``<= cut`` left. A cut never splits a
     run of equal values, so the candidates of a sub-range are the whole
     column's candidates that start a group inside it: ``_candidates`` finds
-    them once, with the rows each sends left and the label ranks, and the
-    recursion passes row ranges of the sorted column.
+    them once, with the pairs each sends left, and the column's distinct
+    (value, label) pairs with their rows and label ranks; the recursion
+    passes ranges of pairs.
 
     Every candidate of a range is scored from running sums over ``table``,
     F(x) = x log2 x, to within ``_tolerance(n)``: a split with m of the n
     rows on the left has weighted entropy (F(m) - S_L(m) + F(n - m) -
     S_R(m)) / n, where S_L and S_R sum F over the label counts on each
-    side. Moving a row left raises its label's left count by one and
-    lowers its right count by one, so S_L and S_R are running sums of
-    per-row steps of F. The screen decides a range alone when one candidate
-    is within ``_tolerance(n)`` of the least score, and so is the one exact
-    minimum, sends rows to both sides, and has an MDL margin (``_margin``),
-    taken from the same sums and from the labels' first and last rows, more
-    than ``2 * _tolerance(n)`` from 0. Otherwise the near-best candidates
-    are re-scored exactly, the first with the least weighted entropy is
-    taken and its margin computed exactly; either way the cuts are those of
+    side. Moving a pair of c rows left raises its label's left count by c
+    and lowers its right count by c, so S_L and S_R are running sums of
+    per-pair differences of F, and a range costs its pairs, not its rows.
+    The screen decides a range alone when one candidate is within
+    ``_tolerance(n)`` of the least score, and so is the one exact minimum,
+    sends rows to both sides, and has an MDL margin (``_margin``), taken
+    from the same sums and from the labels' first and last pairs, more than
+    ``2 * _tolerance(n)`` from 0. Otherwise the near-best candidates are
+    re-scored exactly, the first with the least weighted entropy is taken
+    and its margin computed exactly; either way the cuts are those of
     scoring every candidate exactly.
     """
-    cuts, starts, sizes, codes, ranks = _candidates(values, codes)
-    cuts, starts = cuts.tolist(), starts.tolist()
-    steps = table[1:] - table[:-1]  # F(x + 1) - F(x)
+    cuts, starts, sizes, labels, offsets, ranks, rows = _candidates(
+        values, codes, firsts)
+    cuts, starts, row_at = cuts.tolist(), starts.tolist(), offsets.tolist()
+    weights = offsets[1:] - offsets[:-1]
+    classes = len(firsts)
 
     def split(lo: int, hi: int) -> None:
         first, last = bisect_right(starts, lo), bisect_left(starts, hi)
         if first == last:
             return
-        n = hi - lo
-        # a midpoint is rounded to a float: between close floats it can land
-        # on the next value and send that group left too: clamp
-        here = np.minimum(np.maximum(sizes[first:last], lo), hi) - lo
-        rows = codes[lo:hi]
-        # per row, the rows of its label inside the range before it, and
-        # from it on
-        seen = ranks[lo:hi] - np.bincount(codes[:lo], minlength=classes)[rows]
-        counts = np.bincount(rows, minlength=classes)
-        after = counts[rows] - seen
+        start, stop = row_at[lo], row_at[hi]
+        n = stop - start
+        # a candidate whose midpoint rounds onto the last value sends all left
+        end = np.minimum(sizes[first:last], hi)
+        here = offsets[end] - start  # rows sent left
+        edge = end - (lo + 1)  # the last pair sent left, in the range
+        pairs, own = labels[lo:hi], weights[lo:hi]
+        counts = np.bincount(rows[start:stop], minlength=classes)
+        # per pair, the rows of its label in the range before it, through
+        # it, from it on and after it
+        seen = ranks[lo:hi] - np.bincount(rows[:start], minlength=classes)[pairs]
+        upto, after = seen + own, counts[pairs] - seen
+        beyond = after - own
         total_f = table[counts].sum()
-        # a candidate that sends no row left reads both sums after the last
-        # row, which add up to S_L(0) + S_R(0) all the same
-        s_left = steps[seen].cumsum()[here - 1]
-        s_right = total_f - steps[after - 1].cumsum()[here - 1]
+        s_left = (table[upto] - table[seen]).cumsum()[edge]
+        s_right = total_f - (table[after] - table[beyond]).cumsum()[edge]
         screened = (table[here] - s_left + table[n - here] - s_right) / n
         tolerance = _tolerance(n)
-        near = (screened <= screened.min() + tolerance).nonzero()[0]
-        i, nl = near[0], int(here[near[0]])
+        least = screened[screened.argmin()]
+        near = (screened <= least + tolerance).nonzero()[0]
+        i, nl, p = near[0], int(here[near[0]]), int(end[near[0]]) - lo
         margin = 0.0  # undecided: score exactly below
         if len(near) == 1 and 0 < nl < n:
-            # label counts as Python ints: 3**k overflows a numpy int
+            # label counts as Python ints: 3**k overflows a numpy int; a
+            # label's first pair has none of its rows before it, its last
+            # none after it
             margin = _margin(n, int(np.count_nonzero(counts)),
-                             int(np.count_nonzero(seen[:nl] == 0)),
-                             int(np.count_nonzero(after[nl:] == 1)),
+                             int(np.count_nonzero(seen[:p] == 0)),
+                             int(np.count_nonzero(beyond[p:] == 0)),
                              (table[n] - total_f) / n, screened[i],
                              (table[nl] - s_left[i]) / nl,
                              (table[n - nl] - s_right[i]) / (n - nl))
         if abs(margin) <= 2 * tolerance:
-            order = rows[seen == 0]  # label codes in order of first appearance
+            # label codes in order of first appearance
+            order = pairs[seen == 0]
             total = counts[order].tolist()
             parent = entropy(total)
             best = None
             for j in near:
                 nl = int(here[j])
-                left = np.bincount(rows[:nl], minlength=classes)[order].tolist()
+                left = np.bincount(rows[start:start + nl],
+                                   minlength=classes)[order].tolist()
                 right = [t - c for t, c in zip(total, left)]
                 # entropy() refuses an empty side, whose entropy is 0
                 h_left = entropy(left) if nl else 0.0
@@ -340,16 +370,17 @@ def _mdl_split(values: list, codes: np.ndarray, classes: int,
                 if best is None or weighted < best[0]:
                     best = (weighted, j, nl, left, right, h_left, h_right)
             weighted, i, nl, left, right, h_left, h_right = best
+            p = int(end[i]) - lo
             margin = _margin(n, len(total), sum(map(bool, left)),
                              sum(map(bool, right)), parent, weighted, h_left,
                              h_right)
         if margin <= 0:
             return
         found.append(cuts[first + i])
-        split(lo, lo + nl)
-        split(lo + nl, hi)
+        split(lo, lo + p)
+        split(lo + p, hi)
 
-    split(0, len(values))
+    split(0, len(labels))
 
 
 def _margin(n: int, k: int, k1: int, k2: int, parent: float, weighted: float,
@@ -372,14 +403,17 @@ def _tolerance(n: int) -> float:
 
     Let e be the float epsilon and T = n log2 n, and let log2 be within 2
     ulps. Then each table entry F(x) is within 3eF(x), and each step
-    F(x + 1) - F(x) within 7eF(x + 1). The steps summed into S_L(m) reach
-    F(j) for j up to each label's count on the left; these F(j) add up to
-    under (n + 1)T / 2. With the running sum's own (m - 1)e/2 times S_L(m),
-    S_L(m) is within 6enT. S_R(m), the F over all label counts less such a
-    sum, is within 8.5enT. So a screened weighted entropy is within 18eT,
-    and an exact one, a Python sum of k <= n terms, within 3eT. Two
-    candidates whose screened scores are more than 42eT apart can neither
-    swap places nor tie when scored exactly.
+    F(b) - F(a), a < b, by which a pair of b - a rows moves its label's sum,
+    within 7eF(b). The steps summed into S_L(m) reach F(b) once per pair,
+    for b among 1, 2, ... up to each label's count on the left: some of the
+    F(j) that one step per row would reach, which add up to under
+    (n + 1)T / 2. The running sum has at most m terms, one per pair, so its
+    own error is under (m - 1)e/2 times S_L(m), and S_L(m) is within 6enT.
+    S_R(m), the F over all label counts less such a sum, is within 8.5enT.
+    So a screened weighted entropy is within 18eT, and an exact one, a
+    Python sum of k <= n terms, within 3eT. Two candidates whose screened
+    scores are more than 42eT apart can neither swap places nor tie when
+    scored exactly.
 
     In the margin, the screened parent entropy is within 4eT. A side's
     entropy (F(m) - S_L(m)) / m is within (6enT + 4eT) / m, and it is

@@ -61,12 +61,15 @@ def _breadth_first(root: TreeNode) -> list[TreeNode]:
 class InductionGraph:
     """A grown tree plus the schema it was fit under.
 
-    The graph numbers the nodes it is given s0, s1, ... breadth-first, so no
-    node fact spells an attribute or class fact. DataError on an unknown
-    mode, a node met twice, counts that are not non-negative ints of schema
+    The graph holds a copy of the nodes it is given, numbered s0, s1, ...
+    breadth-first, so no node fact spells an attribute or class fact and
+    the nodes given, which another graph may hold, keep their ids. The
+    copies share the given nodes' counts. DataError on an unknown mode, a
+    node met twice, counts that are not non-negative ints of schema
     classes, a split on no nominal attribute of the schema, without
     children or with a branch outside the domain, or a leaf with children.
-    ``grow`` and ``rep_prune`` skip these checks through ``_numbered``.
+    ``grow`` and ``rep_prune`` skip the copy and these checks through
+    ``_numbered``.
     """
 
     root: TreeNode
@@ -79,9 +82,16 @@ class InductionGraph:
         classes = set(self.schema.classes)
         domains = {s.name: set(s.domain) for s in self.schema.attributes
                    if s.kind == NOMINAL}
-        for i, node in enumerate(_breadth_first(self.root)):
-            node.node_id = nid = f"s{i}"
-            attr, counts, children = node.attribute, node.counts, node.children
+        given = _breadth_first(self.root)
+        copies = {id(node): TreeNode(f"s{i}", node.counts, node.attribute)
+                  for i, node in enumerate(given)}
+        for node in given:
+            copies[id(node)].children = {value: copies[id(child)] for
+                                         value, child in node.children.items()}
+        object.__setattr__(self, "root", copies[id(self.root)])
+        for node in copies.values():
+            nid, attr, counts, children = (node.node_id, node.attribute,
+                                           node.counts, node.children)
             if not (counts and counts.keys() <= classes and all(
                     type(n) is int and n >= 0 for n in counts.values())):
                 raise DataError(f"node {nid} counts are not non-negative "
@@ -422,7 +432,8 @@ def model_from_json(data: dict) -> InductionGraph:
                 if child_id not in nodes:
                     raise ModelIntegrityError(f"unknown child node {child_id!r}")
                 node.children[value] = nodes[child_id]
-        graph = InductionGraph(nodes[raw_nodes[0]["id"]], schema, data["mode"])
+        root = nodes[raw_nodes[0]["id"]]
+        graph = InductionGraph(root, schema, data["mode"])
     except DataError as exc:
         raise ModelIntegrityError(str(exc)) from exc
     except (KeyError, TypeError, AttributeError) as exc:
@@ -430,10 +441,12 @@ def model_from_json(data: dict) -> InductionGraph:
     if graph.node_count != len(nodes):
         raise ModelIntegrityError(
             "model contains nodes unreachable from the first node, the root")
+    # the graph numbers its copies of these nodes in this order
+    numbered = {id(node): f"s{i}" for i, node in enumerate(_breadth_first(root))}
     for (nid, node), entry in zip(nodes.items(), raw_nodes):
-        if node.node_id != nid:
+        if numbered[id(node)] != nid:
             raise ModelIntegrityError(
-                f"node {nid!r} is node {node.node_id} in breadth-first order")
+                f"node {nid!r} is node {numbered[id(node)]} in breadth-first order")
         if "leaf_class" in entry and entry["leaf_class"] != node.majority:
             raise ModelIntegrityError(f"leaf {nid} class {entry['leaf_class']!r} "
                                       f"disagrees with its counts")

@@ -4,6 +4,7 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,8 +25,8 @@ from plancell.tree import grow, model_from_json, model_to_json
 def boundary_candidates(pairs):
     """The cut candidates the MDL fit finds for (value, label) rows in any
     order."""
-    codes = _coded_labels([y for _, y in pairs])[0]
-    return _candidates([v for v, _ in pairs], codes)[0].tolist()
+    codes, firsts, _ = _coded_labels([y for _, y in pairs])
+    return _candidates([v for v, _ in pairs], codes, firsts)[0].tolist()
 
 
 def numeric_set(values, labels):
@@ -446,6 +447,80 @@ def test_tied_splits_keep_the_first_cut():
     _mdl_split(values, *_coded_labels(labels), found)
     assert found == [19.5, 39.5]
     assert tuple(found) == mdl_cuts(values, labels)
+
+
+# --- the sorted pairs and candidates against one np.lexsort ----------------
+
+@st.composite
+def coded_columns(draw):
+    """A column and its labels, drawn from a seed: small ints with ties,
+    ints mixed with floats of equal value (3 and 3.0), -0.0 beside 0.0,
+    adjacent floats (a midpoint can round onto either neighbour) or
+    near-distinct floats; and 1 to 300 labels, so the label codes are uint8
+    (up to 256 labels) or uint16 and a column can hold more than 255 value
+    groups."""
+    n = draw(st.integers(1, 700))
+    k = draw(st.sampled_from([1, 2, 7, 100, 256, 257, 300]))
+    kind = draw(st.sampled_from(["ties", "mixed", "zeros", "ulps", "distinct"]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if kind == "ties":
+        values = [rng.randint(-5, 5) for _ in range(n)]
+    elif kind == "mixed":
+        values = [rng.choice([v, float(v)]) for v in
+                  (rng.randint(-20, 20) for _ in range(n))]
+    elif kind == "zeros":
+        values = [rng.choice([0.0, -0.0, 0, 1.5, -1.5]) for _ in range(n)]
+    elif kind == "ulps":
+        steps = [1.0]
+        for _ in range(3):
+            steps.append(math.nextafter(steps[-1], math.inf))
+        values = [rng.choice(steps) for _ in range(n)]
+    else:
+        values = [rng.uniform(-1e3, 1e3) for _ in range(n)]
+    # every label at least once where the rows allow it
+    codes = [*range(min(n, k)), *(rng.randrange(k) for _ in range(n - k))]
+    rng.shuffle(codes)
+    return values, [f"L{code:03d}" for code in codes]
+
+
+@settings(max_examples=100, deadline=None)
+@given(coded_columns())
+def test_candidates_equal_a_lexsort_reference(column):
+    values, labels = column
+    codes, firsts, _ = _coded_labels(labels)
+    assert codes.dtype == (np.uint8 if len(set(labels)) <= 256 else np.uint16)
+    cuts, starts, sizes, pair_labels, offsets, ranks, rows = _candidates(
+        values, codes, firsts)
+    keys = np.array(values, dtype=float)
+    order = np.lexsort((codes, keys))
+    v, lab = keys[order].tolist(), codes[order].tolist()
+    assert rows.tolist() == lab
+    # the pairs: their first rows, labels and the rows of their label before
+    heads = [i for i in range(len(v))
+             if i == 0 or (v[i], lab[i]) != (v[i - 1], lab[i - 1])]
+    offsets = offsets.tolist()
+    assert offsets == heads + [len(v)]
+    assert pair_labels.tolist() == [lab[i] for i in heads]
+    seen, reference, firsts = Counter(), [], set(heads)
+    for i, code in enumerate(lab):
+        if i in firsts:
+            reference.append(seen[code])
+        seen[code] += 1
+    assert ranks.tolist() == reference
+    # the candidates, the first row right of each and the rows <= each
+    groups = []
+    for i, (value, code) in enumerate(zip(v, lab)):
+        if groups and groups[-1][0] == value:
+            groups[-1][2].add(code)
+        else:
+            groups.append((value, i, {code}))
+    right = [g2[1] for g1, g2 in zip(groups, groups[1:]) if g1[2] != g2[2]]
+    ordered = sorted(zip(values, labels))
+    assert list(map(repr, cuts.tolist())) == \
+        list(map(repr, _boundary_candidates(ordered)))
+    assert [offsets[p] for p in starts.tolist()] == right
+    assert [offsets[p] for p in sizes.tolist()] == \
+        np.searchsorted(v, cuts, side="right").tolist()
 
 
 # --- ranges the screen decides alone, and ranges it leaves to exact scoring -

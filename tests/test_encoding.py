@@ -128,6 +128,15 @@ def test_column_binning_equals_bin_label_value_for_value(case):
         # nominal tag pass through as they are
         assert all(a is b or (type(a) is type(b) and a == b)
                    for a, b in zip(row, expected)), (row, expected)
+    # each binned value is one of the map's own label strings, and a NaN is
+    # the value given
+    for name, raw, column in zip(("x0", "x1"), ts.columns, binned.columns):
+        own = {id(label) for label in dmap._bins[name][0]}
+        for value, binned_value in zip(raw, column):
+            if value != value:
+                assert binned_value is value
+            else:
+                assert id(binned_value) in own, (value, binned_value)
 
 
 def test_a_cut_no_float_holds_is_refused():

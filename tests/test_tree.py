@@ -118,6 +118,29 @@ def test_graph_numbers_the_nodes_it_is_given():
     assert graph.root.children["b"].node_id == "s2"
 
 
+@pytest.mark.parametrize("placeholder", ["?", ""])
+def test_graph_numbers_copies_of_the_nodes_it_is_given(placeholder):
+    root = hand_tree()
+    nodes = [root, *root.children.values(), *root.children["a"].children.values()]
+    for node in nodes:
+        node.node_id = placeholder
+    graph = InductionGraph(root, HAND_SCHEMA, INFO_GAIN)
+    assert [n.node_id for n in graph.nodes()] == ["s0", "s1", "s2", "s3", "s4"]
+    assert [n.node_id for n in nodes] == [placeholder] * 5
+
+
+def test_a_graph_over_another_graphs_nodes_leaves_that_graph_unchanged():
+    rows = [("a", "p", "A"), ("a", "q", "A"), ("b", "p", "B"), ("b", "q", "C")] * 2
+    grown = grow(nominal_set(["x", "y"], rows), INFO_GAIN, min_leaf=1)
+    doc = model_to_json(grown)
+    assert [n.node_id for n in grown.nodes()] == ["s0", "s1", "s2", "s3", "s4"]
+    under_b = InductionGraph(grown.root.children["b"], grown.schema, grown.mode)
+    assert [n.node_id for n in under_b.nodes()] == ["s0", "s1", "s2"]
+    assert [n.node_id for n in grown.nodes()] == ["s0", "s1", "s2", "s3", "s4"]
+    assert model_to_json(grown) == doc
+    assert model_to_json(model_from_json(model_to_json(grown))) == doc
+
+
 def _set(path, **fields):
     """A fault that sets ``fields`` on the node the branch values ``path``
     lead to from the root; a callable field value is called on the root."""
