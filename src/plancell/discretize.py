@@ -81,7 +81,11 @@ class DiscretizationMap:
         with cuts, in order: one ``searchsorted``, which equals
         ``bisect_left`` because a float holds every value a checked set may
         hold (``is_finite_number``) and every cut exactly, then one ``take``
-        of the map's own label strings. A NaN passes through.
+        of the map's own label strings. A NaN passes through. The column
+        must hold only such values, as every set ``load_csv``,
+        ``build_training_set`` and ``subset`` build does: a bool or a
+        numeric string is binned as a float, where ``bin_label`` passes it
+        through, and another string raises ValueError.
         """
         _, cuts, labels = self._bins[attribute]
         values = np.fromiter(column, float, len(column))

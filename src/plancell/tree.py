@@ -2,9 +2,10 @@
 
 Two growth modes: ``gain_ratio`` (C4.5-style selection) and ``info_gain``
 (plain information gain), the latter usually followed by reduced-error
-pruning on a held-out third of the data. Node ids s0, s1, ... are assigned
-breadth-first, so the root is always s0. Trees classify by walking splits;
-``casi.compile_tree`` turns the same structure into a cellular rule base.
+pruning on a held-out third of the data. Node ids s0, s1, ... are given
+breadth-first as the nodes are made, so the root is always s0; a graph
+refuses other ids. Trees classify by walking splits; ``casi.compile_tree``
+turns the same structure into a cellular rule base.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import count
 from math import log2
 
 from .dataset import NOMINAL, TrainingSet, case_values, shuffled_classes
@@ -61,15 +63,13 @@ def _breadth_first(root: TreeNode) -> list[TreeNode]:
 class InductionGraph:
     """A grown tree plus the schema it was fit under.
 
-    The graph holds a copy of the nodes it is given, numbered s0, s1, ...
-    breadth-first, so no node fact spells an attribute or class fact and
-    the nodes given, which another graph may hold, keep their ids. The
-    copies share the given nodes' counts. DataError on an unknown mode, a
-    node met twice, counts that are not non-negative ints of schema
-    classes, a split on no nominal attribute of the schema, without
-    children or with a branch outside the domain, or a leaf with children.
-    ``grow`` and ``rep_prune`` skip the copy and these checks through
-    ``_numbered``.
+    The graph holds the nodes it is given and changes none of them.
+    DataError on an unknown mode, a node met twice, a node whose id is not
+    its place s0, s1, ... in breadth-first order, counts that are not
+    non-negative ints of schema classes, a split on no nominal attribute of
+    the schema, without children or with a branch outside the domain, or a
+    leaf with children. ``grow`` and ``rep_prune`` skip these checks through
+    ``_unchecked_graph``.
     """
 
     root: TreeNode
@@ -82,16 +82,11 @@ class InductionGraph:
         classes = set(self.schema.classes)
         domains = {s.name: set(s.domain) for s in self.schema.attributes
                    if s.kind == NOMINAL}
-        given = _breadth_first(self.root)
-        copies = {id(node): TreeNode(f"s{i}", node.counts, node.attribute)
-                  for i, node in enumerate(given)}
-        for node in given:
-            copies[id(node)].children = {value: copies[id(child)] for
-                                         value, child in node.children.items()}
-        object.__setattr__(self, "root", copies[id(self.root)])
-        for node in copies.values():
+        for i, node in enumerate(_breadth_first(self.root)):
             nid, attr, counts, children = (node.node_id, node.attribute,
                                            node.counts, node.children)
+            if nid != f"s{i}":
+                raise DataError(f"node {nid!r} is node s{i} in breadth-first order")
             if not (counts and counts.keys() <= classes and all(
                     type(n) is int and n >= 0 for n in counts.values())):
                 raise DataError(f"node {nid} counts are not non-negative "
@@ -121,13 +116,9 @@ class InductionGraph:
         return walk(self.root)
 
 
-def _numbered(root: TreeNode, schema: Schema, mode: str) -> InductionGraph:
-    """The graph of a tree ``grow`` or ``rep_prune`` built once per node from
-    a checked set, numbered as the constructor numbers it, without its checks."""
-    order = [root]
-    for i, node in enumerate(order):
-        node.node_id = f"s{i}"
-        order.extend(node.children.values())
+def _unchecked_graph(root: TreeNode, schema: Schema, mode: str) -> InductionGraph:
+    """The graph of a tree ``grow`` or ``rep_prune`` made from a checked set,
+    named breadth-first as it was made, without the constructor's checks."""
     graph = object.__new__(InductionGraph)
     # as the frozen constructor sets them: vars() would slow every later read
     for name, value in (("root", root), ("schema", schema), ("mode", mode)):
@@ -215,7 +206,8 @@ def grow(ts: TrainingSet, mode: str = GAIN_RATIO, min_leaf: int = 2,
     each row counting its multiplicity; one with a single value scores 0.0
     and is skipped. Only the winner's parts are listed as rows; they, its
     counts and part entropies become the children's rows, ``counts`` and
-    node entropies. An unknown mode is refused before anything grows.
+    node entropies. Nodes are made breadth-first, each named by its place
+    as it is made. An unknown mode is refused before anything grows.
     """
     if mode not in (GAIN_RATIO, INFO_GAIN):
         raise DataError(f"unknown growth mode {mode!r}")
@@ -231,7 +223,8 @@ def grow(ts: TrainingSet, mode: str = GAIN_RATIO, min_leaf: int = 2,
 
     columns, labels, weights = _distinct_rows(ts)
     domains = {s.name: s.domain for s in ts.attributes}
-    root = TreeNode("", dict(Counter(ts.labels)))
+    root = TreeNode("s0", dict(Counter(ts.labels)))
+    made = count(1)
     queue = deque([(root, range(len(weights)), ts.attribute_names,
                     entropy(root.counts))])
     while queue:
@@ -260,10 +253,10 @@ def grow(ts: TrainingSet, mode: str = GAIN_RATIO, min_leaf: int = 2,
         for value in domains[best_attr]:
             if value not in rows:
                 continue
-            child = TreeNode("", counts[value])
+            child = TreeNode(f"s{next(made)}", counts[value])
             node.children[value] = child
             queue.append((child, rows[value], remaining, part_entropy[value]))
-    return _numbered(root, schema, mode)
+    return _unchecked_graph(root, schema, mode)
 
 
 def classify_tree(tree: InductionGraph, instance,
@@ -313,8 +306,9 @@ def rep_prune(tree: InductionGraph, prune_set: TrainingSet) -> InductionGraph:
     (training-)majority leaf unless it makes strictly fewer errors on the
     prune instances that reach it; errors only grow, so a subtree collapses
     as soon as its summed errors reach its leaf's. Subtrees no prune
-    instance reaches are kept as grown. Only kept nodes are copied, so the
-    input is unchanged and shares no node with the result, numbered anew.
+    instance reaches are kept as grown. Then the kept nodes are copied
+    breadth-first, each copy named by its place as it is made, so the input
+    is unchanged and shares no node with the result.
     """
     if prune_set.attribute_names != tuple(tree.schema.index):
         raise DataError("prune set schema does not match the tree schema")
@@ -345,15 +339,16 @@ def rep_prune(tree: InductionGraph, prune_set: TrainingSet) -> InductionGraph:
             return leaf_errors
         return errors
 
-    def copy(node: TreeNode) -> TreeNode:
-        if node.is_leaf or id(node) in collapsed:
-            return TreeNode("", dict(node.counts))
-        return TreeNode("", dict(node.counts), node.attribute,
-                        {value: copy(child)
-                         for value, child in node.children.items()})
-
     prune(tree.root, list(range(len(prune_set))))
-    return _numbered(copy(tree.root), tree.schema, tree.mode)
+    kept = [(tree.root, TreeNode("s0", dict(tree.root.counts)))]
+    for node, twin in kept:
+        if node.is_leaf or id(node) in collapsed:
+            continue
+        twin.attribute = node.attribute
+        for value, child in node.children.items():
+            twin.children[value] = TreeNode(f"s{len(kept)}", dict(child.counts))
+            kept.append((child, twin.children[value]))
+    return _unchecked_graph(kept[0][1], tree.schema, tree.mode)
 
 
 J48 = "j48"
@@ -411,9 +406,9 @@ def model_to_json(tree: InductionGraph) -> dict:
 def model_from_json(data: dict) -> InductionGraph:
     """Rebuild a tree from its JSON form: parse the node table, link it, and
     check what only the file holds (repeated or unknown ids, nodes the root,
-    the first node, does not reach, ids other than the graph's breadth-first
-    numbering, leaf classes that disagree with their counts). The graph
-    checks the rest; every fault is a ModelIntegrityError."""
+    the first node, does not reach, leaf classes that disagree with their
+    counts). The graph checks the rest, ids among it, once the first node is
+    known to reach every node; every fault is a ModelIntegrityError."""
     if not isinstance(data, dict) or data.get("format") != "induction-graph":
         raise ModelIntegrityError("not an induction-graph model file")
     schema = Schema.from_json(data)
@@ -433,20 +428,15 @@ def model_from_json(data: dict) -> InductionGraph:
                     raise ModelIntegrityError(f"unknown child node {child_id!r}")
                 node.children[value] = nodes[child_id]
         root = nodes[raw_nodes[0]["id"]]
+        if len(_breadth_first(root)) != len(nodes):
+            raise ModelIntegrityError(
+                "model contains nodes unreachable from the first node, the root")
         graph = InductionGraph(root, schema, data["mode"])
     except DataError as exc:
         raise ModelIntegrityError(str(exc)) from exc
     except (KeyError, TypeError, AttributeError) as exc:
         raise ModelIntegrityError(f"malformed model file: {exc}") from exc
-    if graph.node_count != len(nodes):
-        raise ModelIntegrityError(
-            "model contains nodes unreachable from the first node, the root")
-    # the graph numbers its copies of these nodes in this order
-    numbered = {id(node): f"s{i}" for i, node in enumerate(_breadth_first(root))}
     for (nid, node), entry in zip(nodes.items(), raw_nodes):
-        if numbered[id(node)] != nid:
-            raise ModelIntegrityError(
-                f"node {nid!r} is node {numbered[id(node)]} in breadth-first order")
         if "leaf_class" in entry and entry["leaf_class"] != node.majority:
             raise ModelIntegrityError(f"leaf {nid} class {entry['leaf_class']!r} "
                                       f"disagrees with its counts")

@@ -105,28 +105,42 @@ HAND_SCHEMA = Schema((AttributeSpec("x", "nominal", ("a", "b")),
 
 
 def hand_tree():
-    """x=a leads to a split on y, x=b to a leaf; every id is a placeholder."""
-    under_a = TreeNode("?", {"c1": 2, "c2": 1}, "y", {
-        "p": TreeNode("?", {"c1": 2}), "q": TreeNode("?", {"c2": 1})})
-    return TreeNode("?", {"c1": 2, "c2": 2}, "x",
-                    {"a": under_a, "b": TreeNode("?", {"c2": 1})})
+    """x=a leads to a split on y, x=b to a leaf; ids in breadth-first order."""
+    under_a = TreeNode("s1", {"c1": 2, "c2": 1}, "y", {
+        "p": TreeNode("s3", {"c1": 2}), "q": TreeNode("s4", {"c2": 1})})
+    return TreeNode("s0", {"c1": 2, "c2": 2}, "x",
+                    {"a": under_a, "b": TreeNode("s2", {"c2": 1})})
 
 
-def test_graph_numbers_the_nodes_it_is_given():
-    graph = InductionGraph(hand_tree(), HAND_SCHEMA, INFO_GAIN)
-    assert [n.node_id for n in graph.nodes()] == ["s0", "s1", "s2", "s3", "s4"]
-    assert graph.root.children["b"].node_id == "s2"
+def hand_nodes(root):
+    """The nodes of a ``hand_tree()`` in breadth-first order."""
+    return [root, *root.children.values(), *root.children["a"].children.values()]
+
+
+def assert_refused_unchanged(root, message):
+    """The graph over ``root`` raises DataError with ``message``; no node's
+    id or children change."""
+    nodes = hand_nodes(root)
+    before = [(n.node_id, {v: id(c) for v, c in n.children.items()}) for n in nodes]
+    with pytest.raises(DataError, match=re.escape(message)):
+        InductionGraph(root, HAND_SCHEMA, INFO_GAIN)
+    assert [(n.node_id, {v: id(c) for v, c in n.children.items()})
+            for n in nodes] == before
+
+
+def test_graph_refuses_swapped_ids():
+    root = hand_tree()
+    root.children["a"].node_id, root.children["b"].node_id = "s2", "s1"
+    assert_refused_unchanged(root, "node 's2' is node s1 in breadth-first order")
 
 
 @pytest.mark.parametrize("placeholder", ["?", ""])
-def test_graph_numbers_copies_of_the_nodes_it_is_given(placeholder):
+def test_graph_refuses_placeholder_ids(placeholder):
     root = hand_tree()
-    nodes = [root, *root.children.values(), *root.children["a"].children.values()]
-    for node in nodes:
+    for node in hand_nodes(root):
         node.node_id = placeholder
-    graph = InductionGraph(root, HAND_SCHEMA, INFO_GAIN)
-    assert [n.node_id for n in graph.nodes()] == ["s0", "s1", "s2", "s3", "s4"]
-    assert [n.node_id for n in nodes] == [placeholder] * 5
+    assert_refused_unchanged(
+        root, f"node {placeholder!r} is node s0 in breadth-first order")
 
 
 def test_a_graph_over_another_graphs_nodes_leaves_that_graph_unchanged():
@@ -134,8 +148,9 @@ def test_a_graph_over_another_graphs_nodes_leaves_that_graph_unchanged():
     grown = grow(nominal_set(["x", "y"], rows), INFO_GAIN, min_leaf=1)
     doc = model_to_json(grown)
     assert [n.node_id for n in grown.nodes()] == ["s0", "s1", "s2", "s3", "s4"]
-    under_b = InductionGraph(grown.root.children["b"], grown.schema, grown.mode)
-    assert [n.node_id for n in under_b.nodes()] == ["s0", "s1", "s2"]
+    assert InductionGraph(grown.root, grown.schema, grown.mode).root is grown.root
+    with pytest.raises(DataError, match="node 's2' is node s0 in breadth-first"):
+        InductionGraph(grown.root.children["b"], grown.schema, grown.mode)
     assert [n.node_id for n in grown.nodes()] == ["s0", "s1", "s2", "s3", "s4"]
     assert model_to_json(grown) == doc
     assert model_to_json(model_from_json(model_to_json(grown))) == doc
@@ -174,6 +189,9 @@ CODE_BUILT_FAULTS = {
                                  "node s2 counts"),
     "boolean count": (_set(("b",), counts={"c2": True}), "node s2 counts"),
     "no counts": (_set(("b",), counts={}), "node s2 counts"),
+    "id out of place, named before its other faults": (
+        _set(("b",), node_id="s9", counts={"c2": -1}),
+        "node 's9' is node s2 in breadth-first order"),
     "counted class the schema lacks": (_set(("a", "p"), counts={"c9": 1}),
                                        "node s3 counts"),
     "unknown mode": (lambda args: args.update(mode="gini"),

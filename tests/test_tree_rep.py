@@ -9,13 +9,11 @@ writes the same model JSON as the recounting growth in ``oracles``, also
 on sets of a few distinct rows repeated many times, which ``grow`` counts
 once each with their multiplicity; node
 ids s0, s1, ... follow breadth-first order in grown, pruned and reloaded
-trees, and the ids ``grow`` and ``rep_prune`` give without the constructor's
-checks are the ones the checked constructor gives, which accepts their
-trees. ``rep_prune`` shares no node with its input, also where it stops
+trees, and the trees ``grow`` and ``rep_prune`` build without the
+constructor's checks pass them exactly as built. ``rep_prune`` shares no node with its input, also where it stops
 early or where no prune row reaches a subtree.
 """
 
-import copy
 import json
 from collections import Counter, deque
 from pathlib import Path
@@ -286,20 +284,13 @@ def test_ids_follow_breadth_first_order(case, mode, min_leaf):
         assert [n.node_id for n in nodes] == [f"s{i}" for i in range(len(nodes))]
 
 
-def renumbered_by_the_constructor(tree):
-    """A deep copy of ``tree`` with its ids blanked, numbered and checked by
-    the ``InductionGraph`` constructor."""
-    root = copy.deepcopy(tree.root)
-    for node in breadth_first(root):
-        node.node_id = ""
-    return InductionGraph(root, tree.schema, tree.mode)
-
-
-def assert_numbered_as_checked(tree):
-    checked = renumbered_by_the_constructor(tree)
-    assert [n.node_id for n in checked.nodes()] == \
-        [n.node_id for n in tree.nodes()]
-    assert model_to_json(checked) == model_to_json(tree)
+def assert_passes_as_built(tree):
+    """``tree``'s nodes, exactly as built, pass every check of the
+    ``InductionGraph`` constructor, which holds them unchanged."""
+    doc = model_to_json(tree)
+    checked = InductionGraph(tree.root, tree.schema, tree.mode)
+    assert checked.root is tree.root
+    assert model_to_json(checked) == doc
 
 
 @PROPERTY
@@ -310,8 +301,8 @@ def assert_numbered_as_checked(tree):
 def test_built_trees_pass_the_checked_constructor(case, mode, min_leaf):
     ts, prune_set = case
     grown = grow(ts, mode, min_leaf)
-    assert_numbered_as_checked(grown)
-    assert_numbered_as_checked(rep_prune(grown, prune_set))
+    assert_passes_as_built(grown)
+    assert_passes_as_built(rep_prune(grown, prune_set))
 
 
 @pytest.mark.parametrize("corpus", ["quick.csv", "bfs.csv"])
@@ -321,11 +312,11 @@ def test_golden_corpus_trees_pass_the_checked_constructor(corpus, mode):
     dmap = fit_map(ts, mode)
     binned = apply_map(dmap, ts)
     for min_leaf in (1, 2, 3):
-        assert_numbered_as_checked(grow(binned, GAIN_RATIO, min_leaf, dmap))
+        assert_passes_as_built(grow(binned, GAIN_RATIO, min_leaf, dmap))
         grown = grow(binned, INFO_GAIN, min_leaf, dmap)
-        assert_numbered_as_checked(grown)
-        assert_numbered_as_checked(rep_prune(grown, binned))
-        assert_numbered_as_checked(induce(binned, "reptree", min_leaf, 1, dmap))
+        assert_passes_as_built(grown)
+        assert_passes_as_built(rep_prune(grown, binned))
+        assert_passes_as_built(induce(binned, "reptree", min_leaf, 1, dmap))
 
 
 def stump_and_prune(rows):
