@@ -9,7 +9,8 @@ A value v falls into bin ``count of cuts < v``, so a value equal to a cut
 maps to the bin on its left. ``bin_label`` is the one path from a raw value
 to a model value and ``bin_column`` its form for a whole column;
 ``apply_map`` rewrites the numeric columns of a set, training data or cases
-to classify, into nominal bin codes b0, b1, ... through the second.
+to classify, into nominal bins b0, b1, ...: the new set's codes are the bin
+indices of the second's ``searchsorted``, and its values are read from them.
 A ``Schema`` holds a model's attributes, classes and cut points, checked to
 agree, and is their one JSON form, for tree models and cellular rule bases.
 """
@@ -26,7 +27,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .dataset import (NOMINAL, NUMERIC, UNKNOWN, AttributeSpec, TrainingSet,
-                      is_finite_number, is_number)
+                      _recoded, is_finite_number, is_number)
 from .errors import DataError, ModelIntegrityError
 
 MODES = ("supervised", "unsupervised", "none")
@@ -193,13 +194,13 @@ def discretize_supervised(ts: TrainingSet) -> DiscretizationMap:
     Candidate cuts sit at midpoints between consecutive distinct values
     whose class sets differ; a cut is kept only when its information gain
     clears the MDL threshold, then both sides are discretized recursively.
-    The labels are coded once per fit (``_coded_labels``), and each
+    The fit reads the set's label codes (``_coded_labels``), and each
     attribute's candidates are found once, by array operations over its
-    column (``_candidates``).
+    float codes (``_candidates``).
     """
-    codes, firsts, table = _coded_labels(ts.labels)
+    codes, firsts, table = _coded_labels(ts)
     cuts: dict[str, tuple[float, ...]] = {}
-    for spec, column in zip(ts.attributes, ts.columns):
+    for spec, column in zip(ts.attributes, ts.codes):
         if spec.kind != NUMERIC:
             continue
         found: list[float] = []
@@ -208,15 +209,15 @@ def discretize_supervised(ts: TrainingSet) -> DiscretizationMap:
     return DiscretizationMap(cuts)
 
 
-def _coded_labels(labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each label's rank among the sorted distinct labels, in the smallest
-    unsigned type that holds them; each label's first row in the rows
-    sorted by label; and x log2 x for x = 0, 1, ..., len(labels)."""
-    names = {y: i for i, y in enumerate(sorted(set(labels)))}
-    codes = np.fromiter(map(names.__getitem__, labels),
-                        np.min_scalar_type(max(len(names) - 1, 0)), len(labels))
-    rows = np.bincount(codes, minlength=len(names))
-    x = np.arange(len(labels) + 1, dtype=float)
+def _coded_labels(ts: TrainingSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The set's label codes, each label's index into its classes in the
+    smallest unsigned type that holds them: in a set with sorted classes,
+    as every set this package builds has, each label's rank among the
+    classes. Also each label's first row in the rows sorted by label, and
+    x log2 x for x = 0, 1, ..., len(ts)."""
+    codes = ts.label_codes
+    rows = np.bincount(codes, minlength=len(ts.classes))
+    x = np.arange(len(codes) + 1, dtype=float)
     return codes, rows.cumsum() - rows, x * np.log2(np.maximum(x, 1))
 
 
@@ -231,13 +232,14 @@ def entropy(dist) -> float:
     return -sum((n / total) * math.log2(n / total) for n in counts if n)
 
 
-def _candidates(values: list, codes: np.ndarray, firsts: np.ndarray):
+def _candidates(keys: np.ndarray, codes: np.ndarray, firsts: np.ndarray):
     """The column's distinct (value, label) pairs in order, and its boundary
     candidates.
 
-    ``codes`` are the rows' label codes, in the smallest unsigned type that
-    holds them, and ``firsts`` each label's first row in the rows sorted by
-    label. One argsort of the values, in any order among equal ones, numbers
+    ``keys`` are the column's values as floats, ``codes`` the rows' label
+    codes, in the smallest unsigned type that holds them, and ``firsts``
+    each label's first row in the rows sorted by label. One argsort of the
+    values, in any order among equal ones, numbers
     the groups of equal values; one sort of the integers group * labels +
     label then orders each group by label, and its runs are the pairs, in
     the order of a stable sort by value, then label. Returns the candidates;
@@ -247,7 +249,6 @@ def _candidates(values: list, codes: np.ndarray, firsts: np.ndarray):
     before it, counted from ``firsts`` in a stable (radix) sort of the pairs
     by their small label codes; and per sorted row, its label code.
     """
-    keys = np.fromiter(values, float, len(values))
     if not len(keys):
         empty = np.zeros(0, np.intp)
         return keys, empty, empty, empty, np.zeros(1, np.intp), empty, empty
@@ -287,9 +288,10 @@ def _candidates(values: list, codes: np.ndarray, firsts: np.ndarray):
     return cuts, starts, sizes, label, offsets, ranks, key % classes
 
 
-def _mdl_split(values: list, codes: np.ndarray, firsts: np.ndarray,
+def _mdl_split(keys: np.ndarray, codes: np.ndarray, firsts: np.ndarray,
                table: np.ndarray, found: list[float]) -> None:
-    """Fayyad-Irani recursion over one numeric column and its coded labels.
+    """Fayyad-Irani recursion over one numeric column, its values as floats
+    ``keys``, and its coded labels.
 
     A candidate cut sends the values ``<= cut`` left. A cut never splits a
     run of equal values, so the candidates of a sub-range are the whole
@@ -315,7 +317,7 @@ def _mdl_split(values: list, codes: np.ndarray, firsts: np.ndarray,
     scoring every candidate exactly.
     """
     cuts, starts, sizes, labels, offsets, ranks, rows = _candidates(
-        values, codes, firsts)
+        keys, codes, firsts)
     cuts, starts, row_at = cuts.tolist(), starts.tolist(), offsets.tolist()
     weights = offsets[1:] - offsets[:-1]
     classes = len(firsts)
@@ -435,7 +437,11 @@ def apply_map(dmap: DiscretizationMap | None, ts: TrainingSet) -> TrainingSet:
     Nominal attributes, instance order and class labels are untouched; an
     encoded attribute is nominal, so encoding twice changes nothing. Every
     numeric attribute of ``ts`` must be covered by the map (the one such
-    check); no map (``None``) returns ``ts`` as it is.
+    check); no map (``None``) returns ``ts`` as it is. The new set is made
+    from codes: a binned column's codes are the bin indices one
+    ``searchsorted`` of its float codes gives, as in ``bin_column``. A NaN,
+    which only a directly built set holds, has no bin and passes through as
+    it is, so such a set is built from ``bin_column``'s values instead.
     """
     if dmap is None:
         return ts
@@ -443,13 +449,19 @@ def apply_map(dmap: DiscretizationMap | None, ts: TrainingSet) -> TrainingSet:
         if spec.kind == NUMERIC and spec.name not in dmap.cuts:
             raise DataError(f"attribute {spec.name!r} is numeric but has no cut points")
 
-    columns = tuple(dmap.bin_column(spec.name, column) if spec.kind == NUMERIC
-                    else column for spec, column in zip(ts.attributes, ts.columns))
+    numeric = [spec.kind == NUMERIC for spec in ts.attributes]
     new_specs = tuple(
-        AttributeSpec(spec.name, NOMINAL, dmap._bins[spec.name][0])
-        if spec.kind == NUMERIC else spec
-        for spec in ts.attributes)
-    return TrainingSet(new_specs, ts.classes, columns, ts.labels)
+        AttributeSpec(spec.name, NOMINAL, dmap._bins[spec.name][0]) if binned
+        else spec for spec, binned in zip(ts.attributes, numeric))
+    if any(np.isnan(column).any()
+           for column, binned in zip(ts.codes, numeric) if binned):
+        return TrainingSet(new_specs, ts.classes, tuple(
+            dmap.bin_column(spec.name, column) if binned else column
+            for spec, column, binned in zip(ts.attributes, ts.columns, numeric)),
+            ts.labels)
+    return _recoded(ts, new_specs, tuple(
+        dmap._bins[spec.name][1].searchsorted(column) if binned else column
+        for spec, column, binned in zip(ts.attributes, ts.codes, numeric)))
 
 
 def fit_map(ts: TrainingSet, mode: str, bins: int = 10) -> DiscretizationMap | None:

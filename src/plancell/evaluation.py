@@ -20,7 +20,8 @@ from itertools import chain, product
 import numpy as np
 
 from .casi import classify_casi, compile_tree
-from .dataset import NUMERIC, UNKNOWN, TrainingSet, shuffled_classes, subset
+from .dataset import (NUMERIC, UNKNOWN, TrainingSet, distinct_rows,
+                      shuffled_classes, subset)
 from .discretize import MODES, apply_map, fit_map
 from .errors import DataError, PlancellError, UnknownValueError
 from .knn import classify_knn, fit_knn
@@ -43,11 +44,17 @@ class FoldPlan:
     def _folds(self) -> np.ndarray:
         return np.array(self.assignment, dtype=np.intp)
 
+    def _test_rows(self, fold: int) -> np.ndarray:
+        return np.flatnonzero(self._folds == fold)
+
+    def _train_rows(self, fold: int) -> np.ndarray:
+        return np.flatnonzero(self._folds != fold)
+
     def test_indices(self, fold: int) -> list[int]:
-        return np.flatnonzero(self._folds == fold).tolist()
+        return self._test_rows(fold).tolist()
 
     def train_indices(self, fold: int) -> list[int]:
-        return np.flatnonzero(self._folds != fold).tolist()
+        return self._train_rows(fold).tolist()
 
 
 def make_folds(ts: TrainingSet, folds: int = 10, seed: int = 0) -> FoldPlan:
@@ -93,12 +100,13 @@ def predict(classify, values) -> str | None:
 def label_cases(classify, cases: TrainingSet) -> list[str | None]:
     """``predict``'s label for every case of an encoded set, in case order.
 
-    Each distinct case is labelled once, in order of first appearance, so
-    a failure other than an unknown value stops at the same case as a
-    case-by-case loop would.
+    Each distinct case, found from the set's codes (``distinct_rows``), is
+    labelled once, in order of first appearance, so a failure other than an
+    unknown value stops at the same case as a case-by-case loop would.
     """
-    labels = {row: predict(classify, row) for row in dict.fromkeys(cases.rows)}
-    return [labels[row] for row in cases.rows]
+    firsts, _, inverse = distinct_rows(cases, labels=False)
+    labels = [predict(classify, row) for row in cases.take(firsts).rows]
+    return [labels[i] for i in inverse.tolist()]
 
 
 def _fit_predictor(method: str, fitted: TrainingSet, engine: str,
@@ -190,8 +198,8 @@ def _cross_validate(ts: TrainingSet, methods: list[str], modes: list[str],
     per_fold: list[list[float]] = [[] for _ in cells]
     confusion = [Counter() for _ in cells]
     for fold in range(plan.folds):
-        train = subset(ts, plan.train_indices(fold))
-        test = ts.take(plan.test_indices(fold))
+        train = subset(ts, plan._train_rows(fold))
+        test = ts.take(plan._test_rows(fold))
         split = _stratified_thirds(train, plan.seed) if REPTREE in methods else None
         for col, mode in enumerate(modes):
             dmap = maps[mode] if maps else fit_map(train, mode, bins)

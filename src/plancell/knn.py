@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import NUMERIC, TrainingSet, case_values, is_finite_number
+from .dataset import (NUMERIC, TrainingSet, case_values, distinct_rows,
+                      is_finite_number)
 from .errors import DataError, UnknownValueError
 
 
@@ -34,10 +35,11 @@ class KnnModel:
     """The stored training rows, column by column.
 
     Per attribute, ``columns`` holds the raw values of a numeric column as
-    floats, or the integer codes of a nominal one, and ``codes`` the
-    nominal value-to-code map, None for a numeric attribute; a numeric
-    range is read from the schema's domain. ``labels`` holds each distinct
-    row's label, and ``inverse`` each training row's place among them.
+    floats, or the codes of a nominal one, each value's index into the
+    domain, and ``codes`` that value-to-code map, None for a numeric
+    attribute; a numeric range is read from the schema's domain.
+    ``labels`` holds each distinct row's label, and ``inverse`` each
+    training row's place among them.
     ``positions`` maps a distinct row's values to its place when every
     attribute is nominal, and is None otherwise.
     """
@@ -57,25 +59,15 @@ def fit_knn(ts: TrainingSet, k: int = 1) -> KnnModel:
         raise DataError(f"k must be >= 1, got {k}")
     if k > len(ts):
         raise DataError(f"k={k} exceeds the {len(ts)} training instances")
-    positions = {}
-    places = [positions.setdefault(row, len(positions)) for row in ts.rows]
-    # reversed, the last label written for a place is its first copy's
-    first = dict(zip(reversed(places), reversed(ts.labels)))
-    labels = tuple(first[p] for p in range(len(positions)))
-    stored = tuple(zip(*positions))
-    columns, codes = [], []
-    for spec, raw in zip(ts.attributes, stored):
-        if spec.kind == NUMERIC:
-            columns.append(np.array(raw, dtype=float))
-            codes.append(None)
-        else:
-            index: dict = {}
-            coded = [index.setdefault(v, len(index)) for v in raw]
-            columns.append(np.array(coded, dtype=np.intp))
-            codes.append(index)
-    return KnnModel(ts, k, tuple(columns), tuple(codes), labels,
-                    positions if None not in codes else None,
-                    np.array(places, dtype=np.intp))
+    firsts, _, inverse = distinct_rows(ts, labels=False)
+    stored = ts.take(firsts)
+    codes = tuple(None if spec.kind == NUMERIC
+                  else {v: i for i, v in enumerate(spec.domain)}
+                  for spec in ts.attributes)
+    positions = (dict(zip(stored.rows, range(len(stored))))
+                 if None not in codes else None)
+    return KnnModel(ts, k, stored.codes, codes, stored.labels, positions,
+                    inverse)
 
 
 def _stored_distances(model: KnnModel, values: tuple) -> np.ndarray:

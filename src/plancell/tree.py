@@ -16,7 +16,8 @@ from functools import cached_property
 from itertools import count
 from math import log2
 
-from .dataset import NOMINAL, TrainingSet, case_values, shuffled_classes
+from .dataset import (NOMINAL, TrainingSet, case_values, distinct_rows,
+                      shuffled_classes)
 from .discretize import DiscretizationMap, Schema, entropy
 from .errors import DataError, ModelIntegrityError, UnknownValueError
 
@@ -126,20 +127,21 @@ def _unchecked_graph(root: TreeNode, schema: Schema, mode: str) -> InductionGrap
     return graph
 
 
-def _distinct_rows(ts: TrainingSet) -> tuple[dict, tuple, tuple]:
-    """The set's distinct (values, label) rows in order of first appearance,
-    as columns by attribute name, their labels, and how many rows each one
-    stands for."""
-    weighted = Counter(zip(*ts.columns, ts.labels))
-    *columns, labels = zip(*weighted)
-    return (dict(zip(ts.attribute_names, columns)), labels,
-            tuple(weighted.values()))
+def _weighted_rows(ts: TrainingSet) -> tuple[dict, list, list]:
+    """The set's distinct (values, label) rows in order of first appearance
+    (``distinct_rows``), as codes by attribute name, their labels, and how
+    many rows each one stands for."""
+    firsts, weights, _ = distinct_rows(ts)
+    return ({spec.name: codes[firsts].tolist()
+             for spec, codes in zip(ts.attributes, ts.codes)},
+            [ts.classes[c] for c in ts.label_codes[firsts].tolist()],
+            weights.tolist())
 
 
-def _partition(column: tuple, labels: tuple, weights: tuple, idx) -> dict:
+def _partition(column: list, labels: list, weights: list, idx) -> dict:
     """The label counts of each part of the distinct rows ``idx`` by their
-    value in ``column``, row ``i`` counting ``weights[i]`` times; values,
-    and labels within a part, in order of first appearance."""
+    code in ``column``, row ``i`` counting ``weights[i]`` times; codes, and
+    labels within a part, in order of first appearance."""
     counts = defaultdict(dict)
     for i in idx:
         tally = counts[column[i]]
@@ -172,7 +174,7 @@ def _score(mode: str, parent: float, counts) -> tuple[float, list, list]:
 
 def _attribute_score(mode: str, ts: TrainingSet, attribute: str) -> float:
     parent = entropy(Counter(ts.labels))
-    columns, labels, weights = _distinct_rows(ts)
+    columns, labels, weights = _weighted_rows(ts)
     counts = _partition(columns[attribute], labels, weights,
                         range(len(weights)))
     return _score(mode, parent, counts.values())[0]
@@ -202,9 +204,10 @@ def grow(ts: TrainingSet, mode: str = GAIN_RATIO, min_leaf: int = 2,
     be binned by ``discretization``, the map its ``Schema`` keeps.
 
     Rows are counted, not visited: the set's distinct (values, label) rows
-    are found once, and each attribute sums a node's label counts per value,
-    each row counting its multiplicity; one with a single value scores 0.0
-    and is skipped. Only the winner's parts are listed as rows; they, its
+    are found once from its codes (``distinct_rows``), and each attribute
+    sums a node's label counts per value code, each row counting its
+    multiplicity; one with a single value scores 0.0 and is skipped. Only
+    the winner's parts are listed as rows; they, its
     counts and part entropies become the children's rows, ``counts`` and
     node entropies. Nodes are made breadth-first, each named by its place
     as it is made. An unknown mode is refused before anything grows.
@@ -221,9 +224,12 @@ def grow(ts: TrainingSet, mode: str = GAIN_RATIO, min_leaf: int = 2,
         raise DataError(f"min_leaf must be >= 1, got {min_leaf}")
     schema = Schema(ts.attributes, ts.classes, discretization)
 
-    columns, labels, weights = _distinct_rows(ts)
+    columns, labels, weights = _weighted_rows(ts)
     domains = {s.name: s.domain for s in ts.attributes}
-    root = TreeNode("s0", dict(Counter(ts.labels)))
+    tally: dict[str, int] = {}
+    for label, weight in zip(labels, weights):
+        tally[label] = tally.get(label, 0) + weight
+    root = TreeNode("s0", tally)
     made = count(1)
     queue = deque([(root, range(len(weights)), ts.attribute_names,
                     entropy(root.counts))])
@@ -246,16 +252,16 @@ def grow(ts: TrainingSet, mode: str = GAIN_RATIO, min_leaf: int = 2,
             continue
         node.attribute = best_attr
         remaining = tuple(a for a in attrs if a != best_attr)
-        column, rows = columns[best_attr], {value: [] for value in counts}
+        column, rows = columns[best_attr], {code: [] for code in counts}
         for i in idx:
             rows[column[i]].append(i)
         part_entropy = dict(zip(counts, entropies))
-        for value in domains[best_attr]:
-            if value not in rows:
+        for code, value in enumerate(domains[best_attr]):
+            if code not in rows:
                 continue
-            child = TreeNode(f"s{next(made)}", counts[value])
+            child = TreeNode(f"s{next(made)}", counts[code])
             node.children[value] = child
-            queue.append((child, rows[value], remaining, part_entropy[value]))
+            queue.append((child, rows[code], remaining, part_entropy[code]))
     return _unchecked_graph(root, schema, mode)
 
 

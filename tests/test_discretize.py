@@ -22,11 +22,17 @@ from plancell.errors import DataError, ModelIntegrityError
 from plancell.tree import grow, model_from_json, model_to_json
 
 
+def column_set(values, labels):
+    """A set of one numeric column, ``values`` as they are, and ``labels``."""
+    return build_training_set([("x", "numeric")], list(zip(values, labels)))
+
+
 def boundary_candidates(pairs):
     """The cut candidates the MDL fit finds for (value, label) rows in any
     order."""
-    codes, firsts, _ = _coded_labels([y for _, y in pairs])
-    return _candidates([v for v, _ in pairs], codes, firsts)[0].tolist()
+    ts = column_set([v for v, _ in pairs], [y for _, y in pairs])
+    codes, firsts, _ = _coded_labels(ts)
+    return _candidates(ts.codes[0], codes, firsts)[0].tolist()
 
 
 def numeric_set(values, labels):
@@ -444,7 +450,8 @@ def test_tied_splits_keep_the_first_cut():
     pairs = sorted(zip(values, labels))
     assert split_score(pairs, 19.5) == split_score(pairs, 39.5)
     found = []
-    _mdl_split(values, *_coded_labels(labels), found)
+    ts = column_set(values, labels)
+    _mdl_split(ts.codes[0], *_coded_labels(ts), found)
     assert found == [19.5, 39.5]
     assert tuple(found) == mdl_cuts(values, labels)
 
@@ -487,10 +494,11 @@ def coded_columns(draw):
 @given(coded_columns())
 def test_candidates_equal_a_lexsort_reference(column):
     values, labels = column
-    codes, firsts, _ = _coded_labels(labels)
+    ts = column_set(values, labels)
+    codes, firsts, _ = _coded_labels(ts)
     assert codes.dtype == (np.uint8 if len(set(labels)) <= 256 else np.uint16)
     cuts, starts, sizes, pair_labels, offsets, ranks, rows = _candidates(
-        values, codes, firsts)
+        ts.codes[0], codes, firsts)
     keys = np.array(values, dtype=float)
     order = np.lexsort((codes, keys))
     v, lab = keys[order].tolist(), codes[order].tolist()

@@ -258,10 +258,10 @@ def test_grow_rejects_bad_input(runs11):
 def test_grow_refuses_an_unknown_mode_before_it_grows(monkeypatch):
     import plancell.tree as tree
 
-    def no_growth(ts):
+    def no_growth(ts, labels=True):
         raise AssertionError("grew under an unknown mode")
 
-    monkeypatch.setattr(tree, "_distinct_rows", no_growth)
+    monkeypatch.setattr(tree, "distinct_rows", no_growth)
     two_classes = nominal_set(["x"], [("a", "A"), ("b", "B")] * 2)
     with pytest.raises(DataError, match="^unknown growth mode 'gini'$"):
         grow(two_classes, mode="gini", min_leaf=1)
