@@ -13,6 +13,18 @@ to classify, into nominal bins b0, b1, ...: the new set's codes are the bin
 indices of the second's ``searchsorted``, and its values are read from them.
 A ``Schema`` holds a model's attributes, classes and cut points, checked to
 agree, and is their one JSON form, for tree models and cellular rule bases.
+
+Supervised cuts come by one of two paths, with the same cuts.
+``discretize_supervised``, which ``fit_map`` calls for training,
+``classify``, the CLI and a global map, splits each column of one set by
+the recursion ``_mdl_split``, one range at a time. ``fit_supervised_maps``
+fits the training folds of a CV cell at once: ``_mdl_steps`` splits their
+columns of up to ``_SHARED_WIDTH`` (value, label) pairs level by level,
+screening every pending range of every fold in one step, and longer
+columns go through ``_mdl_split``. The steps only pay when a step has many
+ranges: on one set alone they took 1.6-1.8x the recursion's time (the
+benchmark corpora, 180 and 1,800 rows; BENCH_fold_maps.json), so one-set
+fits keep the recursion.
 """
 
 from __future__ import annotations
@@ -34,6 +46,12 @@ MODES = ("supervised", "unsupervised", "none")
 
 # the float epsilon of ``_tolerance``, looked up once
 _EPSILON = np.finfo(float).eps
+
+# the most (value, label) pairs of a column that ``fit_supervised_maps``
+# splits in ``_mdl_steps``: a CV cell's 10 folds with one column of nearly
+# distinct values fitted as fast either way at 700-900 pairs a fold, and the
+# steps' 2-D arrays stay small
+_SHARED_WIDTH = 512
 
 
 @dataclass(frozen=True)
@@ -198,25 +216,152 @@ def discretize_supervised(ts: TrainingSet) -> DiscretizationMap:
     attribute's candidates are found once, by array operations over its
     float codes (``_candidates``).
     """
-    codes, firsts, table = _coded_labels(ts)
+    codes, firsts, table = _coded_labels(ts.label_codes, len(ts.classes))
     cuts: dict[str, tuple[float, ...]] = {}
     for spec, column in zip(ts.attributes, ts.codes):
         if spec.kind != NUMERIC:
             continue
         found: list[float] = []
-        _mdl_split(column, codes, firsts, table, found)
+        _mdl_split(_candidates(column, codes, firsts), len(firsts), table, found)
         cuts[spec.name] = tuple(sorted(found))
     return DiscretizationMap(cuts)
 
 
-def _coded_labels(ts: TrainingSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The set's label codes, each label's index into its classes in the
-    smallest unsigned type that holds them: in a set with sorted classes,
-    as every set this package builds has, each label's rank among the
-    classes. Also each label's first row in the rows sorted by label, and
-    x log2 x for x = 0, 1, ..., len(ts)."""
-    codes = ts.label_codes
-    rows = np.bincount(codes, minlength=len(ts.classes))
+def fit_supervised_maps(ts: TrainingSet, row_sets) -> list[DiscretizationMap | None]:
+    """``fit_map(subset(ts, rows), "supervised")`` for each of ``row_sets``,
+    non-empty int arrays, such as the training folds of a CV cell.
+
+    Each row set and numeric attribute is a column of its own, its values
+    the set's codes at those rows, with ``_candidates`` of its own. The fit
+    reads labels only through equality, counts and first appearance, so
+    the set's label codes at the rows give each subset's cuts. A column of
+    more than ``_SHARED_WIDTH`` (value, label) pairs is split by
+    ``_mdl_split``; the shorter ones, where numpy set-up and not arithmetic
+    is the cost of a range, are split together by ``_mdl_steps``.
+    """
+    numeric = [(spec.name, column) for spec, column in zip(ts.attributes, ts.codes)
+               if spec.kind == NUMERIC]
+    if not numeric:
+        return [None] * len(row_sets)
+    classes = len(ts.classes)
+    found = [[[] for _ in numeric] for _ in row_sets]
+    short, table = [], np.zeros(1)
+    for rows, cuts in zip(row_sets, found):
+        codes, firsts, set_table = _coded_labels(ts.label_codes[rows], classes)
+        table = max(table, set_table, key=len)
+        counts = np.diff(firsts, append=len(codes))
+        for (_, column), out in zip(numeric, cuts):
+            candidates = _candidates(column[rows], codes, firsts)
+            if len(candidates[3]) > _SHARED_WIDTH:
+                _mdl_split(candidates, classes, set_table, out)
+            else:
+                short.append((candidates, counts, out))
+    if short:
+        _mdl_steps(short, classes, table)
+    return [DiscretizationMap({name: tuple(sorted(out))
+                               for (name, _), out in zip(numeric, cuts)})
+            for cuts in found]
+
+
+def _mdl_steps(columns: list, classes: int, table: np.ndarray) -> None:
+    """``_mdl_split`` of many columns, level by level: each column is its
+    ``_candidates``, its label counts and the list its cuts go to.
+
+    Each step screens every pending range of every column at once, a range
+    one row of 2-D arrays padded to the widest of the step, as
+    ``_mdl_split`` screens one range: a range's running sums start at its
+    own first pair, so ``_tolerance`` bounds them as it does there, and the
+    ranges the screen leaves undecided are re-scored by the same ``_exact``.
+    """
+    parts = [candidates for candidates, _, _ in columns]
+    # the columns' pairs and rows end to end, each column's at its own base
+    pair_base = np.cumsum([0] + [len(part[3]) for part in parts])
+    cuts, starts, sizes, labels, _, ranks, rows = map(np.concatenate, zip(*parts))
+    bases = np.repeat(pair_base[:-1], [len(part[1]) for part in parts])
+    starts, sizes = starts + bases, sizes + bases
+    weights = np.concatenate([np.diff(part[4]) for part in parts])
+    offsets = np.concatenate(([0], weights.cumsum()))
+    # the pending ranges: their pairs, column, and each label's rows in the
+    # column before the range and in it
+    lo, hi, owner = pair_base[:-1], pair_base[1:], np.arange(len(columns))
+    count = np.array([counts for _, counts, _ in columns])
+    before = np.zeros_like(count)
+    while True:
+        first, last = starts.searchsorted(lo, "right"), starts.searchsorted(hi, "left")
+        pending = (first < last).nonzero()[0]
+        if not len(pending):
+            break
+        lo, hi, owner, first, last, count, before = (
+            x[pending] for x in (lo, hi, owner, first, last, count, before))
+        ranges = np.arange(len(lo))[:, None]
+        start = offsets[lo]
+        n = offsets[hi] - start
+        # per range, its pairs, padded with copies of its last: the sums
+        # are read at the range's own candidates, so no copy is counted
+        j = np.arange((hi - lo).max())
+        pair = np.minimum(lo[:, None] + j, hi[:, None] - 1)
+        label, own = labels[pair], weights[pair]
+        seen = ranks[pair] - before[ranges, label]
+        upto, after = seen + own, count[ranges, label] - seen
+        total_f = table[count].sum(axis=1)
+        s_left = (table[upto] - table[seen]).cumsum(axis=1)
+        s_right = total_f[:, None] - (table[after] - table[after - own]).cumsum(axis=1)
+        # per range, its candidates, padded with copies of its last
+        c = np.arange((last - first).max())
+        cand = np.minimum(first[:, None] + c, last[:, None] - 1)
+        end = np.minimum(sizes[cand], hi[:, None])
+        here = offsets[end] - start[:, None]
+        edge = end - (lo[:, None] + 1)
+        left_f, right_f = s_left[ranges, edge], s_right[ranges, edge]
+        screened = (table[here] - left_f + table[n[:, None] - here] - right_f) / n[:, None]
+        screened[c >= (last - first)[:, None]] = np.inf
+        tolerance = np.array([_tolerance(m) for m in n.tolist()])
+        near = screened <= (screened.min(axis=1) + tolerance)[:, None]
+        i = near.argmax(axis=1)
+        at = (ranges[:, 0], i)
+        nl, p = here[at], end[at] - lo
+        # per range, its label counts left of its best candidate: the labels
+        # on each side are those with rows there
+        sent = j < p[:, None]
+        left = np.bincount((ranges * classes + label)[sent], own[sent],
+                           len(lo) * classes).astype(count.dtype).reshape(count.shape)
+        parent = (table[n] - total_f) / n
+        # a range not decided by the screen divides by 1 here, and is unread
+        h_left = (table[nl] - left_f[at]) / np.maximum(nl, 1)
+        h_right = (table[n - nl] - right_f[at]) / np.maximum(n - nl, 1)
+        k, k1, k2 = (np.count_nonzero(x, axis=1) for x in (count, left, count - left))
+        margin = np.zeros(len(lo))
+        decided = ((near.sum(axis=1) == 1) & (0 < nl) & (nl < n)).nonzero()[0]
+        for r, *args in zip(decided.tolist(), *(x[decided].tolist() for x in (
+                n, k, k1, k2, parent, screened[at], h_left, h_right))):
+            margin[r] = _margin(*args)
+        for r in (np.abs(margin) <= 2 * tolerance).nonzero()[0].tolist():
+            width = hi[r] - lo[r]
+            x, margin[r] = _exact(rows[start[r]:start[r] + n[r]],
+                                  label[r, :width][seen[r, :width] == 0],
+                                  here[r][near[r]].tolist(), classes)
+            i[r] = near[r].nonzero()[0][x]
+            p[r] = end[r, i[r]] - lo[r]
+            left[r] = np.bincount(rows[start[r]:start[r] + here[r, i[r]]],
+                                  minlength=classes)
+        split = (margin > 0).nonzero()[0]
+        for q, cut in zip(owner[split].tolist(), cuts[first[split] + i[split]].tolist()):
+            columns[q][2].append(cut)
+        mid = lo[split] + p[split]
+        lo, hi, owner, before, count = (np.concatenate(x) for x in zip((
+            lo[split], mid, owner[split], before[split], left[split]), (
+            mid, hi[split], owner[split], before[split] + left[split],
+            count[split] - left[split])))
+
+
+def _coded_labels(codes: np.ndarray, classes: int
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The label ``codes`` of a set, or of some of its rows, as
+    ``TrainingSet.label_codes`` holds them: each label's index into the
+    set's ``classes`` sorted classes, in the smallest unsigned type that
+    holds them. Also each label's first row in the rows sorted by label,
+    and x log2 x for x = 0, 1, ..., len(codes)."""
+    rows = np.bincount(codes, minlength=classes)
     x = np.arange(len(codes) + 1, dtype=float)
     return codes, rows.cumsum() - rows, x * np.log2(np.maximum(x, 1))
 
@@ -288,10 +433,10 @@ def _candidates(keys: np.ndarray, codes: np.ndarray, firsts: np.ndarray):
     return cuts, starts, sizes, label, offsets, ranks, key % classes
 
 
-def _mdl_split(keys: np.ndarray, codes: np.ndarray, firsts: np.ndarray,
-               table: np.ndarray, found: list[float]) -> None:
-    """Fayyad-Irani recursion over one numeric column, its values as floats
-    ``keys``, and its coded labels.
+def _mdl_split(candidates: tuple, classes: int, table: np.ndarray,
+               found: list[float]) -> None:
+    """Fayyad-Irani recursion over one numeric column, given as its
+    ``_candidates`` and its count of classes.
 
     A candidate cut sends the values ``<= cut`` left. A cut never splits a
     run of equal values, so the candidates of a sub-range are the whole
@@ -316,11 +461,9 @@ def _mdl_split(keys: np.ndarray, codes: np.ndarray, firsts: np.ndarray,
     and its margin computed exactly; either way the cuts are those of
     scoring every candidate exactly.
     """
-    cuts, starts, sizes, labels, offsets, ranks, rows = _candidates(
-        keys, codes, firsts)
+    cuts, starts, sizes, labels, offsets, ranks, rows = candidates
     cuts, starts, row_at = cuts.tolist(), starts.tolist(), offsets.tolist()
     weights = offsets[1:] - offsets[:-1]
-    classes = len(firsts)
 
     def split(lo: int, hi: int) -> None:
         first, last = bisect_right(starts, lo), bisect_left(starts, hi)
@@ -359,27 +502,10 @@ def _mdl_split(keys: np.ndarray, codes: np.ndarray, firsts: np.ndarray,
                              (table[nl] - s_left[i]) / nl,
                              (table[n - nl] - s_right[i]) / (n - nl))
         if abs(margin) <= 2 * tolerance:
-            # label codes in order of first appearance
-            order = pairs[seen == 0]
-            total = counts[order].tolist()
-            parent = entropy(total)
-            best = None
-            for j in near:
-                nl = int(here[j])
-                left = np.bincount(rows[start:start + nl],
-                                   minlength=classes)[order].tolist()
-                right = [t - c for t, c in zip(total, left)]
-                # entropy() refuses an empty side, whose entropy is 0
-                h_left = entropy(left) if nl else 0.0
-                h_right = entropy(right) if nl < n else 0.0
-                weighted = nl / n * h_left + (n - nl) / n * h_right
-                if best is None or weighted < best[0]:
-                    best = (weighted, j, nl, left, right, h_left, h_right)
-            weighted, i, nl, left, right, h_left, h_right = best
+            x, margin = _exact(rows[start:stop], pairs[seen == 0],
+                               here[near].tolist(), classes)
+            i = near[x]
             p = int(end[i]) - lo
-            margin = _margin(n, len(total), sum(map(bool, left)),
-                             sum(map(bool, right)), parent, weighted, h_left,
-                             h_right)
         if margin <= 0:
             return
         found.append(cuts[first + i])
@@ -387,6 +513,33 @@ def _mdl_split(keys: np.ndarray, codes: np.ndarray, firsts: np.ndarray,
         split(lo + p, hi)
 
     split(0, len(labels))
+
+
+def _exact(rows: np.ndarray, order: np.ndarray, lefts: list[int],
+           classes: int) -> tuple[int, float]:
+    """The place in ``lefts`` of the first candidate with the least weighted
+    entropy, scored exactly, and its exact MDL margin.
+
+    ``rows`` are a range's label codes in sorted row order, ``order`` its
+    label codes in order of first appearance, and ``lefts`` the rows each
+    of its near-best candidates sends left.
+    """
+    n = len(rows)
+    total = np.bincount(rows, minlength=classes)[order].tolist()
+    parent = entropy(total)
+    best = None
+    for x, nl in enumerate(lefts):
+        left = np.bincount(rows[:nl], minlength=classes)[order].tolist()
+        right = [t - c for t, c in zip(total, left)]
+        # entropy() refuses an empty side, whose entropy is 0
+        h_left = entropy(left) if nl else 0.0
+        h_right = entropy(right) if nl < n else 0.0
+        weighted = nl / n * h_left + (n - nl) / n * h_right
+        if best is None or weighted < best[0]:
+            best = (weighted, x, left, right, h_left, h_right)
+    weighted, x, left, right, h_left, h_right = best
+    return x, _margin(n, len(total), sum(map(bool, left)), sum(map(bool, right)),
+                      parent, weighted, h_left, h_right)
 
 
 def _margin(n: int, k: int, k1: int, k2: int, parent: float, weighted: float,

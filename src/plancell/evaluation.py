@@ -22,7 +22,7 @@ import numpy as np
 from .casi import classify_casi, compile_tree
 from .dataset import (NUMERIC, UNKNOWN, TrainingSet, distinct_rows,
                       shuffled_classes, subset)
-from .discretize import MODES, apply_map, fit_map
+from .discretize import MODES, apply_map, fit_map, fit_supervised_maps
 from .errors import DataError, PlancellError, UnknownValueError
 from .knn import classify_knn, fit_knn
 from .tree import (J48, REPTREE, _stratified_thirds, classify_tree, induce,
@@ -191,8 +191,14 @@ def _cross_validate(ts: TrainingSet, methods: list[str], modes: list[str],
     once and binned once per mode for every method; a repeated method or
     mode is a cell of its own and runs again. Binning keeps the labels, so
     one REP split of the fold serves ``reptree`` in every mode."""
-    maps = ({mode: fit_map(ts, mode, bins) for mode in modes}
-            if global_discretize else None)
+    if global_discretize:
+        maps = {mode: [fit_map(ts, mode, bins)] * plan.folds for mode in modes}
+    elif "supervised" in modes:
+        # the training folds get their supervised maps from one pass
+        maps = {"supervised": fit_supervised_maps(
+            ts, [plan._train_rows(fold) for fold in range(plan.folds)])}
+    else:
+        maps = {}
     cells = list(product(methods, modes))
     correct, errors = [0] * len(cells), [0] * len(cells)
     per_fold: list[list[float]] = [[] for _ in cells]
@@ -202,7 +208,7 @@ def _cross_validate(ts: TrainingSet, methods: list[str], modes: list[str],
         test = ts.take(plan._test_rows(fold))
         split = _stratified_thirds(train, plan.seed) if REPTREE in methods else None
         for col, mode in enumerate(modes):
-            dmap = maps[mode] if maps else fit_map(train, mode, bins)
+            dmap = maps[mode][fold] if mode in maps else fit_map(train, mode, bins)
             fitted, held = apply_map(dmap, train), apply_map(dmap, test)
             for row, method in enumerate(methods):
                 cell = row * len(modes) + col

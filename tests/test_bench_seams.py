@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from plancell import evaluation, tree
+from plancell import discretize, evaluation, tree
 from plancell.dataset import build_training_set
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
@@ -31,8 +31,9 @@ def load_spans():
     return module
 
 
+SPANS_MODULE = load_spans()
 TARGETS = [(layer, name, holders)
-           for layer, name, holders, _ in load_spans().TARGETS]
+           for layer, name, holders, _ in SPANS_MODULE.TARGETS]
 
 
 @pytest.mark.parametrize("layer, name, holders", TARGETS,
@@ -96,3 +97,28 @@ def test_a_grid_splits_each_fold_for_rep_once(monkeypatch):
     evaluation.evaluate_grid(ts, ["j48"], ["supervised", "unsupervised"],
                              seed=1, folds=3)
     assert splits == []
+
+
+def numeric_set():
+    rows = [(float(i % 7), f"v{i % 3}", "AB"[i % 3 == 0]) for i in range(30)]
+    return build_training_set([("t", "numeric"), ("x", "nominal")], rows)
+
+
+def test_a_traced_cell_times_every_fold_and_fits_no_map_per_fold():
+    # the fold spans start at each fold's subset; the cell's training folds
+    # get their supervised maps before the first, from one pass
+    ts = numeric_set()
+    with SPANS_MODULE.Tracer() as tracer:
+        evaluation.cross_validate(ts, "j48", "supervised", seed=1, folds=5)
+    folds = SPANS_MODULE.fold_seconds(tracer.spans)
+    assert len(folds) == 5 and all(seconds > 0 for seconds in folds)
+    names = [span.name for span in tracer.spans]
+    assert "discretize.discretize_supervised" not in names
+    assert names.count("discretize.apply_map") == 2 * 5
+
+
+def test_one_set_is_fitted_by_one_discretize_supervised_call():
+    with SPANS_MODULE.Tracer() as tracer:
+        discretize.fit_map(numeric_set(), "supervised")
+    assert [span.name for span in tracer.spans] == [
+        "discretize.discretize_supervised"]

@@ -3,6 +3,7 @@ import json
 import math
 import random
 from collections import Counter
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -13,11 +14,12 @@ from oracles import _boundary_candidates, encode, mdl_cuts
 from plancell import cli, discretize, evaluation
 from plancell.casi import compile_tree, kb_from_json, kb_to_json
 from plancell.dataset import (NOMINAL, AttributeSpec, TrainingSet,
-                              build_training_set)
+                              build_training_set, subset)
 from plancell.discretize import (MODES, DiscretizationMap, Schema, _candidates,
                                  _coded_labels, _mdl_split, apply_map,
                                  discretize_supervised,
-                                 discretize_unsupervised, entropy, fit_map)
+                                 discretize_unsupervised, entropy, fit_map,
+                                 fit_supervised_maps)
 from plancell.errors import DataError, ModelIntegrityError
 from plancell.tree import grow, model_from_json, model_to_json
 
@@ -31,13 +33,27 @@ def boundary_candidates(pairs):
     """The cut candidates the MDL fit finds for (value, label) rows in any
     order."""
     ts = column_set([v for v, _ in pairs], [y for _, y in pairs])
-    codes, firsts, _ = _coded_labels(ts)
+    codes, firsts, _ = _coded_labels(ts.label_codes, len(ts.classes))
     return _candidates(ts.codes[0], codes, firsts)[0].tolist()
 
 
 def numeric_set(values, labels):
     rows = [(float(v), y) for v, y in zip(values, labels)]
     return build_training_set([("x", "numeric")], rows)
+
+
+def assert_batched_cuts(ts, values, labels, cuts):
+    """The batched pass of ``fit_supervised_maps`` (``_mdl_steps``) gives
+    the column ``ts`` of ``values`` and ``labels`` the cuts ``cuts`` beside
+    the cuts of its first rows, which the oracle checks: the shorter range
+    is padded in the steps both are screened in."""
+    head = len(values) // 2 + 1
+    with patch.object(discretize, "_SHARED_WIDTH", len(ts)):
+        whole, part = fit_supervised_maps(
+            ts, [np.arange(len(ts)), np.arange(head)])
+    assert list(map(repr, whole.cuts["x"])) == list(map(repr, cuts))
+    assert list(map(repr, part.cuts["x"])) == \
+        list(map(repr, mdl_cuts(values[:head], labels[:head])))
 
 
 def test_equal_width_cut_spacing(runs11):
@@ -382,9 +398,11 @@ def draw_labels(draw, values, k, names=LABELS):
 @given(labelled_columns())
 def test_mdl_cuts_equal_the_quadratic_oracle(column):
     values, labels = column
-    got = discretize_supervised(numeric_set(values, labels)).cuts["x"]
+    ts = numeric_set(values, labels)
+    got = discretize_supervised(ts).cuts["x"]
     assert got == mdl_cuts(values, labels)
     assert set(got) <= set(boundary_candidates(sorted(zip(values, labels))))
+    assert_batched_cuts(ts, values, labels, got)
 
 
 @st.composite
@@ -418,6 +436,7 @@ def test_mdl_cuts_equal_the_quadratic_oracle_on_int_columns(column):
     ts = build_training_set([("x", "numeric")], list(zip(values, labels)))
     got = discretize_supervised(ts).cuts["x"]
     assert list(map(repr, got)) == list(map(repr, mdl_cuts(values, labels)))
+    assert_batched_cuts(ts, values, labels, got)
     pairs = sorted(zip(values, labels))
     assert list(map(repr, boundary_candidates(pairs))) == \
         list(map(repr, _boundary_candidates(pairs)))
@@ -438,8 +457,10 @@ def test_mdl_cuts_equal_the_quadratic_oracle_on_int_columns(column):
 ])
 def test_mdl_cuts_equal_the_oracle_on_edge_cases(values, labels):
     values = [float(v) for v in values]
-    got = discretize_supervised(numeric_set(values, labels)).cuts["x"]
+    ts = numeric_set(values, labels)
+    got = discretize_supervised(ts).cuts["x"]
     assert got == mdl_cuts(values, labels)
+    assert_batched_cuts(ts, values, labels, got)
 
 
 def test_tied_splits_keep_the_first_cut():
@@ -451,9 +472,12 @@ def test_tied_splits_keep_the_first_cut():
     assert split_score(pairs, 19.5) == split_score(pairs, 39.5)
     found = []
     ts = column_set(values, labels)
-    _mdl_split(ts.codes[0], *_coded_labels(ts), found)
+    codes, firsts, table = _coded_labels(ts.label_codes, len(ts.classes))
+    _mdl_split(_candidates(ts.codes[0], codes, firsts), len(firsts), table,
+               found)
     assert found == [19.5, 39.5]
     assert tuple(found) == mdl_cuts(values, labels)
+    assert_batched_cuts(ts, values, labels, (19.5, 39.5))
 
 
 # --- the sorted pairs and candidates against one np.lexsort ----------------
@@ -495,7 +519,7 @@ def coded_columns(draw):
 def test_candidates_equal_a_lexsort_reference(column):
     values, labels = column
     ts = column_set(values, labels)
-    codes, firsts, _ = _coded_labels(ts)
+    codes, firsts, _ = _coded_labels(ts.label_codes, len(ts.classes))
     assert codes.dtype == (np.uint8 if len(set(labels)) <= 256 else np.uint16)
     cuts, starts, sizes, pair_labels, offsets, ranks, rows = _candidates(
         ts.codes[0], codes, firsts)
@@ -557,8 +581,10 @@ def benchmark_columns(draw):
 @given(benchmark_columns())
 def test_mdl_cuts_equal_the_quadratic_oracle_on_benchmark_columns(column):
     values, labels = column
-    got = discretize_supervised(numeric_set(values, labels)).cuts["x"]
+    ts = numeric_set(values, labels)
+    got = discretize_supervised(ts).cuts["x"]
     assert got == mdl_cuts(values, labels)
+    assert_batched_cuts(ts, values, labels, got)
 
 
 def counted_entropy(monkeypatch) -> list:
@@ -577,8 +603,10 @@ def test_a_clear_split_is_decided_by_the_screen(monkeypatch):
     calls = counted_entropy(monkeypatch)
     values = [float(v) for v in range(40)]
     labels = ["A"] * 20 + ["B"] * 20
-    assert discretize_supervised(numeric_set(values, labels)).cuts["x"] == \
+    ts = numeric_set(values, labels)
+    assert discretize_supervised(ts).cuts["x"] == \
         mdl_cuts(values, labels) == (19.5,)
+    assert_batched_cuts(ts, values, labels, (19.5,))
     assert calls == []
 
 
@@ -594,9 +622,87 @@ def test_a_clear_split_is_decided_by_the_screen(monkeypatch):
 def test_near_ties_and_near_threshold_gains_are_scored_exactly(
         monkeypatch, values, labels, cuts):
     calls = counted_entropy(monkeypatch)
-    assert discretize_supervised(numeric_set(values, labels)).cuts["x"] == \
+    ts = numeric_set(values, labels)
+    assert discretize_supervised(ts).cuts["x"] == \
         mdl_cuts(values, labels) == cuts
     assert calls
+    calls.clear()
+    assert [m.cuts["x"] for m in fit_supervised_maps(
+        ts, [np.arange(len(ts))] * 2)] == [cuts] * 2
+    assert calls
+
+
+def test_a_padded_range_is_scored_exactly_on_its_own_pairs(monkeypatch):
+    # x's range, three pairs, the last the first of its label, is padded to
+    # z's five in the step that screens both; its exact re-score must count
+    # x's own pairs only, and then keeps no cut
+    calls = counted_entropy(monkeypatch)
+    x, labels = [0.0, 1.0, 1.0, 1.0, 3.0], list("ABBBC")
+    ts = build_training_set([("x", "numeric"), ("z", "numeric")], [
+        (v, float(i), y) for i, (v, y) in enumerate(zip(x, labels))])
+    (dmap,) = fit_supervised_maps(ts, [np.arange(len(ts))])
+    assert calls
+    assert dmap == discretize_supervised(ts)
+    assert dmap.cuts["x"] == mdl_cuts(x, labels) == ()
+
+
+# --- the supervised maps of many row sets, as of a CV cell's folds ----------
+
+@st.composite
+def fold_sets(draw):
+    """A set of a nominal and two numeric attributes, one of them sometimes
+    constant, with repeated values, and 2-10 row sets of it: the training
+    folds of a CV split, or rows drawn at random, some sets holding rows of
+    one class only."""
+    n = draw(st.integers(2, 80))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    spread = draw(st.sampled_from([2, 8, 40]))
+    x = [float(rng.randrange(spread)) for _ in range(n)]
+    y = ([2.5] * n if draw(st.booleans())
+         else [rng.choice([-1.0, 0.0, 0.5, 7.25]) for _ in range(n)])
+    labels = draw_labels(draw, x, draw(st.integers(1, 4)))
+    ts = build_training_set(
+        [("kind", "nominal"), ("x", "numeric"), ("y", "numeric")],
+        [(f"k{rng.randrange(3)}", a, b, label)
+         for a, b, label in zip(x, y, labels)])
+    folds = draw(st.integers(2, min(10, n)))
+    if draw(st.booleans()):
+        plan = evaluation.make_folds(ts, folds, rng.randrange(100))
+        return ts, [plan._train_rows(fold) for fold in range(folds)]
+    by_label = {}
+    for i, label in enumerate(labels):
+        by_label.setdefault(label, []).append(i)
+    row_sets = []
+    for _ in range(folds):
+        pool = (rng.choice(list(by_label.values())) if rng.random() < 0.3
+                else range(n))
+        rows = [i for i in pool if rng.random() < 0.7] or [min(pool)]
+        row_sets.append(np.array(rows, dtype=np.intp))
+    return ts, row_sets
+
+
+@settings(max_examples=100, deadline=None)
+@given(fold_sets(), st.sampled_from([0, 3, 512]))
+def test_each_row_sets_map_is_its_subsets_own_fit(case, width):
+    # a width of 0 sends every column through _mdl_split, 512 every one
+    # through _mdl_steps, and 3 some each way
+    ts, row_sets = case
+    with patch.object(discretize, "_SHARED_WIDTH", width):
+        maps = fit_supervised_maps(ts, row_sets)
+    assert len(maps) == len(row_sets)
+    for dmap, rows in zip(maps, row_sets):
+        own = fit_map(subset(ts, rows), "supervised")
+        assert {name: list(map(repr, cuts)) for name, cuts in dmap.cuts.items()} \
+            == {name: list(map(repr, cuts)) for name, cuts in own.cuts.items()}
+
+
+def test_row_sets_without_numeric_attributes_get_no_map():
+    ts = build_training_set([("kind", "nominal")],
+                            [(f"k{i % 3}", "AB"[i % 2]) for i in range(12)])
+    row_sets = [np.arange(0, 12, 2), np.arange(1, 12)]
+    assert fit_supervised_maps(ts, row_sets) == [None, None]
+    assert [fit_map(subset(ts, rows), "supervised") for rows in row_sets] == \
+        [None, None]
 
 
 def schema_doc():

@@ -207,18 +207,34 @@ def test_unknown_values_count_as_errors():
     assert all(predicted == "?" for _, predicted, _ in result.confusion)
 
 
-def test_discretization_is_fit_per_fold(runs11, monkeypatch):
+def spied(monkeypatch, name):
+    """Rebind ``evaluation.name`` to a wrapper that records its arguments."""
     calls = []
-    real = evaluation.fit_map
+    real = getattr(evaluation, name)
 
-    def spy(ts, mode, bins=10):
-        calls.append(len(ts))
-        return real(ts, mode, bins)
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(evaluation, "fit_map", spy)
+    monkeypatch.setattr(evaluation, name, spy)
+    return calls
+
+
+def test_discretization_is_fit_per_fold(runs11, monkeypatch):
+    # supervised maps come from one pass over every fold's training rows,
+    # unsupervised ones from one fit per fold
+    plan = evaluation.make_folds(runs11, 10, 0)
+    batched, single = (spied(monkeypatch, name)
+                       for name in ("fit_supervised_maps", "fit_map"))
     cross_validate(runs11, "majority", "supervised", seed=0, folds=10)
-    assert len(calls) == 10
-    assert sorted(calls) == [9] + [10] * 9  # complement of each fold size
+    assert single == []
+    [(ts, row_sets)] = batched
+    assert ts is runs11
+    assert [rows.tolist() for rows in row_sets] == \
+        [plan.train_indices(fold) for fold in range(10)]
+    cross_validate(runs11, "majority", "unsupervised", seed=0, folds=10)
+    assert len(batched) == 1
+    assert sorted(len(ts) for ts, *_ in single) == [9] + [10] * 9
 
 
 def test_global_discretization_fits_once(runs11, monkeypatch):
@@ -245,22 +261,21 @@ def test_fit_failures_name_the_fold(runs11, monkeypatch):
 
 
 def test_grid_prepares_each_fold_once_per_mode(runs11, monkeypatch):
-    calls = []
-    real = evaluation.fit_map
-
-    def spy(ts, mode, bins=10):
-        calls.append(mode)
-        return real(ts, mode, bins)
-
-    monkeypatch.setattr(evaluation, "fit_map", spy)
+    batched, single = (spied(monkeypatch, name)
+                       for name in ("fit_supervised_maps", "fit_map"))
     evaluate_grid(runs11, ["j48", "reptree", "knn"],
                   ["supervised", "unsupervised"], seed=0)
-    assert len(calls) == 20  # 10 folds x 2 modes, shared by 3 methods
-    calls.clear()
+    # one pass for the 10 folds' supervised maps, and 10 unsupervised fits,
+    # shared by 3 methods
+    assert [len(row_sets) for _, row_sets in batched] == [10]
+    assert [mode for _, mode, _ in single] == ["unsupervised"] * 10
+    batched.clear()
+    single.clear()
     evaluate_grid(runs11, ["j48", "reptree", "knn"],
                   ["supervised", "unsupervised"], seed=0,
                   global_discretize=True)
-    assert calls == ["supervised", "unsupervised"]
+    assert batched == []
+    assert [mode for _, mode, _ in single] == ["supervised", "unsupervised"]
 
 
 @pytest.mark.parametrize("engine", ["tree", "casi"])
